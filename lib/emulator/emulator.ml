@@ -154,11 +154,16 @@ type state = {
   irq_period : int;
   mutable next_irq_at : int;
   mutable irqs_taken : int;
-  (* verification *)
+  (* verification: the WAR shadow.  [kinds] holds one byte per address —
+     ' ' untouched in the current region, 'r' first accessed by a read, 'w'
+     first accessed by a write (or already reported) — and [touched] lists
+     the indices of the non-blank bytes, [n_touched] of them, so a region
+     boundary resets only what the region touched.  Both are empty when
+     [verify] is off: nothing reaches the shadow then. *)
   verify : bool;
-  epoch : int array;
   kinds : Bytes.t;
-  mutable cur_epoch : int;
+  mutable touched : int array;
+  mutable n_touched : int;
   mutable violations : violation list;
   (* stats *)
   counts : cause_counts;
@@ -176,6 +181,7 @@ type state = {
      that is static (which is all of them except a not-taken [Bc]) is
      paid for once here instead of per step: *)
   save_all : bool;  (** WARIO_SAVE_ALL, read once at [create] *)
+  debug_boots : bool;  (** WARIO_DEBUG_EMU, read once at [create] *)
   cost : int array;  (** static spend per pc ([Bc]: the taken cost, 3) *)
   eff_mask : int array;
       (** effective checkpoint mask per pc ([Ckpt]/[Svc 0]); -1 elsewhere *)
@@ -245,7 +251,8 @@ let work_total st = st.cycles - st.acc_boot - st.acc_restore
 (* Memory with WAR tracking                                             *)
 (* ------------------------------------------------------------------ *)
 
-let in_ckpt_area a = a >= Image.ckpt_base && a < Image.ckpt_base + 0x100
+let ckpt_end = Image.ckpt_base + 0x100
+let in_ckpt_area a = a >= Image.ckpt_base && a < ckpt_end
 
 let check_addr st a n =
   if a < 0x40 || a + n > Image.mem_size then
@@ -254,23 +261,43 @@ let check_addr st a n =
          (Printf.sprintf "memory fault at 0x%x (pc=%d, %s)" a st.pc
             (I.string_of_instr st.img.Image.code.(st.pc))))
 
+(* initial capacity of the touched list; it doubles when a region touches
+   more distinct bytes *)
+let touched_initial = 1024
+
+(* First access to byte [i] in the current region: record its kind and
+   push the index so [clear_shadow] can blank it again.  Callers have
+   bounds-checked [i] with [check_addr]. *)
+let mark st i kind =
+  Bytes.unsafe_set st.kinds i kind;
+  let n = st.n_touched in
+  if n = Array.length st.touched then begin
+    let grown = Array.make (max touched_initial (2 * n)) 0 in
+    Array.blit st.touched 0 grown 0 n;
+    st.touched <- grown
+  end;
+  Array.unsafe_set st.touched n i;
+  st.n_touched <- n + 1
+
+(* Start a new region: O(bytes touched in the old one), not O(memory). *)
+let clear_shadow st =
+  for j = 0 to st.n_touched - 1 do
+    Bytes.unsafe_set st.kinds (Array.unsafe_get st.touched j) ' '
+  done;
+  st.n_touched <- 0
+
 let track_read st a n =
   if st.verify && not (in_ckpt_area a) then
     for i = a to a + n - 1 do
-      if st.epoch.(i) <> st.cur_epoch then begin
-        st.epoch.(i) <- st.cur_epoch;
-        Bytes.unsafe_set st.kinds i 'r'
-      end
+      if Bytes.unsafe_get st.kinds i = ' ' then mark st i 'r'
     done
 
 let track_write st a n =
   if st.verify && not (in_ckpt_area a) then
     for i = a to a + n - 1 do
-      if st.epoch.(i) <> st.cur_epoch then begin
-        st.epoch.(i) <- st.cur_epoch;
-        Bytes.unsafe_set st.kinds i 'w'
-      end
-      else if Bytes.unsafe_get st.kinds i = 'r' then begin
+      let k = Bytes.unsafe_get st.kinds i in
+      if k = ' ' then mark st i 'w'
+      else if k = 'r' then begin
         st.violations <-
           {
             v_pc = st.pc;
@@ -285,7 +312,7 @@ let track_write st a n =
     done
 
 let region_boundary st =
-  st.cur_epoch <- st.cur_epoch + 1;
+  clear_shadow st;
   st.regions_rev <- (st.cycles - st.region_start) :: st.regions_rev;
   st.region_start <- st.cycles
 
@@ -521,7 +548,7 @@ let power_on st =
         cold_start st;
         None
   in
-  if Sys.getenv_opt "WARIO_DEBUG_EMU" <> None && (st.boots < 50 || st.boots mod 10000 = 0) then
+  if st.debug_boots && (st.boots < 50 || st.boots mod 10000 = 0) then
     Printf.eprintf "boot %d: pc=%d (%s) cycles=%d\n%!" st.boots st.pc
       st.img.Image.func_of_pc.(st.pc) st.cycles;
   if st.trace_on then begin
@@ -537,7 +564,7 @@ let power_on st =
          });
     st.trace_func <- func
   end;
-  st.cur_epoch <- st.cur_epoch + 1;
+  clear_shadow st;
   st.region_start <- st.cycles;
   st.period_live <- true;
   (* the interrupt timer starts once the application code resumes *)
@@ -924,13 +951,14 @@ let build_tables ~save_all (img : Image.t) =
 let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
     ?(irq_period = 0) ?(verify = true) ?(tracer = Tr.null)
     ?(count_pcs = false) (img : Image.t) : t =
-  (* sampled exactly once, here; "" and "0" mean off so tests (and
-     shells) can clear it without [unsetenv] *)
-  let save_all =
-    match Sys.getenv_opt "WARIO_SAVE_ALL" with
+  (* environment flags are sampled exactly once, here; "" and "0" mean off
+     so tests (and shells) can clear them without [unsetenv] *)
+  let env_flag name =
+    match Sys.getenv_opt name with
     | None | Some "" | Some "0" -> false
     | Some _ -> true
   in
+  let save_all = env_flag "WARIO_SAVE_ALL" in
   let cost, eff_mask, push_n, call_fn, fn_names, max_step_cost, fop, fa, fb,
       fc, fcond =
     build_tables ~save_all img
@@ -959,9 +987,9 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       next_irq_at = irq_period;
       irqs_taken = 0;
       verify;
-      epoch = Array.make Image.mem_size (-1);
-      kinds = Bytes.make Image.mem_size ' ';
-      cur_epoch = 0;
+      kinds = (if verify then Bytes.make Image.mem_size ' ' else Bytes.empty);
+      touched = (if verify then Array.make touched_initial 0 else [||]);
+      n_touched = 0;
       violations = [];
       counts = { c_entry = 0; c_exit = 0; c_middle = 0; c_backend = 0 };
       region_start = 0;
@@ -973,6 +1001,7 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       fn_names;
       fn_calls = Array.make (Array.length fn_names) 0;
       save_all;
+      debug_boots = env_flag "WARIO_DEBUG_EMU";
       cost;
       eff_mask;
       push_n;
@@ -5370,8 +5399,8 @@ let clone st =
     mem = Bytes.copy st.mem;
     regs = Array.copy st.regs;
     power = Power.copy st.power;
-    epoch = Array.copy st.epoch;
     kinds = Bytes.copy st.kinds;
+    touched = Array.copy st.touched;
     counts =
       {
         c_entry = st.counts.c_entry;
@@ -5403,16 +5432,29 @@ let current_function st = st.img.Image.func_of_pc.(st.pc)
 let boots st = st.boots
 let memory st = Bytes.copy st.mem
 
-(* FNV-1a over every byte outside the checkpoint double buffer: the
+(* A digest of every byte outside the checkpoint double buffer: the
    non-volatile state an idempotent run must reproduce exactly.  The buffers
    are excluded because their sequence numbers and saved register images
-   legitimately depend on how often power failed. *)
+   legitimately depend on how often power failed.
+
+   Word-wise: each 8-byte little-endian word is folded in by an FNV-style
+   xor-multiply (odd multiplier) and an xor-shift.  Both steps are
+   bijections of the running hash, so two memories differing in exactly one
+   word always digest differently.  One inline loop over a local [ref]:
+   ocamlopt keeps the [int64] unboxed there, where a closure capturing it
+   would box on every word. *)
 let nv_digest st =
+  let mem = st.mem in
+  let n = Bytes.length mem in
   let h = ref 0xcbf29ce484222325L in
-  for i = 0 to Bytes.length st.mem - 1 do
-    if not (in_ckpt_area i) then begin
-      h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get st.mem i)));
-      h := Int64.mul !h 0x100000001b3L
+  let i = ref 0 in
+  while !i < n do
+    if !i = Image.ckpt_base then i := ckpt_end
+    else begin
+      let w = Bytes.get_int64_le mem !i in
+      let x = Int64.mul (Int64.logxor !h w) 0x100000001b3L in
+      h := Int64.logxor x (Int64.shift_right_logical x 29);
+      i := !i + 8
     end
   done;
   !h

@@ -135,7 +135,13 @@ val run :
     creation: setting the [WARIO_SAVE_ALL] environment variable (to
     anything other than [""] or ["0"]) makes every checkpoint save the
     full register file regardless of its live mask (changing the variable
-    mid-run has no effect). *)
+    mid-run has no effect).  [WARIO_DEBUG_EMU] (boot logging on stderr) is
+    sampled the same way.
+
+    With [verify] on, an instance carries a WAR shadow of one byte per
+    address plus the list of bytes touched in the current region, and a
+    region boundary costs the bytes that region touched.  With [verify]
+    off it carries no shadow at all. *)
 
 (** {1 Stepping and snapshots}
 
@@ -215,11 +221,14 @@ val boots : t -> int
 val memory : t -> bytes  (** copy of the current memory image *)
 
 val nv_digest : t -> int64
-(** FNV-1a digest of all non-volatile memory {e excluding} the checkpoint
-    double buffer (whose sequence numbers legitimately differ across power
+(** Digest of all non-volatile memory {e excluding} the checkpoint double
+    buffer (whose sequence numbers legitimately differ across power
     schedules).  After a halt, two idempotent executions of the same image
     must agree on this digest — the crash-consistency oracle's memory
-    check. *)
+    check.  A word-wise xor-multiply-shift mix over 8-byte little-endian
+    words, not FNV-1a: memories that differ in exactly one word always
+    digest differently, and the digest allocates nothing.  Its value is
+    not stable across versions; compare digests only within one build. *)
 
 val result : t -> result
 (** Statistics so far (complete once {!halted}). *)

@@ -549,6 +549,196 @@ let test_save_all_sampled_at_create () =
       let zero = E.Emulator.run ~verify:false c.P.image in
       Alcotest.(check bool) "\"0\" means off" true (zero = off))
 
+(* --- WAR tracker: directed cases on the reference engine ------------- *)
+
+let link_blocks blocks =
+  E.Image.link
+    {
+      I.mfuncs =
+        [ { I.mname = "main"; frame_words = 0; mframe = None;
+            mblocks =
+              List.map (fun (l, code) -> { I.mlabel = l; mcode = code }) blocks } ];
+      mdata = [];
+    }
+
+(* every pc holding [ins], in order *)
+let pcs_of (img : E.Image.t) ins =
+  List.filter (fun pc -> img.E.Image.code.(pc) = ins)
+    (List.init (Array.length img.E.Image.code) Fun.id)
+
+let violations_of st =
+  List.map
+    (fun v -> (v.E.Emulator.v_addr, v.E.Emulator.v_pc))
+    (E.Emulator.result st).E.Emulator.violations
+
+let step_to st pc =
+  while E.Emulator.pc st <> pc do ignore (E.Emulator.step st) done
+
+let war_pairs = Alcotest.(list (pair int int))
+let x_addr = 0x1000
+
+(* One region reads 8 KiB — well past the touched list's initial capacity,
+   so it grows several times — then writes one byte inside that range and
+   one outside it: exactly the first is a violation. *)
+let test_war_many_reads () =
+  let inside = I.Str (I.W8, 0, 1, 5000l) and outside = I.Str (I.W8, 0, 1, 9000l) in
+  let img =
+    link_blocks
+      [
+        ("main", [ I.Movw32 (1, Int32.of_int x_addr); I.Mov (2, I.I 0l);
+                   I.Movw32 (3, 8192l) ]);
+        ("loop", [ I.LdrR (I.W32, 0, 1, 2); I.Alu (I.ADD, 2, 2, I.I 4l);
+                   I.Cmp (2, I.R 3); I.Bc (I.LT, "loop") ]);
+        ("tail", [ inside; outside; I.Svc 1 ]);
+      ]
+  in
+  let st = E.Emulator.create ~verify:true img in
+  ignore (drive_engine E.Emulator.Reference st);
+  Alcotest.check war_pairs "one violation, after the growth"
+    [ (x_addr + 5000, List.hd (pcs_of img inside)) ]
+    (violations_of st)
+
+(* A byte is reported once per region: a second read-then-write in the same
+   region is silent, and the same pattern after a commit reports again. *)
+let test_war_once_per_region () =
+  let rd = I.Ldr (I.W8, 0, 1, 0l) and wr = I.Str (I.W8, 0, 1, 0l) in
+  let img =
+    link_blocks
+      [ ("main", [ I.Movw32 (1, Int32.of_int x_addr); rd; wr; rd; wr;
+                   I.Ckpt (I.Middle_end_war, 0); rd; wr; I.Svc 1 ]) ]
+  in
+  let st = E.Emulator.create ~verify:true img in
+  ignore (drive_engine E.Emulator.Reference st);
+  match pcs_of img wr with
+  | [ first; _; third ] ->
+      Alcotest.check war_pairs "first write of each region"
+        [ (x_addr, first); (x_addr, third) ]
+        (violations_of st)
+  | _ -> Alcotest.fail "expected three stores"
+
+(* Reads x only while r5 (volatile, outside the checkpoint mask) is set:
+   a run that loses power after the read resumes at the checkpoint with
+   r5 = 0 and writes x without reading it again. *)
+let read_unless_rebooted () =
+  let wr = I.Str (I.W8, 0, 1, 0l) in
+  let img =
+    link_blocks
+      [
+        ("main", [ I.Movw32 (1, Int32.of_int x_addr); I.Mov (5, I.I 1l);
+                   I.Ckpt (I.Middle_end_war, 1 lsl 1); I.Cmp (5, I.I 0l);
+                   I.Bc (I.EQ, "wr") ]);
+        ("rd", [ I.Ldr (I.W8, 0, 1, 0l) ]);
+        ("wr", [ wr; I.Svc 1 ]);
+      ]
+  in
+  (img, List.hd (pcs_of img wr))
+
+(* A power cut between the read and the write clears the read set. *)
+let test_war_power_cut_clears () =
+  let img, wr_pc = read_unless_rebooted () in
+  let whole = E.Emulator.create ~verify:true img in
+  ignore (drive_engine E.Emulator.Reference whole);
+  Alcotest.check war_pairs "uncut: read then write" [ (x_addr, wr_pc) ]
+    (violations_of whole);
+  let cut = E.Emulator.create ~verify:true img in
+  step_to cut wr_pc;
+  E.Emulator.cut_power cut;
+  ignore (drive_engine E.Emulator.Reference cut);
+  Alcotest.(check int) "the cut rebooted" 2 (E.Emulator.boots cut);
+  Alcotest.check war_pairs "cut: the write starts a fresh region" []
+    (violations_of cut)
+
+(* A clone taken after the read and before the write carries its own read
+   set: cutting the original's power first must not clear the clone's. *)
+let test_war_clone_independent () =
+  let img, wr_pc = read_unless_rebooted () in
+  let orig = E.Emulator.create ~verify:true img in
+  step_to orig wr_pc;
+  let snap = E.Emulator.clone orig in
+  E.Emulator.cut_power orig;
+  ignore (drive_engine E.Emulator.Reference snap);
+  Alcotest.check war_pairs "clone reports the write" [ (x_addr, wr_pc) ]
+    (violations_of snap);
+  ignore (drive_engine E.Emulator.Reference orig);
+  Alcotest.check war_pairs "original, rebooted past the read, is clean" []
+    (violations_of orig)
+
+(* --- fixed per-instance cost ----------------------------------------- *)
+
+let allocated_bytes f =
+  let a0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.allocated_bytes () -. a0
+
+(* The WAR shadow is one byte per address plus the touched list: a verify
+   instance is the 1 MiB memory and the 1 MiB shadow, no more; an
+   unverified one has no shadow at all; and digesting memory allocates
+   nothing. *)
+let test_instance_allocation () =
+  let m = Wario_workloads.Micro.find "arith" in
+  let c = P.compile P.Wario m.Wario_workloads.Micro.source in
+  let mib = 1048576. in
+  let v = allocated_bytes (fun () -> E.Emulator.create ~verify:true c.P.image) in
+  Alcotest.(check bool)
+    (Printf.sprintf "verify create: %.2f MiB < 3 MiB" (v /. mib))
+    true (v < 3. *. mib);
+  let nv = allocated_bytes (fun () -> E.Emulator.create ~verify:false c.P.image) in
+  Alcotest.(check bool)
+    (Printf.sprintf "unverified create: %.2f MiB < 1.5 MiB" (nv /. mib))
+    true (nv < 1.5 *. mib);
+  let st = E.Emulator.create ~verify:false c.P.image in
+  let d = allocated_bytes (fun () -> E.Emulator.nv_digest st) in
+  Alcotest.(check bool)
+    (Printf.sprintf "nv_digest allocates %.0f B < 1 KiB" d)
+    true (d < 1024.)
+
+let in_ckpt_area i = i >= E.Image.ckpt_base && i < E.Image.ckpt_base + 0x100
+
+(* Equal memories digest equally, also when they differ only inside the
+   checkpoint double buffer; one differing word outside it always shows. *)
+let test_nv_digest_pins () =
+  let m = Wario_workloads.Micro.find "rmw_loop" in
+  let c = P.compile P.Wario m.Wario_workloads.Micro.source in
+  let halted ?supply engine verify =
+    let st = E.Emulator.create ?supply ~verify c.P.image in
+    ignore (drive_engine engine st);
+    st
+  in
+  let a = halted E.Emulator.Block false and b = halted E.Emulator.Reference true in
+  Alcotest.(check bool) "equal memories" true
+    (E.Emulator.memory a = E.Emulator.memory b);
+  Alcotest.(check int64) "equal memories, equal digests" (E.Emulator.nv_digest a)
+    (E.Emulator.nv_digest b);
+  let cont = E.Emulator.result a in
+  let budget = 400 + 64 + List.fold_left max 0 cont.E.Emulator.region_sizes + 97 in
+  let p = halted ~supply:(E.Power.Periodic budget) E.Emulator.Reference true in
+  let ma = E.Emulator.memory a and mp = E.Emulator.memory p in
+  let diff = List.filter (fun i -> Bytes.get ma i <> Bytes.get mp i)
+      (List.init (Bytes.length ma) Fun.id) in
+  Alcotest.(check bool) "intermittent run differs only in the buffers" true
+    (diff <> [] && List.for_all in_ckpt_area diff);
+  Alcotest.(check int64) "buffers are not digested" (E.Emulator.nv_digest a)
+    (E.Emulator.nv_digest p);
+  let stores v =
+    let st =
+      E.Emulator.create ~verify:false
+        (E.Image.link
+           (mprog_of [ I.Movw32 (1, Int32.of_int x_addr); I.Movw32 (0, v);
+                       I.Str (I.W32, 0, 1, 0l); I.Svc 1 ]))
+    in
+    ignore (drive_engine E.Emulator.Reference st);
+    st
+  in
+  let s1 = stores 1l and s2 = stores 2l in
+  let m1 = E.Emulator.memory s1 and m2 = E.Emulator.memory s2 in
+  let words =
+    List.filter (fun w -> Bytes.get_int64_le m1 (8 * w) <> Bytes.get_int64_le m2 (8 * w))
+      (List.init (Bytes.length m1 / 8) Fun.id)
+  in
+  Alcotest.(check (list int)) "memories differ in one word" [ x_addr / 8 ] words;
+  Alcotest.(check bool) "one differing word, different digests" true
+    (E.Emulator.nv_digest s1 <> E.Emulator.nv_digest s2)
+
 let suite =
   [
     Alcotest.test_case "alu" `Quick test_alu;
@@ -590,6 +780,16 @@ let suite =
       test_run_batch_rejects_nonpositive;
     Alcotest.test_case "WARIO_SAVE_ALL sampled at create" `Quick
       test_save_all_sampled_at_create;
+    Alcotest.test_case "WAR tracker: read set grows" `Quick test_war_many_reads;
+    Alcotest.test_case "WAR tracker: once per region" `Quick
+      test_war_once_per_region;
+    Alcotest.test_case "WAR tracker: power cut clears reads" `Quick
+      test_war_power_cut_clears;
+    Alcotest.test_case "WAR tracker: clone is independent" `Quick
+      test_war_clone_independent;
+    Alcotest.test_case "instance allocation" `Quick test_instance_allocation;
+    Alcotest.test_case "nv digest: equality and one-word sensitivity" `Quick
+      test_nv_digest_pins;
   ]
 
 (* --- cycle model ----------------------------------------------------- *)
