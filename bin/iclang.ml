@@ -532,11 +532,14 @@ let do_trace file benchmark env unroll max_region no_opt power trace irq out
   | Error e -> `Error (false, e)
   | Ok src -> (
       try
-        let metrics = O.Metrics.create () in
-        let spans = span_recorder span_out span_jsonl in
+        (* --metrics is a projection of the span tree, so it needs a live
+           recorder too *)
+        let spans =
+          if metrics_out <> None then O.Span.create ()
+          else span_recorder span_out span_jsonl
+        in
         let c =
-          P.compile ~opts:(opts_of ?max_region ~no_opt unroll) ~metrics ~spans
-            env src
+          P.compile ~opts:(opts_of ?max_region ~no_opt unroll) ~spans env src
         in
         let supply =
           match supply_of power trace with Ok s -> s | Error e -> failwith e
@@ -548,25 +551,29 @@ let do_trace file benchmark env unroll max_region no_opt power trace irq out
                 E.Emulator.run ~supply ~irq_period:irq ~tracer:sink ~engine
                   c.P.image
               in
-              O.Span.add_counter ~by:r.E.Emulator.cycles spans "cycles";
-              O.Span.add_counter ~by:r.E.Emulator.checkpoints_total spans
-                "dyn_ckpts";
+              let w = r.E.Emulator.waste in
+              List.iter
+                (fun (name, by) -> O.Span.add_counter ~by spans name)
+                [
+                  ("cycles", r.E.Emulator.cycles);
+                  ("dyn_ckpts", r.E.Emulator.checkpoints_total);
+                  ("instrs", r.E.Emulator.instrs);
+                  ("power_failures", r.E.Emulator.power_failures);
+                  ("boots", r.E.Emulator.boots);
+                  ("irqs_taken", r.E.Emulator.irqs_taken);
+                  ("useful_cycles", w.E.Emulator.w_useful);
+                  ("boot_cycles", w.E.Emulator.w_boot);
+                  ("restore_cycles", w.E.Emulator.w_restore);
+                  ("reexec_cycles", w.E.Emulator.w_reexec);
+                  ("trace_events", O.Trace.length sink);
+                  ("trace_dropped", O.Trace.dropped sink);
+                ];
               r)
         in
-        O.Metrics.set metrics "run.cycles" r.E.Emulator.cycles;
-        O.Metrics.set metrics "run.instrs" r.E.Emulator.instrs;
-        O.Metrics.set metrics "run.checkpoints_total"
-          r.E.Emulator.checkpoints_total;
-        O.Metrics.set metrics "run.power_failures" r.E.Emulator.power_failures;
-        O.Metrics.set metrics "run.boots" r.E.Emulator.boots;
-        O.Metrics.set metrics "run.irqs_taken" r.E.Emulator.irqs_taken;
         let w = r.E.Emulator.waste in
-        O.Metrics.set metrics "run.useful_cycles" w.E.Emulator.w_useful;
-        O.Metrics.set metrics "run.boot_cycles" w.E.Emulator.w_boot;
-        O.Metrics.set metrics "run.restore_cycles" w.E.Emulator.w_restore;
-        O.Metrics.set metrics "run.reexec_cycles" w.E.Emulator.w_reexec;
-        O.Metrics.set metrics "trace.events" (O.Trace.length sink);
-        O.Metrics.set metrics "trace.dropped" (O.Trace.dropped sink);
+        (* projected before trace.render opens, so the file cannot depend
+           on its own rendering *)
+        let metrics = O.Span.to_metrics_jsonl (O.Span.roots spans) in
         let evs = O.Trace.events sink in
         let name =
           match (benchmark, file) with
@@ -596,7 +603,7 @@ let do_trace file benchmark env unroll max_region no_opt power trace irq out
                       ~process_name:
                         (name ^ " [" ^ P.environment_name env ^ "]")
                       evs
-                | `Metrics -> O.Metrics.to_jsonl metrics
+                | `Metrics -> metrics
                 | `Folded -> O.Profile.folded prof
               in
               (kind, path, body))
@@ -614,7 +621,7 @@ let do_trace file benchmark env unroll max_region no_opt power trace irq out
                   | n -> Printf.sprintf " (%d dropped by the ring)" n)
             | `Metrics ->
                 Printf.printf "metrics: wrote %d entries to %s\n"
-                  (List.length (O.Metrics.items metrics))
+                  (List.length (String.split_on_char '\n' body) - 1)
                   path
             | `Folded -> Printf.printf "folded stacks: %s\n" path)
           rendered;
@@ -694,7 +701,8 @@ let trace_cmd =
       value
       & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE"
-          ~doc:"Write compile-time metrics as JSONL here.")
+          ~doc:
+            "Write compile and run metrics as JSONL here: the span tree            projected onto per-name totals ($(i,SPAN).ms summed over every            span of that name, $(i,SPAN).$(i,COUNTER) summed likewise).")
   in
   let folded_out =
     Arg.(
@@ -1376,7 +1384,6 @@ let do_serve input output jobs cache_dir no_cache stats_only span_out
         let module Sv = Wario.Serve in
         let cache = cache_of ~cache_dir ~no_cache in
         let spans = span_recorder span_out span_jsonl in
-        let metrics = O.Metrics.create () in
         let read_lines ic =
           let rec loop acc =
             match input_line ic with
@@ -1413,19 +1420,15 @@ let do_serve input output jobs cache_dir no_cache stats_only span_out
           O.Span.with_span spans "serve.plan" (fun () ->
               Sv.plan (Array.to_list oks))
         in
-        O.Metrics.set metrics "serve.jobs" (Array.length oks);
-        O.Metrics.set metrics "serve.distinct" (List.length plan.Sv.p_distinct);
-        (* compile each distinct job once; private metrics registries are
-           merged deterministically at the join, so the cache.<stage>.*
-           counters are reproducible for any --jobs *)
+        (* compile each distinct job once *)
         let compiled =
-          X.map_with_metrics ~jobs ~spans ~label:"serve.map" ~metrics
-            (fun metrics idx ->
+          X.map ~jobs ~spans ~label:"serve.map"
+            (fun idx ->
               let job = oks.(idx) in
               let t0 = Unix.gettimeofday () in
               let c, report =
-                P.compile_with_report ~opts:job.Sv.j_opts ~metrics ~cache
-                  job.Sv.j_env job.Sv.j_source
+                P.compile_with_report ~opts:job.Sv.j_opts ~cache job.Sv.j_env
+                  job.Sv.j_source
               in
               (idx, c, report, (Unix.gettimeofday () -. t0) *. 1000.))
             plan.Sv.p_distinct

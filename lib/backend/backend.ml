@@ -39,29 +39,28 @@ let mdata_of_global (g : Ir.global) : I.data =
         g.ginit;
   }
 
-(** Compile a WIR program to machine code.  With a live [metrics]
-    registry, per-pass wall times accumulate across functions under
-    [backend.<pass>.ms] and the spill deltas are recorded as counters.
-    [block_weights] (mangled machine label -> estimated execution
-    frequency) makes the stack-spill checkpoint inserter cost-guided. *)
-let run ?(metrics = Wario_obs.Metrics.disabled)
+(** Compile a WIR program to machine code.  With a live [spans] recorder,
+    each per-function pass runs in a child span ([backend.isel],
+    [backend.webs], ...) of the caller's open span, which also receives the
+    function count and the spill deltas as counters.  [block_weights]
+    (mangled machine label -> estimated execution frequency) makes the
+    stack-spill checkpoint inserter cost-guided. *)
+let run ?(spans = Wario_obs.Span.disabled)
     ?(block_weights : (string -> float) option) ~(config : config)
     (p : Ir.program) : I.mprog * stats =
-  let module M = Wario_obs.Metrics in
+  let module S = Wario_obs.Span in
+  let pass name f = S.with_span spans ("backend." ^ name) f in
   let stats = ref { spill_wars = 0; spill_ckpts = 0; spill_slots = 0 } in
   let mfuncs =
     List.map
       (fun (f : Ir.func) ->
-        let mf, next_vreg =
-          M.time metrics "backend.isel.ms" (fun () -> Isel.select_func f)
-        in
-        M.time metrics "backend.webs.ms" (fun () ->
-            ignore (Webs.run mf ~next_vreg));
-        let ra = M.time metrics "backend.regalloc.ms" (fun () -> Regalloc.run mf) in
+        let mf, next_vreg = pass "isel" (fun () -> Isel.select_func f) in
+        pass "webs" (fun () -> ignore (Webs.run mf ~next_vreg));
+        let ra = pass "regalloc" (fun () -> Regalloc.run mf) in
         let sc =
           match config.spill_strategy with
           | Some strategy ->
-              M.time metrics "backend.stack_ckpt.ms" (fun () ->
+              pass "stack_ckpt" (fun () ->
                   Stack_ckpt.run ?weight:block_weights ~strategy ra.mfunc)
           | None -> { Stack_ckpt.spill_wars = 0; spill_ckpts = 0 }
         in
@@ -71,13 +70,12 @@ let run ?(metrics = Wario_obs.Metrics.disabled)
               match b.term with Ir.Ret (Some _) -> true | _ -> false)
             f.blocks
         in
-        M.time metrics "backend.frame.ms" (fun () ->
+        pass "frame" (fun () ->
             Frame.run ~style:config.epilog_style ~slots:f.slots
               ~spill_slots:ra.spill_slots
               ~params:(List.length f.params)
               ~returns ra.mfunc);
-        M.time metrics "backend.mliveness.ms" (fun () ->
-            Mliveness.set_ckpt_masks ra.mfunc);
+        pass "mliveness" (fun () -> Mliveness.set_ckpt_masks ra.mfunc);
         stats :=
           {
             spill_wars = !stats.spill_wars + sc.spill_wars;
@@ -87,8 +85,8 @@ let run ?(metrics = Wario_obs.Metrics.disabled)
         ra.mfunc)
       p.funcs
   in
-  M.set metrics "backend.functions" (List.length p.funcs);
-  M.set metrics "backend.spill_wars" !stats.spill_wars;
-  M.set metrics "backend.spill_ckpts" !stats.spill_ckpts;
-  M.set metrics "backend.spill_slots" !stats.spill_slots;
+  S.add_counter ~by:(List.length p.funcs) spans "functions";
+  S.add_counter ~by:!stats.spill_wars spans "spill_wars";
+  S.add_counter ~by:!stats.spill_ckpts spans "spill_ckpts";
+  S.add_counter ~by:!stats.spill_slots spans "spill_slots";
   ({ I.mfuncs; mdata = List.map mdata_of_global p.globals }, !stats)

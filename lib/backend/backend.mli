@@ -20,14 +20,16 @@ val wario_backend : config
 type stats = { spill_wars : int; spill_ckpts : int; spill_slots : int }
 
 val run :
-  ?metrics:Wario_obs.Metrics.t ->
+  ?spans:Wario_obs.Span.t ->
   ?block_weights:(string -> float) ->
   config:config ->
   Wario_ir.Ir.program ->
   Wario_machine.Isa.mprog * stats
-(** [metrics] (default {!Wario_obs.Metrics.disabled}) accumulates per-pass
-    wall time under [backend.<pass>.ms] and records the spill-slot /
-    spill-checkpoint deltas as counters.  [block_weights] (mangled machine
-    label -> estimated execution frequency, from
-    {!Wario_analysis.Costmodel}) makes the stack-spill checkpoint inserter
-    cost-guided. *)
+(** [spans] (default {!Wario_obs.Span.disabled}) runs each per-function
+    pass in a child span of the caller's open span — [backend.isel],
+    [backend.webs], [backend.regalloc], [backend.stack_ckpt],
+    [backend.frame], [backend.mliveness] — and adds the counters
+    [functions], [spill_wars], [spill_ckpts] and [spill_slots] to the open
+    span itself.  [block_weights] (mangled machine label -> estimated
+    execution frequency, from {!Wario_analysis.Costmodel}) makes the
+    stack-spill checkpoint inserter cost-guided. *)

@@ -21,8 +21,6 @@
 
 module U = Wario_support.Util
 module Store = Wario_support.Store
-module M = Wario_obs.Metrics
-module S = Wario_obs.Span
 
 (* Bump on any change to stage payloads or key derivation. *)
 let format_version = "1:" ^ Sys.ocaml_version
@@ -116,11 +114,3 @@ let put (t : t) ?(stage = "") (key : Key.t) (v : 'a) : unit =
 
 let mem (t : t) (key : Key.t) : bool =
   match t.store with None -> false | Some s -> Store.mem s key
-
-(* Cache observability: per-stage hit/miss counters into the metrics
-   registry and the enclosing span, so `iclang stats` and span traces
-   can report hit rates per pipeline stage. *)
-let note ?(metrics = M.disabled) ?(spans = S.disabled) ~stage hit =
-  let outcome = if hit then "hit" else "miss" in
-  M.incr metrics (Printf.sprintf "cache.%s.%s" stage outcome);
-  S.add_counter spans (Printf.sprintf "cache_%s_%s" stage outcome)

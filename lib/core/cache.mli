@@ -62,12 +62,3 @@ val put : t -> ?stage:string -> Key.t -> 'a -> unit
 val mem : t -> Key.t -> bool
 (** Existence probe without reading, counting or LRU-touching. *)
 
-val note :
-  ?metrics:Wario_obs.Metrics.t ->
-  ?spans:Wario_obs.Span.t ->
-  stage:string ->
-  bool ->
-  unit
-(** Record a per-stage hit ([true]) or miss ([false]):
-    [cache.<stage>.hit/miss] counters in the metrics registry and
-    [cache_<stage>_hit/miss] counters on the open span. *)

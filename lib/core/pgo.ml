@@ -83,7 +83,7 @@ let compiled_of (cs : candidates) = function
     choice is [pilot.selected]).  [opts.block_profile] is ignored on
     input (the pilot supplies it); [opts.placement] is forced per
     candidate.  [pilot_fuel] bounds the pilot run. *)
-let compile_candidates ?(opts = Pipeline.default_options) ?metrics
+let compile_candidates ?(opts = Pipeline.default_options)
     ?(spans = S.disabled) ?pilot_fuel ?engine ?cache
     (env : Pipeline.environment) (source : string) : candidates =
   (* One cache handle (ambient by default) shared by all four candidate
@@ -122,7 +122,7 @@ let compile_candidates ?(opts = Pipeline.default_options) ?metrics
     audition Profile (fun () ->
         Pipeline.compile
           ~opts:{ static_opts with Pipeline.block_profile = Some pilot.profile }
-          ?metrics ~spans ~cache env source)
+          ~spans ~cache env source)
   in
   let greedy_c =
     audition Greedy (fun () ->
@@ -194,11 +194,10 @@ let compile_candidates ?(opts = Pipeline.default_options) ?metrics
 
 (** [compile env source]: {!compile_candidates}, keeping only the
     measured guard's choice. *)
-let compile ?opts ?metrics ?spans ?pilot_fuel ?engine ?cache
+let compile ?opts ?spans ?pilot_fuel ?engine ?cache
     (env : Pipeline.environment) (source : string) : Pipeline.compiled * pilot
     =
   let cs =
-    compile_candidates ?opts ?metrics ?spans ?pilot_fuel ?engine ?cache env
-      source
+    compile_candidates ?opts ?spans ?pilot_fuel ?engine ?cache env source
   in
   (compiled_of cs cs.pilot.selected, cs.pilot)

@@ -47,7 +47,6 @@ val compiled_of : candidates -> variant -> Pipeline.compiled
 
 val compile_candidates :
   ?opts:Pipeline.options ->
-  ?metrics:Wario_obs.Metrics.t ->
   ?spans:Wario_obs.Span.t ->
   ?pilot_fuel:int ->
   ?engine:Wario_emulator.Emulator.engine ->
@@ -75,7 +74,6 @@ val compile_candidates :
 
 val compile :
   ?opts:Pipeline.options ->
-  ?metrics:Wario_obs.Metrics.t ->
   ?spans:Wario_obs.Span.t ->
   ?pilot_fuel:int ->
   ?engine:Wario_emulator.Emulator.engine ->

@@ -9,13 +9,7 @@ module Ir = Wario_ir.Ir
 module T = Wario_transforms
 module A = Wario_analysis
 module B = Wario_backend
-module M = Wario_obs.Metrics
 module S = Wario_obs.Span
-
-(* One instrumented pipeline stage: a span named [name] nested in the
-   caller's open span, plus the historical [name.ms] metrics timer. *)
-let stage metrics spans name f =
-  S.with_span spans name (fun () -> M.time metrics (name ^ ".ms") f)
 
 type environment =
   | Plain  (** uninstrumented C; continuous power only *)
@@ -207,31 +201,32 @@ type pre_middle = {
   pm_expander : T.Expander.stats option;
 }
 
-let middle_pre ~opts ~metrics ~spans (env : environment) (prog : Ir.program) :
+let middle_pre ~opts ~spans (env : environment) (prog : Ir.program) :
     pre_middle =
   if opts.optimize then
-    stage metrics spans "middle.opt_pipeline" (fun () ->
-        T.Opt_pipeline.run prog);
+    S.with_span spans "middle.opt_pipeline" (fun () -> T.Opt_pipeline.run prog);
   let lwc =
     match env with
     | Loop_cluster | Wario | Wario_expander ->
         let st =
-          stage metrics spans "middle.loop_write_clusterer" (fun () ->
-              T.Loop_write_clusterer.run ~unroll_factor:opts.unroll_factor prog)
+          S.with_span spans "middle.loop_write_clusterer" (fun () ->
+              let st =
+                T.Loop_write_clusterer.run ~unroll_factor:opts.unroll_factor
+                  prog
+              in
+              let module L = T.Loop_write_clusterer in
+              S.add_counter ~by:st.L.loops_unrolled spans "loops_unrolled";
+              S.add_counter ~by:st.L.stores_postponed spans "stores_postponed";
+              S.add_counter ~by:st.L.reads_instrumented spans
+                "reads_instrumented";
+              S.add_counter ~by:st.L.reads_forwarded spans "reads_forwarded";
+              st)
         in
         (* clean up moves and dead snapshots left behind by the clustering
            (copy propagation and DCE never reorder memory operations) *)
-        stage metrics spans "middle.lwc_cleanup" (fun () ->
+        S.with_span spans "middle.lwc_cleanup" (fun () ->
             ignore (T.Copyprop.run prog);
             ignore (T.Dce.run prog));
-        M.set metrics "middle.loop_write_clusterer.loops_unrolled"
-          st.T.Loop_write_clusterer.loops_unrolled;
-        M.set metrics "middle.loop_write_clusterer.stores_postponed"
-          st.T.Loop_write_clusterer.stores_postponed;
-        M.set metrics "middle.loop_write_clusterer.reads_instrumented"
-          st.T.Loop_write_clusterer.reads_instrumented;
-        M.set metrics "middle.loop_write_clusterer.reads_forwarded"
-          st.T.Loop_write_clusterer.reads_forwarded;
         Some st
     | _ -> None
   in
@@ -244,30 +239,29 @@ let middle_pre ~opts ~metrics ~spans (env : environment) (prog : Ir.program) :
        alone never expands under that policy. *)
     | _, T.Checkpoint_inserter.Interprocedural -> None
     | Wario_expander, _ ->
-        let st =
-          stage metrics spans "middle.expander" (fun () ->
-              T.Expander.run ~size_limit:opts.expander_size_limit
-                ?profile:opts.expander_profile prog)
-        in
-        M.set metrics "middle.expander.candidates" st.T.Expander.candidates;
-        M.set metrics "middle.expander.inlined" st.T.Expander.inlined;
-        Some st
+        Some
+          (S.with_span spans "middle.expander" (fun () ->
+               let st =
+                 T.Expander.run ~size_limit:opts.expander_size_limit
+                   ?profile:opts.expander_profile prog
+               in
+               S.add_counter ~by:st.T.Expander.candidates spans "candidates";
+               S.add_counter ~by:st.T.Expander.inlined spans "inlined";
+               st))
     | _ -> None
   in
   let wc_moves =
     match env with
     | Write_cluster | Wario | Wario_expander ->
-        let n =
-          stage metrics spans "middle.write_clusterer" (fun () ->
-              T.Write_clusterer.run prog)
-        in
-        M.set metrics "middle.write_clusterer.stores_moved" n;
-        n
+        S.with_span spans "middle.write_clusterer" (fun () ->
+            let n = T.Write_clusterer.run prog in
+            S.add_counter ~by:n spans "stores_moved";
+            n)
     | _ -> 0
   in
   { pm_lwc = lwc; pm_wc_moves = wc_moves; pm_expander = expander }
 
-let middle_place ~opts ~metrics ~spans (env : environment) (prog : Ir.program)
+let middle_place ~opts ~spans (env : environment) (prog : Ir.program)
     (pre : pre_middle) : middle_stats =
   let lwc = pre.pm_lwc
   and expander = pre.pm_expander
@@ -308,7 +302,7 @@ let middle_place ~opts ~metrics ~spans (env : environment) (prog : Ir.program)
     | Plain, _ | _, (T.Checkpoint_inserter.Greedy | Cost_guided) -> None
     | _, T.Checkpoint_inserter.Interprocedural ->
         Some
-          (stage metrics spans "middle.callgraph_place" (fun () ->
+          (S.with_span spans "middle.callgraph_place" (fun () ->
                A.Callgraph.build prog))
   in
   let wars_found, middle_ckpts, placement_exact, placement_fallback, placements
@@ -327,9 +321,8 @@ let middle_place ~opts ~metrics ~spans (env : environment) (prog : Ir.program)
         let st =
           S.with_span spans "middle.checkpoint_inserter" (fun () ->
               let st =
-                M.time metrics "middle.checkpoint_inserter.ms" (fun () ->
-                    T.Checkpoint_inserter.run ~mode ~placement:opts.placement
-                      ?profile ?global prog)
+                T.Checkpoint_inserter.run ~mode ~placement:opts.placement
+                  ?profile ?global prog
               in
               S.add_counter ~by:st.T.Checkpoint_inserter.wars spans "wars";
               S.add_counter ~by:st.T.Checkpoint_inserter.checkpoints spans
@@ -338,24 +331,16 @@ let middle_place ~opts ~metrics ~spans (env : environment) (prog : Ir.program)
                 "hs_nodes";
               S.add_counter ~by:st.T.Checkpoint_inserter.fallback spans
                 "fallback";
+              S.add_counter ~by:st.T.Checkpoint_inserter.exact spans "exact";
               st)
         in
-        M.set metrics "middle.checkpoint_inserter.wars" st.T.Checkpoint_inserter.wars;
-        M.set metrics "middle.checkpoint_inserter.checkpoints"
-          st.T.Checkpoint_inserter.checkpoints;
-        M.set metrics "middle.checkpoint_inserter.exact"
-          st.T.Checkpoint_inserter.exact;
-        M.set metrics "middle.checkpoint_inserter.fallback"
-          st.T.Checkpoint_inserter.fallback;
-        M.set metrics "middle.checkpoint_inserter.hs_nodes"
-          st.T.Checkpoint_inserter.hs_nodes;
         (st.wars, st.checkpoints, st.exact, st.fallback, st.placements)
   in
   (* optional extension: bound region sizes for tiny storage capacitors *)
   (match (env, opts.max_region) with
   | Plain, _ | _, None -> ()
   | _, Some n ->
-      stage metrics spans "middle.region_bounder" (fun () ->
+      S.with_span spans "middle.region_bounder" (fun () ->
           ignore (T.Region_bounder.run ~max_instrs:n prog)));
   (* test-only sabotage: break the schedule so the verifier has a target *)
   (match (env, opts.drop_middle_ckpt) with
@@ -380,15 +365,15 @@ let middle_place ~opts ~metrics ~spans (env : environment) (prog : Ir.program)
       | None -> []);
   }
 
-(** Run the middle end for [env] on [prog] (mutates it).  A live
-    [metrics] registry records per-pass wall time ([middle.<pass>.ms]) and
-    the headline deltas of each pass as counters. *)
-let middle_end ?(opts = default_options) ?(metrics = M.disabled)
-    ?(spans = S.disabled) (env : environment) (prog : Ir.program) :
-    middle_stats =
+(** Run the middle end for [env] on [prog] (mutates it).  A live [spans]
+    recorder gets a ["middle"] span with one child span per pass
+    ([middle.<pass>]) carrying the headline deltas of the pass as
+    counters. *)
+let middle_end ?(opts = default_options) ?(spans = S.disabled)
+    (env : environment) (prog : Ir.program) : middle_stats =
   S.with_span spans "middle" @@ fun () ->
-  let pre = middle_pre ~opts ~metrics ~spans env prog in
-  middle_place ~opts ~metrics ~spans env prog pre
+  let pre = middle_pre ~opts ~spans env prog in
+  middle_place ~opts ~spans env prog pre
 
 (** Compile an already-lowered IR program (used by tests and by
     {!compile} after the front end). *)
@@ -519,11 +504,11 @@ let image_ckpt_cost ~(weights : string -> float) (prog : Ir.program)
    {!compile_ir} path and the cache-aware {!compile_with_report} ladder
    so the two paths cannot drift. *)
 
-let run_backend ~metrics ~spans env ~block_weights (prog : Ir.program) =
+let run_backend ~spans env ~block_weights (prog : Ir.program) =
   S.with_span spans "backend" (fun () ->
-      B.Backend.run ~metrics ?block_weights ~config:(backend_config env) prog)
+      B.Backend.run ~spans ?block_weights ~config:(backend_config env) prog)
 
-let run_elide ~(opts : options) ~metrics ~spans env ~block_weights
+let run_elide ~(opts : options) ~spans env ~block_weights
     (mprog : Wario_machine.Isa.mprog) : Elide.stats option =
   if
     opts.elide && env <> Plain
@@ -531,66 +516,52 @@ let run_elide ~(opts : options) ~metrics ~spans env ~block_weights
        || opts.placement = T.Checkpoint_inserter.Interprocedural)
   then begin
     let boundary = opts.placement = T.Checkpoint_inserter.Interprocedural in
-    let s =
-      S.with_span spans "backend.elide" (fun () ->
-          let s =
-            M.time metrics "backend.elide.ms" (fun () ->
-                Elide.run ~boundary ?weight:block_weights ~spans mprog)
-          in
-          S.add_counter ~by:s.Elide.elided spans "elided";
-          S.add_counter ~by:s.Elide.boundary_elided spans "boundary_elided";
-          s)
-    in
-    M.set metrics "backend.elide.count" s.Elide.elided;
-    M.set metrics "backend.elide.boundary" s.Elide.boundary_elided;
-    Some s
+    Some
+      (S.with_span spans "backend.elide" (fun () ->
+           let s = Elide.run ~boundary ?weight:block_weights ~spans mprog in
+           S.add_counter ~by:s.Elide.elided spans "elided";
+           S.add_counter ~by:s.Elide.boundary_elided spans "boundary_elided";
+           s))
   end
   else None
 
-let run_motion ~(opts : options) ~metrics ~spans env ~block_weights
+let run_motion ~(opts : options) ~spans env ~block_weights
     (mprog : Wario_machine.Isa.mprog) : Motion.stats option =
   match (opts.motion, env, opts.placement, block_weights) with
   | true, env', T.Checkpoint_inserter.Interprocedural, Some weights
     when env' <> Plain ->
-      let s =
-        S.with_span spans "backend.motion" (fun () ->
-            let s =
-              M.time metrics "backend.motion.ms" (fun () ->
-                  Motion.run ~weights ~spans mprog)
-            in
-            S.add_counter ~by:s.Motion.applied spans "applied";
-            s)
-      in
-      M.set metrics "backend.motion.applied" s.Motion.applied;
-      Some s
+      Some
+        (S.with_span spans "backend.motion" (fun () ->
+             let s = Motion.run ~weights ~spans mprog in
+             S.add_counter ~by:s.Motion.applied spans "applied";
+             s))
   | _ -> None
 
-let run_link ~metrics ~spans (mprog : Wario_machine.Isa.mprog) :
-    Wario_emulator.Image.t =
-  let image =
-    stage metrics spans "link" (fun () -> Wario_emulator.Image.link mprog)
-  in
-  M.set metrics "link.text_bytes" image.Wario_emulator.Image.text_bytes;
-  M.set metrics "link.data_bytes" image.Wario_emulator.Image.data_bytes;
-  image
+let run_link ~spans (mprog : Wario_machine.Isa.mprog) : Wario_emulator.Image.t
+    =
+  S.with_span spans "link" (fun () ->
+      let image = Wario_emulator.Image.link mprog in
+      S.add_counter ~by:image.Wario_emulator.Image.text_bytes spans "text_bytes";
+      S.add_counter ~by:image.Wario_emulator.Image.data_bytes spans "data_bytes";
+      image)
 
-let rec compile_ir ?(opts = default_options) ?(metrics = M.disabled)
-    ?(spans = S.disabled) (env : environment) (prog : Ir.program) : compiled =
-  let trial_expander = run_trial_expander ~opts ~metrics ~spans env prog in
-  let middle = middle_end ~opts ~metrics ~spans env prog in
+let rec compile_ir ?(opts = default_options) ?(spans = S.disabled)
+    (env : environment) (prog : Ir.program) : compiled =
+  let trial_expander = run_trial_expander ~opts ~spans env prog in
+  let middle = middle_end ~opts ~spans env prog in
   let middle =
     match trial_expander with
     | Some _ -> { middle with expander = trial_expander }
     | None -> middle
   in
-  stage metrics spans "middle.ir_verify" (fun () ->
+  S.with_span spans "middle.ir_verify" (fun () ->
       Wario_ir.Ir_verify.verify_program prog);
   let wtbl = backend_weight_table middle opts prog in
   let block_weights = Option.map weights_of_table wtbl in
-  let mprog, backend = run_backend ~metrics ~spans env ~block_weights prog in
-  let elision = run_elide ~opts ~metrics ~spans env ~block_weights mprog in
-  let motion = run_motion ~opts ~metrics ~spans env ~block_weights mprog in
-  let image = run_link ~metrics ~spans mprog in
+  let mprog, backend = run_backend ~spans env ~block_weights prog in
+  let elision = run_elide ~opts ~spans env ~block_weights mprog in
+  let motion = run_motion ~opts ~spans env ~block_weights mprog in
+  let image = run_link ~spans mprog in
   let model_cost =
     match block_weights with
     | None -> None
@@ -613,25 +584,18 @@ let rec compile_ir ?(opts = default_options) ?(metrics = M.disabled)
    middle end, because each candidate inline is auditioned by a full
    compile of a program copy.  The trial compiles themselves are never
    span-instrumented — only the audition total is attributed. *)
-and run_trial_expander ~opts ~metrics ~spans (env : environment)
-    (prog : Ir.program) : T.Expander.stats option =
+and run_trial_expander ~opts ~spans (env : environment) (prog : Ir.program) :
+    T.Expander.stats option =
   match (env, opts.placement) with
   | Plain, _ -> None
   | _, T.Checkpoint_inserter.Interprocedural when opts.expander_size_limit > 0
     ->
-      let st =
-        S.with_span spans "middle.expander_trials" (fun () ->
-            let st =
-              M.time metrics "middle.expander.ms" (fun () ->
-                  trial_expand ~opts env prog)
-            in
-            S.add_counter ~by:st.T.Expander.candidates spans "candidates";
-            S.add_counter ~by:st.T.Expander.inlined spans "inlined";
-            st)
-      in
-      M.set metrics "middle.expander.candidates" st.T.Expander.candidates;
-      M.set metrics "middle.expander.inlined" st.T.Expander.inlined;
-      Some st
+      Some
+        (S.with_span spans "middle.expander_trials" (fun () ->
+             let st = trial_expand ~opts env prog in
+             S.add_counter ~by:st.T.Expander.candidates spans "candidates";
+             S.add_counter ~by:st.T.Expander.inlined spans "inlined";
+             st))
   | _ -> None
 
 (* The audition loop: candidates in descending closed-form benefit, each
@@ -815,17 +779,16 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
 let image_key ?opts (env : environment) (source : string) : Cache.Key.t =
   List.assoc "image" (stage_keys ?opts env source)
 
-let compile_uncached ~opts ~metrics ~spans (env : environment)
-    (source : string) : compiled =
+let compile_uncached ~opts ~spans (env : environment) (source : string) :
+    compiled =
   S.with_span spans
     ~attrs:[ ("env", S.Str (environment_name env)) ]
     "pipeline.compile"
   @@ fun () ->
   let prog =
-    stage metrics spans "frontend" (fun () ->
-        Wario_minic.Minic.compile source)
+    S.with_span spans "frontend" (fun () -> Wario_minic.Minic.compile source)
   in
-  compile_ir ~opts ~metrics ~spans env prog
+  compile_ir ~opts ~spans env prog
 
 (* Stage payloads are marshalled snapshots taken BEFORE any later pass
    mutates the artifact ([Cache.put] marshals eagerly): the "wir" entry
@@ -833,11 +796,11 @@ let compile_uncached ~opts ~metrics ~spans (env : environment)
    machine program before elision/motion rewrite it in place.  Loading
    an entry yields a fresh structure, so cached prefixes are safe to
    mutate onward from. *)
-let compile_with_report ?(opts = default_options) ?(metrics = M.disabled)
-    ?(spans = S.disabled) ~(cache : Cache.t) (env : environment)
-    (source : string) : compiled * (string * bool) list =
+let compile_with_report ?(opts = default_options) ?(spans = S.disabled)
+    ~(cache : Cache.t) (env : environment) (source : string) :
+    compiled * (string * bool) list =
   if not (Cache.enabled cache) then
-    (compile_uncached ~opts ~metrics ~spans env source, [])
+    (compile_uncached ~opts ~spans env source, [])
   else
     S.with_span spans
       ~attrs:
@@ -847,8 +810,10 @@ let compile_with_report ?(opts = default_options) ?(metrics = M.disabled)
     let keys = stage_keys ~opts env source in
     let k s = List.assoc s keys in
     let report = ref [] in
+    (* per-stage hit/miss counters on the pipeline.compile span *)
     let note stage hit =
-      Cache.note ~metrics ~spans ~stage hit;
+      S.add_counter spans
+        (Printf.sprintf "cache_%s_%s" stage (if hit then "hit" else "miss"));
       report := (stage, hit) :: !report
     in
     (* place artifact: the program after the whole middle end (what
@@ -876,18 +841,16 @@ let compile_with_report ?(opts = default_options) ?(metrics = M.disabled)
                   | None ->
                       note "front" false;
                       let p =
-                        stage metrics spans "frontend" (fun () ->
+                        S.with_span spans "frontend" (fun () ->
                             Wario_minic.Minic.compile source)
                       in
                       Cache.put cache ~stage:"front" (k "front") p;
                       p
                 in
-                let trial =
-                  run_trial_expander ~opts ~metrics ~spans env prog
-                in
+                let trial = run_trial_expander ~opts ~spans env prog in
                 let pre =
                   S.with_span spans "middle" (fun () ->
-                      middle_pre ~opts ~metrics ~spans env prog)
+                      middle_pre ~opts ~spans env prog)
                 in
                 let pre =
                   match trial with
@@ -899,9 +862,9 @@ let compile_with_report ?(opts = default_options) ?(metrics = M.disabled)
           in
           let middle =
             S.with_span spans "middle" (fun () ->
-                middle_place ~opts ~metrics ~spans env prog pre)
+                middle_place ~opts ~spans env prog pre)
           in
-          stage metrics spans "middle.ir_verify" (fun () ->
+          S.with_span spans "middle.ir_verify" (fun () ->
               Wario_ir.Ir_verify.verify_program prog);
           Cache.put cache ~stage:"place" (k "place") (prog, middle);
           (prog, middle)
@@ -915,9 +878,7 @@ let compile_with_report ?(opts = default_options) ?(metrics = M.disabled)
           note "mach" false;
           let wtbl = backend_weight_table middle opts prog in
           let block_weights = Option.map weights_of_table wtbl in
-          let mprog, backend =
-            run_backend ~metrics ~spans env ~block_weights prog
-          in
+          let mprog, backend = run_backend ~spans env ~block_weights prog in
           Cache.put cache ~stage:"mach" (k "mach") (mprog, backend, wtbl);
           (mprog, backend, wtbl)
     in
@@ -929,13 +890,9 @@ let compile_with_report ?(opts = default_options) ?(metrics = M.disabled)
       | None ->
           note "image" false;
           let block_weights = Option.map weights_of_table wtbl in
-          let elision =
-            run_elide ~opts ~metrics ~spans env ~block_weights mprog0
-          in
-          let motion =
-            run_motion ~opts ~metrics ~spans env ~block_weights mprog0
-          in
-          let image = run_link ~metrics ~spans mprog0 in
+          let elision = run_elide ~opts ~spans env ~block_weights mprog0 in
+          let motion = run_motion ~opts ~spans env ~block_weights mprog0 in
+          let image = run_link ~spans mprog0 in
           let model_cost =
             match wtbl with
             | None -> None
@@ -973,15 +930,14 @@ let compile_with_report ?(opts = default_options) ?(metrics = M.disabled)
     argument is omitted) the compile runs through the keyed stage ladder
     and reuses every cached prefix; with the cache disabled this is the
     classic single-pass pipeline. *)
-let compile ?(opts = default_options) ?(metrics = M.disabled)
-    ?(spans = S.disabled) ?cache (env : environment) (source : string) :
-    compiled =
+let compile ?(opts = default_options) ?(spans = S.disabled) ?cache
+    (env : environment) (source : string) : compiled =
   let cache =
     match cache with Some c -> c | None -> Cache.from_env ()
   in
   if Cache.enabled cache then
-    fst (compile_with_report ~opts ~metrics ~spans ~cache env source)
-  else compile_uncached ~opts ~metrics ~spans env source
+    fst (compile_with_report ~opts ~spans ~cache env source)
+  else compile_uncached ~opts ~spans env source
 
 (** Static WAR-freedom certification of the linked image (lib/certify):
     translation validation of the whole pipeline above. *)

@@ -101,18 +101,16 @@ type compiled = {
 
 val middle_end :
   ?opts:options ->
-  ?metrics:Wario_obs.Metrics.t ->
   ?spans:Wario_obs.Span.t ->
   environment ->
   Wario_ir.Ir.program ->
   middle_stats
-(** Run just the middle end (mutates the program).  A live [metrics]
-    registry (default {!Wario_obs.Metrics.disabled}) records per-pass wall
-    time under [middle.<pass>.ms] plus each pass's headline deltas (WARs
-    found, checkpoints inserted, stores postponed/moved, inlines).  A live
-    [spans] recorder nests one span per pass under a ["middle"] span, with
-    solver-effort counters (WARs, checkpoints, branch-and-bound nodes,
-    greedy fallbacks) on the inserter span.  Note that under
+(** Run just the middle end (mutates the program).  A live [spans]
+    recorder nests one span per pass ([middle.<pass>]) under a ["middle"]
+    span, each carrying the pass's headline deltas as counters (stores
+    postponed/moved, inlines; on the inserter span WARs found, checkpoints
+    inserted, exact solves, branch-and-bound nodes and greedy
+    fallbacks).  Note that under
     [Interprocedural] the middle end alone never expands: cost-coupled
     expansion is driven by trial compilation in {!compile_ir}. *)
 
@@ -143,17 +141,18 @@ val image_key : ?opts:options -> environment -> string -> Cache.Key.t
 
 val compile :
   ?opts:options ->
-  ?metrics:Wario_obs.Metrics.t ->
   ?spans:Wario_obs.Span.t ->
   ?cache:Cache.t ->
   environment ->
   string ->
   compiled
-(** Compile MiniC source text.  [metrics] additionally captures front-end,
-    IR-verify, back-end per-pass and link timings/sizes.  [spans] wraps the
-    whole compile in a ["pipeline.compile"] span with per-stage children
-    (frontend → middle passes → backend → elide/motion → link), including
-    per-recheck certifier spans inside elide/motion.
+(** Compile MiniC source text.  [spans] wraps the whole compile in a
+    ["pipeline.compile"] span with per-stage children (frontend → middle
+    passes → backend and its per-pass children → elide/motion → link),
+    including per-recheck certifier spans inside elide/motion; counters
+    on those spans carry the per-pass deltas, the spill stats and the
+    linked section sizes.  [Wario_obs.Span.to_metrics_jsonl] projects the
+    tree onto named timers and counters.
 
     [cache] (default: the ambient {!Cache.from_env}, i.e. enabled exactly
     when [WARIO_CACHE_DIR] is set) routes the compile through the keyed
@@ -163,7 +162,6 @@ val compile :
 
 val compile_with_report :
   ?opts:options ->
-  ?metrics:Wario_obs.Metrics.t ->
   ?spans:Wario_obs.Span.t ->
   cache:Cache.t ->
   environment ->
@@ -171,7 +169,9 @@ val compile_with_report :
   compiled * (string * bool) list
 (** Cache-aware compile, additionally reporting per-stage cache outcomes
     as [(stage, hit)] pairs in probe order (deepest reusable stage
-    first; stages that never needed probing are absent).  With a
+    first; stages that never needed probing are absent).  A live [spans]
+    recorder also counts them on the ["pipeline.compile"] span as
+    [cache_<stage>_hit] / [cache_<stage>_miss].  With a
     disabled [cache] the report is empty and the compile is uncached.
     The resulting [compiled] is byte-identical (up to [Marshal]) to an
     uncached compile of the same inputs — enforced by the test suite and
@@ -180,7 +180,6 @@ val compile_with_report :
 
 val compile_ir :
   ?opts:options ->
-  ?metrics:Wario_obs.Metrics.t ->
   ?spans:Wario_obs.Span.t ->
   environment ->
   Wario_ir.Ir.program ->

@@ -11,13 +11,9 @@
    Observability: with a live [?spans] recorder, the whole map is wrapped
    in a pool span and each worker contributes a child span on its own
    track (busy/idle milliseconds, item count) grafted at the join — the
-   recorder itself is only ever touched by the calling domain.  Metrics
-   registries are not domain-safe; [map_with_metrics] gives every item a
-   private registry and merges them in input order at the join, so the
-   merged counters are identical for any [jobs]. *)
+   recorder itself is only ever touched by the calling domain. *)
 
 module Span = Wario_obs.Span
-module M = Wario_obs.Metrics
 
 let default_jobs () = Domain.recommended_domain_count ()
 let now_ms () = Unix.gettimeofday () *. 1000.
@@ -137,19 +133,6 @@ let map ?(jobs = 0) ?(spans = Span.disabled) ?(label = "exec.map")
         ]
       label run
   else run ()
-
-let map_with_metrics ?jobs ?spans ?label ~(metrics : M.t)
-    (f : M.t -> 'a -> 'b) (items : 'a list) : 'b list =
-  let live = M.is_enabled metrics in
-  let wrapped item =
-    let m = if live then M.create () else M.disabled in
-    (f m item, m)
-  in
-  let pairs = map ?jobs ?spans ?label wrapped items in
-  (* merge in input order: the merged registry is a pure function of the
-     inputs, independent of which domain ran which item *)
-  if live then List.iter (fun (_, m) -> M.merge ~into:metrics m) pairs;
-  List.map fst pairs
 
 let serialized (sink : 'a -> unit) : 'a -> unit =
   let m = Mutex.create () in

@@ -51,25 +51,8 @@ val map :
       per pool member at the join — each on its own track, carrying
       busy/idle milliseconds and the item count, so per-domain utilization
       timelines survive into the trace.  The recorder is only ever touched
-      by the calling domain.
+      by the calling domain, so [f] must not record into it.
     @raise Invalid_argument when [jobs < 0]. *)
-
-val map_with_metrics :
-  ?jobs:int ->
-  ?spans:Wario_obs.Span.t ->
-  ?label:string ->
-  metrics:Wario_obs.Metrics.t ->
-  (Wario_obs.Metrics.t -> 'a -> 'b) ->
-  'a list ->
-  'b list
-(** Like {!map}, for jobs that record {!Wario_obs.Metrics}.  A shared
-    registry is not domain-safe, so each item gets a {e private} registry
-    and the per-item registries are merged into [metrics] at the join {b in
-    input order} — counters in the merged registry are therefore identical
-    for any [jobs] (timers carry wall-clock and are inherently run-to-run
-    noisy, but still deterministic in {e which} names appear and in which
-    order).  With [metrics] disabled the per-item registries are disabled
-    too, so instrumented jobs cost nothing. *)
 
 val serialized : ('a -> unit) -> 'a -> unit
 (** [serialized sink] is [sink] behind a mutex: a single-writer funnel for

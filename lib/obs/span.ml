@@ -256,6 +256,41 @@ let to_jsonl (spans : span list) : string =
   List.iter (emit None) spans;
   Buffer.contents b
 
+(* The [--metrics] projection: every span named N folds into the timer
+   [N.ms] and one counter [N.C] per counter C it carries. *)
+type metric = Time_ms of float | Count of int
+
+let to_metrics_jsonl (spans : span list) : string =
+  let tbl = Hashtbl.create 64 and order = ref [] in
+  let bump key v =
+    match (Hashtbl.find_opt tbl key, v) with
+    | None, _ ->
+        Hashtbl.replace tbl key v;
+        order := key :: !order
+    | Some (Time_ms a), Time_ms b -> Hashtbl.replace tbl key (Time_ms (a +. b))
+    | Some (Count a), Count b -> Hashtbl.replace tbl key (Count (a + b))
+    | Some _, _ -> invalid_arg ("Span.to_metrics_jsonl: kind mismatch on " ^ key)
+  in
+  let rec walk sp =
+    bump (sp.sp_name ^ ".ms") (Time_ms sp.sp_dur);
+    List.iter (fun (c, n) -> bump (sp.sp_name ^ "." ^ c) (Count n)) sp.sp_counters;
+    List.iter walk sp.sp_children
+  in
+  List.iter walk spans;
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun key ->
+      let kind, value =
+        match Hashtbl.find tbl key with
+        | Count n -> ("count", string_of_int n)
+        | Time_ms x -> ("time_ms", Printf.sprintf "%.3f" x)
+      in
+      Buffer.add_string b
+        (Printf.sprintf "{\"metric\":\"%s\",\"kind\":\"%s\",\"value\":%s}\n"
+           (J.escape key) kind value))
+    (List.rev !order);
+  Buffer.contents b
+
 let of_jsonl (text : string) : (span list, string) result =
   let lines =
     String.split_on_char '\n' text

@@ -72,6 +72,18 @@ val to_jsonl : span list -> string
 (** One JSON object per span, depth-first: [{"span","id","parent","track",
     "t0_ms","dur_ms","attrs","counters"}]. [parent] is null for roots. *)
 
+val to_metrics_jsonl : span list -> string
+(** The span trees projected onto named timers and counters, one JSON
+    object per line ([iclang trace --metrics]):
+    [{"metric":"backend.regalloc.ms","kind":"time_ms","value":0.734}]
+    [{"metric":"middle.checkpoint_inserter.wars","kind":"count","value":12}]
+    For each span name [N], [N.ms] is the summed duration of every span
+    named [N] (any parent, any track) and [N.C] the sum of its counter [C]
+    over those spans.  Entries appear in depth-first, first-seen order.
+    [""] for no spans.
+    @raise Invalid_argument if a counter named [ms] collides with a
+      span's timer. *)
+
 val of_jsonl : string -> (span list, string) result
 (** Rebuild span trees from [to_jsonl] output (used by [iclang stats] to
     re-run [check] and rank spans). Lines that are blank are skipped;

@@ -1,14 +1,13 @@
 (* Observability (lib/obs): trace sinks and event-stream invariants,
-   per-function attribution, Chrome trace-event JSON well-formedness, and
-   the compile-time metrics registry.  The JSON assertions use a small
-   local parser rather than string matching. *)
+   per-function attribution, Chrome trace-event JSON well-formedness,
+   span trees and their projection onto named metrics.  The JSON
+   assertions use a small local parser rather than string matching. *)
 
 module P = Wario.Pipeline
 module E = Wario_emulator
 module W = Wario_workloads.Programs
 module T = Wario_obs.Trace
 module Pr = Wario_obs.Profile
-module M = Wario_obs.Metrics
 module S = Wario_obs.Span
 module X = Wario_exec.Exec
 
@@ -349,71 +348,56 @@ let test_folded () =
     (List.fold_left (fun a (_, c) -> a + c) 0 parsed)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics registry                                                     *)
+(* Metrics: a projection of the span tree                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_metrics_registry () =
-  let m = M.create () in
-  M.incr m "a";
-  M.incr m "a";
-  M.incr ~by:3 m "a";
-  M.set m "b" 42;
-  M.add_ms m "t" 1.5;
-  let v = M.time m "t" (fun () -> 7) in
-  Alcotest.(check int) "time returns the thunk value" 7 v;
-  Alcotest.(check bool) "live registry" true (M.is_enabled m);
-  (match M.find m "a" with
-  | Some (M.Count 5) -> ()
-  | _ -> Alcotest.fail "counter a");
-  (match M.find m "b" with
-  | Some (M.Count 42) -> ()
-  | _ -> Alcotest.fail "counter b");
-  (match M.find m "t" with
-  | Some (M.Time_ms x) when x >= 1.5 -> ()
-  | _ -> Alcotest.fail "timer t accumulates");
-  Alcotest.(check (list string)) "first-recording order" [ "a"; "b"; "t" ]
-    (List.map fst (M.items m));
-  (* a raising thunk still records its time, then re-raises *)
-  (match M.time m "boom" (fun () -> raise Exit) with
-  | _ -> Alcotest.fail "exception swallowed"
-  | exception Exit -> ());
-  Alcotest.(check bool) "raising thunk recorded" true (M.find m "boom" <> None)
+let leaf ?(track = 0) ?(counters = []) ?(children = []) name t0 dur : S.span =
+  {
+    S.sp_name = name;
+    sp_t0 = t0;
+    sp_dur = dur;
+    sp_track = track;
+    sp_attrs = [];
+    sp_counters = counters;
+    sp_children = children;
+  }
 
-let test_metrics_jsonl () =
-  let m = M.create () in
-  M.incr ~by:12 m "middle.checkpoint_inserter.wars";
-  M.add_ms m "backend.regalloc.ms" 0.734;
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (M.to_jsonl m))
+let test_metrics_projection () =
+  (* two [pass] spans under different parents, a counter on each (one
+     shared, one not), and a pool whose worker child sits on track 1 *)
+  let tree =
+    leaf "compile" 0. 10.
+      ~children:
+        [
+          leaf "middle" 0. 4.
+            ~children:[ leaf "pass" 0. 0.25 ~counters:[ ("n", 2) ] ];
+          leaf "backend" 4. 3.
+            ~children:
+              [ leaf "pass" 4. 0.5 ~counters:[ ("m", 1); ("n", 5) ] ];
+          leaf "exec.map" 7. 2.
+            ~children:
+              [ leaf ~track:1 "worker" 7. 1.5 ~counters:[ ("items", 3) ] ];
+        ]
   in
-  Alcotest.(check int) "one line per metric" 2 (List.length lines);
-  List.iter
-    (fun line ->
-      let o = parse_json line in
-      (match str_field "metric" o with
-      | Some _ -> ()
-      | None -> Alcotest.fail "line without metric name");
-      (match str_field "kind" o with
-      | Some ("count" | "time_ms") -> ()
-      | _ -> Alcotest.fail "line with bad kind");
-      match num_field "value" o with
-      | Some _ -> ()
-      | None -> Alcotest.fail "line without numeric value")
-    lines;
-  (match parse_json (List.nth lines 0) with
-  | o when str_field "metric" o = Some "middle.checkpoint_inserter.wars" ->
-      Alcotest.(check (option string)) "count kind" (Some "count")
-        (str_field "kind" o)
-  | _ -> Alcotest.fail "first line is not the counter");
-  (* the disabled singleton is inert *)
-  Alcotest.(check bool) "disabled" false (M.is_enabled M.disabled);
-  M.incr M.disabled "x";
-  M.set M.disabled "x" 1;
-  M.add_ms M.disabled "x" 1.0;
-  Alcotest.(check int) "disabled time still runs the thunk" 9
-    (M.time M.disabled "x" (fun () -> 9));
-  Alcotest.(check bool) "disabled records nothing" true (M.items M.disabled = []);
-  Alcotest.(check string) "disabled jsonl empty" "" (M.to_jsonl M.disabled)
+  let line metric kind value =
+    Printf.sprintf "{\"metric\":\"%s\",\"kind\":\"%s\",\"value\":%s}"
+      metric kind value
+  in
+  Alcotest.(check (list string)) "depth-first, first-seen, summed by name"
+    [
+      line "compile.ms" "time_ms" "10.000";
+      line "middle.ms" "time_ms" "4.000";
+      line "pass.ms" "time_ms" "0.750";
+      line "pass.n" "count" "7";
+      line "backend.ms" "time_ms" "3.000";
+      line "pass.m" "count" "1";
+      line "exec.map.ms" "time_ms" "2.000";
+      line "worker.ms" "time_ms" "1.500";
+      line "worker.items" "count" "3";
+      "";
+    ]
+    (String.split_on_char '\n' (S.to_metrics_jsonl [ tree ]));
+  Alcotest.(check string) "no spans, no metrics" "" (S.to_metrics_jsonl [])
 
 (* ------------------------------------------------------------------ *)
 (* Span recorder                                                        *)
@@ -590,80 +574,6 @@ let test_span_chrome_json () =
   Alcotest.(check bool) "process_name metadata present" true
     (List.exists (fun it -> str_field "ph" it = Some "M") items)
 
-(* ------------------------------------------------------------------ *)
-(* Metrics merge and multi-domain determinism (satellite: jobs=1 = jobs=2) *)
-(* ------------------------------------------------------------------ *)
-
-let test_metrics_merge () =
-  let a = M.create () in
-  M.incr ~by:2 a "n";
-  M.add_ms a "t" 1.0;
-  let b = M.create () in
-  M.incr ~by:3 b "n";
-  M.add_ms b "t" 0.5;
-  M.incr b "only_b";
-  M.merge ~into:a b;
-  (match M.find a "n" with
-  | Some (M.Count 5) -> ()
-  | _ -> Alcotest.fail "counters add");
-  (match M.find a "t" with
-  | Some (M.Time_ms x) when Float.abs (x -. 1.5) < 1e-9 -> ()
-  | _ -> Alcotest.fail "timers add");
-  Alcotest.(check (list string)) "unseen names append in src order"
-    [ "n"; "t"; "only_b" ]
-    (List.map fst (M.items a));
-  (* kind conflicts are a programming error, loudly *)
-  let c = M.create () in
-  M.incr c "x";
-  let d = M.create () in
-  M.add_ms d "x" 1.0;
-  (match M.merge ~into:c d with
-  | () -> Alcotest.fail "kind conflict accepted"
-  | exception Invalid_argument _ -> ());
-  (* merging into/from disabled is a no-op *)
-  M.merge ~into:M.disabled b;
-  Alcotest.(check bool) "disabled target untouched" true
-    (M.items M.disabled = [])
-
-let test_exec_metrics_jobs_deterministic () =
-  (* The fix under test: per-item registries merged at the join in input
-     order make the merged JSONL independent of worker scheduling.  Only
-     counters are compared byte-for-byte — timers are wall-clock noisy —
-     but the name set and order must match across pool widths too. *)
-  let job m x =
-    M.incr ~by:x m "work.items";
-    M.incr m (Printf.sprintf "work.item_%d" (x mod 3));
-    if x mod 2 = 0 then M.add_ms m "work.ms" (float_of_int x *. 0.01);
-    x * x
-  in
-  let items = List.init 20 (fun i -> i + 1) in
-  let run jobs =
-    let m = M.create () in
-    let rs = X.map_with_metrics ~jobs ~metrics:m job items in
-    (rs, m)
-  in
-  let rs1, m1 = run 1 in
-  let rs2, m2 = run 2 in
-  Alcotest.(check (list int)) "results identical across pool widths" rs1 rs2;
-  Alcotest.(check (list string)) "metric names and order identical"
-    (List.map fst (M.items m1))
-    (List.map fst (M.items m2));
-  let counters m =
-    List.filter_map
-      (fun (k, v) -> match v with M.Count n -> Some (k, n) | _ -> None)
-      (M.items m)
-  in
-  Alcotest.(check (list (pair string int))) "counters identical"
-    (counters m1) (counters m2);
-  (* counter-only JSONL is byte-identical *)
-  let counter_lines m =
-    List.filter
-      (fun l -> l <> "" && str_field "kind" (parse_json l) = Some "count")
-      (String.split_on_char '\n' (M.to_jsonl m))
-  in
-  Alcotest.(check (list string)) "counter JSONL byte-identical"
-    (counter_lines m1) (counter_lines m2)
-
 let test_exec_span_workers () =
   let sp = S.create () in
   let rs = X.map ~jobs:2 ~spans:sp ~label:"test.pool" succ [ 1; 2; 3; 4 ] in
@@ -693,25 +603,49 @@ let test_exec_span_workers () =
   | _ -> Alcotest.fail "expected exactly one pool span"
 
 (* ------------------------------------------------------------------ *)
-(* Compile pipeline fills the registry                                  *)
+(* The projection of a real compile agrees with the compiled record     *)
 (* ------------------------------------------------------------------ *)
 
 let test_pipeline_metrics () =
-  let metrics = M.create () in
-  let c = P.compile ~metrics P.Wario (W.find "crc").W.source in
-  ignore c;
-  let has name =
-    match M.find metrics name with Some _ -> true | None -> false
+  let spans = S.create () in
+  let opts =
+    {
+      P.default_options with
+      P.elide = true;
+      placement = Wario_transforms.Checkpoint_inserter.Cost_guided;
+    }
   in
-  Alcotest.(check bool) "frontend timed" true (has "frontend.ms");
-  Alcotest.(check bool) "middle-end WARs counted" true
-    (has "middle.checkpoint_inserter.wars");
-  Alcotest.(check bool) "backend functions counted" true
-    (has "backend.functions");
-  Alcotest.(check bool) "link size recorded" true (has "link.text_bytes");
-  (match M.find metrics "link.text_bytes" with
-  | Some (M.Count n) when n > 0 -> ()
-  | _ -> Alcotest.fail "text_bytes positive")
+  let c =
+    P.compile ~opts ~spans ~cache:Wario.Cache.disabled P.Wario
+      (W.find "crc").W.source
+  in
+  let metrics =
+    List.filter_map
+      (fun l ->
+        if l = "" then None
+        else
+          let o = parse_json l in
+          match (str_field "metric" o, num_field "value" o) with
+          | Some m, Some v -> Some (m, v)
+          | _ -> Alcotest.fail ("bad metrics line: " ^ l))
+      (String.split_on_char '\n' (S.to_metrics_jsonl (S.roots spans)))
+  in
+  let count name expected =
+    match List.assoc_opt name metrics with
+    | Some v -> Alcotest.(check int) name expected (int_of_float v)
+    | None -> Alcotest.fail ("missing metric " ^ name)
+  in
+  Alcotest.(check bool) "frontend timed" true
+    (List.mem_assoc "frontend.ms" metrics);
+  Alcotest.(check bool) "backend passes timed" true
+    (List.mem_assoc "backend.regalloc.ms" metrics);
+  count "middle.checkpoint_inserter.wars" c.P.middle.P.wars_found;
+  count "link.text_bytes" c.P.text_bytes;
+  let lwc = Option.get c.P.middle.P.lwc in
+  count "middle.loop_write_clusterer.loops_unrolled"
+    lwc.Wario_transforms.Loop_write_clusterer.loops_unrolled;
+  count "backend.spill_ckpts" c.P.backend.Wario_backend.Backend.spill_ckpts;
+  count "backend.elide.elided" (Option.get c.P.elision).Wario.Elide.elided
 
 let suite =
   [
@@ -723,8 +657,8 @@ let suite =
     Alcotest.test_case "trace: ring capacity" `Quick test_ring_capacity;
     Alcotest.test_case "trace: chrome JSON" `Quick test_chrome_json;
     Alcotest.test_case "profile: folded lines" `Quick test_folded;
-    Alcotest.test_case "metrics: registry" `Quick test_metrics_registry;
-    Alcotest.test_case "metrics: jsonl and disabled" `Quick test_metrics_jsonl;
+    Alcotest.test_case "metrics: span projection" `Quick
+      test_metrics_projection;
     Alcotest.test_case "metrics: pipeline fills registry" `Quick
       test_pipeline_metrics;
     Alcotest.test_case "span: nesting, attrs, counters" `Quick
@@ -737,8 +671,5 @@ let suite =
     Alcotest.test_case "span: jsonl round trip" `Quick
       test_span_jsonl_roundtrip;
     Alcotest.test_case "span: chrome trace json" `Quick test_span_chrome_json;
-    Alcotest.test_case "metrics: merge" `Quick test_metrics_merge;
-    Alcotest.test_case "metrics: jobs=1 and jobs=2 identical" `Quick
-      test_exec_metrics_jobs_deterministic;
     Alcotest.test_case "span: exec worker spans" `Quick test_exec_span_workers;
   ]
