@@ -823,14 +823,38 @@ let sweep_load (img : Img.t) (ctx_of : int -> fctx)
               in
               on_judged pc_s (Some j) visits)
 
-(* The judging tail of [certify]: escape sweep, structural obligations,
-   and the load->store pair sweep, over an already-completed abstract
-   interpretation [inp]. *)
-let judge_image (img : Img.t) (ctxs : fctx list)
-    (ctx_of : int -> fctx) (inp : st option array) : verdict =
+(* One abstract interpretation of a linked image: the per-function
+   contexts, the fixpoint state at every pc, and the escape sweep over
+   those states.  [certify] judges it once; a [Session] keeps it for
+   rechecks and can judge it whole ([Session.verdict]). *)
+type analysis = {
+  an_img : Img.t;
+  an_ctxs : fctx list;
+  an_ctx_of : int -> fctx;
+  an_inp : st option array;
+  an_esc : esc;
+}
+
+let analyse (img : Img.t) : analysis =
+  let n = Img.instr_count img in
+  let ctxs, ctx_of = build_fctxs img in
+  let inp : st option array = Array.make (max n 1) None in
+  List.iter (fun c -> analyse_function img c inp) ctxs;
+  {
+    an_img = img;
+    an_ctxs = ctxs;
+    an_ctx_of = ctx_of;
+    an_inp = inp;
+    an_esc = sweep_escapes img ctx_of inp;
+  }
+
+(* The judging tail of [certify]: structural obligations and the
+   load->store pair sweep, over a completed analysis. *)
+let judge_image (an : analysis) : verdict =
+  let img = an.an_img and ctxs = an.an_ctxs and ctx_of = an.an_ctx_of in
+  let inp = an.an_inp and esc = an.an_esc in
   let n = Img.instr_count img in
   let ctx_by_name f = List.find (fun c -> c.fname = f) ctxs in
-  let esc = sweep_escapes img ctx_of inp in
   let ob_fails, obligations = check_obligations img ctx_of inp in
   let meta_fails =
     List.filter_map
@@ -905,12 +929,7 @@ let judge_image (img : Img.t) (ctxs : fctx list)
   in
   if rejects = [] then Certified stats else Rejected (rejects, stats)
 
-let certify (img : Img.t) : verdict =
-  let n = Img.instr_count img in
-  let ctxs, ctx_of = build_fctxs img in
-  let inp : st option array = Array.make (max n 1) None in
-  List.iter (fun c -> analyse_function img c inp) ctxs;
-  judge_image img ctxs ctx_of inp
+let certify (img : Img.t) : verdict = judge_image (analyse img)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-certification session                                 *)
@@ -918,11 +937,10 @@ let certify (img : Img.t) : verdict =
 
 module Session = struct
   type certify_session = {
-    ses_img : Img.t;
-    ses_ctxs : fctx list;
-    ses_ctx_of : int -> fctx;
-    ses_inp : st option array;
-    ses_esc : esc;
+    ses_an : analysis;
+        (* the escape sweep in it reads only the cached states and the
+           call/store/return instructions, none of which a Ckpt<->Mov
+           substitution touches: it stays valid for the whole session *)
     ses_preds : int list array;
         (* reverse edges of [walk_region]'s walk relation: p is in
            [ses_preds.(q)] iff the walk at p can push q.  Built from the
@@ -933,34 +951,27 @@ module Session = struct
   type t = certify_session
 
   let create (img : Img.t) : t =
+    let an = analyse img in
     let n = Img.instr_count img in
-    let ctxs, ctx_of = build_fctxs img in
-    let inp : st option array = Array.make (max n 1) None in
-    List.iter (fun c -> analyse_function img c inp) ctxs;
     let preds = Array.make (max n 1) [] in
     Array.iteri
       (fun q ins ->
         let outs =
           match ins with
           | I.Bl _ -> [ img.Img.target.(q) ]
-          | I.Bx_lr -> Img.return_sites img (ctx_of q).fname
+          | I.Bx_lr -> Img.return_sites img (an.an_ctx_of q).fname
           | _ -> Img.succs img q
         in
         List.iter
           (fun p -> if p >= 0 && p < n then preds.(p) <- q :: preds.(p))
           outs)
       img.Img.code;
-    {
-      ses_img = img;
-      ses_ctxs = ctxs;
-      ses_ctx_of = ctx_of;
-      ses_inp = inp;
-      (* the escape sweep reads only the cached states and the call/store/
-         return instructions, none of which a Ckpt<->Mov substitution
-         touches: compute it once *)
-      ses_esc = sweep_escapes img ctx_of inp;
-      ses_preds = preds;
-    }
+    { ses_an = an; ses_preds = preds }
+
+  (* Every cached state is exact for the image as it stands (substitutions
+     keep the identity transfer), so judging the cached analysis is
+     [certify] of the current image without re-running the fixpoint. *)
+  let verdict (s : t) : verdict = judge_image s.ses_an
 
   (* Pair-free stats: [recheck_removal] verdicts answer one question
      (does the image still certify?), not the full census. *)
@@ -977,7 +988,8 @@ module Session = struct
     }
 
   let recheck_removal (s : t) (pc : int) : verdict =
-    let img = s.ses_img in
+    let an = s.ses_an in
+    let img = an.an_img in
     let n = Img.instr_count img in
     (* The one barrier-dependent structural obligation: a stack-pointer
        increase must sit immediately after a checkpoint (pop conversion).
@@ -1026,12 +1038,12 @@ module Session = struct
             end)
           s.ses_preds.(p)
       done;
-      let ctx_by_name f = List.find (fun c -> c.fname = f) s.ses_ctxs in
+      let ctx_by_name f = List.find (fun c -> c.fname = f) an.an_ctxs in
       let bad = ref [] in
       List.iter
         (fun pc_l ->
           if !bad = [] then
-            sweep_load img s.ses_ctx_of ctx_by_name s.ses_esc s.ses_inp pc_l
+            sweep_load img an.an_ctx_of ctx_by_name an.an_esc an.an_inp pc_l
               ~on_judged:(fun pc_s jo visits ->
                 match jo with
                 | Some j when j.j_overlap && !bad = [] ->
@@ -1040,9 +1052,9 @@ module Session = struct
                         War_pair
                           {
                             w_load_pc = pc_l;
-                            w_load_func = (s.ses_ctx_of pc_l).fname;
+                            w_load_func = (an.an_ctx_of pc_l).fname;
                             w_store_pc = pc_s;
-                            w_store_func = (s.ses_ctx_of pc_s).fname;
+                            w_store_func = (an.an_ctx_of pc_s).fname;
                             w_path = witness_path visits ~pc_l ~pc_s;
                             w_reason = j.j_rule;
                           };
@@ -1062,7 +1074,7 @@ module Session = struct
      needs only the structural sanity check that the claimed pc really is
      a barrier now; the expensive re-sweep is reserved for removals. *)
   let recheck_insertion (s : t) (pc : int) : verdict =
-    let img = s.ses_img in
+    let img = s.ses_an.an_img in
     let n = Img.instr_count img in
     if pc < 0 || pc >= n || not (is_barrier img.Img.code.(pc)) then
       Rejected

@@ -44,22 +44,34 @@ val certify : Wario_emulator.Image.t -> verdict
     witnesses.  Only instrumented builds can certify: the uninstrumented
     baseline fails the pop-conversion obligation by construction. *)
 
-(** Incremental re-certification for search loops that repeatedly remove
-    one checkpoint from an already-certified image and re-validate (the
-    checkpoint elision pass, {!Wario.Elide}).  The session caches the
-    abstract interpretation of every function keyed by pc, so edits must
-    keep pcs stable: overwrite the checkpoint in the image's code array
-    with [Mov (r0, R r0)] — the certifier models [Ckpt] as a state
-    no-op whose only effect is barrierhood, and that [Mov] has the same
-    identity transfer, so the cached states stay exact — then call
-    [recheck_removal] on that pc.  Reverting a rejected removal (writing
-    the [Ckpt] back) needs no session maintenance for the same reason. *)
+(** The one abstract interpretation of an image behind {!certify},
+    checkpoint elision ({!Wario.Elide}) and checkpoint motion
+    ({!Wario.Motion}): each analyses an image once, through a session,
+    and then judges it whole ({!verdict}) or incrementally.
+
+    The incremental half serves search loops that repeatedly remove one
+    checkpoint from an already-certified image and re-validate.  The
+    session caches the abstract interpretation of every function keyed by
+    pc, so edits must keep pcs stable: overwrite the checkpoint in the
+    image's code array with [Mov (r0, R r0)] — the certifier models
+    [Ckpt] as a state no-op whose only effect is barrierhood, and that
+    [Mov] has the same identity transfer, so the cached states stay exact
+    — then call [recheck_removal] on that pc.  Reverting a rejected
+    removal (writing the [Ckpt] back) needs no session maintenance for
+    the same reason. *)
 module Session : sig
   type t
 
   val create : Wario_emulator.Image.t -> t
   (** Full abstract interpretation of every function, plus the escape
       sweep and the reverse walk relation; the pair sweep is deferred. *)
+
+  val verdict : t -> verdict
+  (** The full judgement — structural obligations and every
+      barrier-free load->store pair — over the session's cached states
+      and escape sweep.  Equal to {!certify} of the session's image as it
+      stands (stats and rejection lists included), at the cost of the
+      pair sweep alone. *)
 
   val recheck_removal : t -> int -> verdict
   (** Re-validate after the barrier at [pc] was substituted away.  Every

@@ -78,9 +78,11 @@ let nop = I.Mov (0, I.R 0)
 let run ?(boundary = false) ?(weight = fun _ -> 0.) ?(spans = S.disabled)
     (p : I.mprog) : stats =
   let img = E.Image.link p in
-  (* An image that does not certify as-is gives the pass no oracle to
+  (* One analysis serves both the entry verdict and every recheck.  An
+     image that does not certify as-is gives the pass no oracle to
      preserve: leave such builds untouched. *)
-  match C.certify img with
+  let ses = C.Session.create img in
+  match C.Session.verdict ses with
   | C.Rejected _ ->
       {
         candidates = 0;
@@ -90,7 +92,6 @@ let run ?(boundary = false) ?(weight = fun _ -> 0.) ?(spans = S.disabled)
         boundary_elided = 0;
       }
   | C.Certified _ ->
-      let ses = C.Session.create img in
       let start_of =
         let tbl = Hashtbl.create 64 in
         List.iter

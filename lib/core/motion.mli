@@ -47,6 +47,10 @@ type stats = {
   moves : move list;  (** every proposed move, program order *)
 }
 
+val zero : stats
+(** No move proposed: what [run] returns when it leaves the program
+    untouched. *)
+
 val run :
   weights:(string -> float) ->
   ?spans:Wario_obs.Span.t ->
@@ -58,6 +62,6 @@ val run :
     {e mangled} machine block label (the same table the back end's
     weighted spill placement uses); a move is proposed only when the
     destination is strictly cheaper.  Images that do not certify
-    beforehand are left untouched.  Only [Middle_end_war] and
-    [Back_end_war] checkpoints move; the entry/exit checkpoints of the
-    calling convention never do. *)
+    beforehand are left untouched and get {!zero}.  Only
+    [Middle_end_war] and [Back_end_war] checkpoints move; the entry/exit
+    checkpoints of the calling convention never do. *)

@@ -13,11 +13,11 @@
    checkpoint changes spill decisions and can surface new back-end spill
    WARs the weight model cannot see — so a cheaper cover is not always a
    cheaper binary.  The loop therefore ends with a measured guard: the
-   greedy-baseline, static-weighted and profile-guided binaries each run
-   once under the pilot conditions, and the one executing the fewest
-   checkpoints (ties: fewest cycles, then the more-informed placement)
-   is returned.  By construction `iclang pgo` never ships a binary worse
-   than the baseline on the pilot input. *)
+   greedy-baseline, static-weighted, profile-guided and interprocedural
+   binaries each run once under the pilot conditions, and the one
+   executing the fewest checkpoints (ties: fewest cycles, then the
+   more-informed placement) is returned.  By construction `iclang pgo`
+   never ships a binary worse than the baseline on the pilot input. *)
 
 module A = Wario_analysis
 module E = Wario_emulator
@@ -79,7 +79,7 @@ let compiled_of (cs : candidates) = function
   | Profile -> cs.profile_c
   | Inter -> cs.inter_c
 
-(** The full loop, returning all three binaries (the measured guard's
+(** The full loop, returning all four binaries (the measured guard's
     choice is [pilot.selected]).  [opts.block_profile] is ignored on
     input (the pilot supplies it); [opts.placement] is forced per
     candidate.  [pilot_fuel] bounds the pilot run. *)

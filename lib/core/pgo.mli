@@ -7,10 +7,11 @@
 
     Because checkpoint placement feeds back into register allocation (and
     thus into back-end spill WARs the weight model cannot predict), the
-    loop ends with a measured guard: the greedy-baseline, static-weighted
-    and profile-guided binaries each run once under the pilot conditions
-    and the one executing the fewest checkpoints is kept, so PGO is never
-    worse than the baseline on the pilot input. *)
+    loop ends with a measured guard: the greedy-baseline,
+    static-weighted, profile-guided and interprocedural binaries each run
+    once under the pilot conditions and the one executing the fewest
+    checkpoints is kept, so PGO is never worse than the baseline on the
+    pilot input. *)
 
 type variant = Greedy | Static | Profile | Inter
 
@@ -54,7 +55,7 @@ val compile_candidates :
   Pipeline.environment ->
   string ->
   candidates
-(** The full loop on MiniC source, returning all three binaries — the
+(** The full loop on MiniC source, returning all four binaries — the
     measured guard's choice is [pilot.selected] (placement benchmarks
     reuse the losing candidates too).  [opts.block_profile] is ignored on
     input (the pilot supplies it); [opts.placement] is forced per

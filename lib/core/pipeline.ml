@@ -592,9 +592,11 @@ and run_trial_expander ~opts ~spans (env : environment) (prog : Ir.program) :
     ->
       Some
         (S.with_span spans "middle.expander_trials" (fun () ->
-             let st = trial_expand ~opts env prog in
+             let st, auditions, compiles = trial_expand ~opts env prog in
              S.add_counter ~by:st.T.Expander.candidates spans "candidates";
              S.add_counter ~by:st.T.Expander.inlined spans "inlined";
+             S.add_counter ~by:auditions spans "auditions";
+             S.add_counter ~by:compiles spans "compiles";
              st))
   | _ -> None
 
@@ -615,8 +617,19 @@ and run_trial_expander ~opts ~spans (env : environment) (prog : Ir.program) :
    instructions bounds growth.  Programs that exhaust the trial budget
    (or break the trial build) audit as infinitely expensive, so
    non-terminating inputs simply keep the un-expanded program.  Finally
-   the accepted set is replayed on the real program. *)
-and trial_expand ~opts env (prog : Ir.program) : T.Expander.stats =
+   the accepted set is replayed on the real program.
+
+   Auditions are memoized on the selection list.  A later pass
+   re-auditions candidates against an accepted set that may not have
+   changed since they were last heard, and two candidate records can be
+   equal (same caller, callee and score: [apply_candidate] inlines the
+   first remaining site, so equal lists build identical programs).  Each
+   trial compiles a fresh copy and [compile_ir] is deterministic, so a
+   repeated list gets its recorded count without compiling again.
+   Returns the stats with the number of auditions and of distinct trial
+   compiles. *)
+and trial_expand ~opts env (prog : Ir.program) : T.Expander.stats * int * int
+    =
   let cg = A.Callgraph.build prog in
   let cands =
     T.Expander.costed_candidates ~size_limit:opts.expander_size_limit cg prog
@@ -624,7 +637,9 @@ and trial_expand ~opts env (prog : Ir.program) : T.Expander.stats =
   let trial_opts =
     { opts with expander_size_limit = 0; block_profile = None }
   in
-  let cost_of sel =
+  let compiles = ref 0 in
+  let measure sel =
+    incr compiles;
     let p = Ir.copy_program prog in
     List.iter (fun c -> ignore (T.Expander.apply_candidate p c)) sel;
     match
@@ -637,6 +652,17 @@ and trial_expand ~opts env (prog : Ir.program) : T.Expander.stats =
     with
     | n -> n
     | exception _ -> max_int (* no termination, or a broken trial build *)
+  in
+  let memo : (T.Expander.cand list, int) Hashtbl.t = Hashtbl.create 32 in
+  let auditions = ref 0 in
+  let cost_of sel =
+    incr auditions;
+    match Hashtbl.find_opt memo sel with
+    | Some n -> n
+    | None ->
+        let n = measure sel in
+        Hashtbl.replace memo sel n;
+        n
   in
   let budget = ref (4 * opts.expander_size_limit) in
   let accepted = ref [] in
@@ -668,7 +694,9 @@ and trial_expand ~opts env (prog : Ir.program) : T.Expander.stats =
   end;
   let sel = List.rev !accepted in
   List.iter (fun c -> ignore (T.Expander.apply_candidate prog c)) sel;
-  { T.Expander.candidates = List.length cands; inlined = List.length sel }
+  ( { T.Expander.candidates = List.length cands; inlined = List.length sel },
+    !auditions,
+    !compiles )
 
 (* ------------------------------------------------------------------ *)
 (* Stage keys and the content-addressed compile (DESIGN.md §19)         *)

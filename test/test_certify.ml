@@ -12,23 +12,32 @@ module W = Wario_workloads
 
 let envs = Wario_verify.Harness.instrumented_environments
 
+(* Every benchmark × instrumented environment, compiled and certified
+   once, shared by the tests below that judge them. *)
+let benchmark_builds =
+  lazy
+    (List.concat_map
+       (fun (b : W.Programs.benchmark) ->
+         List.map
+           (fun env ->
+             let c = P.compile env b.W.Programs.source in
+             ( Printf.sprintf "%s × %s" b.W.Programs.name
+                 (P.environment_name env),
+               c,
+               P.certify c ))
+           envs)
+       W.Programs.all)
+
 let test_benchmarks_certified () =
   List.iter
-    (fun (b : W.Programs.benchmark) ->
-      List.iter
-        (fun env ->
-          let c = P.compile env b.W.Programs.source in
-          match P.certify c with
-          | C.Certified st ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s × %s: pairs judged" b.W.Programs.name
-                   (P.environment_name env))
-                true (st.C.s_pairs >= 0)
-          | C.Rejected _ as v ->
-              Alcotest.failf "%s × %s rejected:\n%s" b.W.Programs.name
-                (P.environment_name env) (P.certify_report c v))
-        envs)
-    W.Programs.all
+    (fun (what, c, v) ->
+      match v with
+      | C.Certified st ->
+          Alcotest.(check bool) (what ^ ": pairs judged") true
+            (st.C.s_pairs >= 0)
+      | C.Rejected _ as v ->
+          Alcotest.failf "%s rejected:\n%s" what (P.certify_report c v))
+    (Lazy.force benchmark_builds)
 
 let test_micros_certified_wario () =
   List.iter
@@ -76,6 +85,54 @@ let test_sabotaged_rejected () =
           in
           Alcotest.(check bool) "report names the load's function" true
             (contains report w.C.w_load_func))
+
+(* A session's whole verdict is [certify]'s, structurally: same stats,
+   same rule census, same rejection list in the same order.  Elision and
+   motion branch on [Session.verdict] instead of calling [certify], so
+   this pins them to the oracle on every built-in benchmark and
+   instrumented environment, on a sabotaged (rejected) build, and on an
+   image edited in place the way elision edits it. *)
+let test_session_verdict_is_certify () =
+  let same what img expected =
+    let ses = C.Session.create img in
+    Alcotest.(check bool) (what ^ ": Session.verdict = certify") true
+      (C.Session.verdict ses = expected);
+    ses
+  in
+  List.iter
+    (fun (what, c, v) -> ignore (same what c.P.image v))
+    (Lazy.force benchmark_builds);
+  let sabotaged =
+    (P.compile
+       ~opts:{ P.default_options with P.drop_middle_ckpt = Some 0 }
+       P.Wario W.Programs.crc.W.Programs.source)
+      .P.image
+  in
+  let v = C.certify sabotaged in
+  (match v with
+  | C.Rejected (_ :: _, _) -> ()
+  | _ -> Alcotest.fail "sabotaged build not rejected");
+  ignore (same "crc sabotaged" sabotaged v);
+  (* after a Ckpt -> [Mov r0, r0] substitution the cached states stay
+     exact, so the session still judges the image as it now stands *)
+  let img = (P.compile P.Wario W.Programs.crc.W.Programs.source).P.image in
+  let ses = same "crc" img (C.certify img) in
+  let pc =
+    match
+      List.find_opt
+        (fun pc ->
+          match img.E.Image.code.(pc) with
+          | Wario_machine.Isa.Ckpt (Wario_machine.Isa.Middle_end_war, _) ->
+              true
+          | _ -> false)
+        (List.init (E.Image.instr_count img) Fun.id)
+    with
+    | Some pc -> pc
+    | None -> Alcotest.fail "crc has no middle-end checkpoint"
+  in
+  img.E.Image.code.(pc) <- Wario_machine.Isa.Mov (0, Wario_machine.Isa.R 0);
+  Alcotest.(check bool) "edited: Session.verdict = certify" true
+    (C.Session.verdict ses = C.certify img)
 
 (* Certifier vs dynamic WAR verifier on random MiniC programs, across all
    instrumented environments and with the sabotage hook armed:
@@ -125,5 +182,7 @@ let suite =
       test_micros_certified_wario;
     Alcotest.test_case "sabotage: drop-ckpt rejected with witness" `Quick
       test_sabotaged_rejected;
+    Alcotest.test_case "session: verdict equals certify" `Slow
+      test_session_verdict_is_certify;
   ]
   @ List.map Test_props.to_alcotest [ prop_certifier_agrees_with_dynamic ]

@@ -9,6 +9,7 @@ module P = Wario.Pipeline
 module E = Wario_emulator
 module A = Wario_analysis
 module T = Wario_transforms.Checkpoint_inserter
+module S = Wario_obs.Span
 
 let micro name = (Wario_workloads.Micro.find name).Wario_workloads.Micro.source
 
@@ -241,6 +242,74 @@ let test_inter_decisions_carry_verdicts () =
   Alcotest.(check bool) "function frequencies present" true
     (c.P.middle.P.func_freqs <> [])
 
+(* Motion certifies only its anchored image: a rejected input must
+   surface there and stand down with every block as it came in. *)
+let test_motion_stands_down_on_rejected () =
+  let weights l = float_of_int (Hashtbl.hash l mod 97) in
+  (* the same weights do propose moves on the healthy build, so the
+     sabotaged run below reaches anchor planting rather than an empty
+     proposal list *)
+  let healthy = P.compile P.Wario (bench "crc") in
+  Alcotest.(check bool) "healthy build gets proposals" true
+    ((Wario.Motion.run ~weights healthy.P.mprog).Wario.Motion.proposed > 0);
+  let c =
+    P.compile
+      ~opts:{ P.default_options with P.drop_middle_ckpt = Some 0 }
+      P.Wario (bench "crc")
+  in
+  (match P.certify c with
+  | Wario_certify.Certify.Rejected _ -> ()
+  | Wario_certify.Certify.Certified _ ->
+      Alcotest.fail "sabotaged build certified");
+  let snapshot () =
+    List.concat_map
+      (fun (mf : Wario_machine.Isa.mfunc) ->
+        List.map
+          (fun (b : Wario_machine.Isa.mblock) ->
+            (b.Wario_machine.Isa.mlabel, b.Wario_machine.Isa.mcode))
+          mf.Wario_machine.Isa.mblocks)
+      c.P.mprog.Wario_machine.Isa.mfuncs
+  in
+  let before = snapshot () in
+  let s = Wario.Motion.run ~weights c.P.mprog in
+  Alcotest.(check bool) "result is Motion.zero" true (s = Wario.Motion.zero);
+  Alcotest.(check bool) "every block's mcode unchanged" true
+    (snapshot () = before)
+
+(* -- trial auditions ------------------------------------------------- *)
+
+(* crc's second audition pass re-hears three candidates against an
+   accepted set unchanged since the first: the memo answers them without
+   compiling.  The shipped result is the measured BENCH_6 figure. *)
+let test_trial_memo () =
+  let spans = S.create () in
+  let c =
+    P.compile ~opts:inter_opts ~spans ~cache:Wario.Cache.disabled P.Wario
+      (bench "crc")
+  in
+  let rec find (sp : S.span) =
+    if sp.S.sp_name = "middle.expander_trials" then Some sp
+    else List.find_map find sp.S.sp_children
+  in
+  let trials =
+    match List.find_map find (S.roots spans) with
+    | Some sp -> sp
+    | None -> Alcotest.fail "no middle.expander_trials span"
+  in
+  let counter k =
+    match List.assoc_opt k trials.S.sp_counters with
+    | Some n -> n
+    | None -> Alcotest.failf "no %s counter" k
+  in
+  let auditions = counter "auditions" and compiles = counter "compiles" in
+  Alcotest.(check bool) "fewer compiles than auditions" true
+    (compiles < auditions);
+  Alcotest.(check bool) "at least three auditions reused" true
+    (auditions - compiles >= 3);
+  Alcotest.(check int) "one inline accepted" 1 (counter "inlined");
+  Alcotest.(check int) "continuous-power dynamic checkpoints" 28171
+    (dyn c.P.image)
+
 let suite =
   [
     Alcotest.test_case "mangle agrees with isel" `Quick
@@ -262,4 +331,8 @@ let suite =
       test_inter_certified_same_results;
     Alcotest.test_case "inter: decisions carry certifier verdicts" `Slow
       test_inter_decisions_carry_verdicts;
+    Alcotest.test_case "motion: stands down on a rejected image" `Quick
+      test_motion_stands_down_on_rejected;
+    Alcotest.test_case "trials: repeated auditions reuse the compile" `Slow
+      test_trial_memo;
   ]
