@@ -165,6 +165,12 @@ type state = {
   mutable touched : int array;
   mutable n_touched : int;
   mutable violations : violation list;
+  (* pages written since boot, one byte per [page_size] page ('\001' =
+     written), marked where the shadow first records a write; [ckpt_read]:
+     a tracked load addressed the checkpoint area.  Both feed {!snapshot}
+     and {!splice}; the bitmap is empty when [verify] is off. *)
+  written : Bytes.t;
+  mutable ckpt_read : bool;
   (* stats *)
   counts : cause_counts;
   mutable region_start : int;
@@ -279,6 +285,13 @@ let mark st i kind =
   Array.unsafe_set st.touched n i;
   st.n_touched <- n + 1
 
+(* Pages of [page_size] bytes: the unit a snapshot copies.  1 KiB keeps
+   a snapshot's footprint near the bytes actually written (a stack top, a
+   few globals) while the checkpoint area still fits in page 0. *)
+let page_bits = 10
+let page_size = 1 lsl page_bits
+let n_pages = Image.mem_size lsr page_bits
+
 (* Start a new region: O(bytes touched in the old one), not O(memory). *)
 let clear_shadow st =
   for j = 0 to st.n_touched - 1 do
@@ -287,17 +300,26 @@ let clear_shadow st =
   st.n_touched <- 0
 
 let track_read st a n =
-  if st.verify && not (in_ckpt_area a) then
-    for i = a to a + n - 1 do
-      if Bytes.unsafe_get st.kinds i = ' ' then mark st i 'r'
-    done
+  if st.verify then
+    if in_ckpt_area a then st.ckpt_read <- true
+    else
+      for i = a to a + n - 1 do
+        if Bytes.unsafe_get st.kinds i = ' ' then mark st i 'r'
+      done
 
+(* A byte turns 'w' at most once per region, and only here: that is
+   where the written-page bitmap is kept, one store per byte first written
+   in a region. *)
 let track_write st a n =
   if st.verify && not (in_ckpt_area a) then
     for i = a to a + n - 1 do
       let k = Bytes.unsafe_get st.kinds i in
-      if k = ' ' then mark st i 'w'
+      if k = ' ' then begin
+        mark st i 'w';
+        Bytes.unsafe_set st.written (i lsr page_bits) '\001'
+      end
       else if k = 'r' then begin
+        Bytes.unsafe_set st.written (i lsr page_bits) '\001';
         st.violations <-
           {
             v_pc = st.pc;
@@ -771,6 +793,30 @@ let init_memory st =
       | _ -> Bytes.set_int32_le st.mem a v)
     st.img.Image.init_image
 
+let ckpt_page = Image.ckpt_base lsr page_bits
+let () = assert ((ckpt_end - 1) lsr page_bits = ckpt_page)
+
+(* Memory, WAR shadow and touched list of [old], a finished verify-mode
+   instance nobody uses again, for a new instance: zeroing the pages [old]
+   wrote, the checkpoint area's (which the runtime writes untracked) and
+   [old]'s initial data clears the memory, and the caller's [init_memory]
+   makes it a fresh instance's. *)
+let recycled_buffers old =
+  clear_shadow old;
+  for p = 0 to n_pages - 1 do
+    if p = ckpt_page || Bytes.get old.written p <> '\000' then
+      Bytes.fill old.mem (p * page_size) page_size '\000'
+  done;
+  List.iter
+    (fun (a, n, _) -> Bytes.fill old.mem a n '\000')
+    old.img.Image.init_image;
+  (old.mem, old.kinds, old.touched)
+
+let fresh_buffers () =
+  ( Bytes.make Image.mem_size '\000',
+    Bytes.make Image.mem_size ' ',
+    Array.make touched_initial 0 )
+
 type t = state
 
 (* Per-pc cost/mask/callee tables, computed once per instance.  They fold
@@ -948,9 +994,18 @@ let build_tables ~save_all (img : Image.t) =
   ( cost, eff_mask, push_n, call_fn, fn_names,
     Array.fold_left max 1 cost, fop, fa, fb, fc, fcond )
 
+(* [build_tables], or the tables of [reuse] when it runs the same image
+   under the same save-all setting. *)
+let tables_for ?reuse ~save_all img =
+  match reuse with
+  | Some o when o.img == img && o.save_all = save_all ->
+      ( o.cost, o.eff_mask, o.push_n, o.call_fn, o.fn_names, o.max_step_cost,
+        o.fop, o.fa, o.fb, o.fc, o.fcond )
+  | _ -> build_tables ~save_all img
+
 let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
     ?(irq_period = 0) ?(verify = true) ?(tracer = Tr.null)
-    ?(count_pcs = false) (img : Image.t) : t =
+    ?(count_pcs = false) ?reuse (img : Image.t) : t =
   (* environment flags are sampled exactly once, here; "" and "0" mean off
      so tests (and shells) can clear them without [unsetenv] *)
   let env_flag name =
@@ -959,15 +1014,24 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
     | Some _ -> true
   in
   let save_all = env_flag "WARIO_SAVE_ALL" in
+  let reuse =
+    match reuse with Some old when verify && old.verify -> Some old | _ -> None
+  in
   let cost, eff_mask, push_n, call_fn, fn_names, max_step_cost, fop, fa, fb,
       fc, fcond =
-    build_tables ~save_all img
+    tables_for ?reuse ~save_all img
+  in
+  let mem, kinds, touched =
+    match reuse with
+    | Some o -> recycled_buffers o
+    | None when verify -> fresh_buffers ()
+    | None -> (Bytes.make Image.mem_size '\000', Bytes.empty, [||])
   in
   let st =
     {
       img;
       supply_desc = Power.describe supply;
-      mem = Bytes.make Image.mem_size '\000';
+      mem;
       regs = Array.make 16 0;
       nf = false;
       zf = false;
@@ -987,10 +1051,12 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       next_irq_at = irq_period;
       irqs_taken = 0;
       verify;
-      kinds = (if verify then Bytes.make Image.mem_size ' ' else Bytes.empty);
-      touched = (if verify then Array.make touched_initial 0 else [||]);
+      kinds;
+      touched;
       n_touched = 0;
       violations = [];
+      written = (if verify then Bytes.make n_pages '\000' else Bytes.empty);
+      ckpt_read = false;
       counts = { c_entry = 0; c_exit = 0; c_middle = 0; c_backend = 0 };
       region_start = 0;
       regions_rev = [];
@@ -5401,6 +5467,7 @@ let clone st =
     power = Power.copy st.power;
     kinds = Bytes.copy st.kinds;
     touched = Array.copy st.touched;
+    written = Bytes.copy st.written;
     counts =
       {
         c_entry = st.counts.c_entry;
@@ -5492,6 +5559,252 @@ let result st : result =
   }
 
 let output st = List.rev st.out_rev
+
+(* ------------------------------------------------------------------ *)
+(* Commit snapshots                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let reads_ckpt_area st = st.ckpt_read
+
+(* Reference-path stepping that stops the moment the [k]th commit has been
+   made.  An instruction commits at most once, so a batch of [k - commits]
+   steps cannot overshoot: the commit count is tested once per batch, not
+   once per step. *)
+let rec run_to_commit st k : step =
+  if st.halted then Halted
+  else if st.commits >= k then Stepped
+  else
+    match reference_batch st (k - st.commits) with
+    | Halted -> Halted
+    | Stepped | Rebooted -> run_to_commit st k
+
+(* A snapshot is the instance's scalar state — registers, flags, power
+   and statistics — plus the pages written since boot.  Memory, WAR
+   shadow and touched list are left out: pages nobody wrote still hold the
+   image's initial data, and the shadow is blank.  The checkpoint area's
+   page is always kept, because a resumed run restores from it.  The
+   written-page bitmap is [s_pages] itself.  Left out too, because they
+   would outweigh the pages: the per-pc tables (rebuilt, or lent by the
+   resumed run's [reuse]) and the closed regions, one per commit, which
+   are the first [commits] of the finished run's [region_sizes]. *)
+type snapshot = {
+  s_st : state;
+      (** [mem], [kinds], [touched], [written], the per-pc tables and
+          [regions_rev] empty *)
+  s_pages : int array;  (** ascending page indices *)
+  s_data : Bytes.t;  (** their contents, page after page *)
+  s_out_len : int;  (** console outputs so far *)
+  s_viol_len : int;  (** WAR violations so far *)
+}
+
+let snapshot st =
+  if (not st.verify) || st.n_touched <> 0 then
+    invalid_arg "Emulator.snapshot: needs a verify-mode instance with a blank \
+                 WAR shadow";
+  let pages = ref [] in
+  for p = n_pages - 1 downto 0 do
+    if p = ckpt_page || Bytes.get st.written p <> '\000' then
+      pages := p :: !pages
+  done;
+  let pages = Array.of_list !pages in
+  let data = Bytes.create (Array.length pages * page_size) in
+  Array.iteri
+    (fun i p ->
+      Bytes.blit st.mem (p * page_size) data (i * page_size) page_size)
+    pages;
+  let s =
+    clone
+      {
+        st with
+        mem = Bytes.empty;
+        kinds = Bytes.empty;
+        touched = [||];
+        written = Bytes.empty;
+        regions_rev = [];
+        cost = [||];
+        eff_mask = [||];
+        push_n = [||];
+        call_fn = [||];
+        fop = [||];
+        fa = [||];
+        fb = [||];
+        fc = [||];
+        fcond = [||];
+      }
+  in
+  {
+    s_st = s;
+    s_pages = pages;
+    s_data = data;
+    s_out_len = List.length st.out_rev;
+    s_viol_len = List.length st.violations;
+  }
+
+let snapshot_cycles s = s.s_st.cycles
+let snapshot_commits s = s.s_st.commits
+let snapshot_bytes s = Bytes.length s.s_data
+
+(* The first on-period of a [Schedule] counts active cycles from boot, and
+   [spend] only ever compares the cumulative spend against it, so a
+   scheduled run whose first cut is at or after the snapshot's cycle is in
+   exactly the snapshot's state when it gets there — with [d - cycles] of
+   that period left and the cursor past it. *)
+let resume ?reuse ~supply ~(final : result) snap =
+  let s = snap.s_st in
+  let rec rev_take n l acc =
+    match l with x :: rest when n > 0 -> rev_take (n - 1) rest (x :: acc) | _ -> acc
+  in
+  let first =
+    match supply with
+    | Power.Schedule cuts when Array.length cuts > 0 && cuts.(0) >= s.cycles ->
+        cuts.(0)
+    | _ ->
+        invalid_arg
+          "Emulator.resume: needs a schedule whose first cut is at or after \
+           the snapshot"
+  in
+  let power = Power.create supply in
+  ignore (Power.next_budget power);
+  let cost, eff_mask, push_n, call_fn, _, _, fop, fa, fb, fc, fcond =
+    tables_for ?reuse ~save_all:s.save_all s.img
+  in
+  let mem, kinds, touched =
+    match reuse with
+    | Some old when old.verify -> recycled_buffers old
+    | _ -> fresh_buffers ()
+  in
+  let st =
+    {
+      (clone s) with
+      cost;
+      eff_mask;
+      push_n;
+      call_fn;
+      fop;
+      fa;
+      fb;
+      fc;
+      fcond;
+      supply_desc = Power.describe supply;
+      mem;
+      kinds;
+      touched;
+      written = Bytes.make n_pages '\000';
+      power;
+      budget = first - s.cycles;
+      regions_rev = rev_take s.commits final.region_sizes [];
+    }
+  in
+  init_memory st;
+  Array.iteri
+    (fun i p ->
+      Bytes.blit snap.s_data (i * page_size) st.mem (p * page_size) page_size;
+      Bytes.set st.written p '\001')
+    snap.s_pages;
+  st
+
+(* Memory outside the checkpoint area equals the snapshot's: every page
+   the run wrote is one the snapshot holds, and those pages agree.  Pages
+   neither wrote still hold the image's initial data in both. *)
+let memory_matches st snap =
+  (* [i] walks the ascending [s_pages] alongside [p] *)
+  let rec unheld p i =
+    p < n_pages
+    &&
+    let held = i < Array.length snap.s_pages && snap.s_pages.(i) = p in
+    (Bytes.unsafe_get st.written p <> '\000' && not held)
+    || unheld (p + 1) (if held then i + 1 else i)
+  in
+  let page_equal i p =
+    let a = p * page_size and b = i * page_size in
+    let rec go o =
+      o >= page_size
+      || (in_ckpt_area (a + o)
+         || Int64.equal
+              (Bytes.get_int64_le st.mem (a + o))
+              (Bytes.get_int64_le snap.s_data (b + o)))
+         && go (o + 8)
+    in
+    go 0
+  in
+  let rec pages i =
+    i >= Array.length snap.s_pages
+    || (page_equal i snap.s_pages.(i) && pages (i + 1))
+  in
+  (not (unheld 0 0)) && pages 0
+
+let rec drop n l =
+  match l with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> l
+
+let splice st snap ~(final : result) : result option =
+  let s = snap.s_st in
+  let suffix = final.cycles - s.cycles in
+  let converged =
+    st.commits = s.commits && st.verify && st.n_touched = 0
+    && (not st.halted) && st.irq_period = 0 && s.irq_period = 0
+    && st.budget >= suffix
+    && st.cycles + suffix <= st.fuel
+    && st.pc = s.pc && st.nf = s.nf && st.zf = s.zf && st.cf = s.cf
+    && st.vf = s.vf && st.primask = s.primask
+    && st.pending_irq = s.pending_irq
+    && st.regs = s.regs && memory_matches st snap
+  in
+  if not converged then None
+  else begin
+    (* from here the run is the golden suffix, cycle for cycle *)
+    let plus mine theirs base = mine + theirs - base in
+    let counts =
+      {
+        c_entry = plus st.counts.c_entry final.checkpoints.c_entry s.counts.c_entry;
+        c_exit = plus st.counts.c_exit final.checkpoints.c_exit s.counts.c_exit;
+        c_middle =
+          plus st.counts.c_middle final.checkpoints.c_middle s.counts.c_middle;
+        c_backend =
+          plus st.counts.c_backend final.checkpoints.c_backend
+            s.counts.c_backend;
+      }
+    in
+    let cycles = st.cycles + suffix in
+    let calls = ref [] in
+    Array.iteri
+      (fun i name ->
+        let n =
+          plus st.fn_calls.(i)
+            (Option.value ~default:0 (List.assoc_opt name final.call_counts))
+            s.fn_calls.(i)
+        in
+        if n > 0 then calls := (name, n) :: !calls)
+      st.fn_names;
+    Some
+      {
+        output = List.rev_append st.out_rev (drop snap.s_out_len final.output);
+        exit_code = final.exit_code;
+        cycles;
+        instrs = plus st.instrs final.instrs s.instrs;
+        checkpoints = counts;
+        checkpoints_total =
+          counts.c_entry + counts.c_exit + counts.c_middle + counts.c_backend;
+        (* one closed region per commit *)
+        region_sizes =
+          List.rev_append st.regions_rev (drop s.commits final.region_sizes);
+        power_failures = st.failures;
+        failure_sites = List.rev st.fail_sites_rev;
+        boots = st.boots;
+        (* the shadow is blank at a commit, so the suffix flags exactly
+           what it flagged in the run [final] came from *)
+        violations =
+          List.rev_append st.violations (drop snap.s_viol_len final.violations);
+        irqs_taken = plus st.irqs_taken final.irqs_taken s.irqs_taken;
+        call_counts = List.sort compare !calls;
+        waste =
+          {
+            w_useful = cycles - st.acc_boot - st.acc_restore - st.acc_reexec;
+            w_boot = st.acc_boot;
+            w_restore = st.acc_restore;
+            w_reexec = st.acc_reexec;
+          };
+      }
+  end
 
 type engine_stats = {
   es_blocks : int;  (** basic blocks compiled (0 if never block-dispatched) *)

@@ -159,6 +159,7 @@ val create :
   ?verify:bool ->
   ?tracer:Wario_obs.Trace.sink ->
   ?count_pcs:bool ->
+  ?reuse:t ->
   Image.t ->
   t
 (** Initialise memory and perform the first power-on (same defaults as
@@ -169,7 +170,14 @@ val create :
     [count_pcs] (default false) records how many times each pc executes —
     the PGO pilot's profile, read back with {!block_counts}.  Counting
     keeps the instance on the reference path (the fast path's macro-steps
-    never touch per-pc state), so leave it off for measurement runs. *)
+    never touch per-pc state), so leave it off for measurement runs.
+
+    [reuse], a finished verify-mode instance that is never used again,
+    lends a verify-mode instance its memory and WAR-shadow buffers: only
+    the pages it wrote and its image's initial data are cleared, instead
+    of allocating and clearing 2 MiB.  Of the same image (and
+    [WARIO_SAVE_ALL] setting), it lends its per-pc tables too.  Results
+    already taken from it are unaffected. *)
 
 type step =
   | Stepped  (** one instruction retired *)
@@ -232,6 +240,75 @@ val nv_digest : t -> int64
 
 val result : t -> result
 (** Statistics so far (complete once {!halted}). *)
+
+(** {1 Commit snapshots}
+
+    Compact snapshots let a fault-injection oracle start an injected run
+    from the continuous run's state instead of from boot, and stop it once
+    it is back in that run's state.  They need a verify-mode instance (the
+    default), which keeps a bitmap of the memory pages written since boot,
+    marked where the WAR shadow records a byte's first write in a region. *)
+
+val reads_ckpt_area : t -> bool
+(** Whether a program load (not the checkpoint runtime) ever addressed the
+    checkpoint double buffer — whose contents depend on the power
+    schedule. *)
+
+val run_to_commit : t -> int -> step
+(** [run_to_commit st k] steps on the reference path until the instance
+    has made [k] checkpoint commits ([Stepped], returned at once when it
+    already has) or halts ([Halted]).  Power failures on the way reboot
+    as in {!step}.  Commits are atomic and never re-executed, so in a run
+    that replays correctly the [k]th commit is the continuous run's. *)
+
+type snapshot
+(** Registers, flags, pc, primask, pending interrupt, power cursor and
+    every result counter of an instance, plus the contents of the pages it
+    wrote since boot and of the checkpoint area's page. *)
+
+val snapshot : t -> snapshot
+(** Take a snapshot; cost is the pages written since boot.
+    @raise Invalid_argument unless the instance verifies and its WAR
+    shadow is blank (as right after a commit). *)
+
+val snapshot_cycles : snapshot -> int
+val snapshot_commits : snapshot -> int
+
+val snapshot_bytes : snapshot -> int
+(** Memory bytes the snapshot holds (whole pages). *)
+
+val resume : ?reuse:t -> supply:Power.supply -> final:result -> snapshot -> t
+(** [resume ~supply ~final s], where [s] was taken during the first
+    on-period of a run that went on to halt with [final] (whose
+    [region_sizes] supply the regions closed before [s]) and [supply] is
+    [Schedule cuts] with [cuts.(0) >=
+    snapshot_cycles s]: the instance a run from boot under [supply] would
+    be when it reaches [s]'s cycle.  The first on-period spends only on
+    cumulative cycles, so that run is in [s]'s state, with [cuts.(0) -
+    snapshot_cycles s] cycles of the period left and the cursor past it.
+    Costs a fresh instance plus a blit of the snapshot's pages; [reuse]
+    lends its buffers as for {!create}.
+    @raise Invalid_argument for any other supply. *)
+
+val splice : t -> snapshot -> final:result -> result option
+(** [splice st s ~final], where [s] was taken right after commit [k] of a
+    run that went on to halt with [final]: when [st]
+    has just made its own commit [k] in the same machine state —
+    registers, flags, pc, primask, pending interrupt and all memory
+    outside the checkpoint double buffer — and neither its current
+    on-period nor its fuel can run out within the [final.cycles -
+    snapshot_cycles s] cycles left, [st] from here on is that run's
+    suffix, and the result is the one [st] would reach at its halt: its
+    own output, regions, violations and counters so far joined with the
+    suffix's, its own failures, boots and waste.  [None] otherwise, and
+    [st] is untouched.
+
+    Sound as long as the suffix never loads from the checkpoint area
+    ({!reads_ckpt_area} of the finished run): the buffers are the only
+    memory the two runs may disagree on, the runtime reads them only to
+    pick the next commit's target, which costs the same either way, and
+    the period outlasts the suffix, so no restore happens.  Interrupts
+    must be off: their timing depends on the total cycle count. *)
 
 type engine_stats = {
   es_blocks : int;  (** basic blocks compiled (0 if never block-dispatched) *)

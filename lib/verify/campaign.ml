@@ -366,7 +366,24 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
   let c, g =
     S.with_span spans "campaign.golden" (fun () ->
         let c = P.compile ~opts:config.opts env source in
-        (c, Oracle.golden ~engine:config.engine c))
+        let g = Oracle.golden ~engine:config.engine c in
+        let fs = Oracle.fork_stats g in
+        S.add_counter ~by:fs.Oracle.snapshots spans "snapshots";
+        S.add_counter ~by:(fs.Oracle.snapshot_bytes / 1024) spans
+          "snapshot_kib";
+        (c, g))
+  in
+  (* runs of this phase that started from a golden snapshot or ended in
+     the golden suffix *)
+  let count_forks f =
+    let before = Oracle.fork_stats g in
+    let r = f () in
+    let after = Oracle.fork_stats g in
+    S.add_counter ~by:(after.Oracle.forked - before.Oracle.forked) spans
+      "forked";
+    S.add_counter ~by:(after.Oracle.spliced - before.Oracle.spliced) spans
+      "spliced";
+    r
   in
   match Oracle.golden_violations g with
   | _ :: _ as vs ->
@@ -409,7 +426,7 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
       let max_regions = max 16 (config.budget / 16) in
       let worst =
         S.with_span spans "campaign.adversary" (fun () ->
-            let w = Adversary.search ~max_regions g c in
+            let w = count_forks (fun () -> Adversary.search ~max_regions g c) in
             S.add_counter ~by:(Adversary.total_probes w) spans "probes";
             S.add_counter ~by:(List.length w) spans "regions";
             w)
@@ -533,7 +550,7 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
           (chunks sched_list)
       in
       S.with_span spans "campaign.execute" (fun () ->
-          process "campaign.chunk" plan;
+          count_forks (fun () -> process "campaign.chunk" plan);
           S.add_counter ~by:!tried spans "schedules";
           S.add_counter ~by:!failures_total spans "failures");
       (* mop-up: whatever boundary windows the sweep's landing jitter (or

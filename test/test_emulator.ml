@@ -835,3 +835,163 @@ let cycle_suite =
     Alcotest.test_case "cycle model" `Quick test_cycle_model;
     Alcotest.test_case "checkpoint cost formula" `Quick test_ckpt_cost_formula;
   ]
+
+(* --- commit snapshots: fork and splice --------------------------------- *)
+
+module V = Wario_verify
+module Micro = Wario_workloads.Micro
+
+(* Step [st] to each commit of the doubling cadence 1, 2, 4, ... and call
+   [f k st] there; stops at the halt. *)
+let at_commits st f =
+  let rec go k =
+    match E.Emulator.run_to_commit st k with
+    | E.Emulator.Halted -> ()
+    | _ ->
+        f k st;
+        go (2 * k)
+  in
+  go 1
+
+(* An instance resumed from a snapshot holds exactly the memory of the
+   instance the snapshot was taken from, so the written-page bitmap saw
+   every store path: [store] and pushes on every micro, interrupt frames
+   with the timer on, and a loop whose only memory traffic is interrupt
+   frames on a page of its own. *)
+let test_snapshot_memory_complete () =
+  let frames_only =
+    link_blocks
+      [
+        ("main", [ I.Movw32 (I.sp, 0x80000l); I.Mov (2, I.I 0l) ]);
+        ("loop", [ I.Ckpt (I.Middle_end_war, 0x7fff);
+                   I.Alu (I.ADD, 2, 2, I.I 1l); I.Cmp (2, I.I 200l);
+                   I.Bc (I.LT, "loop") ]);
+        ("done", [ I.Svc 1 ]);
+      ]
+  in
+  let check name irq_period img =
+    let st = E.Emulator.create ~irq_period img in
+    at_commits st (fun k st ->
+        let s = E.Emulator.snapshot st in
+        let resumed =
+          E.Emulator.resume ~supply:(E.Power.Schedule [| max_int |])
+            ~final:(E.Emulator.result st) s
+        in
+        if E.Emulator.memory resumed <> E.Emulator.memory st then
+          Alcotest.failf "%s (irq %d): snapshot memory differs at commit %d"
+            name irq_period k)
+  in
+  List.iter
+    (fun (m : Micro.t) ->
+      let c = P.compile P.Wario m.Micro.source in
+      List.iter (fun irq -> check m.Micro.name irq c.P.image) [ 0; 97 ])
+    Micro.all;
+  check "frames only" 97 frames_only;
+  (* the frames really landed on a page nothing else writes *)
+  let st = E.Emulator.create ~irq_period:97 frames_only in
+  at_commits st (fun _ _ -> ());
+  Alcotest.(check bool) "interrupt frames written" true
+    (Bytes.get_int32_le (E.Emulator.memory st) (0x80000 - 12) <> 0l)
+
+(* The splice is refused when the fuel cannot cover the golden suffix,
+   and the run then dies of the same error as a run from boot. *)
+let test_splice_needs_fuel () =
+  let img = (P.compile P.Wario (Micro.find "rmw_loop").Micro.source).P.image in
+  let total = (E.Emulator.run img).E.Emulator.cycles in
+  (* a run cut 5 cycles after commit 2, resumed there, at its commit 4 *)
+  let at_commit_4 ~fuel =
+    let golden = E.Emulator.create ~fuel img in
+    let snaps = ref [] in
+    at_commits golden (fun _ st -> snaps := E.Emulator.snapshot st :: !snaps);
+    let final = E.Emulator.result golden in
+    let snap k = List.find (fun s -> E.Emulator.snapshot_commits s = k) !snaps in
+    let supply =
+      E.Power.Schedule [| E.Emulator.snapshot_cycles (snap 2) + 5 |]
+    in
+    let emu = E.Emulator.resume ~supply ~final (snap 2) in
+    ignore (E.Emulator.run_to_commit emu 4);
+    (emu, E.Emulator.splice emu (snap 4) ~final, supply)
+  in
+  let outcome f =
+    match f () with _ -> "halted" | exception E.Emulator.Emu_error e -> e
+  in
+  (* fuel for the continuous run only: the cut's replay cannot fit *)
+  let emu, spliced, supply = at_commit_4 ~fuel:total in
+  Alcotest.(check bool) "refused" true (spliced = None);
+  let from_boot = outcome (fun () -> E.Emulator.run ~fuel:total ~supply img) in
+  Alcotest.(check bool) "from boot runs out of fuel" true (from_boot <> "halted");
+  Alcotest.(check string) "same error as from boot" from_boot
+    (outcome (fun () ->
+         while not (E.Emulator.halted emu) do ignore (E.Emulator.step emu) done));
+  (* with headroom the same run is spliced, to the result from boot *)
+  let fuel = total + 10_000 in
+  let _, spliced, supply = at_commit_4 ~fuel in
+  Alcotest.(check bool) "spliced = from boot" true
+    (spliced = Some (E.Emulator.run ~fuel ~supply img))
+
+(* A run that emits output again before it converges keeps its
+   Double_output verdict.  The checkpoint after the first commit does not
+   save r6: a run restored there takes the other branch, prints once more
+   and rejoins the golden state at commit 4, where it is spliced. *)
+let test_splice_keeps_double_output () =
+  let saved = (1 lsl 0) lor (1 lsl I.lr) in
+  let img =
+    link_blocks
+      [
+        ("main", [ I.Mov (0, I.I 7l); I.Mov (6, I.I 1l);
+                   I.Ckpt (I.Middle_end_war, saved); I.Cmp (6, I.I 0l);
+                   I.Bc (I.NE, "skip") ]);
+        ("extra", [ I.Svc 0; I.B "join" ]);
+        ("skip", [ I.Ckpt (I.Middle_end_war, saved) ]);
+        ("join", [ I.Mov (6, I.I 0l); I.Cmp (0, I.R 0); I.Svc 0;
+                   I.Ckpt (I.Middle_end_war, 0); I.Mov (0, I.I 0l); I.Svc 1 ]);
+      ]
+  in
+  let c = { (P.compile P.Plain "int main() { return 0; }") with P.image = img } in
+  let g = V.Oracle.golden c in
+  Alcotest.(check (list int32)) "golden prints once" [ 7l ] g.V.Oracle.g_output;
+  (* commit 1 at 424 cycles; the cut lands before commit 2 *)
+  let cuts = [| 426 |] in
+  let res, verdict = V.Oracle.run_schedule g c cuts in
+  let want =
+    let st = E.Emulator.create ~supply:(E.Power.Schedule cuts) img in
+    while not (E.Emulator.halted st) do ignore (E.Emulator.step st) done;
+    let r = E.Emulator.result st in
+    (Some r, V.Oracle.judge g r (E.Emulator.nv_digest st))
+  in
+  (match verdict with
+  | Error (V.Oracle.Double_output { got; _ }) ->
+      Alcotest.(check (list int32)) "re-emitted" [ 7l; 7l ] got
+  | _ -> Alcotest.fail "expected a Double_output verdict");
+  Alcotest.(check bool) "result and verdict = from boot" true
+    ((res, verdict) = want);
+  let fs = V.Oracle.fork_stats g in
+  Alcotest.(check (pair int int)) "forked and spliced" (1, 1)
+    (fs.V.Oracle.forked, fs.V.Oracle.spliced)
+
+(* A golden run with WAR violations takes no snapshots, so its injected
+   runs all start from boot. *)
+let test_violating_golden_no_snapshots () =
+  let opts = { P.default_options with P.drop_middle_ckpt = Some 1 } in
+  let c = P.compile ~opts P.Wario (Micro.find "byte_ops").Micro.source in
+  let g = V.Oracle.golden c in
+  Alcotest.(check bool) "golden violates" true (V.Oracle.golden_violations g <> []);
+  ignore (V.Oracle.run_schedule g c [| 900 |]);
+  let fs = V.Oracle.fork_stats g in
+  Alcotest.(check (list int)) "no snapshots, forks or splices" [ 0; 0; 0 ]
+    [ fs.V.Oracle.snapshots; fs.V.Oracle.forked; fs.V.Oracle.spliced ];
+  let healthy = P.compile P.Wario (Micro.find "byte_ops").Micro.source in
+  Alcotest.(check bool) "the healthy build takes some" true
+    ((V.Oracle.fork_stats (V.Oracle.golden healthy)).V.Oracle.snapshots > 0)
+
+let snapshot_suite =
+  [
+    Alcotest.test_case "snapshots: memory complete on every store path" `Quick
+      test_snapshot_memory_complete;
+    Alcotest.test_case "splice: refused without fuel headroom" `Quick
+      test_splice_needs_fuel;
+    Alcotest.test_case "splice: double output kept" `Quick
+      test_splice_keeps_double_output;
+    Alcotest.test_case "snapshots: none for a violating golden" `Quick
+      test_violating_golden_no_snapshots;
+  ]

@@ -9,7 +9,9 @@ let () =
       ("analysis", Test_analysis.suite);
       ("transforms", Test_transforms.suite @ Test_transforms.lwc_extra_suite);
       ("backend", Test_backend.suite);
-      ("emulator", Test_emulator.suite @ Test_emulator.cycle_suite);
+      ("emulator",
+        Test_emulator.suite @ Test_emulator.cycle_suite
+        @ Test_emulator.snapshot_suite);
       ("pipeline", Test_pipeline.suite);
       ("obs", Test_obs.suite);
       ("stats", Test_stats.suite);

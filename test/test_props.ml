@@ -367,6 +367,196 @@ let test_micro_oracle_all_envs () =
         Wario_verify.Harness.instrumented_environments)
     Wario_workloads.Micro.tiny
 
+(* ------------------------------------------------------------------ *)
+(* Oracle runs forked from the golden run = runs from boot              *)
+(* ------------------------------------------------------------------ *)
+
+module V = Wario_verify
+module Micro = Wario_workloads.Micro
+
+(* A plain run from boot: result and final memory digest, [None] when the
+   supply admits no forward progress. *)
+let from_boot img supply =
+  match
+    let st = E.Emulator.create ~supply img in
+    while not (E.Emulator.halted st) do
+      ignore (E.Emulator.run_batch st 4096)
+    done;
+    (E.Emulator.result st, E.Emulator.nv_digest st)
+  with
+  | exception E.Emulator.No_forward_progress _ -> None
+  | rd -> Some rd
+
+(* The oracle's fork and splice, driven through the emulator API over
+   snapshots at commits 1, 2, 4, ... of the continuous run — taken even
+   when that run violates, where the oracle takes none: there runs really
+   diverge, and only the state comparison keeps them from splicing. *)
+let spliced img (snaps, final, digest) cuts =
+  let supply = E.Power.Schedule cuts in
+  match
+    let before, after =
+      List.partition (fun s -> E.Emulator.snapshot_cycles s <= cuts.(0)) snaps
+    in
+    let st =
+      match List.rev before with
+      | s :: _ -> E.Emulator.resume ~supply ~final s
+      | [] -> E.Emulator.create ~supply img
+    in
+    let rec go = function
+      | s :: rest -> (
+          match E.Emulator.run_to_commit st (E.Emulator.snapshot_commits s) with
+          | E.Emulator.Halted -> go []
+          | _ -> (
+              match E.Emulator.splice st s ~final with
+              | Some r -> (r, digest)
+              | None -> go rest))
+      | [] ->
+          while not (E.Emulator.halted st) do ignore (E.Emulator.step st) done;
+          (E.Emulator.result st, E.Emulator.nv_digest st)
+    in
+    go after
+  with
+  | exception E.Emulator.No_forward_progress _ -> None
+  | rd -> Some rd
+
+type subject = {
+  label : string;
+  compiled : P.compiled;
+  golden : V.Oracle.golden;
+  continuous : E.Emulator.snapshot list * E.Emulator.result * int64;
+  commit_cycles : int array;  (** golden cycle of commit [k] at [k - 1] *)
+}
+
+(* A loop that increments a global with no checkpoint between the load
+   and the store, then clears the loaded value: a run cut after the store
+   replays the increment and meets the continuous run's registers at the
+   next commit with a different memory. *)
+let replayed_increment () =
+  let module I = Wario_machine.Isa in
+  let x = 0x1000l and saved = (1 lsl 1) lor (1 lsl 2) lor (1 lsl I.lr) in
+  let img =
+    E.Image.link
+      {
+        I.mfuncs =
+          [ { I.mname = "main"; frame_words = 0; mframe = None;
+              mblocks =
+                List.map
+                  (fun (l, code) -> { I.mlabel = l; mcode = code })
+                  [ ("main", [ I.Movw32 (1, x); I.Mov (2, I.I 0l) ]);
+                    ("loop", [ I.Ckpt (I.Middle_end_war, saved);
+                               I.Ldr (I.W32, 0, 1, 0l);
+                               I.Alu (I.ADD, 0, 0, I.I 1l);
+                               I.Str (I.W32, 0, 1, 0l); I.Mov (0, I.I 0l);
+                               I.Alu (I.ADD, 2, 2, I.I 1l);
+                               I.Cmp (2, I.I 64l); I.Bc (I.LT, "loop") ]);
+                    ("done", [ I.Ldr (I.W32, 0, 1, 0l); I.Svc 0;
+                               I.Mov (0, I.I 0l); I.Svc 1 ]) ] } ];
+        mdata = [];
+      }
+  in
+  { (P.compile P.Plain "int main() { return 0; }") with P.image = img }
+
+let subject_of (label, c) =
+  let st = E.Emulator.create c.P.image in
+  let snaps = ref [] in
+  let rec go k =
+    match E.Emulator.run_to_commit st k with
+    | E.Emulator.Halted -> ()
+    | _ ->
+        snaps := E.Emulator.snapshot st :: !snaps;
+        go (2 * k)
+  in
+  go 1;
+  let final = E.Emulator.result st in
+  (* commit k closes region k; the last region ends at the halt *)
+  let ends = Array.of_list final.E.Emulator.region_sizes in
+  for i = 1 to Array.length ends - 1 do
+    ends.(i) <- ends.(i - 1) + ends.(i)
+  done;
+  {
+    label;
+    compiled = c;
+    golden = V.Oracle.golden c;
+    continuous = (List.rev !snaps, final, E.Emulator.nv_digest st);
+    commit_cycles =
+      Array.init
+        (Array.length ends - 1)
+        (fun i -> E.Emulator.boot_cycles + ends.(i));
+  }
+
+(* every micro, healthy and — where that changes the image — with its
+   first middle-end checkpoint dropped, and the replayed increment *)
+let subjects =
+  lazy
+    (Array.of_list
+       (List.map subject_of
+          (List.concat_map
+             (fun (m : Micro.t) ->
+               let healthy = P.compile P.Wario m.Micro.source in
+               let sabotaged =
+                 P.compile
+                   ~opts:{ P.default_options with P.drop_middle_ckpt = Some 1 }
+                   P.Wario m.Micro.source
+               in
+               (m.Micro.name, healthy)
+               ::
+               (if sabotaged.P.image.E.Image.code = healthy.P.image.E.Image.code
+                then []
+                else [ (m.Micro.name ^ " drop-ckpt 1", sabotaged) ]))
+             Micro.all
+          @ [ ("replayed increment", replayed_increment ()) ])))
+
+(* A random schedule of 1-4 cuts.  The first lands in the boot window,
+   exactly on a snapshot commit's cycle, or anywhere; later on-periods are
+   short (a few regions), long enough to outlast the whole run, or
+   anywhere. *)
+let random_cuts rng (s : subject) =
+  let total = (let _, f, _ = s.continuous in f).E.Emulator.cycles in
+  let n_commits = Array.length s.commit_cycles in
+  let short = E.Emulator.boot_cycles + 200 + Random.State.int rng 2000 in
+  Array.init
+    (1 + Random.State.int rng 4)
+    (fun i ->
+      match (i, Random.State.int rng 3) with
+      | 0, 0 -> 1 + Random.State.int rng E.Emulator.boot_cycles
+      | 0, 1 when n_commits > 0 ->
+          let rec pow k = if 2 * k <= n_commits && Random.State.bool rng then pow (2 * k) else k in
+          s.commit_cycles.(pow 1 - 1)
+      | 0, _ -> 1 + Random.State.int rng total
+      | _, 0 -> 1 + Random.State.int rng short
+      | _, 1 -> total + Random.State.int rng total
+      | _ -> 1 + Random.State.int rng total)
+
+(* Whether a run is forked from a snapshot, spliced into the golden
+   suffix, or neither, it equals the plain run from boot: the full result
+   record and the verdict through the oracle, the result and the NV digest
+   through the emulator-level driver. *)
+let prop_forked_equals_from_boot =
+  QCheck.Test.make ~name:"oracle runs forked and spliced = runs from boot"
+    ~count:200 (QCheck.int_bound 0x3fffffff)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let subjects = Lazy.force subjects in
+      let s = subjects.(Random.State.int rng (Array.length subjects)) in
+      let cuts = random_cuts rng s in
+      let supply = E.Power.Schedule cuts in
+      let img = s.compiled.P.image in
+      let boot = from_boot img supply in
+      let want =
+        match boot with
+        | None -> (None, Error (V.Oracle.No_progress (E.Power.describe supply)))
+        | Some (r, digest) -> (Some r, V.Oracle.judge s.golden r digest)
+      in
+      let fail what =
+        QCheck.Test.fail_reportf "%s: %s differs from boot under %s" s.label
+          what (E.Power.describe supply)
+      in
+      (* the oracle's digest shows through its verdict: it is compared
+         whenever the run is violation-free *)
+      (V.Oracle.run_schedule s.golden s.compiled cuts = want
+      || fail "oracle result or verdict")
+      && (spliced img s.continuous cuts = boot || fail "spliced result or digest"))
+
 let suite =
   List.map to_alcotest
     ([
@@ -374,6 +564,7 @@ let suite =
        prop_fast_equals_reference;
        prop_intermittent_agrees;
        prop_interrupts_safe;
+       prop_forked_equals_from_boot;
      ]
     @ List.map prop_pipeline_preserves [ P.Plain; P.Ratchet; P.Wario; P.Wario_expander ])
   @ [
