@@ -670,9 +670,9 @@ let opt_jobs = ref 0 (* 0 = not set: use X.default_jobs () *)
 let opt_small = ref false
 
 (* --engine: engine for artefact emulator runs that are not themselves
-   engine comparisons (the perf/emu engine tables always run the full
-   reference/uop/block ladder regardless). *)
-let opt_engine = ref E.Emulator.Auto
+   engine comparisons (the perf/emu engine tables always run both
+   engines regardless). *)
+let opt_engine = ref E.Emulator.Block
 let opt_out_dir : string option ref = ref None
 
 let resolved_jobs () = if !opt_jobs >= 1 then !opt_jobs else X.default_jobs ()
@@ -705,7 +705,7 @@ let json_escape s =
 
 let perf () =
   print_endline
-    "\n=== Perf: emulator fast-path throughput and parallel harness \
+    "\n=== Perf: emulator block-engine throughput and parallel harness \
      wall-clock ===\n";
   let reps = if !opt_small then 2 else 3 in
   (* -- emulator throughput: largest benchmark (by executed instructions,
@@ -728,17 +728,16 @@ let perf () =
   let r_ref, t_ref =
     best_of reps (run_engine ~verify:false E.Emulator.Reference)
   in
-  let r_uop, t_uop = best_of reps (run_engine ~verify:false E.Emulator.Uop) in
   let r_blk, t_blk = best_of reps (run_engine ~verify:false E.Emulator.Block) in
-  let fast_eq = r_uop = r_ref && r_blk = r_ref in
+  let fast_eq = r_blk = r_ref in
   let fast_eq_verify =
     (* verify-on differs only in that it can report violations *)
-    r_uop = { r_ref_verify with E.Emulator.violations = [] }
+    r_blk = { r_ref_verify with E.Emulator.violations = [] }
     && r_ref_verify.E.Emulator.violations = []
   in
   if not (fast_eq && fast_eq_verify) then
-    failwith "perf: a fast engine diverged from the reference engine";
-  let ips t = float_of_int r_uop.E.Emulator.instrs /. t in
+    failwith "perf: the block engine diverged from the reference engine";
+  let ips t = float_of_int r_blk.E.Emulator.instrs /. t in
   let rows =
     [
       [ "reference, verify on"; Printf.sprintf "%.3f s" t_ref_verify;
@@ -746,9 +745,6 @@ let perf () =
       [ "reference, verify off"; Printf.sprintf "%.3f s" t_ref;
         Printf.sprintf "%.2fM instr/s" (ips t_ref /. 1e6);
         Printf.sprintf "%.2f" (t_ref_verify /. t_ref) ];
-      [ "uop"; Printf.sprintf "%.3f s" t_uop;
-        Printf.sprintf "%.2fM instr/s" (ips t_uop /. 1e6);
-        Printf.sprintf "%.2f" (t_ref_verify /. t_uop) ];
       [ "block"; Printf.sprintf "%.3f s" t_blk;
         Printf.sprintf "%.2fM instr/s" (ips t_blk /. 1e6);
         Printf.sprintf "%.2f" (t_ref_verify /. t_blk) ];
@@ -756,11 +752,11 @@ let perf () =
   in
   Printf.printf "emulator throughput: %s, %d instrs, continuous supply, \
                  best of %d\n"
-    largest.W.name r_uop.E.Emulator.instrs reps;
+    largest.W.name r_blk.E.Emulator.instrs reps;
   print_string
     (Report.table [ "engine"; "wall"; "throughput"; "speedup" ] rows);
   Printf.printf
-    "uop/block = reference (verify off): %b; = reference (verify on, modulo \
+    "block = reference (verify off): %b; = reference (verify on, modulo \
      violations=[]): %b\n"
     fast_eq fast_eq_verify;
   (* -- harness wall-clock: schedule fan-out at jobs=1 vs jobs=N -- *)
@@ -821,17 +817,15 @@ let perf () =
         "  \"emulator\": {\n";
         Printf.sprintf "    \"benchmark\": \"%s\",\n"
           (json_escape largest.W.name);
-        Printf.sprintf "    \"instrs\": %d,\n" r_uop.E.Emulator.instrs;
+        Printf.sprintf "    \"instrs\": %d,\n" r_blk.E.Emulator.instrs;
         Printf.sprintf "    \"reference_verify_on_s\": %.6f,\n" t_ref_verify;
         Printf.sprintf "    \"reference_verify_off_s\": %.6f,\n" t_ref;
-        Printf.sprintf "    \"fast_s\": %.6f,\n" t_uop;
-        Printf.sprintf "    \"fast_instr_per_s\": %.0f,\n" (ips t_uop);
-        Printf.sprintf "    \"block_s\": %.6f,\n" t_blk;
-        Printf.sprintf "    \"block_instr_per_s\": %.0f,\n" (ips t_blk);
+        Printf.sprintf "    \"fast_s\": %.6f,\n" t_blk;
+        Printf.sprintf "    \"fast_instr_per_s\": %.0f,\n" (ips t_blk);
         Printf.sprintf "    \"speedup_vs_reference_verify_on\": %.3f,\n"
-          (t_ref_verify /. t_uop);
+          (t_ref_verify /. t_blk);
         Printf.sprintf "    \"speedup_vs_reference_verify_off\": %.3f,\n"
-          (t_ref /. t_uop);
+          (t_ref /. t_blk);
         Printf.sprintf "    \"fast_equals_reference\": %b\n"
           (fast_eq && fast_eq_verify);
         "  },\n";
@@ -854,29 +848,16 @@ let perf () =
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
-(* Emu: engine-ladder throughput (BENCH_7.json)                          *)
+(* Emu: engine throughput (BENCH_7.json)                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-engine wall time of one run configuration; every engine's [result]
    is asserted byte-identical before any number is recorded. *)
-type engine_row = {
-  er_instrs : int;
-  er_ref_s : float;
-  er_uop_s : float;
-  er_blk_s : float;
-}
-
-let emu_engines =
-  [
-    ("reference", E.Emulator.Reference);
-    ("uop", E.Emulator.Uop);
-    ("block", E.Emulator.Block);
-  ]
+type engine_row = { er_instrs : int; er_ref_s : float; er_blk_s : float }
 
 let emu () =
   print_endline
-    "\n=== Emu: engine ladder (reference / uop / block) throughput, \
-     BENCH_7.json ===\n";
+    "\n=== Emu: engine (reference / block) throughput, BENCH_7.json ===\n";
   let reps = if !opt_small then 2 else 7 in
   let progs =
     if !opt_small then
@@ -895,16 +876,9 @@ let emu () =
       E.Emulator.run ~verify:false ~supply ~engine image
     in
     let r_ref, t_ref = best_of reps (attempt E.Emulator.Reference) in
-    let r_uop, t_uop = best_of reps (attempt E.Emulator.Uop) in
     let r_blk, t_blk = best_of reps (attempt E.Emulator.Block) in
-    if r_uop <> r_ref then failwith "emu: uop engine diverged from reference";
     if r_blk <> r_ref then failwith "emu: block engine diverged from reference";
-    {
-      er_instrs = r_ref.E.Emulator.instrs;
-      er_ref_s = t_ref;
-      er_uop_s = t_uop;
-      er_blk_s = t_blk;
-    }
+    { er_instrs = r_ref.E.Emulator.instrs; er_ref_s = t_ref; er_blk_s = t_blk }
   in
   (* block-engine telemetry: one stepping run, untimed *)
   let block_stats image =
@@ -927,36 +901,31 @@ let emu () =
   in
   print_string
     (Report.table
-       [ "benchmark"; "engine"; "continuous"; "intermittent"; "blk/uop" ]
+       [ "benchmark"; "engine"; "continuous"; "intermittent"; "blk/ref" ]
        (List.concat_map
           (fun (name, c, im, _) ->
             List.map
-              (fun (ename, _) ->
-                let pick r =
-                  match ename with
-                  | "reference" -> r.er_ref_s
-                  | "uop" -> r.er_uop_s
-                  | _ -> r.er_blk_s
-                in
+              (fun (ename, pick) ->
                 [
                   name; ename;
                   Printf.sprintf "%.2fM instr/s" (ips c.er_instrs (pick c) /. 1e6);
                   Printf.sprintf "%.2fM instr/s" (ips im.er_instrs (pick im) /. 1e6);
                   (if ename = "block" then
-                     Printf.sprintf "%.2f" (c.er_uop_s /. c.er_blk_s)
+                     Printf.sprintf "%.2f" (c.er_ref_s /. c.er_blk_s)
                    else "");
                 ])
-              emu_engines)
+              [ ("reference", fun r -> r.er_ref_s);
+                ("block", fun r -> r.er_blk_s) ])
           rows));
   let aes_speedup =
     List.fold_left
       (fun acc (name, c, _, _) ->
-        if name = "aes" then c.er_uop_s /. c.er_blk_s else acc)
+        if name = "aes" then c.er_ref_s /. c.er_blk_s else acc)
       0. rows
   in
   Printf.printf
-    "\nall engines byte-identical on every run above: true\n\
-     aes block speedup vs uop (continuous): %.2fx\n"
+    "\nboth engines byte-identical on every run above: true\n\
+     aes block speedup vs reference (continuous): %.2fx\n"
     aes_speedup;
   let json =
     String.concat ""
@@ -978,23 +947,15 @@ let emu () =
                    Printf.sprintf "        \"instrs\": %d,\n" c.er_instrs;
                    Printf.sprintf "        \"reference_instr_per_s\": %.0f,\n"
                      (ips c.er_instrs c.er_ref_s);
-                   Printf.sprintf "        \"uop_instr_per_s\": %.0f,\n"
-                     (ips c.er_instrs c.er_uop_s);
-                   Printf.sprintf "        \"block_instr_per_s\": %.0f,\n"
+                   Printf.sprintf "        \"block_instr_per_s\": %.0f\n"
                      (ips c.er_instrs c.er_blk_s);
-                   Printf.sprintf "        \"block_speedup_vs_uop\": %.3f\n"
-                     (c.er_uop_s /. c.er_blk_s);
                    "      },\n";
                    "      \"intermittent\": {\n";
                    Printf.sprintf "        \"instrs\": %d,\n" im.er_instrs;
                    Printf.sprintf "        \"reference_instr_per_s\": %.0f,\n"
                      (ips im.er_instrs im.er_ref_s);
-                   Printf.sprintf "        \"uop_instr_per_s\": %.0f,\n"
-                     (ips im.er_instrs im.er_uop_s);
-                   Printf.sprintf "        \"block_instr_per_s\": %.0f,\n"
+                   Printf.sprintf "        \"block_instr_per_s\": %.0f\n"
                      (ips im.er_instrs im.er_blk_s);
-                   Printf.sprintf "        \"block_speedup_vs_uop\": %.3f\n"
-                     (im.er_uop_s /. im.er_blk_s);
                    "      },\n";
                    "      \"block_engine\": {\n";
                    Printf.sprintf "        \"blocks\": %d,\n"
@@ -1012,7 +973,8 @@ let emu () =
              rows);
         "\n  ],\n";
         "  \"summary\": {\n";
-        Printf.sprintf "    \"aes_block_speedup_vs_uop\": %.3f,\n" aes_speedup;
+        Printf.sprintf "    \"aes_block_speedup_vs_reference\": %.3f,\n"
+          aes_speedup;
         "    \"engines_identical\": true\n";
         "  }\n";
         "}\n";
@@ -1801,24 +1763,17 @@ let () =
         parse out_dir names rest
     | "--engine" :: e :: rest -> (
         match e with
-        | "auto" ->
-            opt_engine := E.Emulator.Auto;
-            parse out_dir names rest
         | "reference" ->
             opt_engine := E.Emulator.Reference;
-            parse out_dir names rest
-        | "uop" ->
-            opt_engine := E.Emulator.Uop;
             parse out_dir names rest
         | "block" ->
             opt_engine := E.Emulator.Block;
             parse out_dir names rest
         | _ ->
-            prerr_endline
-              "bench: --engine must be auto, reference, uop or block";
+            prerr_endline "bench: --engine must be reference or block";
             exit 1)
     | [ "--engine" ] ->
-        prerr_endline "bench: --engine must be auto, reference, uop or block";
+        prerr_endline "bench: --engine must be reference or block";
         exit 1
     | "--span-out" :: path :: rest ->
         opt_span_out := Some path;

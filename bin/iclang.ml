@@ -138,18 +138,16 @@ let resolve_jobs = function
 let engine_arg =
   let engines =
     [
-      ("auto", E.Emulator.Auto);
       ("reference", E.Emulator.Reference);
-      ("uop", E.Emulator.Uop);
       ("block", E.Emulator.Block);
     ]
   in
   Arg.(
     value
-    & opt (enum engines) E.Emulator.Auto
+    & opt (enum engines) E.Emulator.Block
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Emulator engine: $(b,auto) (default — the block translator when            the run is eligible, the instrumented reference interpreter            otherwise), $(b,reference), $(b,uop) (the predecoded micro-op            loop), or $(b,block) (basic blocks fused into closures).  Every            engine produces byte-identical results; the selection only            changes throughput.")
+          "Emulator engine: $(b,block) (default — basic blocks compiled to            closures when the run is eligible, the instrumented reference            interpreter otherwise) or $(b,reference).  Both engines produce            byte-identical results; the selection only changes throughput.")
 
 let opts_of ?max_region ?profile ~no_opt unroll =
   {

@@ -64,8 +64,8 @@ val compile_candidates :
     compile (pipeline stages nested inside), a ["pgo.pilot"] span, and one
     ["pgo.measure"] span per measured-guard run with dyn-ckpt/cycle
     counters.  [engine] selects the emulator engine for the measured-guard
-    runs (default [Auto] — the block engine; the pilot itself always runs
-    the reference interpreter, per-pc counting requires it).  [cache]
+    runs (default [Block]; the pilot itself always runs the reference
+    interpreter, per-pc counting requires it).  [cache]
     (default: the ambient {!Cache.from_env}) is shared by all four
     candidate compiles: the candidates differ only in placement options,
     so with a live cache the source is parsed, optimized and analyzed

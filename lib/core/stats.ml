@@ -25,7 +25,6 @@ type point = {
 type tpoint = {
   tp_program : string;
   tp_ref_ips : float;
-  tp_uop_ips : float;
   tp_block_ips : float;
 }
 
@@ -91,7 +90,6 @@ let generation_of_json ~label (doc : J.t) : (generation, string) result =
                 {
                   tp_program = name;
                   tp_ref_ips = eng "reference_instr_per_s";
-                  tp_uop_ips = eng "uop_instr_per_s";
                   tp_block_ips = eng "block_instr_per_s";
                 })
               progs
@@ -341,8 +339,7 @@ let render_trend (gens : generation list) : string =
                  (function
                    | None -> "-"
                    | Some t ->
-                       Printf.sprintf "%.0f/%.0f/%.0f" (t.tp_ref_ips /. 1e6)
-                         (t.tp_uop_ips /. 1e6)
+                       Printf.sprintf "%.0f/%.0f" (t.tp_ref_ips /. 1e6)
                          (t.tp_block_ips /. 1e6))
                  r.th_cells)
             @ [ fmt_delta r.th_block_delta_pct ])
@@ -351,7 +348,7 @@ let render_trend (gens : generation list) : string =
       Buffer.add_string b
         (Report.table
            ~title:
-             "emulator throughput (reference/uop/block M instr/s, \
+             "emulator throughput (reference/block M instr/s, \
               continuous power) across emu generations (delta: block \
               engine, oldest -> newest)"
            header table_rows);

@@ -28,7 +28,6 @@ type point = {
 type tpoint = {
   tp_program : string;
   tp_ref_ips : float;  (** reference engine, instr/s, continuous power *)
-  tp_uop_ips : float;
   tp_block_ips : float;
 }
 

@@ -96,12 +96,12 @@ let[@inline] st32 mem a v =
   st16 mem a v;
   st16 mem (a + 2) (v lsr 16)
 
-(* Predecoded micro-ops for the fast path.  Every static decode decision —
-   operand shape (register vs immediate), access width, ALU operator — is
-   folded into one constant constructor at [create], so the interpreter
-   loop dispatches through a single jump table over an immediate array
-   instead of re-matching nested variants (and re-unboxing [int32]
-   immediates) on every execution of the same pc. *)
+(* Predecoded micro-ops for the block compiler.  Every static decode
+   decision — operand shape (register vs immediate), access width, ALU
+   operator — is folded into one constant constructor at [create], so the
+   compiler picks each instruction's closure by one match over an
+   immediate array instead of re-matching nested variants (and re-unboxing
+   [int32] immediates). *)
 type uop =
   (* ALU, register / immediate second operand *)
   | U_add_r | U_sub_r | U_rsb_r | U_mul_r | U_sdiv_r | U_udiv_r
@@ -193,8 +193,7 @@ type state = {
       (** effective checkpoint mask per pc ([Ckpt]/[Svc 0]); -1 elsewhere *)
   push_n : int array;  (** registers pushed per pc ([Push]); 0 elsewhere *)
   call_fn : int array;  (** callee's [fn_names] slot per pc ([Bl]); -1 *)
-  max_step_cost : int;  (** max of [cost]: batch-headroom unit *)
-  (* predecoded program (fast path): micro-op plus up to three int
+  (* predecoded program (block engine): micro-op plus up to three int
      operands per pc.  Operand meaning is per-[uop]: register numbers,
      sign-extended immediates/offsets, branch targets, callee slots.
      [fcond] carries the condition for [U_bc]/[U_movc_*] pcs ([AL]
@@ -206,7 +205,7 @@ type state = {
   fcond : I.cond array;
   (* profiling: per-pc execution counts for the PGO pilot run ([None] =
      off).  Counting forces the reference path ([fast_eligible] checks it):
-     the fast path's batches never touch per-pc state. *)
+     compiled blocks never touch per-pc state. *)
   pc_counts : int array option;
   (* observability *)
   tracer : Tr.sink;
@@ -223,12 +222,12 @@ type state = {
       (** boot + restore completed for the current power period — failures
           before that land at the resume point itself, so no shortfall is
           charged to the failure site *)
-  (* block engine: basic blocks translated to fused closures, compiled
+  (* block engine: basic blocks translated to closures, compiled
      lazily on first use.  Closures are parameterized over the state (they
      capture only per-image constants), so the cache is shared by [clone]s. *)
   mutable bcache : bcache option;
   mutable n_dispatch : int;  (** block-closure dispatches *)
-  mutable n_fallback : int;  (** checked single-step fallbacks (block engine) *)
+  mutable n_fallback : int;  (** reference-step fallbacks (block engine) *)
 }
 
 and bblock = {
@@ -991,16 +990,15 @@ let build_tables ~save_all (img : Image.t) =
     | I.FrameAddr _ | I.SpillLd _ | I.SpillSt _ -> fop.(pc) <- U_pseudo)
   done;
   let fn_names = Array.of_list (List.rev !names_rev) in
-  ( cost, eff_mask, push_n, call_fn, fn_names,
-    Array.fold_left max 1 cost, fop, fa, fb, fc, fcond )
+  (cost, eff_mask, push_n, call_fn, fn_names, fop, fa, fb, fc, fcond)
 
 (* [build_tables], or the tables of [reuse] when it runs the same image
    under the same save-all setting. *)
 let tables_for ?reuse ~save_all img =
   match reuse with
   | Some o when o.img == img && o.save_all = save_all ->
-      ( o.cost, o.eff_mask, o.push_n, o.call_fn, o.fn_names, o.max_step_cost,
-        o.fop, o.fa, o.fb, o.fc, o.fcond )
+      ( o.cost, o.eff_mask, o.push_n, o.call_fn, o.fn_names, o.fop, o.fa,
+        o.fb, o.fc, o.fcond )
   | _ -> build_tables ~save_all img
 
 let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
@@ -1017,8 +1015,7 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
   let reuse =
     match reuse with Some old when verify && old.verify -> Some old | _ -> None
   in
-  let cost, eff_mask, push_n, call_fn, fn_names, max_step_cost, fop, fa, fb,
-      fc, fcond =
+  let cost, eff_mask, push_n, call_fn, fn_names, fop, fa, fb, fc, fcond =
     tables_for ?reuse ~save_all img
   in
   let mem, kinds, touched =
@@ -1072,7 +1069,6 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       eff_mask;
       push_n;
       call_fn;
-      max_step_cost;
       fop;
       fa;
       fb;
@@ -1149,394 +1145,6 @@ let cut_power st =
     reboot st
   end
 
-(* ------------------------------------------------------------------ *)
-(* Fast path                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The branch-light twin of [step]/[exec_instr], for the bench
-   configuration: WAR verification off, tracer off, periodic interrupts
-   off.  It must stay observably byte-for-byte equivalent to the reference
-   path — the qcheck property in test/test_props.ml ("fast path =
-   reference path") and the perf artefact's self-check hold the two
-   together; [exec_instr] remains the oracle.
-
-   What it drops relative to the reference path:
-   - [track_read]/[track_write] calls (no-ops with verify off, but still a
-     call + branch per accessed byte-range on the reference path);
-   - tracer tag tests and the per-step function-transition check;
-   - [maybe_irq] polling (sound: with [irq_period = 0] the reference
-     [maybe_irq] can never fire or set [pending_irq]);
-   - with [~unchecked:true], the per-instruction power/fuel comparisons —
-     [run_batch] only selects unchecked execution for stretches it has
-     proven cannot exhaust either (headroom ≥ [max_step_cost] per
-     instruction), so omitting the checks is exact, not approximate. *)
-
-(* One fast-path stretch: execute up to [k] instructions over the
-   predecoded program.  Returns the number actually executed (short only
-   on halt).
-
-   The loop keeps pc and the cycle/instruction counters in parameters of
-   a tail-recursive function — registers, not [state] fields — and only
-   publishes them ("flush") where some observer can look: checkpoint
-   commits (whose region accounting reads [st.cycles]), memory faults and
-   pseudo-instruction errors (whose messages and post-mortem state must
-   match the reference path), halt, and stretch exit.  [cyc]/[pend] are
-   the deltas accumulated since the last flush.
-
-   With [~unchecked:false] every instruction additionally publishes state
-   up front and pays through [spend], so [Power_failed] and fuel
-   exhaustion are raised with exactly the reference path's state; the
-   accumulators then stay at zero.  [run_batch] only selects
-   [~unchecked:true] for stretches it has proven cannot exhaust the power
-   budget or the fuel (headroom >= [max_step_cost] per instruction), so
-   omitting the per-instruction comparisons there is exact, not
-   approximate. *)
-let exec_batch st ~unchecked k : int =
-  let fregs = st.regs in
-  let fop = st.fop and fa = st.fa and fb = st.fb and fc = st.fc in
-  let fcond = st.fcond and cost = st.cost in
-  let code = st.img.Image.code in
-  let mem = st.mem in
-  let ncode = Array.length fop in
-  let flush pc cyc pend =
-    st.pc <- pc;
-    st.cycles <- st.cycles + cyc;
-    st.budget <- st.budget - cyc;
-    st.instrs <- st.instrs + pend
-  in
-  (* out-of-range access: publish state exactly as the reference path
-     would have it at the raise, then fail through [check_addr] *)
-  let fault pc cyc pend addr n =
-    flush pc cyc pend;
-    check_addr st addr n;
-    assert false
-  in
-  (* unboxed little-endian halfword accessors (bounds already checked) *)
-  let ld16 a =
-    Char.code (Bytes.unsafe_get mem a)
-    lor (Char.code (Bytes.unsafe_get mem (a + 1)) lsl 8)
-  in
-  let st16 a v =
-    Bytes.unsafe_set mem a (Char.unsafe_chr (v land 0xff));
-    Bytes.unsafe_set mem (a + 1) (Char.unsafe_chr ((v lsr 8) land 0xff))
-  in
-  let rec go pc cyc pend done_ =
-    if done_ = k then begin
-      flush pc cyc pend;
-      done_
-    end
-    else if pc < 0 || pc >= ncode then begin
-      (* wild pc: fail exactly like the reference fetch *)
-      flush pc cyc pend;
-      ignore (Array.get code pc : I.instr);
-      assert false
-    end
-    else begin
-      let a = Array.unsafe_get fa pc in
-      let b = Array.unsafe_get fb pc in
-      let c = Array.unsafe_get fc pc in
-      let op = Array.unsafe_get fop pc in
-      let cst =
-        match op with
-        | U_bc -> if cond_holds st (Array.unsafe_get fcond pc) then 3 else 1
-        | _ -> Array.unsafe_get cost pc
-      in
-      if not unchecked then begin
-        flush pc cyc pend;
-        spend st cst
-      end;
-      let eff = if unchecked then cst else 0 in
-      let cyc = if unchecked then cyc else 0 in
-      let pend = if unchecked then pend else 0 in
-      match op with
-      | U_add_r ->
-          Array.unsafe_set fregs a
-            (sext32 (Array.unsafe_get fregs b + Array.unsafe_get fregs c));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_add_i ->
-          Array.unsafe_set fregs a (sext32 (Array.unsafe_get fregs b + c));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_sub_r ->
-          Array.unsafe_set fregs a
-            (sext32 (Array.unsafe_get fregs b - Array.unsafe_get fregs c));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_sub_i ->
-          Array.unsafe_set fregs a (sext32 (Array.unsafe_get fregs b - c));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_rsb_r ->
-          Array.unsafe_set fregs a
-            (sext32 (Array.unsafe_get fregs c - Array.unsafe_get fregs b));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_rsb_i ->
-          Array.unsafe_set fregs a (sext32 (c - Array.unsafe_get fregs b));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_mul_r ->
-          Array.unsafe_set fregs a
-            (sext32 (Array.unsafe_get fregs b * Array.unsafe_get fregs c));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_mul_i ->
-          Array.unsafe_set fregs a (sext32 (Array.unsafe_get fregs b * c));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_sdiv_r | U_sdiv_i ->
-          let x = Array.unsafe_get fregs b in
-          let y = if op = U_sdiv_r then Array.unsafe_get fregs c else c in
-          Array.unsafe_set fregs a
-            (* Cortex-M semantics: division by zero yields 0 *)
-            (if y = 0 then 0
-             else if x = -0x80000000 && y = -1 then -0x80000000
-             else x / y);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_udiv_r | U_udiv_i ->
-          let x = Array.unsafe_get fregs b land 0xffffffff in
-          let y =
-            (if op = U_udiv_r then Array.unsafe_get fregs c else c)
-            land 0xffffffff
-          in
-          Array.unsafe_set fregs a (if y = 0 then 0 else sext32 (x / y));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_and_r ->
-          Array.unsafe_set fregs a
-            (Array.unsafe_get fregs b land Array.unsafe_get fregs c);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_and_i ->
-          Array.unsafe_set fregs a (Array.unsafe_get fregs b land c);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_orr_r ->
-          Array.unsafe_set fregs a
-            (Array.unsafe_get fregs b lor Array.unsafe_get fregs c);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_orr_i ->
-          Array.unsafe_set fregs a (Array.unsafe_get fregs b lor c);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_eor_r ->
-          Array.unsafe_set fregs a
-            (Array.unsafe_get fregs b lxor Array.unsafe_get fregs c);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_eor_i ->
-          Array.unsafe_set fregs a (Array.unsafe_get fregs b lxor c);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_lsl_r | U_lsl_i ->
-          let sh =
-            (if op = U_lsl_r then Array.unsafe_get fregs c else c) land 255
-          in
-          Array.unsafe_set fregs a
-            (if sh >= 32 then 0
-             else sext32 (Array.unsafe_get fregs b lsl sh));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_lsr_r | U_lsr_i ->
-          let sh =
-            (if op = U_lsr_r then Array.unsafe_get fregs c else c) land 255
-          in
-          Array.unsafe_set fregs a
-            (if sh >= 32 then 0
-             else sext32 ((Array.unsafe_get fregs b land 0xffffffff) lsr sh));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_asr_r | U_asr_i ->
-          let sh =
-            (if op = U_asr_r then Array.unsafe_get fregs c else c) land 255
-          in
-          Array.unsafe_set fregs a
-            (if sh >= 32 then Array.unsafe_get fregs b asr 31
-             else Array.unsafe_get fregs b asr sh);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_mov_r ->
-          Array.unsafe_set fregs a (Array.unsafe_get fregs c);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_mov_i | U_movw ->
-          Array.unsafe_set fregs a c;
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_movc_r ->
-          if cond_holds st (Array.unsafe_get fcond pc) then
-            Array.unsafe_set fregs a (Array.unsafe_get fregs c);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_movc_i ->
-          if cond_holds st (Array.unsafe_get fcond pc) then
-            Array.unsafe_set fregs a c;
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_cmp_r ->
-          set_flags st (Array.unsafe_get fregs a)
-            (Array.unsafe_get fregs c);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_cmp_i ->
-          set_flags st (Array.unsafe_get fregs a) c;
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_ldr8 | U_ldrr8 ->
-          let ad =
-            (Array.unsafe_get fregs b
-            + (if op = U_ldrr8 then Array.unsafe_get fregs c else c))
-            land 0xffffffff
-          in
-          if ad < 0x40 || ad + 1 > Image.mem_size then
-            fault pc (cyc + eff) pend ad 1;
-          Array.unsafe_set fregs a (Char.code (Bytes.unsafe_get mem ad));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_ldr8s | U_ldrr8s ->
-          let ad =
-            (Array.unsafe_get fregs b
-            + (if op = U_ldrr8s then Array.unsafe_get fregs c else c))
-            land 0xffffffff
-          in
-          if ad < 0x40 || ad + 1 > Image.mem_size then
-            fault pc (cyc + eff) pend ad 1;
-          Array.unsafe_set fregs a
-            ((Char.code (Bytes.unsafe_get mem ad) lxor 0x80) - 0x80);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_ldr16 | U_ldrr16 ->
-          let ad =
-            (Array.unsafe_get fregs b
-            + (if op = U_ldrr16 then Array.unsafe_get fregs c else c))
-            land 0xffffffff
-          in
-          if ad < 0x40 || ad + 2 > Image.mem_size then
-            fault pc (cyc + eff) pend ad 2;
-          Array.unsafe_set fregs a (ld16 ad);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_ldr16s | U_ldrr16s ->
-          let ad =
-            (Array.unsafe_get fregs b
-            + (if op = U_ldrr16s then Array.unsafe_get fregs c else c))
-            land 0xffffffff
-          in
-          if ad < 0x40 || ad + 2 > Image.mem_size then
-            fault pc (cyc + eff) pend ad 2;
-          Array.unsafe_set fregs a ((ld16 ad lxor 0x8000) - 0x8000);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_ldr32 | U_ldrr32 ->
-          let ad =
-            (Array.unsafe_get fregs b
-            + (if op = U_ldrr32 then Array.unsafe_get fregs c else c))
-            land 0xffffffff
-          in
-          if ad < 0x40 || ad + 4 > Image.mem_size then
-            fault pc (cyc + eff) pend ad 4;
-          Array.unsafe_set fregs a
-            (sext32 (ld16 ad lor (ld16 (ad + 2) lsl 16)));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_str8 | U_strr8 ->
-          let ad =
-            (Array.unsafe_get fregs b
-            + (if op = U_strr8 then Array.unsafe_get fregs c else c))
-            land 0xffffffff
-          in
-          if ad < 0x40 || ad + 1 > Image.mem_size then
-            fault pc (cyc + eff) pend ad 1;
-          Bytes.unsafe_set mem ad
-            (Char.unsafe_chr (Array.unsafe_get fregs a land 0xff));
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_str16 | U_strr16 ->
-          let ad =
-            (Array.unsafe_get fregs b
-            + (if op = U_strr16 then Array.unsafe_get fregs c else c))
-            land 0xffffffff
-          in
-          if ad < 0x40 || ad + 2 > Image.mem_size then
-            fault pc (cyc + eff) pend ad 2;
-          st16 ad (Array.unsafe_get fregs a);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_str32 | U_strr32 ->
-          let ad =
-            (Array.unsafe_get fregs b
-            + (if op = U_strr32 then Array.unsafe_get fregs c else c))
-            land 0xffffffff
-          in
-          if ad < 0x40 || ad + 4 > Image.mem_size then
-            fault pc (cyc + eff) pend ad 4;
-          let v = Array.unsafe_get fregs a in
-          st16 ad v;
-          st16 (ad + 2) (v lsr 16);
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_push ->
-          let n = a in
-          (* signed sp, as the reference path computes it (the fault
-             message for an out-of-range sp must match) *)
-          let sp = Array.unsafe_get fregs 13 - (4 * n) in
-          if sp < 0x40 || sp + (4 * n) > Image.mem_size then
-            fault pc (cyc + eff) pend sp (4 * n);
-          (match Array.unsafe_get code pc with
-          | I.Push rs ->
-              List.iteri
-                (fun i r ->
-                  let ad = sp + (4 * i) in
-                  let v = Array.unsafe_get fregs r in
-                  st16 ad v;
-                  st16 (ad + 2) (v lsr 16))
-                rs
-          | _ -> assert false);
-          Array.unsafe_set fregs 13 sp;
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_b -> go c (cyc + eff) (pend + 1) (done_ + 1)
-      | U_bc ->
-          go
-            (if cond_holds st (Array.unsafe_get fcond pc) then c else pc + 1)
-            (cyc + eff) (pend + 1) (done_ + 1)
-      | U_bl ->
-          Array.unsafe_set st.fn_calls a (Array.unsafe_get st.fn_calls a + 1);
-          Array.unsafe_set fregs 14 (pc + 1);
-          go c (cyc + eff) (pend + 1) (done_ + 1)
-      | U_bx_lr ->
-          let l = Array.unsafe_get fregs 14 in
-          if l = halt_magic_i then begin
-            flush pc (cyc + eff) (pend + 1);
-            st.halted <- true;
-            st.exit_code <- Int32.of_int (Array.unsafe_get fregs 0);
-            done_ + 1
-          end
-          else go l (cyc + eff) (pend + 1) (done_ + 1)
-      | U_ckpt ->
-          (* the commit's region accounting reads [st.cycles] and its
-             snapshot reads [st.regs]: publish both first *)
-          flush pc (cyc + eff) pend;
-          let cause =
-            match Array.unsafe_get code pc with
-            | I.Ckpt (cause, _) -> cause
-            | _ -> assert false
-          in
-          commit_checkpoint st ~cause:(obs_cause cause)
-            (Array.unsafe_get st.eff_mask pc)
-            (pc + 1);
-          (match cause with
-          | I.Function_entry -> st.counts.c_entry <- st.counts.c_entry + 1
-          | I.Function_exit -> st.counts.c_exit <- st.counts.c_exit + 1
-          | I.Middle_end_war -> st.counts.c_middle <- st.counts.c_middle + 1
-          | I.Back_end_war -> st.counts.c_backend <- st.counts.c_backend + 1);
-          go (pc + 1) 0 1 (done_ + 1)
-      | U_cpsid ->
-          st.primask <- true;
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_cpsie ->
-          st.primask <- false;
-          go (pc + 1) (cyc + eff) (pend + 1) (done_ + 1)
-      | U_svc_print ->
-          flush pc (cyc + eff) pend;
-          st.out_rev <- Int32.of_int (Array.unsafe_get fregs 0) :: st.out_rev;
-          commit_checkpoint st ~cause:Tr.Console
-            (Array.unsafe_get st.eff_mask pc)
-            (pc + 1);
-          go (pc + 1) 0 1 (done_ + 1)
-      | U_svc_halt ->
-          flush pc (cyc + eff) (pend + 1);
-          st.halted <- true;
-          st.exit_code <- Int32.of_int (Array.unsafe_get fregs 0);
-          done_ + 1
-      | U_pseudo ->
-          flush pc (cyc + eff) pend;
-          raise
-            (Emu_error
-               ("pseudo instruction in linked code: "
-               ^ I.string_of_instr (Array.unsafe_get code pc)))
-    end
-  in
-  go st.pc 0 0 0
-
-(* The fast path is only sound when nothing per-step is observable beyond
-   the architectural state: no WAR tracking, no tracer, no interrupt
-   timer.  ([pending_irq] is included for completeness: it can only be set
-   while [irq_period > 0].) *)
-let fast_eligible st =
-  (not st.verify) && (not st.trace_on) && st.irq_period = 0
-  && (not st.pending_irq)
-  && st.pc_counts = None
-
 (* n [step]s on the fully instrumented reference interpreter *)
 let reference_batch st n : step =
   let rec go left =
@@ -1545,63 +1153,37 @@ let reference_batch st n : step =
   in
   go n
 
-let uop_batch st n : step =
-  match
-    let left = ref n in
-    while !left > 0 && not st.halted do
-      (* instructions that provably cannot exhaust the power budget or
-         the fuel; both checks hoist out of the inner loop for that
-         stretch *)
-      let headroom =
-        min
-          (st.budget / st.max_step_cost)
-          ((st.fuel - st.cycles) / st.max_step_cost)
-      in
-      let k = min !left headroom in
-      if k > 0 then left := !left - exec_batch st ~unchecked:true k
-      else begin
-        (* within [max_step_cost] of a budget or fuel edge: exact
-           per-instruction checks until the edge resolves *)
-        ignore (exec_batch st ~unchecked:false 1 : int);
-        decr left
-      end
-    done
-  with
-  | () -> if st.halted then Halted else Stepped
-  | exception Power_failed ->
-      (* registers are architectural state shared with the reference path;
-         the failing instruction has already published exact counters *)
-      power_failure st;
-      reboot st;
-      Rebooted
-
 (* ------------------------------------------------------------------ *)
 (* Block engine                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Basic blocks of the predecoded uop stream, translated once into fused
-   OCaml closures.  Leaders: the image entry, every branch target, the pc
-   after any control transfer (call returns included) and every checkpoint
+(* Basic blocks of the predecoded uop stream, translated once into
+   closures.  Leaders: the image entry, every branch target, the pc after
+   any control transfer (call returns included) and every checkpoint
    site — a commit snapshots the registers, cycle counter and flags, so a
    checkpoint must begin its own block with fully published state.  The
    dispatcher pre-checks power budget and fuel against the block's
-   worst-case cost, exactly the hoisting [run_batch]'s uop path performs
-   per stretch; anywhere the proof fails (power edge, fuel edge, quota
+   worst-case cost; anywhere the proof fails (power edge, fuel edge, quota
    smaller than the block, or a computed branch landing mid-block) it
-   falls back to the checked single-step uop interpreter, which publishes
-   reference-exact state per instruction.
+   falls back to one reference [step], which is exact by construction.
 
    Closures update the cycle/budget/instruction counters with per-exit
    static constants at the block exit only, and capture nothing but ints
    and per-image arrays: the state is passed as the argument, so one
    compiled cache serves every [clone].
 
-   Flags: a [Cmp] feeding the block's own terminating [Bc] skips the four
-   flag-field writes entirely when a block-level liveness pass proves the
-   flags dead at both successors (checkpoint commits and conditional moves
-   count as readers, unknown successors as live), branching instead on the
-   equivalent native-int predicate; otherwise the flags are materialized
-   bit-for-bit as the reference path would. *)
+   A [Cmp] feeding the block's own terminating [Bc] fuses into the branch,
+   which tests the equivalent native-int predicate and still sets the
+   flags exactly as the reference path does. *)
+
+(* The block engine is only sound when nothing per-step is observable
+   beyond the architectural state: no WAR tracking, no tracer, no
+   interrupt timer, no per-pc counts.  ([pending_irq] is included for
+   completeness: it can only be set while [irq_period > 0].) *)
+let fast_eligible st =
+  (not st.verify) && (not st.trace_on) && st.irq_period = 0
+  && (not st.pending_irq)
+  && st.pc_counts = None
 
 let max_block_len = 64
 
@@ -1610,14 +1192,6 @@ let is_terminator = function
   | U_pseudo ->
       true
   | _ -> false
-
-(* flag readers include the commit sites: [pack_flags] snapshots the flags
-   into the checkpoint buffer, which must stay byte-identical *)
-let reads_flags = function
-  | U_movc_r | U_movc_i | U_bc | U_ckpt | U_svc_print -> true
-  | _ -> false
-
-let writes_flags = function U_cmp_r | U_cmp_i -> true | _ -> false
 
 (* out-of-range access inside a block: publish the exact reference state
    (cycles include the faulting instruction, it does not retire), then
@@ -1644,2956 +1218,6 @@ let holds_direct (c : I.cond) (x : int) (y : int) : bool =
   | I.HI -> x land 0xffffffff > y land 0xffffffff
   | I.HS -> x land 0xffffffff >= y land 0xffffffff
   | I.AL -> true
-
-(* Fused two-instruction closures for the block compiler: one closure,
-   one indirect call, two architectural updates.  Mechanically
-   enumerated over the ALU/mov/flag micro-ops that dominate dynamic
-   pair frequency (memory and control micro-ops keep their specialized
-   single closures).  Sequential composition through the register file
-   and flag fields is semantics-preserving by construction: op1's
-   writes land before op2's reads exactly as in the reference
-   interpreter.  The one deliberate deviation: a compare whose flags
-   are provably dead past its consuming [Movc] ([flags_dead], from the
-   caller's block-liveness scan) branches on the native-int predicate
-   and skips the flag-field writes — unobservable, because every path
-   to the next flag read passes a flag write first, and commits/
-   fallback re-entry only happen at block boundaries. *)
-let comp_pair op1 op2 a1 b1 c1 cnd1 a2 b2 c2 cnd2 ~flags_dead
-    (k : state -> int) : (state -> int) option =
-  ignore cnd1;
-  match (op1, op2) with
-  | U_mov_r, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_mov_r, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_mov_r, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_mov_r, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_mov_r, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_mov_r, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_mov_r, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_mov_r, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_mov_r, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_mov_r, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_mov_r, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_mov_r, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_mov_r, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_mov_r, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_mov_r, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_mov_r, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_mov_r, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_mov_r, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_mov_r, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_mov_r, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | (U_mov_i | U_movw), U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | (U_mov_i | U_movw), (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 c2;
-          k st)
-  | (U_mov_i | U_movw), U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | (U_mov_i | U_movw), U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | (U_mov_i | U_movw), U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | (U_mov_i | U_movw), U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | (U_mov_i | U_movw), U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | (U_mov_i | U_movw), U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | (U_mov_i | U_movw), U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | (U_mov_i | U_movw), U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | (U_mov_i | U_movw), U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | (U_mov_i | U_movw), U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | (U_mov_i | U_movw), U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | (U_mov_i | U_movw), U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | (U_mov_i | U_movw), U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | (U_mov_i | U_movw), U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | (U_mov_i | U_movw), U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | (U_mov_i | U_movw), U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | (U_mov_i | U_movw), U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | (U_mov_i | U_movw), U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 c1;
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_add_r, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_add_r, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_add_r, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_add_r, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_add_r, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_add_r, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_add_r, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_add_r, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_add_r, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_add_r, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_add_r, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_add_r, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_add_r, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_add_r, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_add_r, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_add_r, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_add_r, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_add_r, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_add_r, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_add_r, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + Array.unsafe_get r c1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_add_i, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_add_i, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_add_i, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_add_i, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_add_i, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_add_i, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_add_i, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_add_i, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_add_i, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_add_i, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_add_i, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_add_i, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_add_i, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_add_i, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_add_i, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_add_i, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_add_i, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_add_i, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_add_i, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_add_i, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 + c1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_sub_r, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_sub_r, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_sub_r, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_sub_r, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_sub_r, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_sub_r, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_sub_r, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_sub_r, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_sub_r, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_sub_r, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_sub_r, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_sub_r, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_sub_r, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_sub_r, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_sub_r, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_sub_r, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_sub_r, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_sub_r, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_sub_r, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_sub_r, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - Array.unsafe_get r c1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_sub_i, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_sub_i, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_sub_i, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_sub_i, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_sub_i, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_sub_i, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_sub_i, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_sub_i, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_sub_i, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_sub_i, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_sub_i, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_sub_i, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_sub_i, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_sub_i, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_sub_i, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_sub_i, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_sub_i, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_sub_i, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_sub_i, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_sub_i, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 - c1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_mul_r, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_mul_r, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_mul_r, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_mul_r, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_mul_r, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_mul_r, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_mul_r, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_mul_r, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_mul_r, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_mul_r, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_mul_r, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_mul_r, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_mul_r, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_mul_r, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_mul_r, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_mul_r, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_mul_r, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_mul_r, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_mul_r, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_mul_r, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (sext32 (Array.unsafe_get r b1 * Array.unsafe_get r c1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_and_r, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_and_r, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_and_r, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_and_r, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_and_r, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_and_r, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_and_r, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_and_r, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_and_r, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_and_r, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_and_r, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_and_r, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_and_r, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_and_r, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_and_r, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_and_r, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_and_r, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_and_r, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_and_r, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_and_r, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land Array.unsafe_get r c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_and_i, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_and_i, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_and_i, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_and_i, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_and_i, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_and_i, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_and_i, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_and_i, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_and_i, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_and_i, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_and_i, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_and_i, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_and_i, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_and_i, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_and_i, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_and_i, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_and_i, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_and_i, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_and_i, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_and_i, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 land c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_orr_r, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_orr_r, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_orr_r, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_orr_r, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_orr_r, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_orr_r, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_orr_r, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_orr_r, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_orr_r, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_orr_r, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_orr_r, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_orr_r, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_orr_r, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_orr_r, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_orr_r, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_orr_r, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_orr_r, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_orr_r, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_orr_r, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_orr_r, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor Array.unsafe_get r c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_orr_i, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_orr_i, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_orr_i, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_orr_i, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_orr_i, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_orr_i, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_orr_i, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_orr_i, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_orr_i, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_orr_i, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_orr_i, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_orr_i, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_orr_i, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_orr_i, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_orr_i, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_orr_i, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_orr_i, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_orr_i, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_orr_i, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_orr_i, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lor c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_eor_r, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_eor_r, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_eor_r, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_eor_r, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_eor_r, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_eor_r, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_eor_r, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_eor_r, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_eor_r, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_eor_r, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_eor_r, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_eor_r, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_eor_r, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_eor_r, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_eor_r, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_eor_r, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_eor_r, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_eor_r, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_eor_r, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_eor_r, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor Array.unsafe_get r c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_eor_i, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_eor_i, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_eor_i, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_eor_i, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_eor_i, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_eor_i, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_eor_i, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_eor_i, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_eor_i, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_eor_i, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_eor_i, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_eor_i, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_eor_i, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_eor_i, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_eor_i, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_eor_i, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_eor_i, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_eor_i, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_eor_i, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_eor_i, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 lxor c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_lsl_i, U_mov_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_lsl_i, (U_mov_i | U_movw) ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_lsl_i, U_add_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_lsl_i, U_add_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_lsl_i, U_sub_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_lsl_i, U_sub_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_lsl_i, U_mul_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_lsl_i, U_and_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_lsl_i, U_and_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_lsl_i, U_orr_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_lsl_i, U_orr_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_lsl_i, U_eor_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_lsl_i, U_eor_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_lsl_i, U_lsl_i ->
-      Some
-        (let sh1 = c1 land 255 in let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_lsl_i, U_lsr_i ->
-      Some
-        (let sh1 = c1 land 255 in let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_lsl_i, U_asr_i ->
-      Some
-        (let sh1 = c1 land 255 in let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_lsl_i, U_cmp_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_lsl_i, U_cmp_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_lsl_i, U_movc_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_lsl_i, U_movc_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 (Array.unsafe_get r b1 lsl sh1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_lsr_i, U_mov_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_lsr_i, (U_mov_i | U_movw) ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_lsr_i, U_add_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_lsr_i, U_add_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_lsr_i, U_sub_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_lsr_i, U_sub_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_lsr_i, U_mul_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_lsr_i, U_and_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_lsr_i, U_and_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_lsr_i, U_orr_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_lsr_i, U_orr_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_lsr_i, U_eor_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_lsr_i, U_eor_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_lsr_i, U_lsl_i ->
-      Some
-        (let sh1 = c1 land 255 in let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_lsr_i, U_lsr_i ->
-      Some
-        (let sh1 = c1 land 255 in let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_lsr_i, U_asr_i ->
-      Some
-        (let sh1 = c1 land 255 in let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_lsr_i, U_cmp_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_lsr_i, U_cmp_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_lsr_i, U_movc_r ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_lsr_i, U_movc_i ->
-      Some
-        (let sh1 = c1 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (if sh1 >= 32 then 0 else sext32 ((Array.unsafe_get r b1 land 0xffffffff) lsr sh1));
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_asr_i, U_mov_r ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_asr_i, (U_mov_i | U_movw) ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_asr_i, U_add_r ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_asr_i, U_add_i ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_asr_i, U_sub_r ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_asr_i, U_sub_i ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_asr_i, U_mul_r ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_asr_i, U_and_r ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_asr_i, U_and_i ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_asr_i, U_orr_r ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_asr_i, U_orr_i ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_asr_i, U_eor_r ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_asr_i, U_eor_i ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_asr_i, U_lsl_i ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_asr_i, U_lsr_i ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_asr_i, U_asr_i ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_asr_i, U_cmp_r ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_asr_i, U_cmp_i ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_asr_i, U_movc_r ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_asr_i, U_movc_i ->
-      Some
-        (let sh1 = min (c1 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          Array.unsafe_set r a1 (Array.unsafe_get r b1 asr sh1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_cmp_r, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_cmp_r, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_cmp_r, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_cmp_r, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_cmp_r, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_cmp_r, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_cmp_r, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_cmp_r, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_cmp_r, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_cmp_r, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_cmp_r, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_cmp_r, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_cmp_r, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_cmp_r, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_cmp_r, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_cmp_r, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_cmp_r, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_cmp_r, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_cmp_r, U_movc_r ->
-      Some
-        (if flags_dead then fun st ->
-           let r = st.regs in
-           let x = Array.unsafe_get r a1 and y = Array.unsafe_get r c1 in
-           if holds_direct cnd2 x y then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-           k st
-         else fun st ->
-           let r = st.regs in
-           set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-           if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-           k st)
-  | U_cmp_r, U_movc_i ->
-      Some
-        (if flags_dead then fun st ->
-           let r = st.regs in
-           let x = Array.unsafe_get r a1 and y = Array.unsafe_get r c1 in
-           if holds_direct cnd2 x y then Array.unsafe_set r a2 c2;
-           k st
-         else fun st ->
-           let r = st.regs in
-           set_flags st (Array.unsafe_get r a1) (Array.unsafe_get r c1);
-           if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-           k st)
-  | U_cmp_i, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_cmp_i, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_cmp_i, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_cmp_i, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_cmp_i, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_cmp_i, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_cmp_i, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_cmp_i, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_cmp_i, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_cmp_i, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_cmp_i, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_cmp_i, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_cmp_i, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_cmp_i, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_cmp_i, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_cmp_i, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_cmp_i, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_cmp_i, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          set_flags st (Array.unsafe_get r a1) c1;
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_cmp_i, U_movc_r ->
-      Some
-        (if flags_dead then fun st ->
-           let r = st.regs in
-           let x = Array.unsafe_get r a1 and y = c1 in
-           if holds_direct cnd2 x y then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-           k st
-         else fun st ->
-           let r = st.regs in
-           set_flags st (Array.unsafe_get r a1) c1;
-           if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-           k st)
-  | U_cmp_i, U_movc_i ->
-      Some
-        (if flags_dead then fun st ->
-           let r = st.regs in
-           let x = Array.unsafe_get r a1 and y = c1 in
-           if holds_direct cnd2 x y then Array.unsafe_set r a2 c2;
-           k st
-         else fun st ->
-           let r = st.regs in
-           set_flags st (Array.unsafe_get r a1) c1;
-           if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-           k st)
-  | U_movc_r, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_movc_r, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_movc_r, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_movc_r, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_movc_r, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_movc_r, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_movc_r, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_movc_r, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_movc_r, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_movc_r, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_movc_r, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_movc_r, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_movc_r, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_movc_r, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_movc_r, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_movc_r, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_movc_r, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_movc_r, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_movc_r, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_movc_r, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 (Array.unsafe_get r c1);
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | U_movc_i, U_mov_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_movc_i, (U_mov_i | U_movw) ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 c2;
-          k st)
-  | U_movc_i, U_add_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + Array.unsafe_get r c2));
-          k st)
-  | U_movc_i, U_add_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 + c2));
-          k st)
-  | U_movc_i, U_sub_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - Array.unsafe_get r c2));
-          k st)
-  | U_movc_i, U_sub_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 - c2));
-          k st)
-  | U_movc_i, U_mul_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (sext32 (Array.unsafe_get r b2 * Array.unsafe_get r c2));
-          k st)
-  | U_movc_i, U_and_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land Array.unsafe_get r c2);
-          k st)
-  | U_movc_i, U_and_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 land c2);
-          k st)
-  | U_movc_i, U_orr_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor Array.unsafe_get r c2);
-          k st)
-  | U_movc_i, U_orr_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lor c2);
-          k st)
-  | U_movc_i, U_eor_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor Array.unsafe_get r c2);
-          k st)
-  | U_movc_i, U_eor_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 lxor c2);
-          k st)
-  | U_movc_i, U_lsl_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 (Array.unsafe_get r b2 lsl sh2));
-          k st)
-  | U_movc_i, U_lsr_i ->
-      Some
-        (let sh2 = c2 land 255 in
-         fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (if sh2 >= 32 then 0 else sext32 ((Array.unsafe_get r b2 land 0xffffffff) lsr sh2));
-          k st)
-  | U_movc_i, U_asr_i ->
-      Some
-        (let sh2 = min (c2 land 255) 31 in
-         fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          Array.unsafe_set r a2 (Array.unsafe_get r b2 asr sh2);
-          k st)
-  | U_movc_i, U_cmp_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          set_flags st (Array.unsafe_get r a2) (Array.unsafe_get r c2);
-          k st)
-  | U_movc_i, U_cmp_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          set_flags st (Array.unsafe_get r a2) c2;
-          k st)
-  | U_movc_i, U_movc_r ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          if cond_holds st cnd2 then Array.unsafe_set r a2 (Array.unsafe_get r c2);
-          k st)
-  | U_movc_i, U_movc_i ->
-      Some
-        (fun st ->
-          let r = st.regs in
-          if cond_holds st cnd1 then Array.unsafe_set r a1 c1;
-          if cond_holds st cnd2 then Array.unsafe_set r a2 c2;
-          k st)
-  | _ -> None
 
 let compile_blocks (st : state) : bcache =
   let img = st.img in
@@ -4669,60 +1293,14 @@ let compile_blocks (st : state) : bcache =
     in
     scan s
   done;
-  (* ---- pass 3: block-level flags liveness ---- *)
-  let uses = Array.make (max nbk 1) false
-  and defs = Array.make (max nbk 1) false
-  and succs = Array.make (max nbk 1) []
-  and unknown = Array.make (max nbk 1) false
-  and live_in = Array.make (max nbk 1) false in
-  for i = 0 to nbk - 1 do
-    let s = starts.(i) in
-    let stop = if term_pc.(i) >= 0 then term_pc.(i) else body_end.(i) - 1 in
-    (let rec scan pc =
-       if pc > stop then ()
-       else if reads_flags fop.(pc) then uses.(i) <- true
-       else if writes_flags fop.(pc) then defs.(i) <- true
-       else scan (pc + 1)
-     in
-     scan s);
-    let limit = if i + 1 < nbk then starts.(i + 1) else n in
-    match term_pc.(i) with
-    | -1 -> if limit < n then succs.(i) <- [ bidx.(limit) ]
-    | t -> (
-        match fop.(t) with
-        | U_b | U_bl -> succs.(i) <- [ bidx.(fc.(t)) ]
-        | U_bc ->
-            succs.(i) <-
-              (bidx.(fc.(t)) :: (if t + 1 < n then [ bidx.(t + 1) ] else []))
-        | U_ckpt | U_svc_print | U_pseudo ->
-            if t + 1 < n then succs.(i) <- [ bidx.(t + 1) ]
-        | U_bx_lr -> unknown.(i) <- true
-        | _ -> ())
-  done;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = nbk - 1 downto 0 do
-      if not live_in.(i) then begin
-        let live_out =
-          unknown.(i) || List.exists (fun s -> live_in.(s)) succs.(i)
-        in
-        if uses.(i) || ((not defs.(i)) && live_out) then begin
-          live_in.(i) <- true;
-          changed := true
-        end
-      end
-    done
-  done;
-  let live_out i = unknown.(i) || List.exists (fun s -> live_in.(s)) succs.(i) in
-  (* ---- pass 4: translate each block to one fused closure ---- *)
+  (* ---- pass 3: translate each block to one closure ---- *)
   let compile_one i =
     let s = starts.(i) in
     let e = body_end.(i) in
     let t = term_pc.(i) in
     let limit = if i + 1 < nbk then starts.(i + 1) else n in
-    (* a [Cmp] immediately feeding the terminating [Bc]: always fused into
-       the branch; the flag fields are skipped when provably dead *)
+    (* a [Cmp] immediately feeding the terminating [Bc] fuses into the
+       branch *)
     let fuse_cmp =
       t >= 0
       && fop.(t) = U_bc
@@ -4730,26 +1308,6 @@ let compile_blocks (st : state) : bcache =
       && (match fop.(e - 1) with U_cmp_r | U_cmp_i -> true | _ -> false)
     in
     let body_stop = if fuse_cmp then e - 1 else e in
-    (* [flags_dead_from pc]: entering body position [pc], every path to
-       the next architectural flag read passes a flag write first — so a
-       compare just before [pc] may skip materializing the flag fields.
-       Within the block this is a forward scan; past the end it defers to
-       the terminator ([Bc]/[Ckpt]/[Svc_print] read, a [fuse_cmp]d
-       compare writes) and then to the interblock liveness fixpoint. *)
-    let rec flags_dead_from pc =
-      if pc < body_stop then
-        if writes_flags fop.(pc) then true
-        else if reads_flags fop.(pc) then false
-        else flags_dead_from (pc + 1)
-      else if fuse_cmp then true
-      else
-        match t with
-        | -1 -> not (live_out i)
-        | t ->
-            if reads_flags fop.(t) then false
-            else if writes_flags fop.(t) then true
-            else not (live_out i)
-    in
     let body_cost = ref 0 in
     for pc = s to e - 1 do
       body_cost := !body_cost + cost.(pc)
@@ -4827,9 +1385,9 @@ let compile_blocks (st : state) : bcache =
                 st.exit_code <- Int32.of_int (Array.unsafe_get st.regs 0);
                 -1
           | U_pseudo ->
-              (* the pseudo's cycle is spent, the instruction never
-                 retires — exactly the uop path's accounting *)
-              let tc = bc_ + 1 and tn = bn in
+              (* the pseudo neither spends nor retires, as in the
+                 reference path *)
+              let tc = bc_ and tn = bn in
               let me = t in
               fun st ->
                 st.cycles <- st.cycles + tc;
@@ -4886,13 +1444,12 @@ let compile_blocks (st : state) : bcache =
                   -1
                 end
           | U_bc when fuse_cmp ->
-              (* cmp+bc superinstruction: native-int predicate; flag
-                 fields written only when live at a successor *)
+              (* cmp+bc superinstruction: branches on the native-int
+                 predicate, sets the flags as the reference path does *)
               let cp = e - 1 in
               let xa = fa.(cp) and xc = fc.(cp) in
               let cmp_reg = fop.(cp) = U_cmp_r in
               let cnd = fcond.(t) in
-              let live = live_out i in
               let tcT = bc_ + 3 and tcN = bc_ + 1 and tn = bn + 1 in
               let tgt = bidx.(fc.(t)) in
               let nbn = if t + 1 < n then bidx.(t + 1) else -1 in
@@ -4900,7 +1457,7 @@ let compile_blocks (st : state) : bcache =
               fun st ->
                 let x = Array.unsafe_get st.regs xa in
                 let y = if cmp_reg then Array.unsafe_get st.regs xc else xc in
-                if live then set_flags st x y;
+                set_flags st x y;
                 if holds_direct cnd x y then begin
                   st.cycles <- st.cycles + tcT;
                   st.budget <- st.budget - tcT;
@@ -4945,13 +1502,7 @@ let compile_blocks (st : state) : bcache =
     (* ---- body, folded right-to-left into the terminator ----
        [cc]/[cn] are the cycles/instructions already retired within the
        block before [pc] — the constants a fault must publish. *)
-    (* Continuations are built bottom-up ([conts.(i)] executes body
-       position [s + i] onward, ending in [tail]) so each position is
-       translated exactly once; the chain entered at [s] pairs fusible
-       ALU/mov micro-ops greedily left to right. *)
-    let conts = Array.make (body_stop - s + 1) tail in
-    let comp pc (k1 : state -> int) (k2 : (state -> int) option) :
-        state -> int =
+    let comp pc (k : state -> int) : state -> int =
       let a = fa.(pc) and b = fb.(pc) and c = fc.(pc) in
       let me = pc in
       let cc = ref 0 in
@@ -4960,378 +1511,358 @@ let compile_blocks (st : state) : bcache =
       done;
       let cn = pc - s in
       let fcy = !cc + cost.(pc) in
-      (* two fusible ALU/mov/flag micro-ops: one closure for both (none
-         of them fault, so the pair needs no intermediate fault state) *)
-      match
-        match k2 with
-        | None -> None
-        | Some k2 ->
-            comp_pair fop.(pc)
-              fop.(pc + 1)
-              a b c fcond.(pc)
-              fa.(pc + 1)
-              fb.(pc + 1)
-              fc.(pc + 1)
-              fcond.(pc + 1)
-              ~flags_dead:(flags_dead_from (pc + 2))
-              k2
-      with
-      | Some fused -> fused
-      | None -> (
-        let k = k1 in
-        match fop.(pc) with
-        | U_add_r ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a
-                (sext32 (Array.unsafe_get r b + Array.unsafe_get r c));
-              k st
-        | U_add_i ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a (sext32 (Array.unsafe_get r b + c));
-              k st
-        | U_sub_r ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a
-                (sext32 (Array.unsafe_get r b - Array.unsafe_get r c));
-              k st
-        | U_sub_i ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a (sext32 (Array.unsafe_get r b - c));
-              k st
-        | U_rsb_r ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a
-                (sext32 (Array.unsafe_get r c - Array.unsafe_get r b));
-              k st
-        | U_rsb_i ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a (sext32 (c - Array.unsafe_get r b));
-              k st
-        | U_mul_r ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a
-                (sext32 (Array.unsafe_get r b * Array.unsafe_get r c));
-              k st
-        | U_mul_i ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a (sext32 (Array.unsafe_get r b * c));
-              k st
-        | U_sdiv_r ->
-            fun st ->
-              let r = st.regs in
-              let x = Array.unsafe_get r b and y = Array.unsafe_get r c in
-              Array.unsafe_set r a
-                (if y = 0 then 0
-                 else if x = -0x80000000 && y = -1 then -0x80000000
-                 else x / y);
-              k st
-        | U_sdiv_i ->
-            fun st ->
-              let r = st.regs in
-              let x = Array.unsafe_get r b in
-              Array.unsafe_set r a
-                (if c = 0 then 0
-                 else if x = -0x80000000 && c = -1 then -0x80000000
-                 else x / c);
-              k st
-        | U_udiv_r ->
-            fun st ->
-              let r = st.regs in
-              let x = Array.unsafe_get r b land 0xffffffff
-              and y = Array.unsafe_get r c land 0xffffffff in
-              Array.unsafe_set r a (if y = 0 then 0 else sext32 (x / y));
-              k st
-        | U_udiv_i ->
-            let y = c land 0xffffffff in
-            fun st ->
-              let r = st.regs in
-              let x = Array.unsafe_get r b land 0xffffffff in
-              Array.unsafe_set r a (if y = 0 then 0 else sext32 (x / y));
-              k st
-        | U_and_r ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a
-                (Array.unsafe_get r b land Array.unsafe_get r c);
-              k st
-        | U_and_i ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a (Array.unsafe_get r b land c);
-              k st
-        | U_orr_r ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a
-                (Array.unsafe_get r b lor Array.unsafe_get r c);
-              k st
-        | U_orr_i ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a (Array.unsafe_get r b lor c);
-              k st
-        | U_eor_r ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a
-                (Array.unsafe_get r b lxor Array.unsafe_get r c);
-              k st
-        | U_eor_i ->
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a (Array.unsafe_get r b lxor c);
-              k st
-        | U_lsl_r ->
-            fun st ->
-              let r = st.regs in
-              let sh = Array.unsafe_get r c land 255 in
-              Array.unsafe_set r a
-                (if sh >= 32 then 0 else sext32 (Array.unsafe_get r b lsl sh));
-              k st
-        | U_lsl_i ->
-            let sh = c land 255 in
-            if sh >= 32 then fun st ->
-              Array.unsafe_set st.regs a 0;
-              k st
-            else fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a (sext32 (Array.unsafe_get r b lsl sh));
-              k st
-        | U_lsr_r ->
-            fun st ->
-              let r = st.regs in
-              let sh = Array.unsafe_get r c land 255 in
-              Array.unsafe_set r a
-                (if sh >= 32 then 0
-                 else sext32 ((Array.unsafe_get r b land 0xffffffff) lsr sh));
-              k st
-        | U_lsr_i ->
-            let sh = c land 255 in
-            if sh >= 32 then fun st ->
-              Array.unsafe_set st.regs a 0;
-              k st
-            else fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a
-                (sext32 ((Array.unsafe_get r b land 0xffffffff) lsr sh));
-              k st
-        | U_asr_r ->
-            fun st ->
-              let r = st.regs in
-              let sh = Array.unsafe_get r c land 255 in
-              Array.unsafe_set r a
-                (if sh >= 32 then Array.unsafe_get r b asr 31
-                 else Array.unsafe_get r b asr sh);
-              k st
-        | U_asr_i ->
-            let sh = min (c land 255) 31 in
-            fun st ->
-              let r = st.regs in
-              Array.unsafe_set r a (Array.unsafe_get r b asr sh);
-              k st
-        | U_mov_r ->
-            fun st ->
-              let r = st.regs in
+      match fop.(pc) with
+      | U_add_r ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a
+              (sext32 (Array.unsafe_get r b + Array.unsafe_get r c));
+            k st
+      | U_add_i ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a (sext32 (Array.unsafe_get r b + c));
+            k st
+      | U_sub_r ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a
+              (sext32 (Array.unsafe_get r b - Array.unsafe_get r c));
+            k st
+      | U_sub_i ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a (sext32 (Array.unsafe_get r b - c));
+            k st
+      | U_rsb_r ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a
+              (sext32 (Array.unsafe_get r c - Array.unsafe_get r b));
+            k st
+      | U_rsb_i ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a (sext32 (c - Array.unsafe_get r b));
+            k st
+      | U_mul_r ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a
+              (sext32 (Array.unsafe_get r b * Array.unsafe_get r c));
+            k st
+      | U_mul_i ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a (sext32 (Array.unsafe_get r b * c));
+            k st
+      | U_sdiv_r ->
+          fun st ->
+            let r = st.regs in
+            let x = Array.unsafe_get r b and y = Array.unsafe_get r c in
+            Array.unsafe_set r a
+              (if y = 0 then 0
+               else if x = -0x80000000 && y = -1 then -0x80000000
+               else x / y);
+            k st
+      | U_sdiv_i ->
+          fun st ->
+            let r = st.regs in
+            let x = Array.unsafe_get r b in
+            Array.unsafe_set r a
+              (if c = 0 then 0
+               else if x = -0x80000000 && c = -1 then -0x80000000
+               else x / c);
+            k st
+      | U_udiv_r ->
+          fun st ->
+            let r = st.regs in
+            let x = Array.unsafe_get r b land 0xffffffff
+            and y = Array.unsafe_get r c land 0xffffffff in
+            Array.unsafe_set r a (if y = 0 then 0 else sext32 (x / y));
+            k st
+      | U_udiv_i ->
+          let y = c land 0xffffffff in
+          fun st ->
+            let r = st.regs in
+            let x = Array.unsafe_get r b land 0xffffffff in
+            Array.unsafe_set r a (if y = 0 then 0 else sext32 (x / y));
+            k st
+      | U_and_r ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a
+              (Array.unsafe_get r b land Array.unsafe_get r c);
+            k st
+      | U_and_i ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a (Array.unsafe_get r b land c);
+            k st
+      | U_orr_r ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a
+              (Array.unsafe_get r b lor Array.unsafe_get r c);
+            k st
+      | U_orr_i ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a (Array.unsafe_get r b lor c);
+            k st
+      | U_eor_r ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a
+              (Array.unsafe_get r b lxor Array.unsafe_get r c);
+            k st
+      | U_eor_i ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a (Array.unsafe_get r b lxor c);
+            k st
+      | U_lsl_r ->
+          fun st ->
+            let r = st.regs in
+            let sh = Array.unsafe_get r c land 255 in
+            Array.unsafe_set r a
+              (if sh >= 32 then 0 else sext32 (Array.unsafe_get r b lsl sh));
+            k st
+      | U_lsl_i ->
+          let sh = c land 255 in
+          if sh >= 32 then fun st ->
+            Array.unsafe_set st.regs a 0;
+            k st
+          else fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a (sext32 (Array.unsafe_get r b lsl sh));
+            k st
+      | U_lsr_r ->
+          fun st ->
+            let r = st.regs in
+            let sh = Array.unsafe_get r c land 255 in
+            Array.unsafe_set r a
+              (if sh >= 32 then 0
+               else sext32 ((Array.unsafe_get r b land 0xffffffff) lsr sh));
+            k st
+      | U_lsr_i ->
+          let sh = c land 255 in
+          if sh >= 32 then fun st ->
+            Array.unsafe_set st.regs a 0;
+            k st
+          else fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a
+              (sext32 ((Array.unsafe_get r b land 0xffffffff) lsr sh));
+            k st
+      | U_asr_r ->
+          fun st ->
+            let r = st.regs in
+            let sh = Array.unsafe_get r c land 255 in
+            Array.unsafe_set r a
+              (if sh >= 32 then Array.unsafe_get r b asr 31
+               else Array.unsafe_get r b asr sh);
+            k st
+      | U_asr_i ->
+          let sh = min (c land 255) 31 in
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a (Array.unsafe_get r b asr sh);
+            k st
+      | U_mov_r ->
+          fun st ->
+            let r = st.regs in
+            Array.unsafe_set r a (Array.unsafe_get r c);
+            k st
+      | U_mov_i | U_movw ->
+          fun st ->
+            Array.unsafe_set st.regs a c;
+            k st
+      | U_movc_r ->
+          let cnd = fcond.(pc) in
+          fun st ->
+            let r = st.regs in
+            if cond_holds st cnd then
               Array.unsafe_set r a (Array.unsafe_get r c);
-              k st
-        | U_mov_i | U_movw ->
-            fun st ->
-              Array.unsafe_set st.regs a c;
-              k st
-        | U_movc_r ->
-            let cnd = fcond.(pc) in
-            fun st ->
-              let r = st.regs in
-              if cond_holds st cnd then
-                Array.unsafe_set r a (Array.unsafe_get r c);
-              k st
-        | U_movc_i ->
-            let cnd = fcond.(pc) in
-            fun st ->
-              if cond_holds st cnd then Array.unsafe_set st.regs a c;
-              k st
-        | U_cmp_r ->
-            fun st ->
-              let r = st.regs in
-              set_flags st (Array.unsafe_get r a) (Array.unsafe_get r c);
-              k st
-        | U_cmp_i ->
-            fun st ->
-              set_flags st (Array.unsafe_get st.regs a) c;
-              k st
-        | U_ldr8 ->
-            fun st ->
-              let r = st.regs in
-              let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-              if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-              Array.unsafe_set r a (Char.code (Bytes.unsafe_get st.mem ad));
-              k st
-        | U_ldrr8 ->
-            fun st ->
-              let r = st.regs in
-              let ad =
-                (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-              in
-              if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-              Array.unsafe_set r a (Char.code (Bytes.unsafe_get st.mem ad));
-              k st
-        | U_ldr8s ->
-            fun st ->
-              let r = st.regs in
-              let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-              if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-              Array.unsafe_set r a
-                ((Char.code (Bytes.unsafe_get st.mem ad) lxor 0x80) - 0x80);
-              k st
-        | U_ldrr8s ->
-            fun st ->
-              let r = st.regs in
-              let ad =
-                (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-              in
-              if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-              Array.unsafe_set r a
-                ((Char.code (Bytes.unsafe_get st.mem ad) lxor 0x80) - 0x80);
-              k st
-        | U_ldr16 ->
-            fun st ->
-              let r = st.regs in
-              let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-              if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-              Array.unsafe_set r a (ld16 st.mem ad);
-              k st
-        | U_ldrr16 ->
-            fun st ->
-              let r = st.regs in
-              let ad =
-                (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-              in
-              if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-              Array.unsafe_set r a (ld16 st.mem ad);
-              k st
-        | U_ldr16s ->
-            fun st ->
-              let r = st.regs in
-              let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-              if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-              Array.unsafe_set r a ((ld16 st.mem ad lxor 0x8000) - 0x8000);
-              k st
-        | U_ldrr16s ->
-            fun st ->
-              let r = st.regs in
-              let ad =
-                (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-              in
-              if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-              Array.unsafe_set r a ((ld16 st.mem ad lxor 0x8000) - 0x8000);
-              k st
-        | U_ldr32 ->
-            fun st ->
-              let r = st.regs in
-              let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-              if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
-              Array.unsafe_set r a (ld32 st.mem ad);
-              k st
-        | U_ldrr32 ->
-            fun st ->
-              let r = st.regs in
-              let ad =
-                (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-              in
-              if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
-              Array.unsafe_set r a (ld32 st.mem ad);
-              k st
-        | U_str8 ->
-            fun st ->
-              let r = st.regs in
-              let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-              if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-              Bytes.unsafe_set st.mem ad
-                (Char.unsafe_chr (Array.unsafe_get r a land 0xff));
-              k st
-        | U_strr8 ->
-            fun st ->
-              let r = st.regs in
-              let ad =
-                (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-              in
-              if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-              Bytes.unsafe_set st.mem ad
-                (Char.unsafe_chr (Array.unsafe_get r a land 0xff));
-              k st
-        | U_str16 ->
-            fun st ->
-              let r = st.regs in
-              let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-              if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-              st16 st.mem ad (Array.unsafe_get r a);
-              k st
-        | U_strr16 ->
-            fun st ->
-              let r = st.regs in
-              let ad =
-                (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-              in
-              if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-              st16 st.mem ad (Array.unsafe_get r a);
-              k st
-        | U_str32 ->
-            fun st ->
-              let r = st.regs in
-              let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-              if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
-              st32 st.mem ad (Array.unsafe_get r a);
-              k st
-        | U_strr32 ->
-            fun st ->
-              let r = st.regs in
-              let ad =
-                (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-              in
-              if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
-              st32 st.mem ad (Array.unsafe_get r a);
-              k st
-        | U_push ->
-            let rs =
-              match code.(pc) with I.Push rs -> rs | _ -> assert false
+            k st
+      | U_movc_i ->
+          let cnd = fcond.(pc) in
+          fun st ->
+            if cond_holds st cnd then Array.unsafe_set st.regs a c;
+            k st
+      | U_cmp_r ->
+          fun st ->
+            let r = st.regs in
+            set_flags st (Array.unsafe_get r a) (Array.unsafe_get r c);
+            k st
+      | U_cmp_i ->
+          fun st ->
+            set_flags st (Array.unsafe_get st.regs a) c;
+            k st
+      | U_ldr8 ->
+          fun st ->
+            let r = st.regs in
+            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+            Array.unsafe_set r a (Char.code (Bytes.unsafe_get st.mem ad));
+            k st
+      | U_ldrr8 ->
+          fun st ->
+            let r = st.regs in
+            let ad =
+              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
             in
-            let nr = a in
-            fun st ->
-              let r = st.regs in
-              let sp = Array.unsafe_get r 13 - (4 * nr) in
-              if sp < 0x40 || sp + (4 * nr) > msize then
-                mfault st me fcy cn sp (4 * nr);
-              let mem = st.mem in
-              List.iteri
-                (fun i rg -> st32 mem (sp + (4 * i)) (Array.unsafe_get r rg))
-                rs;
-              Array.unsafe_set r 13 sp;
-              k st
-        | U_cpsid ->
-            fun st ->
-              st.primask <- true;
-              k st
-        | U_cpsie ->
-            fun st ->
-              st.primask <- false;
-              k st
-        | U_b | U_bc | U_bl | U_bx_lr | U_ckpt | U_svc_print | U_svc_halt
-        | U_pseudo ->
-            (* terminators never appear in a block body *)
-            assert false)
+            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+            Array.unsafe_set r a (Char.code (Bytes.unsafe_get st.mem ad));
+            k st
+      | U_ldr8s ->
+          fun st ->
+            let r = st.regs in
+            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+            Array.unsafe_set r a
+              ((Char.code (Bytes.unsafe_get st.mem ad) lxor 0x80) - 0x80);
+            k st
+      | U_ldrr8s ->
+          fun st ->
+            let r = st.regs in
+            let ad =
+              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+            in
+            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+            Array.unsafe_set r a
+              ((Char.code (Bytes.unsafe_get st.mem ad) lxor 0x80) - 0x80);
+            k st
+      | U_ldr16 ->
+          fun st ->
+            let r = st.regs in
+            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+            Array.unsafe_set r a (ld16 st.mem ad);
+            k st
+      | U_ldrr16 ->
+          fun st ->
+            let r = st.regs in
+            let ad =
+              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+            in
+            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+            Array.unsafe_set r a (ld16 st.mem ad);
+            k st
+      | U_ldr16s ->
+          fun st ->
+            let r = st.regs in
+            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+            Array.unsafe_set r a ((ld16 st.mem ad lxor 0x8000) - 0x8000);
+            k st
+      | U_ldrr16s ->
+          fun st ->
+            let r = st.regs in
+            let ad =
+              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+            in
+            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+            Array.unsafe_set r a ((ld16 st.mem ad lxor 0x8000) - 0x8000);
+            k st
+      | U_ldr32 ->
+          fun st ->
+            let r = st.regs in
+            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+            if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
+            Array.unsafe_set r a (ld32 st.mem ad);
+            k st
+      | U_ldrr32 ->
+          fun st ->
+            let r = st.regs in
+            let ad =
+              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+            in
+            if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
+            Array.unsafe_set r a (ld32 st.mem ad);
+            k st
+      | U_str8 ->
+          fun st ->
+            let r = st.regs in
+            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+            Bytes.unsafe_set st.mem ad
+              (Char.unsafe_chr (Array.unsafe_get r a land 0xff));
+            k st
+      | U_strr8 ->
+          fun st ->
+            let r = st.regs in
+            let ad =
+              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+            in
+            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+            Bytes.unsafe_set st.mem ad
+              (Char.unsafe_chr (Array.unsafe_get r a land 0xff));
+            k st
+      | U_str16 ->
+          fun st ->
+            let r = st.regs in
+            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+            st16 st.mem ad (Array.unsafe_get r a);
+            k st
+      | U_strr16 ->
+          fun st ->
+            let r = st.regs in
+            let ad =
+              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+            in
+            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+            st16 st.mem ad (Array.unsafe_get r a);
+            k st
+      | U_str32 ->
+          fun st ->
+            let r = st.regs in
+            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+            if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
+            st32 st.mem ad (Array.unsafe_get r a);
+            k st
+      | U_strr32 ->
+          fun st ->
+            let r = st.regs in
+            let ad =
+              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+            in
+            if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
+            st32 st.mem ad (Array.unsafe_get r a);
+            k st
+      | U_push ->
+          let rs =
+            match code.(pc) with I.Push rs -> rs | _ -> assert false
+          in
+          let nr = a in
+          fun st ->
+            let r = st.regs in
+            let sp = Array.unsafe_get r 13 - (4 * nr) in
+            if sp < 0x40 || sp + (4 * nr) > msize then
+              mfault st me fcy cn sp (4 * nr);
+            let mem = st.mem in
+            List.iteri
+              (fun i rg -> st32 mem (sp + (4 * i)) (Array.unsafe_get r rg))
+              rs;
+            Array.unsafe_set r 13 sp;
+            k st
+      | U_cpsid ->
+          fun st ->
+            st.primask <- true;
+            k st
+      | U_cpsie ->
+          fun st ->
+            st.primask <- false;
+            k st
+      | U_b | U_bc | U_bl | U_bx_lr | U_ckpt | U_svc_print | U_svc_halt
+      | U_pseudo ->
+          (* terminators never appear in a block body *)
+          assert false
     in
-    for i = body_stop - 1 - s downto 0 do
-      let pc = s + i in
-      let k2 = if pc + 1 < body_stop then Some conts.(i + 2) else None in
-      conts.(i) <- comp pc conts.(i + 1) k2
+    let exec = ref tail in
+    for pc = body_stop - 1 downto s do
+      exec := comp pc !exec
     done;
     let maxcost =
       bc_
@@ -5343,12 +1874,13 @@ let compile_blocks (st : state) : bcache =
           | U_b | U_bx_lr -> 3
           | U_bc -> 3
           | U_bl -> 4
-          | U_svc_halt | U_pseudo -> 1
+          | U_svc_halt -> 1
+          | U_pseudo -> 0
           | U_ckpt | U_svc_print -> cost.(t)
           | _ -> assert false)
     in
     let ninstr = bn + if t >= 0 then 1 else 0 in
-    { b_pc = s; b_ninstr = ninstr; b_maxcost = maxcost; b_exec = conts.(0) }
+    { b_pc = s; b_ninstr = ninstr; b_maxcost = maxcost; b_exec = !exec }
   in
   let blocks = Array.init nbk compile_one in
   { bc_blocks = blocks; bc_index = bidx; bc_compile_ms = 0. }
@@ -5376,9 +1908,9 @@ let get_bcache st =
           st.bcache <- Some c;
           c
       | None ->
-          let t0 = Sys.time () in
+          let t0 = Wario_obs.Span.now_ms () in
           let c = compile_blocks st in
-          let c = { c with bc_compile_ms = (Sys.time () -. t0) *. 1000. } in
+          let c = { c with bc_compile_ms = Wario_obs.Span.now_ms () -. t0 } in
           st.bcache <- Some c;
           let kept =
             List.filteri
@@ -5412,52 +1944,37 @@ let block_batch st n : step =
         left - b.b_ninstr
       end
   in
-  match
-    let left = ref n in
-    while !left > 0 && not st.halted do
+  let rec go left =
+    if st.halted then Halted
+    else if left = 0 then Stepped
+    else
       let pc = st.pc in
       let cur =
         if pc >= 0 && pc < ncode then Array.unsafe_get bidx pc else -1
       in
-      let advanced =
-        cur >= 0
-        &&
-        let left' = drive cur !left 0 in
-        let adv = left' < !left in
-        left := left';
-        adv
-      in
-      if (not advanced) && !left > 0 && not st.halted then begin
+      let left' = if cur >= 0 then drive cur left 0 else left in
+      if left' < left then go left'
+      else begin
         (* power/fuel edge, quota smaller than the next block, or a pc
-           inside a block (dynamic branch): checked single-step fallback
-           with reference-exact per-instruction state *)
+           inside a block (dynamic branch): one reference step, which
+           reboots by itself when power fails *)
         st.n_fallback <- st.n_fallback + 1;
-        ignore (exec_batch st ~unchecked:false 1 : int);
-        decr left
+        match step st with Stepped -> go (left - 1) | s -> s
       end
-    done
-  with
-  | () -> if st.halted then Halted else Stepped
-  | exception Power_failed ->
-      power_failure st;
-      reboot st;
-      Rebooted
+  in
+  go n
 
 type engine =
-  | Auto  (** best eligible engine: block when possible, reference else *)
-  | Reference  (** force the fully instrumented per-step interpreter *)
-  | Uop  (** the predecoded micro-op loop (PR 4's fast path) *)
-  | Block  (** basic blocks fused into closures (falls back when ineligible) *)
+  | Reference  (** the fully instrumented per-step interpreter *)
+  | Block  (** basic blocks compiled to closures, when eligible *)
 
-let run_batch ?(engine = Auto) st n : step =
+let run_batch ?(engine = Block) st n : step =
   if st.halted then Halted
   else if n <= 0 then invalid_arg "Emulator.run_batch: non-positive batch size"
   else
     match engine with
-    | Reference -> reference_batch st n
-    | Uop -> if fast_eligible st then uop_batch st n else reference_batch st n
-    | Auto | Block ->
-        if fast_eligible st then block_batch st n else reference_batch st n
+    | Block when fast_eligible st -> block_batch st n
+    | Reference | Block -> reference_batch st n
 
 let clone st =
   {
@@ -5665,7 +2182,7 @@ let resume ?reuse ~supply ~(final : result) snap =
   in
   let power = Power.create supply in
   ignore (Power.next_budget power);
-  let cost, eff_mask, push_n, call_fn, _, _, fop, fa, fb, fc, fcond =
+  let cost, eff_mask, push_n, call_fn, _, fop, fa, fb, fc, fcond =
     tables_for ?reuse ~save_all:s.save_all s.img
   in
   let mem, kinds, touched =
@@ -5809,8 +2326,8 @@ let splice st snap ~(final : result) : result option =
 type engine_stats = {
   es_blocks : int;  (** basic blocks compiled (0 if never block-dispatched) *)
   es_compile_ms : float;  (** wall time spent translating blocks *)
-  es_dispatches : int;  (** fused closures executed *)
-  es_fallback_steps : int;  (** checked single steps at block-engine edges *)
+  es_dispatches : int;  (** block closures executed *)
+  es_fallback_steps : int;  (** reference steps at block-engine edges *)
 }
 
 let engine_stats st =
@@ -5828,7 +2345,7 @@ let engine_stats st =
 
 let batch_size = 4096
 
-let run ?fuel ?supply ?irq_period ?verify ?tracer ?(engine = Auto)
+let run ?fuel ?supply ?irq_period ?verify ?tracer ?(engine = Block)
     (img : Image.t) : result =
   let st = create ?fuel ?supply ?irq_period ?verify ?tracer img in
   (match engine with
@@ -5836,10 +2353,9 @@ let run ?fuel ?supply ?irq_period ?verify ?tracer ?(engine = Auto)
       while not st.halted do
         ignore (step st)
       done
-  | Auto | Uop | Block ->
+  | Block ->
       (* [run_batch] falls back to the reference path per batch whenever the
-         configuration makes the fast engines ineligible (verify/trace/irq),
-         so every engine shares one loop *)
+         configuration makes the block engine ineligible (verify/trace/irq) *)
       while not st.halted do
         ignore (run_batch ~engine st batch_size)
       done);

@@ -88,26 +88,21 @@ val ckpt_bytes : int -> int
 (** Bytes a commit writes into its buffer for a given live mask. *)
 
 type engine =
-  | Auto
-      (** best eligible engine — block when possible, reference otherwise
-          (default) *)
-  | Reference  (** force the fully instrumented per-step reference path *)
-  | Uop  (** the predecoded micro-op loop (the former [Fast] path) *)
+  | Reference  (** the fully instrumented per-step interpreter: the oracle *)
   | Block
-      (** basic blocks fused into OCaml closures, direct-threaded
-          dispatch *)
-(** The engine ladder {!run} and {!run_batch} drive.  [Uop] and [Block]
-    are branch-light twins of the reference path for the measurement
-    configuration ([verify:false], no tracer, [irq_period = 0]); both
-    hoist the power/fuel checks out of the inner loop ([Uop] per provably
-    safe stretch, [Block] per basic block) and both fall back to the
-    reference path per batch whenever the configuration makes them
-    ineligible.  [Block] additionally falls back to checked single steps
-    at power/fuel edges and at any pc inside a block (e.g. right after a
-    snapshot restore).  All engines produce byte-for-byte identical
-    {!result} records including [waste] and [failure_sites]; the reference
-    path is the oracle (qcheck property "every engine = reference" in
-    test/test_props.ml). *)
+      (** basic blocks compiled to OCaml closures, direct-threaded
+          dispatch (default) *)
+(** The two engines {!run} and {!run_batch} drive.  [Block] is the
+    branch-light twin of the reference path for the measurement
+    configuration ([verify:false], no tracer, [irq_period = 0]): it
+    hoists the power/fuel checks out of the inner loop to one per basic
+    block, and falls back to the reference path per batch whenever the
+    configuration makes it ineligible.  Within a batch it takes one
+    reference {!step} at power/fuel edges and at any pc inside a block
+    (e.g. right after a snapshot restore).  Both engines produce
+    byte-for-byte identical {!result} records including [waste] and
+    [failure_sites]; the reference path is the oracle (qcheck property
+    "block engine = reference engine" in test/test_props.ml). *)
 
 val run :
   ?fuel:int ->
@@ -129,7 +124,7 @@ val run :
     record every checkpoint commit, power failure, boot/restore,
     interrupt, function transition and the final halt, with active-cycle
     timestamps.
-    @param engine interpreter/translator selection (default [Auto]).
+    @param engine interpreter/translator selection (default [Block]).
 
     The runtime's save-all escape hatch is sampled {e once}, at instance
     creation: setting the [WARIO_SAVE_ALL] environment variable (to
@@ -169,8 +164,8 @@ val create :
 
     [count_pcs] (default false) records how many times each pc executes —
     the PGO pilot's profile, read back with {!block_counts}.  Counting
-    keeps the instance on the reference path (the fast path's macro-steps
-    never touch per-pc state), so leave it off for measurement runs.
+    keeps the instance on the reference path (compiled blocks never touch
+    per-pc state), so leave it off for measurement runs.
 
     [reuse], a finished verify-mode instance that is never used again,
     lends a verify-mode instance its memory and WAR-shadow buffers: only
@@ -190,13 +185,13 @@ val step : t -> step
 
 val run_batch : ?engine:engine -> t -> int -> step
 (** [run_batch st n] executes up to [n] instructions as one macro-step.
-    When the instance is fast-engine eligible (verify off, no tracer,
-    interrupts off) the power/fuel budget checks are hoisted out of the
-    inner loop — per provably safe stretch on [Uop], per basic block on
-    [Auto]/[Block] (compiling and caching the block closures on first
-    use); otherwise it is exactly [n] {!step}s.  Returns [Stepped] after
-    [n] instructions, or earlier [Rebooted]/[Halted] the moment either
-    occurs.  Observable behaviour is identical to stepping.
+    On [Block] (the default), when the instance is eligible (verify off,
+    no tracer, interrupts off), the power/fuel budget checks are hoisted
+    to one per basic block (compiling and caching the block closures on
+    first use); otherwise, and on [Reference], it is exactly [n]
+    {!step}s.  Returns [Stepped] after [n] instructions, or earlier
+    [Rebooted]/[Halted] the moment either occurs.  Observable behaviour
+    is identical to stepping.
     @raise Invalid_argument when [n < 1]. *)
 
 val output : t -> int32 list
@@ -313,8 +308,8 @@ val splice : t -> snapshot -> final:result -> result option
 type engine_stats = {
   es_blocks : int;  (** basic blocks compiled (0 if never block-dispatched) *)
   es_compile_ms : float;  (** wall time spent translating blocks *)
-  es_dispatches : int;  (** fused closures executed *)
-  es_fallback_steps : int;  (** checked single steps at block-engine edges *)
+  es_dispatches : int;  (** block closures executed *)
+  es_fallback_steps : int;  (** reference steps at block-engine edges *)
 }
 
 val engine_stats : t -> engine_stats

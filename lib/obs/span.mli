@@ -26,6 +26,9 @@ type span = {
 type t
 (** A span recorder: a stack of open spans plus completed roots. *)
 
+val now_ms : unit -> float
+(** Wall-clock time in milliseconds: the clock span timestamps use. *)
+
 val create : ?track:int -> unit -> t
 (** Fresh live recorder. [track] tags every span it records (default 0). *)
 

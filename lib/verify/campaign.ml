@@ -205,8 +205,8 @@ type config = {
   jobs : int;
   max_shrunk_per_case : int;
   engine : E.Emulator.engine;
-      (** emulator engine for every oracle run (default [Auto]); the oracle
-          verifies WARs, so all engines resolve to the reference path and
+      (** emulator engine for every oracle run (default [Block]); the oracle
+          verifies WARs, so both engines resolve to the reference path and
           the report is engine-independent — asserted byte-identical in CI *)
 }
 
@@ -222,7 +222,7 @@ let default_config =
     opts = P.default_options;
     jobs = 1;
     max_shrunk_per_case = 5;
-    engine = E.Emulator.Auto;
+    engine = E.Emulator.Block;
   }
 
 (* Per-case generator: derived from the campaign seed and the case

@@ -88,8 +88,8 @@ type config = {
       (** distinct failures shrunk and recorded per case; the rest are
           counted in [k_failures_total] only *)
   engine : Wario_emulator.Emulator.engine;
-      (** emulator engine for every oracle run (default [Auto]).  Oracle
-          instances keep the WAR verifier on, so every engine resolves to
+      (** emulator engine for every oracle run (default [Block]).  Oracle
+          instances keep the WAR verifier on, so both engines resolve to
           the instrumented reference path: reports are engine-independent
           by construction (asserted byte-identical in CI). *)
 }

@@ -41,7 +41,7 @@ type config = {
   jobs : int;
       (** domains for the schedule fan-out (1 = sequential, 0 = auto) *)
   engine : Wario_emulator.Emulator.engine;
-      (** emulator engine for every oracle run (default [Auto]; verdicts
+      (** emulator engine for every oracle run (default [Block]; verdicts
           are engine-independent — the oracle keeps the WAR verifier on) *)
 }
 
@@ -62,7 +62,7 @@ let default_config =
     seed = 1L;
     opts = P.default_options;
     jobs = 1;
-    engine = Wario_emulator.Emulator.Auto;
+    engine = Wario_emulator.Emulator.Block;
   }
 
 (* Per-case generator: derived from the sweep seed and the case identity,

@@ -33,9 +33,9 @@ type config = {
           input order, so every report — including [c_schedules] under
           the failure cap — is byte-identical for any [jobs] value. *)
   engine : Wario_emulator.Emulator.engine;
-      (** emulator engine for every oracle run (default [Auto]); verdicts
+      (** emulator engine for every oracle run (default [Block]); verdicts
           are engine-independent because the oracle keeps the WAR verifier
-          on, which resolves every engine to the reference path *)
+          on, which resolves both engines to the reference path *)
 }
 
 val instrumented_environments : Wario.Pipeline.environment list

@@ -389,7 +389,7 @@ let test_region_stats () =
     (float_of_int summary.rs_median <= summary.rs_mean +. 1.);
   Alcotest.(check bool) "max >= median" true (summary.rs_max >= summary.rs_median)
 
-(* --- macro-stepping and the fast path -------------------------------- *)
+(* --- macro-stepping and the block engine ----------------------------- *)
 
 let drive_step st =
   let rec go () =
@@ -405,7 +405,7 @@ let drive_batch st n =
   go ();
   E.Emulator.result st
 
-(* [run_batch] on a fast-path-eligible instance must reproduce per-[step]
+(* [run_batch] on a block-engine-eligible instance must reproduce per-[step]
    execution exactly — result record and non-volatile digest — both on
    continuous power and across reboots under a tight periodic supply. *)
 let test_run_batch_matches_step () =
@@ -479,7 +479,7 @@ let test_block_clone_mid_block () =
     [ 1; 2; 3; 5; 7; 11; 17; 23; 31; 41 ]
 
 (* Interrupts make the block engine ineligible: a Block request must fall
-   back to the instrumented reference path — never dispatching a fused
+   back to the instrumented reference path — never dispatching a block
    closure — and reproduce the reference run exactly, interrupts included. *)
 let test_block_irq_fallback () =
   let m = Wario_workloads.Micro.find "fib" in
@@ -490,35 +490,64 @@ let test_block_irq_fallback () =
   Alcotest.(check bool) "irq run: block = reference" true (got = want);
   Alcotest.(check bool) "irqs actually fired" true
     (got.E.Emulator.irqs_taken > 0);
-  Alcotest.(check int) "no fused closure dispatched under irqs" 0
+  Alcotest.(check int) "no block closure dispatched under irqs" 0
     (E.Emulator.engine_stats st).E.Emulator.es_dispatches
 
-(* Power edges across block geometry: sweeping the periodic budget one
-   cycle at a time walks the failure point across every in-block offset —
-   including the {e last} instruction of a block, where the hoisted
-   power check and the block-boundary fallback meet.  Every budget must
-   be byte-identical to the reference engine, result record (waste and
-   failure_sites included) and non-volatile digest alike. *)
+(* Power and fuel edges across block geometry.  Sweeping the periodic
+   budget one cycle at a time walks the failure point across every
+   in-block offset — including the {e last} instruction of a block, where
+   the hoisted power check and the block-boundary fallback meet.  Sweeping
+   the fuel over a run's final cycles does the same for the fuel check,
+   where the run ends in [Emu_error] instead of a halt.  Every case must be
+   byte-identical to the reference engine: outcome, result record (waste
+   and failure_sites included), pc and non-volatile digest. *)
 let test_block_power_edge_sweep () =
-  let m = Wario_workloads.Micro.find "rmw_loop" in
-  let c = P.compile P.Wario m.Wario_workloads.Micro.source in
-  let cont = E.Emulator.run ~verify:false c.P.image in
+  let compile name =
+    let m = Wario_workloads.Micro.find name in
+    P.compile P.Wario m.Wario_workloads.Micro.source
+  in
+  let same label ?fuel supply (c : P.compiled) =
+    let drive engine =
+      let st = E.Emulator.create ?fuel ~verify:false ~supply c.P.image in
+      let outcome =
+        match drive_engine engine st with
+        | _ -> "halt"
+        | exception E.Emulator.Emu_error m -> m
+      in
+      (outcome, E.Emulator.result st, E.Emulator.pc st,
+       E.Emulator.nv_digest st)
+    in
+    let o_ref, r_ref, pc_ref, d_ref = drive E.Emulator.Reference in
+    let o_blk, r_blk, pc_blk, d_blk = drive E.Emulator.Block in
+    Alcotest.(check string) (label ^ ": outcome") o_ref o_blk;
+    Alcotest.(check bool) (label ^ ": block = reference") true (r_blk = r_ref);
+    Alcotest.(check int) (label ^ ": pc") pc_ref pc_blk;
+    Alcotest.(check int64) (label ^ ": nv digest") d_ref d_blk
+  in
+  let rmw = compile "rmw_loop" in
+  let cont = E.Emulator.run ~verify:false rmw.P.image in
   let base =
     400 + 64 + List.fold_left max 0 cont.E.Emulator.region_sizes
   in
   for budget = base to base + 64 do
-    let supply = E.Power.Periodic budget in
-    let a = E.Emulator.create ~verify:false ~supply c.P.image in
-    let b = E.Emulator.create ~verify:false ~supply c.P.image in
-    let ra = drive_engine E.Emulator.Reference a in
-    let rb = drive_engine E.Emulator.Block b in
-    Alcotest.(check bool)
-      (Printf.sprintf "budget=%d: block = reference" budget)
-      true (rb = ra);
-    Alcotest.(check int64)
-      (Printf.sprintf "budget=%d: nv digest" budget)
-      (E.Emulator.nv_digest a) (E.Emulator.nv_digest b)
-  done
+    same (Printf.sprintf "budget=%d" budget) (E.Power.Periodic budget) rmw
+  done;
+  List.iter
+    (fun name ->
+      let c = compile name in
+      List.iter
+        (fun supply ->
+          let total =
+            (E.Emulator.run ~verify:false ~supply c.P.image).E.Emulator.cycles
+          in
+          for fuel = total - 80 to total do
+            same
+              (Printf.sprintf "%s, %s, fuel=%d" name (E.Power.describe supply)
+                 fuel)
+              ~fuel supply c
+          done)
+        [ E.Power.Continuous; E.Power.Periodic 20000 ])
+    [ "rmw_loop"; "sort" ]
 
 (* WARIO_SAVE_ALL is sampled exactly once, at [create]: an instance created
    while the flag is clear must behave as save-all-off even if the flag is

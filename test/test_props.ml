@@ -246,16 +246,16 @@ let prop_interrupts_safe =
           (List.length r.E.Emulator.violations)
       else true)
 
-(* The fast interpreter loop must be observably indistinguishable from the
+(* The block engine must be observably indistinguishable from the
    per-step reference loop: same [result] record (cycles, instruction
    counts, checkpoint causes, region sizes, waste decomposition, per-callee
    call profile, output, boots...) and, when a run dies, the same
    exception.  Exercised across power supplies — including periods tight
    enough to force many reboots — and, via [irq_period], through the
    reference fallback inside [run_batch]. *)
-let prop_fast_equals_reference =
+let prop_block_equals_reference =
   QCheck.Test.make
-    ~name:"random programs: uop and block engines = reference engine"
+    ~name:"block engine = reference engine"
     ~count:12
     QCheck.(pair arbitrary_program (int_bound 0x3fffffff))
     (fun (src, seed) ->
@@ -266,12 +266,6 @@ let prop_fast_equals_reference =
               (String.concat ","
                  (List.map Int32.to_string r.E.Emulator.output))
         | Error e -> "raised " ^ e
-      in
-      let engine_name = function
-        | E.Emulator.Uop -> "uop"
-        | E.Emulator.Block -> "block"
-        | E.Emulator.Auto -> "auto"
-        | E.Emulator.Reference -> "reference"
       in
       (* a random schedule of on-period cuts derived from the generated
          seed; once exhausted power stays on, so the run terminates *)
@@ -295,18 +289,13 @@ let prop_fast_equals_reference =
           List.for_all
             (fun (supply, irq) ->
               let refr = attempt E.Emulator.Reference supply irq in
-              List.for_all
-                (fun engine ->
-                  let fast = attempt engine supply irq in
-                  fast = refr
-                  || QCheck.Test.fail_reportf
-                       "%s/reference diverged [%s, %s, irq=%d]:\n\
-                       \  %s: %s\n\
-                       \  ref:  %s" (engine_name engine)
-                       (P.environment_name env)
-                       (E.Power.describe supply) irq (engine_name engine)
-                       (describe fast) (describe refr))
-                [ E.Emulator.Uop; E.Emulator.Block ])
+              let blk = attempt E.Emulator.Block supply irq in
+              blk = refr
+              || QCheck.Test.fail_reportf
+                   "block/reference diverged [%s, %s, irq=%d]:\n\
+                   \  block: %s\n\
+                   \  ref:   %s" (P.environment_name env)
+                   (E.Power.describe supply) irq (describe blk) (describe refr))
             [
               (E.Power.Continuous, 0);
               (E.Power.Periodic 2000, 0);
@@ -561,7 +550,7 @@ let suite =
   List.map to_alcotest
     ([
        prop_transforms_preserve_ir;
-       prop_fast_equals_reference;
+       prop_block_equals_reference;
        prop_intermittent_agrees;
        prop_interrupts_safe;
        prop_forked_equals_from_boot;

@@ -36,10 +36,10 @@ let perf_gen label =
   | Error e -> Alcotest.fail (label ^ ": " ^ e)
 
 let emu_gen label progs =
-  let prog (name, r, u, b) =
+  let prog (name, r, b) =
     Printf.sprintf
-      {|{"name":%S,"continuous":{"reference_instr_per_s":%f,"uop_instr_per_s":%f,"block_instr_per_s":%f}}|}
-      name r u b
+      {|{"name":%S,"continuous":{"reference_instr_per_s":%f,"block_instr_per_s":%f}}|}
+      name r b
   in
   let body =
     Printf.sprintf
@@ -89,14 +89,13 @@ let test_generation_parsing () =
   | Ok _ -> Alcotest.fail "missing dyn_ckpts accepted"
 
 let test_emu_generation_parsing () =
-  let g = emu_gen "E1" [ ("aes", 7.0e7, 1.2e8, 2.2e8) ] in
+  let g = emu_gen "E1" [ ("aes", 7.0e7, 2.2e8) ] in
   Alcotest.(check string) "kind" "emu" g.St.g_kind;
   Alcotest.(check bool) "emu has no placement points" true (g.St.g_points = []);
   (match g.St.g_throughput with
   | [ t ] ->
       Alcotest.(check string) "program" "aes" t.St.tp_program;
       Alcotest.(check bool) "reference ips" true (t.St.tp_ref_ips = 7.0e7);
-      Alcotest.(check bool) "uop ips" true (t.St.tp_uop_ips = 1.2e8);
       Alcotest.(check bool) "block ips" true (t.St.tp_block_ips = 2.2e8)
   | ts ->
       Alcotest.fail
@@ -104,9 +103,17 @@ let test_emu_generation_parsing () =
   (* placement generations carry no throughput points *)
   let p = place_gen "G" [ ("crc", "g", 10, 100) ] in
   Alcotest.(check bool) "place has no throughput" true (p.St.g_throughput = []);
+  (* older generations also measured a uop engine: the field is ignored *)
+  let legacy =
+    {|{"bench":"emu","programs":[{"name":"x","continuous":{"reference_instr_per_s":1.0,"uop_instr_per_s":2.0,"block_instr_per_s":3.0}}]}|}
+  in
+  (match St.generation_of_json ~label:"L" (Result.get_ok (J.parse legacy)) with
+  | Ok { St.g_throughput = [ t ]; _ } ->
+      Alcotest.(check bool) "legacy block ips" true (t.St.tp_block_ips = 3.0)
+  | _ -> Alcotest.fail "legacy emu generation with uop fields rejected");
   (* a missing engine field is an error, not a silent zero *)
   let bad =
-    {|{"bench":"emu","programs":[{"name":"x","continuous":{"uop_instr_per_s":1.0,"block_instr_per_s":1.0}}]}|}
+    {|{"bench":"emu","programs":[{"name":"x","continuous":{"block_instr_per_s":1.0}}]}|}
   in
   match St.generation_of_json ~label:"B" (Result.get_ok (J.parse bad)) with
   | Error _ -> ()
@@ -186,8 +193,8 @@ let test_trend_degenerate () =
     [ []; [ single ]; [ perf_gen "P" ]; [ z1; z2 ] ]
 
 let test_throughput_trend () =
-  let e1 = emu_gen "E1" [ ("aes", 1e7, 2e7, 1.0e8); ("sha", 1e7, 2e7, 5e7) ] in
-  let e2 = emu_gen "E2" [ ("aes", 1e7, 2e7, 1.25e8) ] in
+  let e1 = emu_gen "E1" [ ("aes", 1e7, 1.0e8); ("sha", 1e7, 5e7) ] in
+  let e2 = emu_gen "E2" [ ("aes", 1e7, 1.25e8) ] in
   let place = place_gen "G" [ ("crc", "g", 10, 100) ] in
   let rows = St.throughput_trend [ place; e1; e2 ] in
   Alcotest.(check (list string)) "rows in first-appearance order"
@@ -331,7 +338,7 @@ let test_gate_floor () =
       {|{"budgets":[{"program":"aes","min_instr_per_s":1.0e8},
                     {"program":"sha","min_instr_per_s":5.0e7}]}|}
   in
-  let healthy = emu_gen "E" [ ("aes", 7e7, 1.2e8, 2.2e8) ] in
+  let healthy = emu_gen "E" [ ("aes", 7e7, 2.2e8) ] in
   (* aes clears its floor; sha appears in no emu generation *)
   (match St.gate ~budgets [ healthy ] with
   | [ b ] ->
@@ -348,7 +355,7 @@ let test_gate_floor () =
   Alcotest.(check bool) "floor-only budget passes without placement gens" true
     (St.gate ~budgets:aes_only [ healthy ] = []);
   (* falling under the floor breaches, with the actual and the floor *)
-  let regressed = emu_gen "R" [ ("aes", 7e7, 1.2e8, 0.5e8) ] in
+  let regressed = emu_gen "R" [ ("aes", 7e7, 0.5e8) ] in
   (match St.gate ~budgets:aes_only [ regressed ] with
   | [ b ] ->
       Alcotest.(check string) "floor breached" "instr_per_s" b.St.br_metric;
