@@ -775,7 +775,7 @@ let coverage_json (reports : V.Campaign.case_report list) : string =
   Buffer.contents b
 
 (* replay a persisted regression corpus; the CI hard gate *)
-let do_corpus dir =
+let do_corpus ~engine dir =
   let entries, errs = V.Corpus.load_dir dir in
   Printf.printf "corpus %s: %d entr(ies)%s\n%!" dir (List.length entries)
     (match errs with
@@ -787,7 +787,7 @@ let do_corpus dir =
   let bad = ref (List.length errs) and stale_paths = ref [] in
   List.iter
     (fun (path, entry) ->
-      let v = V.Corpus.replay entry in
+      let v = V.Corpus.replay ~engine entry in
       if v.V.Corpus.v_stale then stale_paths := path :: !stale_paths;
       if not v.V.Corpus.v_ok then incr bad;
       Printf.printf "  %s %s — %s\n%!"
@@ -906,14 +906,14 @@ let do_verify envs workloads schedules seed exhaustive_limit unroll max_region
       | Error e -> `Error (false, "bad reproducer: " ^ e)
       | Ok r -> (
           Printf.printf "replaying %s\n%!" (V.Repro.to_string r);
-          match V.Harness.replay r with
+          match V.Harness.replay ~engine r with
           | Ok () ->
               Printf.printf "reproducer no longer fails (fixed?)\n";
               `Ok ()
           | Error d -> `Error (false, "reproduced: " ^ d)))
   | None -> (
   match corpus with
-  | Some dir -> do_corpus dir
+  | Some dir -> do_corpus ~engine dir
   | None -> (
       let config_envs =
         match envs with

@@ -298,19 +298,22 @@ let clear_shadow st =
   done;
   st.n_touched <- 0
 
-let track_read st a n =
-  if st.verify then
-    if in_ckpt_area a then st.ckpt_read <- true
-    else
-      for i = a to a + n - 1 do
-        if Bytes.unsafe_get st.kinds i = ' ' then mark st i 'r'
-      done
+(* [shadow_read]/[shadow_write] record an access in a verify-mode
+   instance's shadow; [track_read]/[track_write] are the same for any
+   instance, a no-op when [verify] is off.  Compiled verify-mode blocks
+   call the former directly: their variant is chosen at compile time. *)
+let shadow_read st a n =
+  if in_ckpt_area a then st.ckpt_read <- true
+  else
+    for i = a to a + n - 1 do
+      if Bytes.unsafe_get st.kinds i = ' ' then mark st i 'r'
+    done
 
 (* A byte turns 'w' at most once per region, and only here: that is
    where the written-page bitmap is kept, one store per byte first written
    in a region. *)
-let track_write st a n =
-  if st.verify && not (in_ckpt_area a) then
+let shadow_write st a n =
+  if not (in_ckpt_area a) then
     for i = a to a + n - 1 do
       let k = Bytes.unsafe_get st.kinds i in
       if k = ' ' then begin
@@ -331,6 +334,9 @@ let track_write st a n =
         Bytes.unsafe_set st.kinds i 'w'
       end
     done
+
+let track_read st a n = if st.verify then shadow_read st a n
+let track_write st a n = if st.verify then shadow_write st a n
 
 let region_boundary st =
   clear_shadow st;
@@ -1001,6 +1007,14 @@ let tables_for ?reuse ~save_all img =
         o.fb, o.fc, o.fcond )
   | _ -> build_tables ~save_all img
 
+(* The compiled blocks of [reuse] when it runs the same image under the
+   same save-all and verify flags (see [get_bcache]). *)
+let bcache_for ?reuse ~save_all ~verify img =
+  match reuse with
+  | Some o when o.img == img && o.save_all = save_all && o.verify = verify ->
+      o.bcache
+  | _ -> None
+
 let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
     ?(irq_period = 0) ?(verify = true) ?(tracer = Tr.null)
     ?(count_pcs = false) ?reuse (img : Image.t) : t =
@@ -1087,7 +1101,7 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       commits = 0;
       fail_sites_rev = [];
       period_live = false;
-      bcache = None;
+      bcache = bcache_for ?reuse ~save_all ~verify img;
       n_dispatch = 0;
       n_fallback = 0;
     }
@@ -1174,14 +1188,20 @@ let reference_batch st n : step =
 
    A [Cmp] feeding the block's own terminating [Bc] fuses into the branch,
    which tests the equivalent native-int predicate and still sets the
-   flags exactly as the reference path does. *)
+   flags exactly as the reference path does.
+
+   A verify-mode instance gets verify-mode blocks: every load, store and
+   push records its access in the WAR shadow where the reference path
+   does, so violations, the written-page bitmap and [ckpt_read] come out
+   the same.  A commit still ends its block, so the shadow is blank right
+   after one, as {!snapshot} and {!splice} need. *)
 
 (* The block engine is only sound when nothing per-step is observable
-   beyond the architectural state: no WAR tracking, no tracer, no
+   beyond the architectural state and the WAR shadow: no tracer, no
    interrupt timer, no per-pc counts.  ([pending_irq] is included for
    completeness: it can only be set while [irq_period > 0].) *)
 let fast_eligible st =
-  (not st.verify) && (not st.trace_on) && st.irq_period = 0
+  (not st.trace_on) && st.irq_period = 0
   && (not st.pending_irq)
   && st.pc_counts = None
 
@@ -1229,7 +1249,8 @@ let compile_blocks (st : state) : bcache =
   and fc = st.fc
   and fcond = st.fcond
   and cost = st.cost
-  and eff_mask = st.eff_mask in
+  and eff_mask = st.eff_mask
+  and verify = st.verify in
   let msize = Image.mem_size in
   (* ---- pass 1: leaders ---- *)
   let leader = Array.make (max n 1) false in
@@ -1500,17 +1521,20 @@ let compile_blocks (st : state) : bcache =
           | _ -> assert false)
     in
     (* ---- body, folded right-to-left into the terminator ----
-       [cc]/[cn] are the cycles/instructions already retired within the
-       block before [pc] — the constants a fault must publish. *)
-    let comp pc (k : state -> int) : state -> int =
-      let a = fa.(pc) and b = fb.(pc) and c = fc.(pc) in
-      let me = pc in
+       [fault_consts pc]: the cycles spent within the block up to and
+       including [pc], and the instructions retired before it — the
+       constants a fault at [pc] must publish. *)
+    let fault_consts pc =
       let cc = ref 0 in
       for p = s to pc - 1 do
         cc := !cc + cost.(p)
       done;
-      let cn = pc - s in
-      let fcy = !cc + cost.(pc) in
+      (!cc + cost.(pc), pc - s)
+    in
+    let comp pc (k : state -> int) : state -> int =
+      let a = fa.(pc) and b = fb.(pc) and c = fc.(pc) in
+      let me = pc in
+      let fcy, cn = fault_consts pc in
       match fop.(pc) with
       | U_add_r ->
           fun st ->
@@ -1860,9 +1884,79 @@ let compile_blocks (st : state) : bcache =
           (* terminators never appear in a block body *)
           assert false
     in
+    (* verify mode: the WAR-shadow twin of a load, store or push, run just
+       before the access's own closure.  It makes the same bounds check
+       (a fault is reported as the access would report it), then records
+       the access as the reference [load]/[store]/[Push] do; before a
+       write it publishes [st.pc], so a violation names this
+       instruction. *)
+    let shadow pc (k : state -> int) : state -> int =
+      let b = fb.(pc) and c = fc.(pc) in
+      let me = pc in
+      let fcy, cn = fault_consts pc in
+      let read sz =
+        fun st ->
+          let ad = (Array.unsafe_get st.regs b + c) land 0xffffffff in
+          if ad < 0x40 || ad + sz > msize then mfault st me fcy cn ad sz;
+          shadow_read st ad sz;
+          k st
+      and read_r sz =
+        fun st ->
+          let r = st.regs in
+          let ad =
+            (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+          in
+          if ad < 0x40 || ad + sz > msize then mfault st me fcy cn ad sz;
+          shadow_read st ad sz;
+          k st
+      and write sz =
+        fun st ->
+          let ad = (Array.unsafe_get st.regs b + c) land 0xffffffff in
+          if ad < 0x40 || ad + sz > msize then mfault st me fcy cn ad sz;
+          st.pc <- me;
+          shadow_write st ad sz;
+          k st
+      and write_r sz =
+        fun st ->
+          let r = st.regs in
+          let ad =
+            (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+          in
+          if ad < 0x40 || ad + sz > msize then mfault st me fcy cn ad sz;
+          st.pc <- me;
+          shadow_write st ad sz;
+          k st
+      in
+      match fop.(pc) with
+      | U_ldr8 | U_ldr8s -> read 1
+      | U_ldr16 | U_ldr16s -> read 2
+      | U_ldr32 -> read 4
+      | U_ldrr8 | U_ldrr8s -> read_r 1
+      | U_ldrr16 | U_ldrr16s -> read_r 2
+      | U_ldrr32 -> read_r 4
+      | U_str8 -> write 1
+      | U_str16 -> write 2
+      | U_str32 -> write 4
+      | U_strr8 -> write_r 1
+      | U_strr16 -> write_r 2
+      | U_strr32 -> write_r 4
+      | U_push ->
+          let nr = fa.(pc) in
+          fun st ->
+            let sp = Array.unsafe_get st.regs 13 - (4 * nr) in
+            if sp < 0x40 || sp + (4 * nr) > msize then
+              mfault st me fcy cn sp (4 * nr);
+            st.pc <- me;
+            for i = 0 to nr - 1 do
+              shadow_write st (sp + (4 * i)) 4
+            done;
+            k st
+      | _ -> k
+    in
     let exec = ref tail in
     for pc = body_stop - 1 downto s do
-      exec := comp pc !exec
+      exec := comp pc !exec;
+      if verify then exec := shadow pc !exec
     done;
     let maxcost =
       bc_
@@ -1885,40 +1979,25 @@ let compile_blocks (st : state) : bcache =
   let blocks = Array.init nbk compile_one in
   { bc_blocks = blocks; bc_index = bidx; bc_compile_ms = 0. }
 
-(* The compiled cache depends only on the image and the save-all toggle
-   (closures capture operand constants, checkpoint costs/masks — which
-   [WARIO_SAVE_ALL] inflates — and the image's code array, never other
-   instance state), so it is shared process-wide: one translation serves
-   every instance, clone and rerun of the same image — a campaign probing
-   10^5 schedules compiles once.  Keyed by physical identity plus the
-   save-all flag; bounded, evicting oldest first. *)
-let shared_bcaches : ((Image.t * bool) * bcache) list ref = ref []
-let shared_bcaches_max = 32
-
+(* The compiled cache depends only on the image, the save-all toggle and
+   the verify flag (closures capture operand constants, checkpoint
+   costs/masks — which [WARIO_SAVE_ALL] inflates — the image's code array
+   and, in verify mode, the WAR-shadow twins; never other instance state).
+   It belongs to the instances that share it: {!clone}, and a [create] or
+   {!resume} whose [reuse] runs the same image under the same toggle and
+   flag, hand it on ([bcache_for]); snapshots leave it out.  So a
+   campaign probing 10^5 schedules compiles about once per domain, and
+   the cache is dropped with the last instance of its image, never
+   later. *)
 let get_bcache st =
   match st.bcache with
   | Some c -> c
-  | None -> (
-      match
-        List.find_opt
-          (fun ((img, sa), _) -> img == st.img && sa = st.save_all)
-          !shared_bcaches
-      with
-      | Some (_, c) ->
-          st.bcache <- Some c;
-          c
-      | None ->
-          let t0 = Wario_obs.Span.now_ms () in
-          let c = compile_blocks st in
-          let c = { c with bc_compile_ms = Wario_obs.Span.now_ms () -. t0 } in
-          st.bcache <- Some c;
-          let kept =
-            List.filteri
-              (fun i _ -> i < shared_bcaches_max - 1)
-              !shared_bcaches
-          in
-          shared_bcaches := ((st.img, st.save_all), c) :: kept;
-          c)
+  | None ->
+      let t0 = Wario_obs.Span.now_ms () in
+      let c = compile_blocks st in
+      let c = { c with bc_compile_ms = Wario_obs.Span.now_ms () -. t0 } in
+      st.bcache <- Some c;
+      c
 
 let block_batch st n : step =
   let bc = get_bcache st in
@@ -2083,17 +2162,18 @@ let output st = List.rev st.out_rev
 
 let reads_ckpt_area st = st.ckpt_read
 
-(* Reference-path stepping that stops the moment the [k]th commit has been
-   made.  An instruction commits at most once, so a batch of [k - commits]
-   steps cannot overshoot: the commit count is tested once per batch, not
-   once per step. *)
-let rec run_to_commit st k : step =
+(* Stepping that stops the moment the [k]th commit has been made.  An
+   instruction commits at most once, so a batch of [k - commits]
+   instructions cannot overshoot: the commit count is tested once per
+   batch, not once per step.  A checkpoint is its own single-instruction
+   block, so the same holds for the block engine. *)
+let rec run_to_commit ?engine st k : step =
   if st.halted then Halted
   else if st.commits >= k then Stepped
   else
-    match reference_batch st (k - st.commits) with
+    match run_batch ?engine st (k - st.commits) with
     | Halted -> Halted
-    | Stepped | Rebooted -> run_to_commit st k
+    | Stepped | Rebooted -> run_to_commit ?engine st k
 
 (* A snapshot is the instance's scalar state — registers, flags, power
    and statistics — plus the pages written since boot.  Memory, WAR
@@ -2101,13 +2181,14 @@ let rec run_to_commit st k : step =
    image's initial data, and the shadow is blank.  The checkpoint area's
    page is always kept, because a resumed run restores from it.  The
    written-page bitmap is [s_pages] itself.  Left out too, because they
-   would outweigh the pages: the per-pc tables (rebuilt, or lent by the
-   resumed run's [reuse]) and the closed regions, one per commit, which
-   are the first [commits] of the finished run's [region_sizes]. *)
+   would outweigh the pages: the per-pc tables and compiled blocks
+   (rebuilt, or lent by the resumed run's [reuse]) and the closed regions,
+   one per commit, which are the first [commits] of the finished run's
+   [region_sizes]. *)
 type snapshot = {
   s_st : state;
       (** [mem], [kinds], [touched], [written], the per-pc tables and
-          [regions_rev] empty *)
+          [regions_rev] empty, no compiled blocks *)
   s_pages : int array;  (** ascending page indices *)
   s_data : Bytes.t;  (** their contents, page after page *)
   s_out_len : int;  (** console outputs so far *)
@@ -2147,6 +2228,7 @@ let snapshot st =
         fb = [||];
         fc = [||];
         fcond = [||];
+        bcache = None;
       }
   in
   {
@@ -2202,6 +2284,7 @@ let resume ?reuse ~supply ~(final : result) snap =
       fb;
       fc;
       fcond;
+      bcache = bcache_for ?reuse ~save_all:s.save_all ~verify:s.verify s.img;
       supply_desc = Power.describe supply;
       mem;
       kinds;
@@ -2355,7 +2438,7 @@ let run ?fuel ?supply ?irq_period ?verify ?tracer ?(engine = Block)
       done
   | Block ->
       (* [run_batch] falls back to the reference path per batch whenever the
-         configuration makes the block engine ineligible (verify/trace/irq) *)
+         configuration makes the block engine ineligible (trace/irq) *)
       while not st.halted do
         ignore (run_batch ~engine st batch_size)
       done);

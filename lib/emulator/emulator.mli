@@ -92,13 +92,15 @@ type engine =
   | Block
       (** basic blocks compiled to OCaml closures, direct-threaded
           dispatch (default) *)
-(** The two engines {!run} and {!run_batch} drive.  [Block] is the
-    branch-light twin of the reference path for the measurement
-    configuration ([verify:false], no tracer, [irq_period = 0]): it
-    hoists the power/fuel checks out of the inner loop to one per basic
-    block, and falls back to the reference path per batch whenever the
-    configuration makes it ineligible.  Within a batch it takes one
-    reference {!step} at power/fuel edges and at any pc inside a block
+(** The two engines {!run}, {!run_batch} and {!run_to_commit} drive.
+    [Block] is the branch-light twin of the reference path for any
+    instance without a tracer, interrupts or per-pc counts: it hoists the
+    power/fuel checks out of the inner loop to one per basic block, and
+    falls back to the reference path per batch whenever the
+    configuration makes it ineligible.  With [verify] on, its blocks
+    record every load, store and push in the WAR shadow as the reference
+    path does, so violations come out the same.  Within a batch it takes
+    one reference {!step} at power/fuel edges and at any pc inside a block
     (e.g. right after a snapshot restore).  Both engines produce
     byte-for-byte identical {!result} records including [waste] and
     [failure_sites]; the reference path is the oracle (qcheck property
@@ -171,8 +173,8 @@ val create :
     lends a verify-mode instance its memory and WAR-shadow buffers: only
     the pages it wrote and its image's initial data are cleared, instead
     of allocating and clearing 2 MiB.  Of the same image (and
-    [WARIO_SAVE_ALL] setting), it lends its per-pc tables too.  Results
-    already taken from it are unaffected. *)
+    [WARIO_SAVE_ALL] setting), it lends its per-pc tables and compiled
+    blocks too.  Results already taken from it are unaffected. *)
 
 type step =
   | Stepped  (** one instruction retired *)
@@ -185,10 +187,10 @@ val step : t -> step
 
 val run_batch : ?engine:engine -> t -> int -> step
 (** [run_batch st n] executes up to [n] instructions as one macro-step.
-    On [Block] (the default), when the instance is eligible (verify off,
-    no tracer, interrupts off), the power/fuel budget checks are hoisted
-    to one per basic block (compiling and caching the block closures on
-    first use); otherwise, and on [Reference], it is exactly [n]
+    On [Block] (the default), when the instance is eligible (no tracer,
+    interrupts off, no per-pc counts), the power/fuel budget checks are
+    hoisted to one per basic block (compiling and caching the block
+    closures on first use); otherwise, and on [Reference], it is exactly [n]
     {!step}s.  Returns [Stepped] after [n] instructions, or earlier
     [Rebooted]/[Halted] the moment either occurs.  Observable behaviour
     is identical to stepping.
@@ -249,12 +251,14 @@ val reads_ckpt_area : t -> bool
     checkpoint double buffer — whose contents depend on the power
     schedule. *)
 
-val run_to_commit : t -> int -> step
-(** [run_to_commit st k] steps on the reference path until the instance
-    has made [k] checkpoint commits ([Stepped], returned at once when it
-    already has) or halts ([Halted]).  Power failures on the way reboot
-    as in {!step}.  Commits are atomic and never re-executed, so in a run
-    that replays correctly the [k]th commit is the continuous run's. *)
+val run_to_commit : ?engine:engine -> t -> int -> step
+(** [run_to_commit st k] runs batches of {!run_batch} on [engine]
+    (default [Block]) until the instance has made [k] checkpoint commits
+    ([Stepped], returned at once when it already has) or halts
+    ([Halted]); it never runs past the [k]th commit.  Power failures on
+    the way reboot as in {!step}.  Commits are atomic and never
+    re-executed, so in a run that replays correctly the [k]th commit is
+    the continuous run's. *)
 
 type snapshot
 (** Registers, flags, pc, primask, pending interrupt, power cursor and
@@ -282,7 +286,7 @@ val resume : ?reuse:t -> supply:Power.supply -> final:result -> snapshot -> t
     cumulative cycles, so that run is in [s]'s state, with [cuts.(0) -
     snapshot_cycles s] cycles of the period left and the cursor past it.
     Costs a fresh instance plus a blit of the snapshot's pages; [reuse]
-    lends its buffers as for {!create}.
+    lends its buffers, tables and compiled blocks as for {!create}.
     @raise Invalid_argument for any other supply. *)
 
 val splice : t -> snapshot -> final:result -> result option
@@ -314,6 +318,8 @@ type engine_stats = {
 
 val engine_stats : t -> engine_stats
 (** Block-engine telemetry for this instance: compile cost, dispatch and
-    fallback counters.  All zero unless the block engine ran.  The block
-    cache is compiled lazily on first block dispatch and shared with
-    {!clone}s taken afterwards. *)
+    fallback counters.  The counters are zero unless the block engine
+    ran on it.  The block cache is compiled lazily on first block
+    dispatch and shared with {!clone}s of the instance and with instances
+    it is the [reuse] of (block count and compile cost are then the
+    lender's); it is dropped with the last instance that holds it. *)

@@ -39,6 +39,7 @@ type worst = {
 let atomic_slack = 64
 
 type probe_state = {
+  engine : E.Emulator.engine option;
   golden : Oracle.golden;
   compiled : P.compiled;
   mutable probes : int;
@@ -52,7 +53,9 @@ type probe_state = {
    no progress, which a single finite cut cannot actually cause). *)
 let probe st cut : int =
   st.probes <- st.probes + 1;
-  let result, verdict = Oracle.run_schedule st.golden st.compiled [| cut |] in
+  let result, verdict =
+    Oracle.run_schedule ?engine:st.engine st.golden st.compiled [| cut |]
+  in
   let reexec =
     match result with
     | Some r -> r.E.Emulator.waste.E.Emulator.w_reexec
@@ -67,9 +70,10 @@ let probe st cut : int =
   | _ -> ());
   reexec
 
-let bisect_region golden compiled ~region ~lo ~hi : worst =
+let bisect_region ?engine golden compiled ~region ~lo ~hi : worst =
   let st =
     {
+      engine;
       golden;
       compiled;
       probes = 0;
@@ -105,7 +109,8 @@ let bisect_region golden compiled ~region ~lo ~hi : worst =
     a_probes = st.probes;
   }
 
-let search ?max_regions (golden : Oracle.golden) (compiled : P.compiled) :
+let search ?engine ?max_regions (golden : Oracle.golden)
+    (compiled : P.compiled) :
     worst list =
   let ref_ = Schedule.reference_of_result golden.Oracle.g_result in
   let boundaries = ref_.Schedule.boundaries in
@@ -145,7 +150,8 @@ let search ?max_regions (golden : Oracle.golden) (compiled : P.compiled) :
     | _ -> windows
   in
   List.map
-    (fun (region, lo, hi) -> bisect_region golden compiled ~region ~lo ~hi)
+    (fun (region, lo, hi) ->
+      bisect_region ?engine golden compiled ~region ~lo ~hi)
     windows
 
 let schedules (ws : worst list) : int array list =

@@ -24,7 +24,11 @@ val atomic_slack : int
     a checkpoint commit); the bisection predicate allows this slack. *)
 
 val search :
-  ?max_regions:int -> Oracle.golden -> Wario.Pipeline.compiled -> worst list
+  ?engine:Wario_emulator.Emulator.engine ->
+  ?max_regions:int ->
+  Oracle.golden ->
+  Wario.Pipeline.compiled ->
+  worst list
 (** One {!worst} per region with a non-empty cut window, in region order
     (boot-to-first-commit first, the halt-terminated tail last).  Costs
     O(log region-size) oracle runs per region.  [max_regions] caps the

@@ -205,9 +205,10 @@ type config = {
   jobs : int;
   max_shrunk_per_case : int;
   engine : E.Emulator.engine;
-      (** emulator engine for every oracle run (default [Block]); the oracle
-          verifies WARs, so both engines resolve to the reference path and
-          the report is engine-independent — asserted byte-identical in CI *)
+      (** emulator engine for every oracle run (default [Block]): golden
+          runs, schedules, adversary probes and shrink steps.  Both
+          engines give identical results, so the report is
+          engine-independent — asserted byte-identical in CI *)
 }
 
 let default_budget = 100_000
@@ -426,7 +427,10 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
       let max_regions = max 16 (config.budget / 16) in
       let worst =
         S.with_span spans "campaign.adversary" (fun () ->
-            let w = count_forks (fun () -> Adversary.search ~max_regions g c) in
+            let w =
+              count_forks (fun () ->
+                  Adversary.search ~engine:config.engine ~max_regions g c)
+            in
             S.add_counter ~by:(Adversary.total_probes w) spans "probes";
             S.add_counter ~by:(List.length w) spans "regions";
             w)

@@ -88,10 +88,11 @@ type config = {
       (** distinct failures shrunk and recorded per case; the rest are
           counted in [k_failures_total] only *)
   engine : Wario_emulator.Emulator.engine;
-      (** emulator engine for every oracle run (default [Block]).  Oracle
-          instances keep the WAR verifier on, so both engines resolve to
-          the instrumented reference path: reports are engine-independent
-          by construction (asserted byte-identical in CI). *)
+      (** emulator engine for every oracle run (default [Block]): golden
+          runs, schedules, adversary probes and shrink steps.  Oracle
+          instances keep the WAR verifier on, which both engines
+          implement identically, so reports are engine-independent
+          (asserted byte-identical in CI). *)
 }
 
 val default_budget : int

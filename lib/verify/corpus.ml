@@ -249,7 +249,7 @@ type verdict = {
   v_message : string;
 }
 
-let replay (e : entry) : verdict =
+let replay ?engine (e : entry) : verdict =
   let stale =
     match e.e_program_hash with
     | None -> false
@@ -265,7 +265,7 @@ let replay (e : entry) : verdict =
         | None -> false)
   in
   let ok, message =
-    match (Harness.replay e.e_repro, e.e_expect) with
+    match (Harness.replay ?engine e.e_repro, e.e_expect) with
     | Ok (), Must_pass -> (true, "replay green, as expected")
     | Error d, Must_fail -> (true, "still caught: " ^ d)
     | Ok (), Must_fail ->

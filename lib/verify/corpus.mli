@@ -58,7 +58,8 @@ type verdict = {
   v_message : string;
 }
 
-val replay : entry -> verdict
-(** Recompile exactly as recorded ({!Harness.replay}) and judge the
-    outcome against the entry's expectation.  A stale program fingerprint
-    is reported in the verdict but does not by itself decide it. *)
+val replay : ?engine:Wario_emulator.Emulator.engine -> entry -> verdict
+(** Recompile exactly as recorded ({!Harness.replay}, on [engine]) and
+    judge the outcome against the entry's expectation.  A stale program
+    fingerprint is reported in the verdict but does not by itself decide
+    it. *)

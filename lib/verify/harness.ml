@@ -41,8 +41,9 @@ type config = {
   jobs : int;
       (** domains for the schedule fan-out (1 = sequential, 0 = auto) *)
   engine : Wario_emulator.Emulator.engine;
-      (** emulator engine for every oracle run (default [Block]; verdicts
-          are engine-independent — the oracle keeps the WAR verifier on) *)
+      (** emulator engine for every oracle run (default [Block]; both
+          engines verify WARs identically, so verdicts do not depend on
+          it) *)
 }
 
 let instrumented_environments =
@@ -236,18 +237,18 @@ let total_failures (reports : case_report list) : int =
 
 (* Replay a reproducer: recompile exactly as recorded and re-run the
    oracle on the recorded cut schedule. *)
-let replay (r : Repro.t) : (unit, string) result =
+let replay ?engine (r : Repro.t) : (unit, string) result =
   match Repro.source_of_workload r.Repro.workload with
   | Error e -> Error e
   | Ok source -> (
       let c = P.compile ~opts:(Repro.options_of r) r.Repro.env source in
-      let g = Oracle.golden c in
+      let g = Oracle.golden ?engine c in
       match Oracle.golden_violations g with
       | _ :: _ as vs ->
           Error
             (Oracle.string_of_divergence (Oracle.War_violations vs)
             ^ " (in the golden run, before any injection)")
       | [] -> (
-          match Oracle.check_schedule g c r.Repro.cuts with
+          match Oracle.check_schedule ?engine g c r.Repro.cuts with
           | Ok () -> Ok ()
           | Error d -> Error (Oracle.string_of_divergence d)))

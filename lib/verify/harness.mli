@@ -34,8 +34,8 @@ type config = {
           the failure cap — is byte-identical for any [jobs] value. *)
   engine : Wario_emulator.Emulator.engine;
       (** emulator engine for every oracle run (default [Block]); verdicts
-          are engine-independent because the oracle keeps the WAR verifier
-          on, which resolves both engines to the reference path *)
+          are engine-independent because both engines verify WARs
+          identically (asserted byte-identical in CI) *)
 }
 
 val instrumented_environments : Wario.Pipeline.environment list
@@ -72,6 +72,8 @@ val sweep : ?log:(string -> unit) -> config -> case_report list
 
 val total_failures : case_report list -> int
 
-val replay : Repro.t -> (unit, string) result
+val replay :
+  ?engine:Wario_emulator.Emulator.engine -> Repro.t -> (unit, string) result
 (** Recompile exactly as recorded and re-run the oracle on the recorded
-    cuts; [Error] describes the (reproduced) divergence. *)
+    cuts, on [engine] (default [Block]); [Error] describes the
+    (reproduced) divergence. *)

@@ -79,12 +79,11 @@ type divergence =
   | War_violations of E.Emulator.violation list
   | No_progress of string
 
-(* Stretches with no snapshot to reach run through [run_batch], so an
-   [engine] selection reaches the emulator; oracle instances keep the WAR
-   verifier on, which makes every engine fall back to the instrumented
-   reference path — the path [run_to_commit] steps — and the selection is
-   still threaded so campaign reports can be asserted byte-identical
-   across engines (the CI smoke). *)
+(* Every oracle run — golden, injected, resumed — goes through
+   [run_batch] and [run_to_commit] on the caller's [engine]: verify-mode
+   blocks by default, the reference interpreter under [Reference].  The
+   two give identical results, so campaign reports can be asserted
+   byte-identical across engines (the CI smoke). *)
 let run_to_halt ?engine emu =
   while not (E.Emulator.halted emu) do
     ignore (E.Emulator.run_batch ?engine emu 4096)
@@ -110,10 +109,10 @@ let next_snapshot k =
   let rec pow p = if p > k then p else pow (2 * p) in
   min (pow 1) ((k / snapshot_stride + 1) * snapshot_stride)
 
-let golden ?engine:_ (c : P.compiled) : golden =
+let golden ?engine (c : P.compiled) : golden =
   let emu = E.Emulator.create ?reuse:(take_spare ()) c.P.image in
   let rec go k acc =
-    match E.Emulator.run_to_commit emu k with
+    match E.Emulator.run_to_commit ?engine emu k with
     | E.Emulator.Halted -> List.rev acc
     | _ -> go (next_snapshot k) (E.Emulator.snapshot emu :: acc)
   in
@@ -204,7 +203,9 @@ let finish ?engine (g : golden) snaps emu i =
     end
     else
       let s = snaps.(i) in
-      match E.Emulator.run_to_commit emu (E.Emulator.snapshot_commits s) with
+      match
+        E.Emulator.run_to_commit ?engine emu (E.Emulator.snapshot_commits s)
+      with
       | E.Emulator.Halted -> from_halt ()
       | _ -> (
           match E.Emulator.splice emu s ~final:g.g_result with

@@ -53,11 +53,12 @@ type divergence =
 val golden :
   ?engine:Wario_emulator.Emulator.engine -> Wario.Pipeline.compiled -> golden
 (** Continuous-power reference run (via the stepping API, so the final
-    memory digest is captured), stepped commit by commit on the reference
-    path to take its snapshots.  [engine] is accepted for symmetry with
-    the runs below: oracle instances keep the WAR verifier on, so every
-    engine resolves to that path and the verdicts are engine-independent
-    by construction. *)
+    memory digest is captured), run commit by commit to take its
+    snapshots.  Oracle instances keep the WAR verifier on; [engine]
+    (default [Block]) picks verify-mode compiled blocks or the reference
+    interpreter for this run and, passed to the functions below, for the
+    injected ones.  The two give identical results, so verdicts do not
+    depend on it. *)
 
 val golden_violations :
   golden -> Wario_emulator.Emulator.violation list

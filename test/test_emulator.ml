@@ -507,22 +507,32 @@ let test_block_power_edge_sweep () =
     P.compile P.Wario m.Wario_workloads.Micro.source
   in
   let same label ?fuel supply (c : P.compiled) =
-    let drive engine =
-      let st = E.Emulator.create ?fuel ~verify:false ~supply c.P.image in
+    let drive ~verify engine =
+      let st = E.Emulator.create ?fuel ~verify ~supply c.P.image in
       let outcome =
         match drive_engine engine st with
         | _ -> "halt"
         | exception E.Emulator.Emu_error m -> m
       in
       (outcome, E.Emulator.result st, E.Emulator.pc st,
-       E.Emulator.nv_digest st)
+       E.Emulator.nv_digest st, E.Emulator.reads_ckpt_area st)
     in
-    let o_ref, r_ref, pc_ref, d_ref = drive E.Emulator.Reference in
-    let o_blk, r_blk, pc_blk, d_blk = drive E.Emulator.Block in
-    Alcotest.(check string) (label ^ ": outcome") o_ref o_blk;
-    Alcotest.(check bool) (label ^ ": block = reference") true (r_blk = r_ref);
-    Alcotest.(check int) (label ^ ": pc") pc_ref pc_blk;
-    Alcotest.(check int64) (label ^ ": nv digest") d_ref d_blk
+    List.iter
+      (fun verify ->
+        let label = Printf.sprintf "%s, verify=%b" label verify in
+        let o_ref, r_ref, pc_ref, d_ref, ck_ref =
+          drive ~verify E.Emulator.Reference
+        in
+        let o_blk, r_blk, pc_blk, d_blk, ck_blk =
+          drive ~verify E.Emulator.Block
+        in
+        Alcotest.(check string) (label ^ ": outcome") o_ref o_blk;
+        Alcotest.(check bool) (label ^ ": block = reference") true
+          (r_blk = r_ref);
+        Alcotest.(check int) (label ^ ": pc") pc_ref pc_blk;
+        Alcotest.(check int64) (label ^ ": nv digest") d_ref d_blk;
+        Alcotest.(check bool) (label ^ ": reads_ckpt_area") ck_ref ck_blk)
+      [ false; true ]
   in
   let rmw = compile "rmw_loop" in
   let cont = E.Emulator.run ~verify:false rmw.P.image in
@@ -548,6 +558,88 @@ let test_block_power_edge_sweep () =
           done)
         [ E.Power.Continuous; E.Power.Periodic 20000 ])
     [ "rmw_loop"; "sort" ]
+
+(* [run_to_commit] on the block engine stops at the same commit [k] as on
+   the reference path — same result record, pc and digest — and the
+   verify-mode shadow is blank there, so [snapshot] succeeds, holding
+   exactly [k] commits.  Under continuous power and under a schedule that
+   cuts power twice on the way. *)
+let test_block_run_to_commit () =
+  let m = Wario_workloads.Micro.find "sort" in
+  let c = P.compile P.Wario m.Wario_workloads.Micro.source in
+  let total = (E.Emulator.run c.P.image).E.Emulator.cycles in
+  List.iter
+    (fun supply ->
+      let label k =
+        Printf.sprintf "%s, commit %d" (E.Power.describe supply) k
+      in
+      let a = E.Emulator.create ~supply c.P.image
+      and b = E.Emulator.create ~supply c.P.image in
+      let rec go k =
+        let sa = E.Emulator.run_to_commit ~engine:E.Emulator.Reference a k in
+        let sb = E.Emulator.run_to_commit ~engine:E.Emulator.Block b k in
+        Alcotest.(check bool) (label k ^ ": outcome") true (sa = sb);
+        Alcotest.(check bool) (label k ^ ": result") true
+          (E.Emulator.result a = E.Emulator.result b);
+        Alcotest.(check int) (label k ^ ": pc") (E.Emulator.pc a)
+          (E.Emulator.pc b);
+        Alcotest.(check int64) (label k ^ ": nv digest")
+          (E.Emulator.nv_digest a) (E.Emulator.nv_digest b);
+        if sb <> E.Emulator.Halted then begin
+          Alcotest.(check int) (label k ^ ": snapshot commits") k
+            (E.Emulator.snapshot_commits (E.Emulator.snapshot b));
+          go (k + 1 + (k / 2))
+        end
+      in
+      go 1;
+      Alcotest.(check bool) "blocks dispatched" true
+        ((E.Emulator.engine_stats b).E.Emulator.es_dispatches > 0);
+      match supply with
+      | E.Power.Schedule _ ->
+          Alcotest.(check int) "the schedule cut power twice" 3
+            (E.Emulator.boots b)
+      | _ -> ())
+    [ E.Power.Continuous; E.Power.Schedule [| total / 3; total / 2 |] ]
+
+(* A WAR violation on a store, a register-offset store and a push, none of
+   them first in its block, names the same pc, function and instruction on
+   the block engine as on the reference path. *)
+let test_block_violation_site () =
+  let img =
+    E.Image.link
+      {
+        I.mfuncs =
+          [ { I.mname = "main"; frame_words = 0; mframe = None;
+              mblocks =
+                [ { I.mlabel = "main";
+                    mcode =
+                      [ I.Movw32 (1, 0x1000l); I.Mov (2, I.I 8l);
+                        I.Ldr (I.W32, 0, 1, 0l); I.LdrR (I.W32, 3, 1, 2);
+                        I.Ldr (I.W32, 4, I.sp, -4l);
+                        I.Str (I.W32, 0, 1, 0l); I.StrR (I.W8, 3, 1, 2);
+                        I.Push [ 4 ]; I.Svc 1 ] } ] } ];
+        mdata = [];
+      }
+  in
+  let run engine =
+    let st = E.Emulator.create ~verify:true img in
+    ignore (drive_engine engine st);
+    st
+  in
+  let violations st = (E.Emulator.result st).E.Emulator.violations in
+  let want = violations (run E.Emulator.Reference) in
+  let blk = run E.Emulator.Block in
+  let got = violations blk in
+  Alcotest.(check (list int)) "reference: store, register store, push"
+    [ 5; 5; 5; 5; 6; 7; 7; 7; 7 ]
+    (List.map (fun v -> v.E.Emulator.v_pc) want);
+  Alcotest.(check bool) "block dispatched" true
+    ((E.Emulator.engine_stats blk).E.Emulator.es_dispatches > 0);
+  let site v = E.Emulator.(v.v_pc, (v.v_func, v.v_instr)) in
+  Alcotest.(check (list (pair int (pair string string))))
+    "block = reference: pc, function, instruction"
+    (List.map site want) (List.map site got);
+  Alcotest.(check bool) "block = reference: whole records" true (got = want)
 
 (* WARIO_SAVE_ALL is sampled exactly once, at [create]: an instance created
    while the flag is clear must behave as save-all-off even if the flag is
@@ -805,6 +897,10 @@ let suite =
       test_block_irq_fallback;
     Alcotest.test_case "block engine: power-edge sweep" `Quick
       test_block_power_edge_sweep;
+    Alcotest.test_case "block engine: run_to_commit = reference" `Quick
+      test_block_run_to_commit;
+    Alcotest.test_case "block engine: violation names its store" `Quick
+      test_block_violation_site;
     Alcotest.test_case "run_batch rejects n < 1" `Quick
       test_run_batch_rejects_nonpositive;
     Alcotest.test_case "WARIO_SAVE_ALL sampled at create" `Quick

@@ -249,10 +249,15 @@ let prop_interrupts_safe =
 (* The block engine must be observably indistinguishable from the
    per-step reference loop: same [result] record (cycles, instruction
    counts, checkpoint causes, region sizes, waste decomposition, per-callee
-   call profile, output, boots...) and, when a run dies, the same
-   exception.  Exercised across power supplies — including periods tight
-   enough to force many reboots — and, via [irq_period], through the
-   reference fallback inside [run_batch]. *)
+   call profile, output, boots, WAR violations...) and, when a run dies,
+   the same exception.  Exercised with the WAR verifier off and on, on
+   healthy and sabotaged ([drop_middle_ckpt]) builds, across power
+   supplies — including periods tight enough to force many reboots — and,
+   via [irq_period], through the reference fallback inside [run_batch].
+   [block_violating_cases] counts the generated programs whose sabotaged
+   build really violates, so the verify-mode comparison is not vacuous. *)
+let block_violating_cases = ref 0
+
 let prop_block_equals_reference =
   QCheck.Test.make
     ~name:"block engine = reference engine"
@@ -261,10 +266,11 @@ let prop_block_equals_reference =
     (fun (src, seed) ->
       let describe = function
         | Ok (r : E.Emulator.result) ->
-            Printf.sprintf "exit=%ld cycles=%d instrs=%d out=[%s]"
+            Printf.sprintf "exit=%ld cycles=%d instrs=%d out=[%s] violations=%d"
               r.E.Emulator.exit_code r.E.Emulator.cycles r.E.Emulator.instrs
               (String.concat ","
                  (List.map Int32.to_string r.E.Emulator.output))
+              (List.length r.E.Emulator.violations)
         | Error e -> "raised " ^ e
       in
       (* a random schedule of on-period cuts derived from the generated
@@ -275,36 +281,69 @@ let prop_block_equals_reference =
             s := ((!s * 0x9e3779b1) + 0x6d2b79f5) land 0x3fffffff;
             500 + (!s mod 19500))
       in
-      List.for_all
-        (fun env ->
-          let c = P.compile env src in
-          let attempt engine supply irq =
-            match
-              E.Emulator.run ~verify:false ~supply ~irq_period:irq ~engine
-                c.P.image
-            with
-            | r -> Ok r
-            | exception e -> Error (Printexc.to_string e)
-          in
-          List.for_all
-            (fun (supply, irq) ->
-              let refr = attempt E.Emulator.Reference supply irq in
-              let blk = attempt E.Emulator.Block supply irq in
+      let sabotaged = { P.default_options with P.drop_middle_ckpt = Some 1 } in
+      let violated = ref false in
+      let ok =
+        List.for_all
+          (fun (label, env, opts) ->
+            let c = P.compile ~opts env src in
+            let attempt ~verify engine supply irq =
+              match
+                E.Emulator.run ~verify ~supply ~irq_period:irq ~engine
+                  c.P.image
+              with
+              | r -> Ok r
+              | exception e -> Error (Printexc.to_string e)
+            in
+            let same ~verify (supply, irq) =
+              let refr = attempt ~verify E.Emulator.Reference supply irq in
+              let blk = attempt ~verify E.Emulator.Block supply irq in
+              (match refr with
+              | Ok r when opts == sabotaged ->
+                  if r.E.Emulator.violations <> [] then violated := true
+              | _ -> ());
               blk = refr
               || QCheck.Test.fail_reportf
-                   "block/reference diverged [%s, %s, irq=%d]:\n\
+                   "block/reference diverged [%s, %s, irq=%d, verify=%b]:\n\
                    \  block: %s\n\
-                   \  ref:   %s" (P.environment_name env)
-                   (E.Power.describe supply) irq (describe blk) (describe refr))
-            [
-              (E.Power.Continuous, 0);
-              (E.Power.Periodic 2000, 0);
-              (E.Power.Periodic 16384, 0);
-              (E.Power.Schedule random_schedule, 0);
-              (* interrupts force the reference fallback inside run_batch *)
-              (E.Power.Continuous, 997);
-            ])
-        [ P.Plain; P.Wario ])
+                   \  ref:   %s" label (E.Power.describe supply) irq verify
+                   (describe blk) (describe refr)
+            in
+            List.for_all
+              (fun verify ->
+                List.for_all (same ~verify)
+                  [
+                    (E.Power.Continuous, 0);
+                    (E.Power.Periodic 2000, 0);
+                    (E.Power.Periodic 16384, 0);
+                    (E.Power.Schedule random_schedule, 0);
+                    (* interrupts force the reference fallback inside
+                       run_batch *)
+                    (E.Power.Continuous, 997);
+                  ])
+              [ false; true ])
+          [
+            ("plain", P.Plain, P.default_options);
+            ("wario", P.Wario, P.default_options);
+            ("wario, drop-ckpt 1", P.Wario, sabotaged);
+          ]
+      in
+      if !violated then incr block_violating_cases;
+      ok)
+
+(* The property, then the check that some generated sabotaged build did
+   violate: the count covers this run of the property only. *)
+let block_equals_reference_test =
+  let name, speed, run = to_alcotest prop_block_equals_reference in
+  ( name,
+    speed,
+    fun () ->
+      block_violating_cases := 0;
+      run ();
+      if !block_violating_cases = 0 then
+        Alcotest.fail
+          "no generated sabotaged build had WAR violations: the verify-mode \
+           comparison was vacuous" )
 
 let prop_transforms_preserve_ir =
   QCheck.Test.make
@@ -547,15 +586,13 @@ let prop_forked_equals_from_boot =
       && (spliced img s.continuous cuts = boot || fail "spliced result or digest"))
 
 let suite =
-  List.map to_alcotest
-    ([
-       prop_transforms_preserve_ir;
-       prop_block_equals_reference;
-       prop_intermittent_agrees;
-       prop_interrupts_safe;
-       prop_forked_equals_from_boot;
-     ]
-    @ List.map prop_pipeline_preserves [ P.Plain; P.Ratchet; P.Wario; P.Wario_expander ])
+  to_alcotest prop_transforms_preserve_ir
+  :: block_equals_reference_test
+  :: List.map to_alcotest
+       ([ prop_intermittent_agrees; prop_interrupts_safe;
+          prop_forked_equals_from_boot ]
+       @ List.map prop_pipeline_preserves
+           [ P.Plain; P.Ratchet; P.Wario; P.Wario_expander ])
   @ [
       Alcotest.test_case "micro oracle: periodic = continuous, all envs"
         `Quick test_micro_oracle_all_envs;
