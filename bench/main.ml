@@ -7,13 +7,15 @@
      dune exec bench/main.exe fig4 tab3           # several
      dune exec bench/main.exe -- --list           # artefact names
      dune exec bench/main.exe -- --out-dir d fig4 # write d/fig4.txt
-     dune exec bench/main.exe -- --jobs 8 perf    # perf + BENCH_4.json
-     dune exec bench/main.exe -- --small --artefact perf   # CI smoke
+     dune exec bench/main.exe -- --jobs 8 place6  # place6 + BENCH_6.json
+     dune exec bench/main.exe -- --small --artefact emu    # CI smoke
 
    Artefacts: fig4 fig5 tab1 tab2 fig6 fig7 tab3 tab4 ext cert profile
-   bechamel perf emu place place6.  The compile+run cache is prefilled on --jobs
-   domains (default and 0: the host's domain count; results are identical
-   for any value).
+   bechamel emu place6 cache.  The three gated ones (emu, place6, cache)
+   each write a BENCH_*.json of (program, metric, value, unit, better)
+   rows, the one schema [iclang stats] reads.  The compile+run cache is
+   prefilled on --jobs domains (default and 0: the host's domain count;
+   results are identical for any value).
    Absolute numbers differ from the paper (different substrate,
    scaled inputs — see DESIGN.md §7); the comparisons and shapes are the
    result. *)
@@ -662,17 +664,12 @@ let bechamel () =
   print_string (Report.table [ "pass"; "time" ] (List.sort compare !rows))
 
 (* ------------------------------------------------------------------ *)
-(* Perf: emulator throughput and harness wall-clock (BENCH_4.json)      *)
+(* Gated artefacts: settings, timing and the row writer                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Set by the driver before artefacts run. *)
 let opt_jobs = ref 0 (* 0 = not set: use X.default_jobs () *)
 let opt_small = ref false
-
-(* --engine: engine for artefact emulator runs that are not themselves
-   engine comparisons (the perf/emu engine tables always run both
-   engines regardless). *)
-let opt_engine = ref E.Emulator.Block
 let opt_out_dir : string option ref = ref None
 
 let resolved_jobs () = if !opt_jobs >= 1 then !opt_jobs else X.default_jobs ()
@@ -692,158 +689,21 @@ let best_of reps f =
   done;
   (r, !best)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let row ?(unit = "count") ?(better = Wario.Stats.Lower) program metric value =
+  {
+    Wario.Stats.r_program = program;
+    r_metric = metric;
+    r_value = value;
+    r_unit = unit;
+    r_better = better;
+  }
 
-let perf () =
-  print_endline
-    "\n=== Perf: emulator block-engine throughput and parallel harness \
-     wall-clock ===\n";
-  let reps = if !opt_small then 2 else 3 in
-  (* -- emulator throughput: largest benchmark (by executed instructions,
-        wario environment), continuous supply -- *)
-  let largest =
-    List.fold_left
-      (fun acc b ->
-        let n = (get b P.Wario).run.E.Emulator.instrs in
-        match acc with
-        | Some (_, best) when best >= n -> acc
-        | _ -> Some (b, n))
-      None benchmarks
-    |> Option.get |> fst
-  in
-  let image = (get largest P.Wario).compiled.P.image in
-  let run_engine ~verify engine () = E.Emulator.run ~verify ~engine image in
-  let r_ref_verify, t_ref_verify =
-    best_of reps (run_engine ~verify:true E.Emulator.Reference)
-  in
-  let r_ref, t_ref =
-    best_of reps (run_engine ~verify:false E.Emulator.Reference)
-  in
-  let r_blk, t_blk = best_of reps (run_engine ~verify:false E.Emulator.Block) in
-  let fast_eq = r_blk = r_ref in
-  let fast_eq_verify =
-    (* verify-on differs only in that it can report violations *)
-    r_blk = { r_ref_verify with E.Emulator.violations = [] }
-    && r_ref_verify.E.Emulator.violations = []
-  in
-  if not (fast_eq && fast_eq_verify) then
-    failwith "perf: the block engine diverged from the reference engine";
-  let ips t = float_of_int r_blk.E.Emulator.instrs /. t in
-  let rows =
-    [
-      [ "reference, verify on"; Printf.sprintf "%.3f s" t_ref_verify;
-        Printf.sprintf "%.2fM instr/s" (ips t_ref_verify /. 1e6); "1.00" ];
-      [ "reference, verify off"; Printf.sprintf "%.3f s" t_ref;
-        Printf.sprintf "%.2fM instr/s" (ips t_ref /. 1e6);
-        Printf.sprintf "%.2f" (t_ref_verify /. t_ref) ];
-      [ "block"; Printf.sprintf "%.3f s" t_blk;
-        Printf.sprintf "%.2fM instr/s" (ips t_blk /. 1e6);
-        Printf.sprintf "%.2f" (t_ref_verify /. t_blk) ];
-    ]
-  in
-  Printf.printf "emulator throughput: %s, %d instrs, continuous supply, \
-                 best of %d\n"
-    largest.W.name r_blk.E.Emulator.instrs reps;
-  print_string
-    (Report.table [ "engine"; "wall"; "throughput"; "speedup" ] rows);
-  Printf.printf
-    "block = reference (verify off): %b; = reference (verify on, modulo \
-     violations=[]): %b\n"
-    fast_eq fast_eq_verify;
-  (* -- harness wall-clock: schedule fan-out at jobs=1 vs jobs=N -- *)
-  let module H = Wario_verify.Harness in
-  let par_jobs = resolved_jobs () in
-  let config jobs =
-    {
-      H.default_config with
-      H.workloads =
-        List.filter
-          (fun (n, _) -> List.mem n [ "rmw_loop"; "byte_ops" ])
-          H.default_config.H.workloads;
-      envs = [ P.Wario; P.Wario_expander ];
-      schedules_per_case = (if !opt_small then 24 else 100);
-      exhaustive_limit = (if !opt_small then 24 else 100);
-      jobs;
-      engine = !opt_engine;
-    }
-  in
-  let sweep jobs () = H.sweep (config jobs) in
-  let reports_seq, t_seq = best_of reps (sweep 1) in
-  (* on a single-core host a domain pool has no parallelism to buy and
-     only adds spawn/join overhead (a previous run here clocked 0.87x):
-     the fan-out degenerates to the sequential path by design *)
-  if par_jobs = 1 then
-    print_endline
-      "\nsingle-core host: harness fan-out runs sequentially (jobs auto = 1)";
-  let reports_par, t_par =
-    if par_jobs > 1 then best_of reps (sweep par_jobs) else (reports_seq, t_seq)
-  in
-  let identical = reports_seq = reports_par in
-  if not identical then
-    failwith "perf: parallel harness reports differ from sequential";
-  let schedules =
-    List.fold_left (fun a r -> a + r.H.c_schedules) 0 reports_seq
-  in
-  Printf.printf
-    "\nharness fan-out: %d schedules, %d case(s), best of %d\n" schedules
-    (List.length reports_seq) reps;
-  print_string
-    (Report.table
-       [ "jobs"; "wall"; "speedup" ]
-       [
-         [ "1"; Printf.sprintf "%.3f s" t_seq; "1.00" ];
-         [ string_of_int par_jobs; Printf.sprintf "%.3f s" t_par;
-           Printf.sprintf "%.2f" (t_seq /. t_par) ];
-       ]);
-  Printf.printf "parallel report identical to sequential: %b\n" identical;
-  (* -- BENCH_4.json -- *)
-  let json =
-    String.concat ""
-      [
-        "{\n";
-        "  \"bench\": \"perf\",\n";
-        Printf.sprintf "  \"host\": {\"recommended_domains\": %d},\n"
-          (X.default_jobs ());
-        Printf.sprintf "  \"small\": %b,\n" !opt_small;
-        "  \"emulator\": {\n";
-        Printf.sprintf "    \"benchmark\": \"%s\",\n"
-          (json_escape largest.W.name);
-        Printf.sprintf "    \"instrs\": %d,\n" r_blk.E.Emulator.instrs;
-        Printf.sprintf "    \"reference_verify_on_s\": %.6f,\n" t_ref_verify;
-        Printf.sprintf "    \"reference_verify_off_s\": %.6f,\n" t_ref;
-        Printf.sprintf "    \"fast_s\": %.6f,\n" t_blk;
-        Printf.sprintf "    \"fast_instr_per_s\": %.0f,\n" (ips t_blk);
-        Printf.sprintf "    \"speedup_vs_reference_verify_on\": %.3f,\n"
-          (t_ref_verify /. t_blk);
-        Printf.sprintf "    \"speedup_vs_reference_verify_off\": %.3f,\n"
-          (t_ref /. t_blk);
-        Printf.sprintf "    \"fast_equals_reference\": %b\n"
-          (fast_eq && fast_eq_verify);
-        "  },\n";
-        "  \"harness\": {\n";
-        Printf.sprintf "    \"schedules\": %d,\n" schedules;
-        Printf.sprintf "    \"jobs\": %d,\n" par_jobs;
-        Printf.sprintf "    \"sequential_s\": %.6f,\n" t_seq;
-        Printf.sprintf "    \"parallel_s\": %.6f,\n" t_par;
-        Printf.sprintf "    \"speedup\": %.3f,\n" (t_seq /. t_par);
-        Printf.sprintf "    \"identical_reports\": %b\n" identical;
-        "  }\n";
-        "}\n";
-      ]
-  in
+(* Write [rows] as BENCH file [file] (into --out-dir when given). *)
+let write_rows ~bench file rows =
   let dir = match !opt_out_dir with Some d -> d | None -> "." in
-  let path = Filename.concat dir "BENCH_4.json" in
+  let path = Filename.concat dir file in
   let oc = open_out path in
-  output_string oc json;
+  output_string oc (Wario.Stats.artefact_json ~bench ~small:!opt_small rows);
   close_out oc;
   Printf.printf "wrote %s\n" path
 
@@ -925,346 +785,56 @@ let emu () =
   in
   Printf.printf
     "\nboth engines byte-identical on every run above: true\n\
-     aes block speedup vs reference (continuous): %.2fx\n"
+     aes block speedup vs reference (continuous): %.2fx\n\n"
     aes_speedup;
-  let json =
-    String.concat ""
-      [
-        "{\n";
-        "  \"bench\": \"emu\",\n";
-        Printf.sprintf "  \"small\": %b,\n" !opt_small;
-        Printf.sprintf "  \"reps\": %d,\n" reps;
-        Printf.sprintf "  \"on_period\": %d,\n" on_period;
-        "  \"programs\": [\n";
-        String.concat ",\n"
-          (List.map
-             (fun (name, c, im, es) ->
-               String.concat ""
-                 [
-                   "    {\n";
-                   Printf.sprintf "      \"name\": \"%s\",\n" (json_escape name);
-                   "      \"continuous\": {\n";
-                   Printf.sprintf "        \"instrs\": %d,\n" c.er_instrs;
-                   Printf.sprintf "        \"reference_instr_per_s\": %.0f,\n"
-                     (ips c.er_instrs c.er_ref_s);
-                   Printf.sprintf "        \"block_instr_per_s\": %.0f\n"
-                     (ips c.er_instrs c.er_blk_s);
-                   "      },\n";
-                   "      \"intermittent\": {\n";
-                   Printf.sprintf "        \"instrs\": %d,\n" im.er_instrs;
-                   Printf.sprintf "        \"reference_instr_per_s\": %.0f,\n"
-                     (ips im.er_instrs im.er_ref_s);
-                   Printf.sprintf "        \"block_instr_per_s\": %.0f\n"
-                     (ips im.er_instrs im.er_blk_s);
-                   "      },\n";
-                   "      \"block_engine\": {\n";
-                   Printf.sprintf "        \"blocks\": %d,\n"
-                     es.E.Emulator.es_blocks;
-                   Printf.sprintf "        \"compile_ms\": %.3f,\n"
-                     es.E.Emulator.es_compile_ms;
-                   Printf.sprintf "        \"dispatches\": %d,\n"
-                     es.E.Emulator.es_dispatches;
-                   Printf.sprintf "        \"fallback_steps\": %d\n"
-                     es.E.Emulator.es_fallback_steps;
-                   "      },\n";
-                   "      \"identical\": true\n";
-                   "    }";
-                 ])
-             rows);
-        "\n  ],\n";
-        "  \"summary\": {\n";
-        Printf.sprintf "    \"aes_block_speedup_vs_reference\": %.3f,\n"
-          aes_speedup;
-        "    \"engines_identical\": true\n";
-        "  }\n";
-        "}\n";
-      ]
-  in
-  let dir = match !opt_out_dir with Some d -> d | None -> "." in
-  let path = Filename.concat dir "BENCH_7.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* Place: checkpoint placement quality (BENCH_5.json)                    *)
-(* ------------------------------------------------------------------ *)
-
-(* One placement variant of one program, measured under continuous power
-   and under one per-program periodic supply (the same on-period for every
-   variant, so the intermittent numbers are comparable). *)
-type placed = {
-  pl_variant : Wario.Pgo.variant;
-  pl_certified : bool;
-  pl_elided : int;  (* checkpoints removed by certifier-validated elision *)
-  pl_dyn : int;  (* dynamic checkpoint executions, continuous power *)
-  pl_cycles : int;  (* total cycles, continuous power *)
-  pl_im : E.Emulator.result;  (* the intermittent run *)
-}
-
-let place () =
-  print_endline
-    "\n=== Placement: greedy vs static-weighted vs profile-guided \
-     (BENCH_5.json) ===\n";
-  let micros =
-    List.map
-      (fun (m : Wario_workloads.Micro.t) ->
-        (m.Wario_workloads.Micro.name, m.Wario_workloads.Micro.source, false))
-      Wario_workloads.Micro.all
-  in
-  let benches =
-    List.map (fun (b : W.benchmark) -> (b.W.name, b.W.source, true)) benchmarks
-  in
-  let progs = if !opt_small then micros else micros @ benches in
-  let opts = { P.default_options with P.elide = true } in
-  let variants = [ Wario.Pgo.Greedy; Wario.Pgo.Static; Wario.Pgo.Profile ] in
-  (* every job compiles and measures its own program (nothing shared);
-     results come back in input order *)
-  let rows =
-    X.map ~jobs:(resolved_jobs ()) ~spans:!spans ~label:"bench.place.map"
-      (fun (name, src, is_bench) ->
-        let cs = Wario.Pgo.compile_candidates ~opts P.Wario src in
-        let images =
-          List.map (fun v -> (v, Wario.Pgo.compiled_of cs v)) variants
-        in
-        (* one on-period per program, grown until every variant makes
-           forward progress (elision lengthens regions, so the greedy
-           period is not automatically enough for the others) *)
-        let rec measure_im period =
-          try
-            ( period,
-              List.map
-                (fun (_, c) ->
-                  E.Emulator.run
-                    ~supply:(E.Power.Periodic period)
-                    ~verify:false c.P.image)
-                images )
-          with E.Emulator.No_forward_progress _ -> measure_im (10 * period)
-        in
-        let period, ims = measure_im (if is_bench then 100_000 else 5_000) in
-        let placed =
-          List.map2
-            (fun (v, c) im ->
-              let cont = E.Emulator.run ~verify:false c.P.image in
-              {
-                pl_variant = v;
-                pl_certified =
-                  (match P.certify c with
-                  | Wario_certify.Certify.Certified _ -> true
-                  | Wario_certify.Certify.Rejected _ -> false);
-                pl_elided =
-                  (match c.P.elision with
-                  | Some s -> s.Wario.Elide.elided
-                  | None -> 0);
-                pl_dyn = cont.E.Emulator.checkpoints_total;
-                pl_cycles = cont.E.Emulator.cycles;
-                pl_im = im;
-              })
-            images ims
-        in
-        (name, is_bench, period, cs.Wario.Pgo.pilot, placed))
-      progs
-  in
-  let find v placed = List.find (fun p -> p.pl_variant = v) placed in
-  (* "improved": strictly fewer dynamic checkpoints AND total active
-     cycles under intermittent power not increasing.  The useful work is
-     constant across variants, so a total-cycle non-increase certifies the
-     checkpoint savings were not paid back in re-execution; the waste
-     decomposition itself is alignment-noisy (see EXPERIMENTS.md). *)
-  let improved g p =
-    p.pl_dyn < g.pl_dyn
-    && p.pl_im.E.Emulator.cycles <= g.pl_im.E.Emulator.cycles
-  in
-  let table_rows =
-    List.map
-      (fun (name, _, _, pilot, placed) ->
-        let g = find Wario.Pgo.Greedy placed
-        and s = find Wario.Pgo.Static placed
-        and p = find Wario.Pgo.Profile placed in
-        [
-          name;
-          string_of_int g.pl_dyn;
-          string_of_int s.pl_dyn;
-          string_of_int p.pl_dyn;
-          Printf.sprintf "%d/%d" s.pl_elided p.pl_elided;
-          Wario.Pgo.variant_name pilot.Wario.Pgo.selected;
-          (if improved g s || improved g p then "yes" else "-");
-        ])
-      rows
-  in
   print_string
     (Report.table
-       [
-         "program"; "greedy"; "static"; "pgo"; "elided s/p"; "selected";
-         "improved";
-       ]
-       table_rows);
-  print_endline
-    "\n-- intermittent power: total active cycles and re-executed cycles --";
-  let im_rows =
-    List.map
-      (fun (name, _, period, _, placed) ->
-        let g = find Wario.Pgo.Greedy placed
-        and s = find Wario.Pgo.Static placed
-        and p = find Wario.Pgo.Profile placed in
-        let cyc x = string_of_int x.pl_im.E.Emulator.cycles in
-        let re x =
-          string_of_int x.pl_im.E.Emulator.waste.E.Emulator.w_reexec
-        in
-        [ name; string_of_int period; cyc g; cyc s; cyc p; re g; re s; re p ])
-      rows
+       ~title:"block engine, one untimed stepping run"
+       [ "benchmark"; "blocks"; "compile ms"; "dispatches"; "fallback steps" ]
+       (List.map
+          (fun (name, _, _, es) ->
+            [
+              name;
+              string_of_int es.E.Emulator.es_blocks;
+              Printf.sprintf "%.3f" es.E.Emulator.es_compile_ms;
+              string_of_int es.E.Emulator.es_dispatches;
+              string_of_int es.E.Emulator.es_fallback_steps;
+            ])
+          rows));
+  (* instr/s, rounded: the digits below one instruction are noise *)
+  let ips_row name metric r t =
+    row ~unit:"instr/s" ~better:Wario.Stats.Higher name metric
+      (Float.round (ips r.er_instrs t))
   in
-  print_string
-    (Report.table
-       [
-         "program"; "on-period"; "g cycles"; "s cycles"; "p cycles";
-         "g reexec"; "s reexec"; "p reexec";
-       ]
-       im_rows);
-  (* hard checks: the certifier must pass every variant, and on the micro
-     suite the cost-guided placements must never execute more checkpoints
-     than greedy (the CI smoke gate) *)
-  List.iter
-    (fun (name, is_bench, _, _, placed) ->
-      List.iter
-        (fun p ->
-          if not p.pl_certified then
-            failwith
-              (Printf.sprintf "place: %s [%s] rejected by the certifier" name
-                 (Wario.Pgo.variant_name p.pl_variant)))
-        placed;
-      if not is_bench then
-        let g = find Wario.Pgo.Greedy placed in
-        List.iter
-          (fun p ->
-            if p.pl_dyn > g.pl_dyn then
-              failwith
-                (Printf.sprintf
-                   "place: %s [%s] executes more checkpoints than greedy \
-                    (%d > %d)"
-                   name
-                   (Wario.Pgo.variant_name p.pl_variant)
-                   p.pl_dyn g.pl_dyn))
-          placed)
-    rows;
-  let n_bench = List.length (List.filter (fun (_, b, _, _, _) -> b) rows) in
-  let bench_improved =
-    List.length
-      (List.filter
-         (fun (_, is_bench, _, _, placed) ->
-           is_bench
-           &&
-           let g = find Wario.Pgo.Greedy placed in
-           improved g (find Wario.Pgo.Static placed)
-           || improved g (find Wario.Pgo.Profile placed))
-         rows)
-  in
-  let n_improved =
-    List.length
-      (List.filter
-         (fun (_, _, _, _, placed) ->
-           let g = find Wario.Pgo.Greedy placed in
-           improved g (find Wario.Pgo.Static placed)
-           || improved g (find Wario.Pgo.Profile placed))
-         rows)
-  in
-  Printf.printf
-    "\n%d/%d program(s) improved; %d/%d benchmark(s) improved (majority: %b)\n"
-    n_improved (List.length rows) bench_improved n_bench
-    (n_bench > 0 && 2 * bench_improved > n_bench);
-  (* -- BENCH_5.json -- *)
-  let variant_json placed v =
-    let p = find v placed in
-    let w = p.pl_im.E.Emulator.waste in
-    String.concat ""
-      [
-        Printf.sprintf "        \"%s\": {\n" (Wario.Pgo.variant_name v);
-        Printf.sprintf "          \"dyn_ckpts\": %d,\n" p.pl_dyn;
-        Printf.sprintf "          \"cycles\": %d,\n" p.pl_cycles;
-        Printf.sprintf "          \"elided\": %d,\n" p.pl_elided;
-        Printf.sprintf "          \"certified\": %b,\n" p.pl_certified;
-        "          \"intermittent\": {\n";
-        Printf.sprintf "            \"dyn_ckpts\": %d,\n"
-          p.pl_im.E.Emulator.checkpoints_total;
-        Printf.sprintf "            \"cycles\": %d,\n"
-          p.pl_im.E.Emulator.cycles;
-        Printf.sprintf "            \"useful\": %d,\n" w.E.Emulator.w_useful;
-        Printf.sprintf "            \"boot\": %d,\n" w.E.Emulator.w_boot;
-        Printf.sprintf "            \"restore\": %d,\n" w.E.Emulator.w_restore;
-        Printf.sprintf "            \"reexec\": %d\n" w.E.Emulator.w_reexec;
-        "          }\n";
-        "        }";
-      ]
-  in
-  let prog_json (name, is_bench, period, pilot, placed) =
-    let g = find Wario.Pgo.Greedy placed in
-    String.concat ""
-      [
-        "    {\n";
-        Printf.sprintf "      \"name\": \"%s\",\n" (json_escape name);
-        Printf.sprintf "      \"class\": \"%s\",\n"
-          (if is_bench then "benchmark" else "micro");
-        Printf.sprintf "      \"selected\": \"%s\",\n"
-          (Wario.Pgo.variant_name pilot.Wario.Pgo.selected);
-        Printf.sprintf "      \"periodic_on_cycles\": %d,\n" period;
-        "      \"variants\": {\n";
-        String.concat ",\n" (List.map (variant_json placed) variants);
-        "\n      },\n";
-        Printf.sprintf "      \"improved_static\": %b,\n"
-          (improved g (find Wario.Pgo.Static placed));
-        Printf.sprintf "      \"improved_pgo\": %b,\n"
-          (improved g (find Wario.Pgo.Profile placed));
-        Printf.sprintf "      \"improved\": %b\n"
-          (improved g (find Wario.Pgo.Static placed)
-          || improved g (find Wario.Pgo.Profile placed));
-        "    }";
-      ]
-  in
-  let json =
-    String.concat ""
-      [
-        "{\n";
-        "  \"bench\": \"place\",\n";
-        "  \"environment\": \"wario\",\n";
-        Printf.sprintf "  \"small\": %b,\n" !opt_small;
-        "  \"programs\": [\n";
-        String.concat ",\n" (List.map prog_json rows);
-        "\n  ],\n";
-        "  \"summary\": {\n";
-        Printf.sprintf "    \"programs\": %d,\n" (List.length rows);
-        Printf.sprintf "    \"improved\": %d,\n" n_improved;
-        Printf.sprintf "    \"benchmarks\": %d,\n" n_bench;
-        Printf.sprintf "    \"benchmarks_improved\": %d,\n" bench_improved;
-        Printf.sprintf "    \"improved_majority_benchmarks\": %b,\n"
-          (n_bench > 0 && 2 * bench_improved > n_bench);
-        "    \"all_certified\": true\n";
-        "  }\n";
-        "}\n";
-      ]
-  in
-  let dir = match !opt_out_dir with Some d -> d | None -> "." in
-  let path = Filename.concat dir "BENCH_5.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  write_rows ~bench:"emu" "BENCH_7.json"
+    (List.concat_map
+       (fun (name, c, im, _) ->
+         List.concat_map
+           (fun (prefix, r) ->
+             [
+               ips_row name (prefix ^ "reference_instr_per_s") r r.er_ref_s;
+               ips_row name (prefix ^ "block_instr_per_s") r r.er_blk_s;
+             ])
+           [ ("", c); ("intermittent.", im) ])
+       rows)
 
 (* ------------------------------------------------------------------ *)
 (* Place6: interprocedural placement (BENCH_6.json)                      *)
 (* ------------------------------------------------------------------ *)
 
-(* BENCH_5 measured the intraprocedural cost-guided placements; this
-   artefact adds the interprocedural policy (call-graph weights,
-   measured-trial expansion, boundary elision, certifier-validated
-   motion) as a fourth variant and gates on it: the benchmarks that
-   BENCH_5 could not improve must improve now, with every expansion,
-   elision and motion decision certified.  The three gate benchmarks ride
-   along even under --small — they are the point of the artefact. *)
+(* Every placement variant — greedy, the intraprocedural cost-guided
+   pair (static-weighted, profile-guided) and the interprocedural policy
+   (call-graph weights, measured-trial expansion, boundary elision,
+   certifier-validated motion) — on every program, and hard gates: every
+   variant certified, none executing more checkpoints than greedy on a
+   micro, every motion move applied iff certified, and inter strictly
+   beating the other three on crc, sha and dijkstra.  Those three
+   benchmarks ride along even under --small — they are the point of the
+   artefact. *)
 
 let place6 () =
   print_endline
-    "\n=== Placement: interprocedural policy vs BENCH_5 variants \
+    "\n=== Placement: greedy vs cost-guided vs interprocedural \
      (BENCH_6.json) ===\n";
   let micros =
     List.map
@@ -1422,7 +992,7 @@ let place6 () =
                      "place6: %s applied a move the certifier rejected" name))
             m.Wario.Motion.moves)
     rows;
-  (* gate benchmarks: inter strictly beats every BENCH_5 variant *)
+  (* gate benchmarks: inter strictly beats every other variant *)
   let gate name =
     match
       List.find_opt (fun (n, _, _, _, _) -> n = name) rows
@@ -1458,111 +1028,66 @@ let place6 () =
     "\ngates: crc improved=%b (no rescue=%b), sha improved=%b, dijkstra \
      improved=%b\n"
     crc_improved crc_no_rescue sha_improved dijkstra_improved;
-  (* -- BENCH_6.json -- *)
-  let variant_json placed v =
-    let (c, cert, cont, im) = find v placed in
-    let elided, brackets =
-      match c.P.elision with
-      | Some e -> (e.Wario.Elide.elided, e.Wario.Elide.boundary_elided)
-      | None -> (0, 0)
-    in
-    let inlined =
-      match c.P.middle.P.expander with
-      | Some s -> s.Wario_transforms.Expander.inlined
-      | None -> 0
-    in
-    let motion_json =
-      match c.P.motion with
-      | None -> "null"
-      | Some m ->
-          let move_json (mv : Wario.Motion.move) =
-            Printf.sprintf
-              "{\"function\": \"%s\", \"kind\": \"%s\", \"from\": \"%s\", \
-               \"to\": \"%s\", \"applied\": %b, \"verdict\": \"%s\"}"
-              (json_escape mv.Wario.Motion.mv_func)
-              (match mv.Wario.Motion.mv_kind with
-              | Wario.Motion.Hoist -> "hoist"
-              | Wario.Motion.Sink -> "sink")
-              (json_escape mv.Wario.Motion.mv_from)
-              (json_escape mv.Wario.Motion.mv_to)
-              mv.Wario.Motion.mv_applied
-              (json_escape mv.Wario.Motion.mv_verdict)
-          in
-          Printf.sprintf
-            "{\"proposed\": %d, \"applied\": %d, \"rejected\": %d, \
-             \"moves\": [%s]}"
-            m.Wario.Motion.proposed m.Wario.Motion.applied
-            m.Wario.Motion.rejected
-            (String.concat ", " (List.map move_json m.Wario.Motion.moves))
-    in
-    String.concat ""
-      [
-        Printf.sprintf "        \"%s\": {\n" (Wario.Pgo.variant_name v);
-        Printf.sprintf "          \"dyn_ckpts\": %d,\n"
-          cont.E.Emulator.checkpoints_total;
-        Printf.sprintf "          \"cycles\": %d,\n" cont.E.Emulator.cycles;
-        Printf.sprintf "          \"elided\": %d,\n" elided;
-        Printf.sprintf "          \"boundary_elided\": %d,\n" brackets;
-        Printf.sprintf "          \"inlined\": %d,\n" inlined;
-        Printf.sprintf "          \"motion\": %s,\n" motion_json;
-        Printf.sprintf "          \"certified\": %b,\n" cert;
-        "          \"intermittent\": {\n";
-        Printf.sprintf "            \"dyn_ckpts\": %d,\n"
-          im.E.Emulator.checkpoints_total;
-        Printf.sprintf "            \"cycles\": %d\n" im.E.Emulator.cycles;
-        "          }\n";
-        "        }";
+  (* motion decisions go to the text table: the JSON holds only rows *)
+  let moves =
+    List.concat_map
+      (fun (name, _, _, _, placed) ->
+        List.concat_map
+          (fun (v, c, _, _, _) ->
+            match c.P.motion with
+            | None -> []
+            | Some m ->
+                List.map
+                  (fun (mv : Wario.Motion.move) ->
+                    [
+                      name;
+                      Wario.Pgo.variant_name v;
+                      mv.Wario.Motion.mv_func;
+                      (match mv.Wario.Motion.mv_kind with
+                      | Wario.Motion.Hoist -> "hoist"
+                      | Wario.Motion.Sink -> "sink");
+                      mv.Wario.Motion.mv_from;
+                      mv.Wario.Motion.mv_to;
+                      mv.Wario.Motion.mv_verdict;
+                    ])
+                  m.Wario.Motion.moves)
+          placed)
+      rows
+  in
+  print_newline ();
+  print_string
+    (Report.table ~title:"motion moves (applied iff certified)"
+       [ "program"; "variant"; "function"; "kind"; "from"; "to"; "verdict" ]
+       moves);
+  let count name metric n = row name metric (float_of_int n) in
+  (* per variant, continuous and intermittent; the selected variant's
+     continuous numbers again under the bare metric names the budgets
+     gate *)
+  let prog_rows (name, _, _, pilot, placed) =
+    let (_, _, sel, _) = find pilot.Wario.Pgo.selected placed in
+    List.concat_map
+      (fun (v, _, _, cont, im) ->
+        let vn = Wario.Pgo.variant_name v in
+        [
+          count name (vn ^ ".dyn_ckpts") cont.E.Emulator.checkpoints_total;
+          count name (vn ^ ".cycles") cont.E.Emulator.cycles;
+          count name (vn ^ ".intermittent.dyn_ckpts")
+            im.E.Emulator.checkpoints_total;
+          count name (vn ^ ".intermittent.cycles") im.E.Emulator.cycles;
+        ])
+      placed
+    @ [
+        count name "dyn_ckpts" sel.E.Emulator.checkpoints_total;
+        count name "cycles" sel.E.Emulator.cycles;
       ]
   in
-  let prog_json (name, is_bench, period, pilot, placed) =
-    String.concat ""
-      [
-        "    {\n";
-        Printf.sprintf "      \"name\": \"%s\",\n" (json_escape name);
-        Printf.sprintf "      \"class\": \"%s\",\n"
-          (if is_bench then "benchmark" else "micro");
-        Printf.sprintf "      \"selected\": \"%s\",\n"
-          (Wario.Pgo.variant_name pilot.Wario.Pgo.selected);
-        Printf.sprintf "      \"periodic_on_cycles\": %d,\n" period;
-        "      \"variants\": {\n";
-        String.concat ",\n" (List.map (variant_json placed) variants);
-        "\n      }\n";
-        "    }";
-      ]
-  in
-  let json =
-    String.concat ""
-      [
-        "{\n";
-        "  \"bench\": \"place6\",\n";
-        "  \"environment\": \"wario\",\n";
-        Printf.sprintf "  \"small\": %b,\n" !opt_small;
-        "  \"programs\": [\n";
-        String.concat ",\n" (List.map prog_json rows);
-        "\n  ],\n";
-        "  \"summary\": {\n";
-        Printf.sprintf "    \"programs\": %d,\n" (List.length rows);
-        "    \"all_certified\": true,\n";
-        Printf.sprintf "    \"crc_improved\": %b,\n" crc_improved;
-        Printf.sprintf "    \"crc_no_rescue\": %b,\n" crc_no_rescue;
-        Printf.sprintf "    \"sha_improved\": %b,\n" sha_improved;
-        Printf.sprintf "    \"dijkstra_improved\": %b\n" dijkstra_improved;
-        "  }\n";
-        "}\n";
-      ]
-  in
-  let dir = match !opt_out_dir with Some d -> d | None -> "." in
-  let path = Filename.concat dir "BENCH_6.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" path
+  write_rows ~bench:"place6" "BENCH_6.json" (List.concat_map prog_rows rows)
 
 (* ------------------------------------------------------------------ *)
 (* Cache: content-addressed compile cache, cold vs warm (BENCH_8.json)   *)
 (* ------------------------------------------------------------------ *)
 
-(* The compile side of the place sweep — every program × the placement
+(* The compile side of the place6 sweep — every program × the placement
    variant matrix — run twice against one on-disk cache: once cold
    (every stage misses and is stored) and once warm (every compile
    replays from the image stage).  Before any number is written, every
@@ -1675,37 +1200,28 @@ let cache_bench () =
          ];
        ]);
   Printf.printf "\nwarm speedup: %.1fx (gate: >= 3x)\n" speedup;
-  (* the acceptance gate, enforced in-process so a regression fails the
+  (* the acceptance gates, enforced in-process so a regression fails the
      artefact itself, not just the downstream stats gate *)
   if speedup < 3.0 then
     failwith
       (Printf.sprintf "cache: warm sweep only %.2fx faster than cold" speedup);
-  let json =
-    String.concat ""
-      [
-        "{\n";
-        "  \"bench\": \"cache\",\n";
-        Printf.sprintf "  \"small\": %b,\n" !opt_small;
-        Printf.sprintf "  \"programs\": %d,\n" (List.length progs);
-        Printf.sprintf "  \"variants\": %d,\n" (List.length cache_variants);
-        "  \"cache\": {\n";
-        Printf.sprintf "    \"cold_s\": %.6f,\n" cold_s;
-        Printf.sprintf "    \"warm_s\": %.6f,\n" warm_s;
-        Printf.sprintf "    \"speedup\": %.3f,\n" speedup;
-        Printf.sprintf "    \"hits\": %d,\n" ctr.Wario.Cache.hits;
-        Printf.sprintf "    \"misses\": %d,\n" ctr.Wario.Cache.misses;
-        Printf.sprintf "    \"evictions\": %d,\n" ctr.Wario.Cache.evictions;
-        Printf.sprintf "    \"puts\": %d\n" ctr.Wario.Cache.puts;
-        "  }\n";
-        "}\n";
-      ]
-  in
-  let out = match !opt_out_dir with Some d -> d | None -> "." in
-  let path = Filename.concat out "BENCH_8.json" in
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
+  if ctr.Wario.Cache.hits = 0 then
+    failwith "cache: the warm sweep never hit the cache";
+  if ctr.Wario.Cache.evictions <> 0 then
+    failwith
+      (Printf.sprintf "cache: the bench cache evicted %d entries"
+         ctr.Wario.Cache.evictions);
+  let sweep_row ?unit ?better = row ?unit ?better "cache-sweep"
+  and count n = float_of_int n in
+  write_rows ~bench:"cache" "BENCH_8.json"
+    [
+      sweep_row ~unit:"s" "cold_s" cold_s;
+      sweep_row ~unit:"s" "warm_s" warm_s;
+      sweep_row ~unit:"ratio" ~better:Wario.Stats.Higher "speedup" speedup;
+      sweep_row ~better:Wario.Stats.Higher "hits" (count ctr.Wario.Cache.hits);
+      sweep_row "misses" (count ctr.Wario.Cache.misses);
+      sweep_row "evictions" (count ctr.Wario.Cache.evictions);
+    ];
   remove_tree dir
 
 (* ------------------------------------------------------------------ *)
@@ -1717,8 +1233,7 @@ let artefacts =
     ("fig4", fig4); ("fig5", fig5); ("tab1", tab1); ("tab2", tab2);
     ("fig6", fig6); ("fig7", fig7); ("tab3", tab3); ("tab4", tab4);
     ("ext", ext); ("cert", cert); ("profile", profile); ("bechamel", bechamel);
-    ("perf", perf); ("emu", emu); ("place", place); ("place6", place6);
-    ("cache", cache_bench);
+    ("emu", emu); ("place6", place6); ("cache", cache_bench);
   ]
 
 (* Redirect stdout to [path] for the duration of [f] (artefact functions
@@ -1761,20 +1276,6 @@ let () =
     | "--small" :: rest ->
         opt_small := true;
         parse out_dir names rest
-    | "--engine" :: e :: rest -> (
-        match e with
-        | "reference" ->
-            opt_engine := E.Emulator.Reference;
-            parse out_dir names rest
-        | "block" ->
-            opt_engine := E.Emulator.Block;
-            parse out_dir names rest
-        | _ ->
-            prerr_endline "bench: --engine must be reference or block";
-            exit 1)
-    | [ "--engine" ] ->
-        prerr_endline "bench: --engine must be reference or block";
-        exit 1
     | "--span-out" :: path :: rest ->
         opt_span_out := Some path;
         parse out_dir names rest

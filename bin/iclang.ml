@@ -1591,7 +1591,7 @@ let stats_cmd =
       value & opt_all string []
       & info [ "bench" ] ~docv:"FILE"
           ~doc:
-            "A BENCH_*.json generation (repeatable; pass oldest first —            deltas run oldest to newest).")
+            "A BENCH_*.json generation of (program, metric, value, unit,            better) rows (repeatable; pass oldest first — deltas run oldest            to newest).")
   in
   let span_files =
     Arg.(
@@ -1613,7 +1613,7 @@ let stats_cmd =
       & opt (some string) None
       & info [ "budgets" ] ~docv:"FILE"
           ~doc:
-            "Regression budgets: {\"budgets\": [{\"program\": NAME,            \"max_dyn_ckpts\": N, \"max_cycles\": N}, ...]}.  Each program            is checked against its newest generation; a budgeted program            missing from every generation is itself a breach.")
+            "Regression budgets: {\"budgets\": [{\"program\": NAME,            \"metric\": METRIC, \"bound\": X}, ...]}.  Each row is checked            against the newest generation carrying its (program, metric):            a bound is a ceiling when the artefact row says lower is better            and a floor when it says higher.  A (program, metric) that no            generation carries is itself a breach; a row with a missing or            unknown field is an error.")
   in
   let gate_flag =
     Arg.(
@@ -1629,7 +1629,7 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Ingest run artifacts (BENCH_*.json generations, span JSONL,            campaign coverage JSON) and print a trend report: per-program            dyn-ckpt/cycle deltas, top-k slowest spans, worker utilization            — optionally gated against regression budgets")
+         "Ingest run artifacts (BENCH_*.json generations, span JSONL,            campaign coverage JSON) and print a trend report: every            (program, metric) row across generations with its delta, top-k            slowest spans, worker utilization — optionally gated against            regression budgets")
     Term.(
       ret
         (const do_stats $ bench_files $ span_files $ coverage_files

@@ -1,11 +1,12 @@
 (* Run-artifact trend reporting and regression gating: the analysis behind
    `iclang stats`.  See stats.mli for the model.
 
-   The parsers are deliberately permissive about fields they do not use
-   (BENCH_6 carries motion/inlining detail BENCH_5 lacks; both load here)
-   and strict about the ones they do: a malformed dyn_ckpts is an error,
-   not a silent zero — a gate that reads garbage as 0 would wave through
-   exactly the regressions it exists to catch. *)
+   One schema: an artefact is a list of (program, metric, value, unit,
+   better) rows and a budget is a (program, metric, bound) row.  Both
+   parsers are strict: a malformed value is an error, not a silent zero —
+   a gate that reads garbage as 0 would wave through exactly the
+   regressions it exists to catch — and a budget field the gate does not
+   know is an error, not an ignored typo. *)
 
 module J = Wario_support.Json
 module S = Wario_obs.Span
@@ -14,176 +15,89 @@ module S = Wario_obs.Span
 (* BENCH generations                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type point = {
-  pt_program : string;
-  pt_class : string;
-  pt_selected : string;
-  pt_dyn_ckpts : int;
-  pt_cycles : int;
-}
+type better = Lower | Higher
 
-type tpoint = {
-  tp_program : string;
-  tp_ref_ips : float;
-  tp_block_ips : float;
-}
-
-type cache_point = {
-  cp_cold_s : float;
-  cp_warm_s : float;
-  cp_speedup : float;
-  cp_hits : int;
-  cp_misses : int;
-  cp_evictions : int;
+type row = {
+  r_program : string;
+  r_metric : string;
+  r_value : float;
+  r_unit : string;
+  r_better : better;
 }
 
 type generation = {
   g_label : string;
-  g_kind : string;
   g_small : bool;
-  g_points : point list;
-  g_emulator_ips : float option;
-  g_throughput : tpoint list;
-  g_cache : cache_point option;
+  g_rows : row list;
 }
 
-let generation_of_json ~label (doc : J.t) : (generation, string) result =
-  let exception Bad of string in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad (label ^ ": " ^ m))) fmt in
-  try
-    let kind =
-      match Option.bind (J.member "bench" doc) J.to_string with
-      | Some k -> k
-      | None -> fail "missing \"bench\" field"
-    in
-    let small =
-      Option.value ~default:false
-        (Option.bind (J.member "small" doc) J.to_bool)
-    in
-    let ips =
-      Option.bind (J.member "emulator" doc) (fun e ->
-          Option.bind (J.member "fast_instr_per_s" e) J.to_float)
-    in
-    (* emu artefacts (BENCH_7) carry per-engine throughput, not placement
-       variants: their "programs" array has no "selected"/"variants" *)
-    let throughput =
-      if kind <> "emu" then []
-      else
-        match Option.bind (J.member "programs" doc) J.to_list with
-        | None -> fail "emu artefact missing \"programs\" array"
-        | Some progs ->
-            List.map
-              (fun p ->
-                let name =
-                  match Option.bind (J.member "name" p) J.to_string with
-                  | Some s -> s
-                  | None -> fail "emu program missing \"name\""
-                in
-                let eng field =
-                  match
-                    Option.bind (J.member "continuous" p) (fun c ->
-                        Option.bind (J.member field c) J.to_float)
-                  with
-                  | Some f -> f
-                  | None -> fail "emu program %S: continuous missing %S" name field
-                in
-                {
-                  tp_program = name;
-                  tp_ref_ips = eng "reference_instr_per_s";
-                  tp_block_ips = eng "block_instr_per_s";
-                })
-              progs
-    in
-    (* cache artefacts (BENCH_8) carry one cold/warm compile summary,
-       no per-program placement points *)
-    let cache_pt =
-      if kind <> "cache" then None
-      else
-        match J.member "cache" doc with
-        | None -> fail "cache artefact missing \"cache\" object"
-        | Some c ->
-            let flt field =
-              match Option.bind (J.member field c) J.to_float with
-              | Some f -> f
-              | None -> fail "cache summary missing %S" field
-            in
-            let int0 field =
-              Option.value ~default:0 (Option.bind (J.member field c) J.to_int)
-            in
-            Some
-              {
-                cp_cold_s = flt "cold_s";
-                cp_warm_s = flt "warm_s";
-                cp_speedup = flt "speedup";
-                cp_hits = int0 "hits";
-                cp_misses = int0 "misses";
-                cp_evictions = int0 "evictions";
-              }
-    in
-    let points =
-      match
-        (if kind = "emu" || kind = "cache" then None
-         else J.member "programs" doc)
-      with
-      | None -> []
-      | Some progs ->
-          let progs =
-            match J.to_list progs with
-            | Some l -> l
-            | None -> fail "\"programs\" is not an array"
-          in
-          List.map
-            (fun p ->
-              let str name =
-                match Option.bind (J.member name p) J.to_string with
-                | Some s -> s
-                | None -> fail "program missing %S" name
-              in
-              let name = str "name" in
-              let selected = str "selected" in
-              let cls =
-                Option.value ~default:""
-                  (Option.bind (J.member "class" p) J.to_string)
-              in
-              let variant =
-                match
-                  Option.bind (J.member "variants" p) (J.member selected)
-                with
-                | Some v -> v
-                | None ->
-                    fail "program %S: selected variant %S not in \"variants\""
-                      name selected
-              in
-              let int_of field =
-                match Option.bind (J.member field variant) J.to_int with
-                | Some n -> n
-                | None -> fail "program %S: variant missing %S" name field
-              in
-              {
-                pt_program = name;
-                pt_class = cls;
-                pt_selected = selected;
-                pt_dyn_ckpts = int_of "dyn_ckpts";
-                pt_cycles = int_of "cycles";
-              })
-            progs
-    in
-    Ok
-      {
-        g_label = label;
-        g_kind = kind;
-        g_small = small;
-        g_points = points;
-        g_emulator_ips = ips;
-        g_throughput = throughput;
-        g_cache = cache_pt;
-      }
-  with Bad msg -> Error msg
+let artefact_json ~bench ~small rows =
+  let row r =
+    Printf.sprintf
+      {|    {"program": "%s", "metric": "%s", "value": %s, "unit": "%s", "better": "%s"}|}
+      (J.escape r.r_program) (J.escape r.r_metric) (J.float_repr r.r_value)
+      (J.escape r.r_unit)
+      (match r.r_better with Lower -> "lower" | Higher -> "higher")
+  in
+  Printf.sprintf
+    "{\n  \"bench\": \"%s\",\n  \"small\": %b,\n  \"rows\": [\n%s\n  ]\n}\n"
+    (J.escape bench) small
+    (String.concat ",\n" (List.map row rows))
+
+exception Bad of string
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+
+(* Field [name] of [obj] through [conv]; [what] names [obj] in the error. *)
+let field conv what obj name =
+  match Option.bind (J.member name obj) conv with
+  | Some v -> v
+  | None -> fail "%s: missing or malformed %S" what name
+
+let lookup g program metric =
+  List.find_opt (fun r -> r.r_program = program && r.r_metric = metric) g.g_rows
 
 let load_generation ~label (text : string) : (generation, string) result =
-  match J.parse text with
-  | Error e -> Error (label ^ ": " ^ e)
-  | Ok doc -> generation_of_json ~label doc
+  try
+    let doc =
+      match J.parse text with Ok doc -> doc | Error e -> raise (Bad e)
+    in
+    if J.member "rows" doc = None then
+      fail "not in the row schema (no \"rows\" array)";
+    let row i r =
+      let what = Printf.sprintf "row %d" i in
+      let str = field J.to_string what r in
+      {
+        r_program = str "program";
+        r_metric = str "metric";
+        r_value = field J.to_float what r "value";
+        r_unit = str "unit";
+        r_better =
+          (match str "better" with
+          | "lower" -> Lower
+          | "higher" -> Higher
+          | b ->
+              fail "%s: \"better\" is %S, not \"lower\" or \"higher\"" what b);
+      }
+    in
+    ignore (field J.to_string "artefact" doc "bench" : string);
+    let g =
+      {
+        g_label = label;
+        g_small = field J.to_bool "artefact" doc "small";
+        g_rows = List.mapi row (field J.to_list "artefact" doc "rows");
+      }
+    in
+    (* one value per (program, metric), so the gate reads it unambiguously *)
+    List.iter
+      (fun r ->
+        match lookup g r.r_program r.r_metric with
+        | Some first when first != r ->
+            fail "two rows for (%s, %s)" r.r_program r.r_metric
+        | _ -> ())
+      g.g_rows;
+    Ok g
+  with Bad m -> Error (label ^ ": " ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* Trend across generations                                             *)
@@ -191,200 +105,78 @@ let load_generation ~label (text : string) : (generation, string) result =
 
 type trend_row = {
   tr_program : string;
-  tr_cells : (string * int * int) option list;
-  tr_dyn_delta_pct : float option;
-  tr_cycles_delta_pct : float option;
+  tr_metric : string;
+  tr_cells : float option list;
+  tr_delta_pct : float option;
 }
 
-(* Only generations that carry programs participate in the trend; a perf
-   generation in the middle of the list would otherwise show as a column
-   of misses for every program. *)
-let placement_gens gens = List.filter (fun g -> g.g_points <> []) gens
-
-let delta_pct a b =
-  (* zero baseline: a percentage would be a division by zero *)
-  if a = 0 then None
-  else Some (100. *. float_of_int (b - a) /. float_of_int a)
-
 let trend (gens : generation list) : trend_row list =
-  let gens = placement_gens gens in
-  let order = ref [] and seen = Hashtbl.create 16 in
+  let order = ref [] and seen = Hashtbl.create 64 in
   List.iter
     (fun g ->
       List.iter
-        (fun p ->
-          if not (Hashtbl.mem seen p.pt_program) then begin
-            Hashtbl.add seen p.pt_program ();
-            order := p.pt_program :: !order
+        (fun r ->
+          let key = (r.r_program, r.r_metric) in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.add seen key ();
+            order := key :: !order
           end)
-        g.g_points)
+        g.g_rows)
     gens;
   List.rev_map
-    (fun name ->
+    (fun (program, metric) ->
       let cells =
         List.map
-          (fun g ->
-            List.find_opt (fun p -> p.pt_program = name) g.g_points
-            |> Option.map (fun p ->
-                   (p.pt_selected, p.pt_dyn_ckpts, p.pt_cycles)))
+          (fun g -> Option.map (fun r -> r.r_value) (lookup g program metric))
           gens
       in
-      let present = List.filter_map Fun.id cells in
-      let dyn_delta, cyc_delta =
-        match present with
-        | (_, d0, c0) :: _ :: _ ->
-            let _, dn, cn = List.nth present (List.length present - 1) in
-            (delta_pct d0 dn, delta_pct c0 cn)
-        | _ -> (None, None)
+      let delta =
+        match List.filter_map Fun.id cells with
+        (* a zero baseline has no percentage *)
+        | first :: (_ :: _ as rest) when first <> 0. ->
+            let last = List.nth rest (List.length rest - 1) in
+            Some (100. *. (last -. first) /. first)
+        | _ -> None
       in
       {
-        tr_program = name;
+        tr_program = program;
+        tr_metric = metric;
         tr_cells = cells;
-        tr_dyn_delta_pct = dyn_delta;
-        tr_cycles_delta_pct = cyc_delta;
+        tr_delta_pct = delta;
       })
     !order
 
-let fmt_delta = function
-  | None -> "-"
-  | Some d -> Printf.sprintf "%+.1f%%" d
-
-(* Throughput generations: emu artefacts only, in input order. *)
-let throughput_gens gens = List.filter (fun g -> g.g_throughput <> []) gens
-
-type throughput_row = {
-  th_program : string;
-  th_cells : tpoint option list;  (** aligned with the emu generations *)
-  th_block_delta_pct : float option;
-      (** block engine instr/s, oldest -> newest appearance *)
-}
-
-let throughput_trend (gens : generation list) : throughput_row list =
-  let gens = throughput_gens gens in
-  let order = ref [] and seen = Hashtbl.create 16 in
-  List.iter
-    (fun g ->
-      List.iter
-        (fun t ->
-          if not (Hashtbl.mem seen t.tp_program) then begin
-            Hashtbl.add seen t.tp_program ();
-            order := t.tp_program :: !order
-          end)
-        g.g_throughput)
-    gens;
-  List.rev_map
-    (fun name ->
-      let cells =
-        List.map
-          (fun g ->
-            List.find_opt (fun t -> t.tp_program = name) g.g_throughput)
-          gens
-      in
-      let present = List.filter_map Fun.id cells in
-      let delta =
-        match present with
-        | first :: _ :: _ ->
-            let last = List.nth present (List.length present - 1) in
-            if first.tp_block_ips <= 0. then None
-            else
-              Some
-                (100.
-                *. (last.tp_block_ips -. first.tp_block_ips)
-                /. first.tp_block_ips)
-        | _ -> None
-      in
-      { th_program = name; th_cells = cells; th_block_delta_pct = delta })
-    !order
+let fmt_value v =
+  if Float.is_integer v then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.3f" v
 
 let render_trend (gens : generation list) : string =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun g ->
-      match g.g_emulator_ips with
-      | Some ips ->
-          Buffer.add_string b
-            (Printf.sprintf "%s (%s%s): emulator fast path %.2fM instr/s\n"
-               g.g_label g.g_kind
-               (if g.g_small then ", small" else "")
-               (ips /. 1e6))
-      | None -> ())
-    gens;
-  List.iter
-    (fun g ->
-      match g.g_cache with
-      | Some c ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "%s (cache%s): cold %.2fs -> warm %.2fs (%.1fx); %d hit(s), \
-                %d miss(es), %d eviction(s)\n"
-               g.g_label
-               (if g.g_small then ", small" else "")
-               c.cp_cold_s c.cp_warm_s c.cp_speedup c.cp_hits c.cp_misses
-               c.cp_evictions)
-      | None -> ())
-    gens;
-  let tgens = throughput_gens gens in
-  (match throughput_trend gens with
-  | [] -> ()
+  match trend gens with
+  | [] -> "no BENCH rows loaded — nothing to trend\n"
   | rows ->
       let header =
-        ("program" :: List.map (fun g -> g.g_label ^ " M/s") tgens)
-        @ [ "d-block" ]
+        [ "program"; "metric" ]
+        @ List.map
+            (fun g -> if g.g_small then g.g_label ^ " (small)" else g.g_label)
+            gens
+        @ [ "delta" ]
       in
-      let table_rows =
-        List.map
-          (fun r ->
-            (r.th_program
-            :: List.map
-                 (function
-                   | None -> "-"
-                   | Some t ->
-                       Printf.sprintf "%.0f/%.0f" (t.tp_ref_ips /. 1e6)
-                         (t.tp_block_ips /. 1e6))
-                 r.th_cells)
-            @ [ fmt_delta r.th_block_delta_pct ])
-          rows
+      let cells r =
+        [ r.tr_program; r.tr_metric ]
+        @ List.map (function None -> "-" | Some v -> fmt_value v) r.tr_cells
+        @ [
+            (match r.tr_delta_pct with
+            | None -> "-"
+            | Some d -> Printf.sprintf "%+.1f%%" d);
+          ]
       in
-      Buffer.add_string b
-        (Report.table
-           ~title:
-             "emulator throughput (reference/block M instr/s, \
-              continuous power) across emu generations (delta: block \
-              engine, oldest -> newest)"
-           header table_rows);
-      Buffer.add_char b '\n');
-  let pgens = placement_gens gens in
-  (match trend gens with
-  | [] ->
-      Buffer.add_string b
-        "no placement generations loaded — nothing to trend\n"
-  | rows ->
-      let header =
-        ("program" :: List.map (fun g -> g.g_label ^ " dyn/cyc") pgens)
-        @ [ "d-dyn"; "d-cyc" ]
-      in
-      let table_rows =
-        List.map
-          (fun r ->
-            (r.tr_program
-            :: List.map
-                 (function
-                   | None -> "-"
-                   | Some (_, d, c) -> Printf.sprintf "%d/%d" d c)
-                 r.tr_cells)
-            @ [ fmt_delta r.tr_dyn_delta_pct; fmt_delta r.tr_cycles_delta_pct ])
-          rows
-      in
-      Buffer.add_string b
-        (Report.table
-           ~title:
-             "selected-variant dyn ckpts / cycles across BENCH generations \
-              (delta: oldest -> newest)"
-           header table_rows);
-      if List.length pgens < 2 then
-        Buffer.add_string b
-          "(single generation: deltas need at least two)\n");
-  Buffer.contents b
+      Report.table
+        ~title:"BENCH rows across generations (delta: oldest -> newest)"
+        header (List.map cells rows)
+      ^
+      if List.length gens < 2 then
+        "(single generation: deltas need at least two)\n"
+      else ""
 
 (* ------------------------------------------------------------------ *)
 (* Span statistics                                                      *)
@@ -536,210 +328,69 @@ let render_spans ?(k = 10) (spans : S.span list) : string =
 (* Regression gate                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type budget = {
-  b_program : string;
-  b_max_dyn_ckpts : int option;
-  b_max_cycles : int option;
-  b_min_instr_per_s : float option;
-  b_max_warm_compile_s : float option;
-  b_min_cache_speedup : float option;
-}
+type budget = { b_program : string; b_metric : string; b_bound : float }
 
 let budgets_of_json (doc : J.t) : (budget list, string) result =
-  let exception Bad of string in
-  try
-    let entries =
-      match Option.bind (J.member "budgets" doc) J.to_list with
-      | Some l -> l
-      | None -> raise (Bad "budget file missing \"budgets\" array")
-    in
-    Ok
-      (List.map
-         (fun e ->
-           let program =
-             match Option.bind (J.member "program" e) J.to_string with
-             | Some s -> s
-             | None -> raise (Bad "budget entry missing \"program\"")
-           in
-           let opt_int field = Option.bind (J.member field e) J.to_int in
-           {
-             b_program = program;
-             b_max_dyn_ckpts = opt_int "max_dyn_ckpts";
-             b_max_cycles = opt_int "max_cycles";
-             b_min_instr_per_s =
-               Option.bind (J.member "min_instr_per_s" e) J.to_float;
-             b_max_warm_compile_s =
-               Option.bind (J.member "max_warm_compile_s" e) J.to_float;
-             b_min_cache_speedup =
-               Option.bind (J.member "min_cache_speedup" e) J.to_float;
-           })
-         entries)
-  with Bad msg -> Error msg
+  let budget i e =
+    let what = Printf.sprintf "budget %d" i in
+    (match J.obj_fields e with
+    | None -> fail "%s: not an object" what
+    | Some fields ->
+        List.iter
+          (fun (k, _) ->
+            if not (List.mem k [ "program"; "metric"; "bound" ]) then
+              fail "%s: unknown field %S (a budget is {program, metric, bound})"
+                what k)
+          fields);
+    {
+      b_program = field J.to_string what e "program";
+      b_metric = field J.to_string what e "metric";
+      b_bound = field J.to_float what e "bound";
+    }
+  in
+  try Ok (List.mapi budget (field J.to_list "budget file" doc "budgets"))
+  with Bad m -> Error m
 
-type breach = {
-  br_program : string;
-  br_metric : string;
-  br_actual : int option;
-  br_limit : int;
-}
+type breach = { br_budget : budget; br_row : row option }
 
 let gate ~(budgets : budget list) (gens : generation list) : breach list =
-  (* each program gates against its newest appearance *)
-  let newest name =
-    List.fold_left
-      (fun acc g ->
-        match List.find_opt (fun p -> p.pt_program = name) g.g_points with
-        | Some p -> Some p
-        | None -> acc)
-      None gens
-  in
-  let newest_throughput name =
-    List.fold_left
-      (fun acc g ->
-        match List.find_opt (fun t -> t.tp_program = name) g.g_throughput with
-        | Some t -> Some t
-        | None -> acc)
-      None gens
-  in
-  (* cache artefacts carry one batch summary, not per-program points: a
-     cache budget gates against the newest cache generation, whatever its
-     label *)
-  let newest_cache =
-    List.fold_left
-      (fun acc g -> match g.g_cache with Some c -> Some c | None -> acc)
-      None gens
-  in
-  List.concat_map
+  List.filter_map
     (fun b ->
-      let placement_breaches =
-        (* a placement budget names a program the placement generations
-           must carry; a throughput-only budget does not *)
-        if b.b_max_dyn_ckpts = None && b.b_max_cycles = None then []
-        else
-          match newest b.b_program with
-          | None ->
-              [
-                {
-                  br_program = b.b_program;
-                  br_metric = "missing";
-                  br_actual = None;
-                  br_limit = 0;
-                };
-              ]
-          | Some p ->
-              let check metric actual = function
-                | Some limit when actual > limit ->
-                    [
-                      {
-                        br_program = b.b_program;
-                        br_metric = metric;
-                        br_actual = Some actual;
-                        br_limit = limit;
-                      };
-                    ]
-                | _ -> []
-              in
-              check "dyn_ckpts" p.pt_dyn_ckpts b.b_max_dyn_ckpts
-              @ check "cycles" p.pt_cycles b.b_max_cycles
-      in
-      let throughput_breaches =
-        (* inverted comparison: a floor, not a ceiling — the block engine
-           falling under it is the regression *)
-        match b.b_min_instr_per_s with
-        | None -> []
-        | Some floor -> (
-            match newest_throughput b.b_program with
-            | None ->
-                [
-                  {
-                    br_program = b.b_program;
-                    br_metric = "instr_per_s missing";
-                    br_actual = None;
-                    br_limit = int_of_float floor;
-                  };
-                ]
-            | Some t when t.tp_block_ips < floor ->
-                [
-                  {
-                    br_program = b.b_program;
-                    br_metric = "instr_per_s";
-                    br_actual = Some (int_of_float t.tp_block_ips);
-                    br_limit = int_of_float floor;
-                  };
-                ]
-            | Some _ -> [])
-      in
-      let cache_breaches =
-        (* integer-rendered units: warm compile seconds as ms (ceiling),
-           speedup as percent (floor) — keeps the breach record integral *)
-        if b.b_max_warm_compile_s = None && b.b_min_cache_speedup = None then
-          []
-        else
-          match newest_cache with
-          | None ->
-              [
-                {
-                  br_program = b.b_program;
-                  br_metric = "cache missing";
-                  br_actual = None;
-                  br_limit = 0;
-                };
-              ]
-          | Some c ->
-              let ceiling =
-                match b.b_max_warm_compile_s with
-                | Some limit when c.cp_warm_s > limit ->
-                    [
-                      {
-                        br_program = b.b_program;
-                        br_metric = "warm_compile_ms";
-                        br_actual = Some (int_of_float (c.cp_warm_s *. 1000.));
-                        br_limit = int_of_float (limit *. 1000.);
-                      };
-                    ]
-                | _ -> []
-              in
-              let floor =
-                match b.b_min_cache_speedup with
-                | Some limit when c.cp_speedup < limit ->
-                    [
-                      {
-                        br_program = b.b_program;
-                        br_metric = "cache_speedup_pct";
-                        br_actual = Some (int_of_float (c.cp_speedup *. 100.));
-                        br_limit = int_of_float (limit *. 100.);
-                      };
-                    ]
-                | _ -> []
-              in
-              ceiling @ floor
-      in
-      placement_breaches @ throughput_breaches @ cache_breaches)
+      (* the newest generation carrying the budget's (program, metric) *)
+      match
+        List.find_map
+          (fun g -> lookup g b.b_program b.b_metric)
+          (List.rev gens)
+      with
+      | None -> Some { br_budget = b; br_row = None }
+      | Some r ->
+          let past =
+            match r.r_better with
+            | Lower -> r.r_value > b.b_bound
+            | Higher -> r.r_value < b.b_bound
+          in
+          if past then Some { br_budget = b; br_row = Some r } else None)
     budgets
 
 let render_breaches (breaches : breach list) : string =
   match breaches with
   | [] -> "gate: all budgets respected\n"
   | _ ->
-      let rows =
-        List.map
-          (fun br ->
+      let cells br =
+        let b = br.br_budget in
+        [ b.b_program; b.b_metric ]
+        @
+        match br.br_row with
+        | None -> [ "absent from every generation"; fmt_value b.b_bound ]
+        | Some r ->
             [
-              br.br_program;
-              br.br_metric;
-              (match br.br_actual with
-              | None -> "absent from every generation"
-              | Some a -> string_of_int a);
-              (match br.br_metric with
-              | "missing" | "cache missing" -> "-"
-              | "instr_per_s missing" | "instr_per_s" | "cache_speedup_pct" ->
-                  ">= " ^ string_of_int br.br_limit
-              | _ -> "<= " ^ string_of_int br.br_limit);
-            ])
-          breaches
+              fmt_value r.r_value ^ " " ^ r.r_unit;
+              (match r.r_better with Lower -> "<= " | Higher -> ">= ")
+              ^ fmt_value b.b_bound;
+            ]
       in
       Report.table
         ~title:
           (Printf.sprintf "gate: %d budget breach(es)" (List.length breaches))
         [ "program"; "metric"; "actual"; "budget" ]
-        rows
+        (List.map cells breaches)

@@ -4,96 +4,62 @@
     Ingests the artefacts the rest of the stack already emits — the
     benchmark harness's [BENCH_*.json] generations, span JSONL written by
     [--span-jsonl] anywhere in the fleet, campaign coverage JSON — and
-    renders a trend report: per-program dynamic-checkpoint / cycle deltas
-    across BENCH generations, the top-k slowest spans, and per-worker
-    utilization.  With a budget file it additionally gates: any program
-    over its dyn-ckpt or cycle budget (or missing from the newest
-    generation that should carry it) is a breach, and [iclang stats
-    --gate] exits nonzero.
+    renders a trend report: every (program, metric) row across BENCH
+    generations with its oldest → newest delta, the top-k slowest spans,
+    and per-worker utilization.  With a budget file it additionally gates:
+    a (program, metric) past its bound, or carried by no generation, is a
+    breach, and [iclang stats --gate] exits nonzero.
 
     Everything here is total on degenerate input: zero generations, a
-    single generation (no deltas), zero spans, a zero-dyn-ckpt baseline —
-    no divide-by-zero, no [nan], no negative table widths. *)
+    single generation (no deltas), zero spans, a zero baseline — no
+    divide-by-zero, no [nan], no negative table widths. *)
 
 (** {1 BENCH generations} *)
 
-type point = {
-  pt_program : string;
-  pt_class : string;  (** ["micro"] or ["benchmark"] ([""] when absent) *)
-  pt_selected : string;  (** the measured guard's pick *)
-  pt_dyn_ckpts : int;  (** selected variant, continuous power *)
-  pt_cycles : int;  (** selected variant, continuous power *)
-}
+type better = Lower | Higher
 
-type tpoint = {
-  tp_program : string;
-  tp_ref_ips : float;  (** reference engine, instr/s, continuous power *)
-  tp_block_ips : float;
-}
-
-type cache_point = {
-  cp_cold_s : float;  (** wall seconds of the cold-cache sweep *)
-  cp_warm_s : float;  (** wall seconds of the identical warm sweep *)
-  cp_speedup : float;  (** [cp_cold_s /. cp_warm_s] *)
-  cp_hits : int;
-  cp_misses : int;
-  cp_evictions : int;
+(** One measurement: the row shape of every gated bench artefact, with
+    the field names [BENCHMARK.json] uses. *)
+type row = {
+  r_program : string;  (** a workload, or a batch name like ["cache-sweep"] *)
+  r_metric : string;  (** e.g. ["dyn_ckpts"], ["greedy.cycles"] *)
+  r_value : float;
+  r_unit : string;  (** ["count"], ["s"], ["instr/s"], ["ratio"] *)
+  r_better : better;  (** the direction a budget on this metric gates *)
 }
 
 type generation = {
-  g_label : string;  (** e.g. ["BENCH_5"] — the file's base name *)
-  g_kind : string;  (** the artefact's ["bench"] field *)
+  g_label : string;  (** e.g. ["BENCH_6"] — the file's base name *)
   g_small : bool;
-  g_points : point list;  (** one per program; empty for perf artefacts *)
-  g_emulator_ips : float option;
-      (** perf artefacts: fast-path instructions per second *)
-  g_throughput : tpoint list;
-      (** emu artefacts (BENCH_7): per-program per-engine instr/s; empty
-          for every other artefact kind *)
-  g_cache : cache_point option;
-      (** cache artefacts (BENCH_8): the compile-cache cold/warm summary *)
+  g_rows : row list;  (** at most one per (program, metric) *)
 }
 
-val generation_of_json :
-  label:string -> Wario_support.Json.t -> (generation, string) result
-(** Accepts every BENCH schema in the repo: [perf] (no programs),
-    [place] / [place6] (programs × variants), [emu] (programs × engines —
-    parsed into [g_throughput], not [g_points]), [cache] (one cold/warm
-    compile summary, parsed into [g_cache]).  Each placement program's
-    point is its {e selected} variant's continuous-power numbers. *)
+val artefact_json : bench:string -> small:bool -> row list -> string
+(** The artefact file: [{"bench": NAME, "small": BOOL, "rows": [{"program",
+    "metric", "value", "unit", "better"}, ...]}]. *)
 
 val load_generation : label:string -> string -> (generation, string) result
-(** [generation_of_json] on raw file text. *)
+(** Parses file text in {!artefact_json}'s schema.  Text that is not
+    JSON, a file in any other shape, a row missing a field, a [better]
+    other than ["lower"]/["higher"] or two rows for one (program, metric)
+    is an [Error] naming [label]. *)
 
 (** {1 Trend across generations} *)
 
 type trend_row = {
   tr_program : string;
-  tr_cells : (string * int * int) option list;
-      (** aligned with the input generations (placement generations only):
-          [Some (selected, dyn_ckpts, cycles)] where the program appears *)
-  tr_dyn_delta_pct : float option;
+  tr_metric : string;
+  tr_cells : float option list;
+      (** aligned with the input generations: [Some value] where the
+          (program, metric) appears *)
+  tr_delta_pct : float option;
       (** oldest → newest appearance; [None] with fewer than two
           appearances or a zero baseline *)
-  tr_cycles_delta_pct : float option;
 }
 
 val trend : generation list -> trend_row list
-(** Rows in order of first appearance; generations are taken in the order
-    given (pass oldest first). *)
-
-type throughput_row = {
-  th_program : string;
-  th_cells : tpoint option list;
-      (** aligned with the emu generations in input order *)
-  th_block_delta_pct : float option;
-      (** block-engine instr/s, oldest → newest appearance; [None] with
-          fewer than two appearances *)
-}
-
-val throughput_trend : generation list -> throughput_row list
-(** The instr/s counterpart of {!trend}: one row per program appearing in
-    any emu generation. *)
+(** One row per (program, metric), in order of first appearance;
+    generations are taken in the order given (pass oldest first). *)
 
 val render_trend : generation list -> string
 
@@ -128,42 +94,26 @@ val render_spans : ?k:int -> Wario_obs.Span.span list -> string
 
 (** {1 Regression gate} *)
 
-type budget = {
-  b_program : string;
-  b_max_dyn_ckpts : int option;
-  b_max_cycles : int option;
-  b_min_instr_per_s : float option;
-      (** a {e floor} on the block engine's continuous-power instr/s (the
-          newest emu generation) — the inverted comparison: falling under
-          it is the breach *)
-  b_max_warm_compile_s : float option;
-      (** ceiling on the warm-cache sweep's wall seconds (the newest
-          cache generation); breaches render in milliseconds *)
-  b_min_cache_speedup : float option;
-      (** floor on cold/warm speedup of the newest cache generation;
-          breaches render in percent *)
-}
+type budget = { b_program : string; b_metric : string; b_bound : float }
 
-val budgets_of_json :
-  Wario_support.Json.t -> (budget list, string) result
-(** Schema: [{"budgets": [{"program": s, "max_dyn_ckpts": n?,
-    "max_cycles": n?, "min_instr_per_s": x?}, ...]}]. *)
+val budgets_of_json : Wario_support.Json.t -> (budget list, string) result
+(** Schema: [{"budgets": [{"program": s, "metric": s, "bound": x}, ...]}]
+    (other top-level fields, like a ["comment"], are ignored).  A budget
+    with a missing or unknown field is an [Error]: a misspelled key must
+    not pass the gate unread. *)
 
 type breach = {
-  br_program : string;
-  br_metric : string;
-      (** ["dyn_ckpts"], ["cycles"], ["missing"], ["instr_per_s"] or
-          ["instr_per_s missing"] *)
-  br_actual : int option;  (** [None] when the program is missing *)
-  br_limit : int;
+  br_budget : budget;
+  br_row : row option;
+      (** the newest row past the bound; [None] when no generation
+          carries the (program, metric) *)
 }
 
 val gate : budgets:budget list -> generation list -> breach list
-(** Each budgeted program is checked against its {e newest} appearance
-    (the last generation, in input order, whose points include it); a
-    program appearing in no generation is itself a breach.  Ceiling
-    budgets (dyn-ckpts, cycles) read placement generations; the
-    [min_instr_per_s] floor reads emu generations.  Empty result = gate
-    passes. *)
+(** Each budget is checked against the {e newest} generation (the last,
+    in input order) carrying its (program, metric): the row breaches
+    when its value is above the bound for a [Lower]-is-better metric, or
+    below it for a [Higher]-is-better one.  A (program, metric) that no
+    generation carries is itself a breach.  Empty result = gate passes. *)
 
 val render_breaches : breach list -> string

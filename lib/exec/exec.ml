@@ -43,8 +43,8 @@ let map ?(jobs = 0) ?(spans = Span.disabled) ?(label = "exec.map")
     invalid_arg (Printf.sprintf "Exec.map: jobs must be >= 0 (got %d)" jobs);
   (* jobs = 0: size the pool to the host.  On a single-core host this
      resolves to 1, i.e. the plain sequential path — a domain pool with
-     no parallelism to buy only adds spawn/join overhead (BENCH_4's
-     parallel run clocked 0.87x on one CPU). *)
+     no parallelism to buy only adds spawn/join overhead (a parallel
+     harness sweep once clocked 0.87x on one CPU). *)
   let jobs = if jobs = 0 then default_jobs () else jobs in
   let instrument = Span.is_enabled spans in
   let run () =

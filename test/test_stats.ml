@@ -1,7 +1,8 @@
 (* Run-artifact trend reporting and the regression gate (lib/core/stats),
-   exercised on synthetic BENCH generations, span trees and budgets —
+   exercised on synthetic row generations, span trees and budgets —
    including every degenerate shape the renderers must survive: zero
-   spans, a single generation, an empty campaign, a zero baseline. *)
+   spans, a single generation, a zero baseline — and on the committed
+   BENCH_*.json files against the committed budgets. *)
 
 module St = Wario.Stats
 module S = Wario_obs.Span
@@ -12,43 +13,55 @@ module J = Wario_support.Json
 (* Fixtures                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let row ?(better = St.Lower) ?(unit = "count") program metric value =
+  {
+    St.r_program = program;
+    r_metric = metric;
+    r_value = value;
+    r_unit = unit;
+    r_better = better;
+  }
+
+(* every fixture goes through the writer and the parser *)
+let gen ?(small = false) label rows =
+  match
+    St.load_generation ~label (St.artefact_json ~bench:"test" ~small rows)
+  with
+  | Ok g -> g
+  | Error e -> Alcotest.fail e
+
+(* selected-variant numbers, as place6 writes them *)
 let place_gen label progs =
-  let prog (name, selected, dyn, cyc) =
-    Printf.sprintf
-      {|{"name":%S,"class":"micro","selected":%S,"variants":{%S:{"dyn_ckpts":%d,"cycles":%d}}}|}
-      name selected selected dyn cyc
-  in
-  let body =
-    Printf.sprintf
-      {|{"bench":"place","small":false,"programs":[%s]}|}
-      (String.concat "," (List.map prog progs))
-  in
-  match St.generation_of_json ~label (Result.get_ok (J.parse body)) with
-  | Ok g -> g
-  | Error e -> Alcotest.fail (label ^ ": " ^ e)
+  gen label
+    (List.concat_map
+       (fun (name, dyn, cyc) ->
+         [
+           row name "dyn_ckpts" (float_of_int dyn);
+           row name "cycles" (float_of_int cyc);
+         ])
+       progs)
 
-let perf_gen label =
-  let body =
-    {|{"bench":"perf","small":true,"emulator":{"fast_instr_per_s":1.0e8}}|}
-  in
-  match St.generation_of_json ~label (Result.get_ok (J.parse body)) with
-  | Ok g -> g
-  | Error e -> Alcotest.fail (label ^ ": " ^ e)
-
+(* continuous-power engine throughput, as emu writes it *)
 let emu_gen label progs =
-  let prog (name, r, b) =
-    Printf.sprintf
-      {|{"name":%S,"continuous":{"reference_instr_per_s":%f,"block_instr_per_s":%f}}|}
-      name r b
+  let ips = row ~better:St.Higher ~unit:"instr/s" in
+  gen label
+    (List.concat_map
+       (fun (name, r, b) ->
+         [ ips name "reference_instr_per_s" r; ips name "block_instr_per_s" b ])
+       progs)
+
+let contains s needle =
+  let nl = String.length needle in
+  let rec found i =
+    i + nl <= String.length s && (String.sub s i nl = needle || found (i + 1))
   in
-  let body =
-    Printf.sprintf
-      {|{"bench":"emu","small":false,"programs":[%s]}|}
-      (String.concat "," (List.map prog progs))
-  in
-  match St.generation_of_json ~label (Result.get_ok (J.parse body)) with
-  | Ok g -> g
-  | Error e -> Alcotest.fail (label ^ ": " ^ e)
+  found 0
+
+let read path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let mk_span ?(track = 0) ?(children = []) ?(counters = []) name t0 dur =
   {
@@ -66,163 +79,182 @@ let mk_span ?(track = 0) ?(children = []) ?(counters = []) name t0 dur =
 (* ------------------------------------------------------------------ *)
 
 let test_generation_parsing () =
-  let g = place_gen "G1" [ ("crc", "greedy", 100, 2000) ] in
-  Alcotest.(check string) "label" "G1" g.St.g_label;
-  Alcotest.(check string) "kind" "place" g.St.g_kind;
-  (match g.St.g_points with
-  | [ p ] ->
-      Alcotest.(check string) "program" "crc" p.St.pt_program;
-      Alcotest.(check string) "selected" "greedy" p.St.pt_selected;
-      Alcotest.(check int) "dyn ckpts" 100 p.St.pt_dyn_ckpts;
-      Alcotest.(check int) "cycles" 2000 p.St.pt_cycles
-  | ps -> Alcotest.fail (Printf.sprintf "expected 1 point, got %d" (List.length ps)));
-  let p = perf_gen "P" in
-  Alcotest.(check bool) "perf has no points" true (p.St.g_points = []);
-  Alcotest.(check bool) "perf carries ips" true
-    (p.St.g_emulator_ips = Some 1.0e8);
-  (* a malformed selected variant is an error, not a silent zero *)
-  let bad =
-    {|{"bench":"place","programs":[{"name":"x","selected":"g","variants":{"g":{"cycles":5}}}]}|}
+  let rows =
+    [
+      row "crc" "dyn_ckpts" 100.;
+      row ~unit:"s" "cache-sweep" "warm_s" 0.072948;
+      row ~better:St.Higher ~unit:"ratio" "cache-sweep" "speedup" 14001.647;
+    ]
   in
-  match St.generation_of_json ~label:"B" (Result.get_ok (J.parse bad)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing dyn_ckpts accepted"
+  let g = gen ~small:true "G1" rows in
+  Alcotest.(check string) "label" "G1" g.St.g_label;
+  Alcotest.(check bool) "small" true g.St.g_small;
+  Alcotest.(check bool) "rows round-trip exactly" true (g.St.g_rows = rows);
+  (* anything else is an error naming the file, never a silent zero *)
+  let bad_row fields =
+    Printf.sprintf {|{"bench":"t","small":false,"rows":[{%s}]}|} fields
+  in
+  List.iter
+    (fun (what, body) ->
+      match St.load_generation ~label:"BENCH_X" body with
+      | Ok _ -> Alcotest.fail (what ^ " accepted")
+      | Error e ->
+          Alcotest.(check bool) (what ^ ": error names the file") true
+            (String.starts_with ~prefix:"BENCH_X: " e))
+    [
+      ( "pre-row place6 shape",
+        {|{"bench":"place6","small":false,"programs":[{"name":"x","selected":"g","variants":{"g":{"dyn_ckpts":1,"cycles":5}}}]}|}
+      );
+      ( "missing value",
+        bad_row {|"program":"x","metric":"m","unit":"count","better":"lower"|} );
+      ( "string value",
+        bad_row
+          {|"program":"x","metric":"m","value":"5","unit":"count","better":"lower"|}
+      );
+      ( "unknown direction",
+        bad_row
+          {|"program":"x","metric":"m","value":5,"unit":"count","better":"sideways"|}
+      );
+      ( "duplicate (program, metric)",
+        {|{"bench":"t","small":false,"rows":[
+           {"program":"x","metric":"m","value":1,"unit":"count","better":"lower"},
+           {"program":"x","metric":"m","value":2,"unit":"count","better":"lower"}]}|}
+      );
+      ("missing small", {|{"bench":"t","rows":[]}|});
+      ("missing bench", {|{"small":false,"rows":[]}|});
+      ("not JSON", "{");
+    ]
 
 let test_emu_generation_parsing () =
   let g = emu_gen "E1" [ ("aes", 7.0e7, 2.2e8) ] in
-  Alcotest.(check string) "kind" "emu" g.St.g_kind;
-  Alcotest.(check bool) "emu has no placement points" true (g.St.g_points = []);
-  (match g.St.g_throughput with
-  | [ t ] ->
-      Alcotest.(check string) "program" "aes" t.St.tp_program;
-      Alcotest.(check bool) "reference ips" true (t.St.tp_ref_ips = 7.0e7);
-      Alcotest.(check bool) "block ips" true (t.St.tp_block_ips = 2.2e8)
-  | ts ->
-      Alcotest.fail
-        (Printf.sprintf "expected 1 tpoint, got %d" (List.length ts)));
-  (* placement generations carry no throughput points *)
-  let p = place_gen "G" [ ("crc", "g", 10, 100) ] in
-  Alcotest.(check bool) "place has no throughput" true (p.St.g_throughput = []);
-  (* older generations also measured a uop engine: the field is ignored *)
+  (match g.St.g_rows with
+  | [ r; b ] ->
+      Alcotest.(check string) "program" "aes" b.St.r_program;
+      Alcotest.(check string) "metric" "block_instr_per_s" b.St.r_metric;
+      Alcotest.(check bool) "reference ips" true (r.St.r_value = 7.0e7);
+      Alcotest.(check bool) "block ips" true (b.St.r_value = 2.2e8);
+      Alcotest.(check bool) "higher is better" true (b.St.r_better = St.Higher)
+  | rs ->
+      Alcotest.fail (Printf.sprintf "expected 2 rows, got %d" (List.length rs)));
+  (* the pre-row emu shape (per-program engine objects) is refused *)
   let legacy =
-    {|{"bench":"emu","programs":[{"name":"x","continuous":{"reference_instr_per_s":1.0,"uop_instr_per_s":2.0,"block_instr_per_s":3.0}}]}|}
+    {|{"bench":"emu","small":false,"programs":[{"name":"x","continuous":{"reference_instr_per_s":1.0,"block_instr_per_s":3.0}}]}|}
   in
-  (match St.generation_of_json ~label:"L" (Result.get_ok (J.parse legacy)) with
-  | Ok { St.g_throughput = [ t ]; _ } ->
-      Alcotest.(check bool) "legacy block ips" true (t.St.tp_block_ips = 3.0)
-  | _ -> Alcotest.fail "legacy emu generation with uop fields rejected");
-  (* a missing engine field is an error, not a silent zero *)
-  let bad =
-    {|{"bench":"emu","programs":[{"name":"x","continuous":{"block_instr_per_s":1.0}}]}|}
-  in
-  match St.generation_of_json ~label:"B" (Result.get_ok (J.parse bad)) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing reference_instr_per_s accepted"
+  match St.load_generation ~label:"BENCH_7" legacy with
+  | Error e ->
+      Alcotest.(check bool) "error names the file" true
+        (String.starts_with ~prefix:"BENCH_7: " e)
+  | Ok _ -> Alcotest.fail "pre-row emu artefact accepted"
 
 let test_real_artifacts_load () =
-  (* the committed artifacts must stay parseable by the stats engine *)
-  let read path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+  (* the committed artefacts parse, and the committed budgets pass over
+     them — CI's positive gate; test/dune copies both next to the test
+     directory *)
+  let root =
+    match
+      List.find_opt
+        (fun d -> Sys.file_exists (Filename.concat d "stats_budgets.json"))
+        [ "."; ".." ]
+    with
+    | Some d -> d
+    | None -> Alcotest.fail "stats_budgets.json not found"
   in
-  List.iter
-    (fun file ->
-      if Sys.file_exists file then
-        match St.load_generation ~label:file (read file) with
-        | Ok _ -> ()
-        | Error e -> Alcotest.fail (file ^ ": " ^ e))
-    [ "BENCH_4.json"; "BENCH_5.json"; "BENCH_6.json"; "BENCH_7.json";
-      "../BENCH_4.json"; "../BENCH_5.json"; "../BENCH_6.json";
-      "../BENCH_7.json" ]
+  let files =
+    Sys.readdir root |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f
+           && Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  if files = [] then Alcotest.fail "no committed BENCH_*.json";
+  let gens =
+    List.map
+      (fun f ->
+        match
+          St.load_generation ~label:f (read (Filename.concat root f))
+        with
+        | Ok g -> g
+        | Error e -> Alcotest.fail e)
+      files
+  in
+  let budgets =
+    match J.parse (read (Filename.concat root "stats_budgets.json")) with
+    | Error e -> Alcotest.fail e
+    | Ok doc -> (
+        match St.budgets_of_json doc with
+        | Ok b -> b
+        | Error e -> Alcotest.fail e)
+  in
+  match St.gate ~budgets gens with
+  | [] -> ()
+  | bs -> Alcotest.fail (St.render_breaches bs)
 
 (* ------------------------------------------------------------------ *)
 (* Trend                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_trend_deltas () =
-  let g1 = place_gen "G1" [ ("crc", "greedy", 100, 2000); ("sha", "g", 50, 800) ] in
-  let g2 =
-    place_gen "G2" [ ("crc", "inter", 80, 1900); ("aes", "g", 7, 70) ]
-  in
+  let g1 = place_gen "G1" [ ("crc", 100, 2000); ("sha", 50, 800) ] in
+  let g2 = place_gen "G2" [ ("crc", 80, 1900); ("aes", 7, 70) ] in
   let rows = St.trend [ g1; g2 ] in
-  Alcotest.(check (list string)) "rows in first-appearance order"
-    [ "crc"; "sha"; "aes" ]
-    (List.map (fun r -> r.St.tr_program) rows);
+  Alcotest.(check (list (pair string string)))
+    "rows in first-appearance order"
+    [
+      ("crc", "dyn_ckpts"); ("crc", "cycles"); ("sha", "dyn_ckpts");
+      ("sha", "cycles"); ("aes", "dyn_ckpts"); ("aes", "cycles");
+    ]
+    (List.map (fun r -> (r.St.tr_program, r.St.tr_metric)) rows);
   let crc = List.hd rows in
   Alcotest.(check int) "cells aligned with generations" 2
     (List.length crc.St.tr_cells);
-  (match crc.St.tr_dyn_delta_pct with
+  (match crc.St.tr_delta_pct with
   | Some d when Float.abs (d +. 20.0) < 1e-9 -> ()
   | _ -> Alcotest.fail "crc dyn delta should be -20%");
-  let sha = List.nth rows 1 in
+  let sha = List.nth rows 2 in
   Alcotest.(check bool) "single appearance: no delta" true
-    (sha.St.tr_dyn_delta_pct = None && sha.St.tr_cycles_delta_pct = None);
-  (* perf generations don't contribute placement columns *)
-  let rows' = St.trend [ perf_gen "P"; g1 ] in
-  Alcotest.(check int) "perf gen adds no cells" 1
-    (List.length (List.hd rows').St.tr_cells)
+    (sha.St.tr_delta_pct = None);
+  Alcotest.(check bool) "absent cell" true
+    (List.nth sha.St.tr_cells 1 = None)
 
 let test_trend_degenerate () =
   Alcotest.(check bool) "no generations: no rows" true (St.trend [] = []);
-  let single = place_gen "G" [ ("crc", "g", 10, 100) ] in
-  let rows = St.trend [ single ] in
-  Alcotest.(check bool) "single generation: row but no delta" true
-    (match rows with
-    | [ r ] -> r.St.tr_dyn_delta_pct = None
-    | _ -> false);
+  let single = place_gen "G" [ ("crc", 10, 100) ] in
+  Alcotest.(check bool) "single generation: rows but no delta" true
+    (List.for_all (fun r -> r.St.tr_delta_pct = None) (St.trend [ single ]));
   (* zero baseline: delta is None, never a division by zero *)
-  let z1 = place_gen "Z1" [ ("p", "g", 0, 0) ] in
-  let z2 = place_gen "Z2" [ ("p", "g", 5, 10) ] in
-  (match St.trend [ z1; z2 ] with
-  | [ r ] ->
-      Alcotest.(check bool) "zero-baseline deltas are None" true
-        (r.St.tr_dyn_delta_pct = None && r.St.tr_cycles_delta_pct = None)
-  | _ -> Alcotest.fail "expected one row");
+  let z1 = place_gen "Z1" [ ("p", 0, 0) ] in
+  let z2 = place_gen "Z2" [ ("p", 5, 10) ] in
+  Alcotest.(check bool) "zero-baseline deltas are None" true
+    (List.for_all (fun r -> r.St.tr_delta_pct = None) (St.trend [ z1; z2 ]));
   (* rendering every degenerate shape must not raise or emit nan *)
   List.iter
     (fun gens ->
-      let s = St.render_trend gens in
       Alcotest.(check bool) "no nan in render" false
-        (let rec has_nan i =
-           i + 3 <= String.length s
-           && (String.sub s i 3 = "nan" || has_nan (i + 1))
-         in
-         has_nan 0))
-    [ []; [ single ]; [ perf_gen "P" ]; [ z1; z2 ] ]
+        (contains (St.render_trend gens) "nan"))
+    [ []; [ single ]; [ gen "E" [] ]; [ z1; z2 ] ]
 
 let test_throughput_trend () =
+  (* a higher-is-better metric trends like any other, next to placement
+     rows: one table, one column per generation *)
   let e1 = emu_gen "E1" [ ("aes", 1e7, 1.0e8); ("sha", 1e7, 5e7) ] in
   let e2 = emu_gen "E2" [ ("aes", 1e7, 1.25e8) ] in
-  let place = place_gen "G" [ ("crc", "g", 10, 100) ] in
-  let rows = St.throughput_trend [ place; e1; e2 ] in
-  Alcotest.(check (list string)) "rows in first-appearance order"
-    [ "aes"; "sha" ]
-    (List.map (fun r -> r.St.th_program) rows);
-  let aes = List.hd rows in
-  (* cells align with the emu generations only: the placement generation
-     contributes no column *)
-  Alcotest.(check int) "cells aligned with emu generations" 2
-    (List.length aes.St.th_cells);
-  (match aes.St.th_block_delta_pct with
+  let place = place_gen "G" [ ("crc", 10, 100) ] in
+  let rows = St.trend [ place; e1; e2 ] in
+  let find p m =
+    List.find (fun r -> r.St.tr_program = p && r.St.tr_metric = m) rows
+  in
+  let aes = find "aes" "block_instr_per_s" in
+  Alcotest.(check int) "cells aligned with every generation" 3
+    (List.length aes.St.tr_cells);
+  (match aes.St.tr_delta_pct with
   | Some d when Float.abs (d -. 25.0) < 1e-9 -> ()
   | _ -> Alcotest.fail "aes block delta should be +25%");
-  let sha = List.nth rows 1 in
   Alcotest.(check bool) "single appearance: no delta" true
-    (sha.St.th_block_delta_pct = None);
-  Alcotest.(check bool) "placement-only input: no throughput rows" true
-    (St.throughput_trend [ place ] = []);
-  (* the emu table renders without nan alongside placement tables *)
+    ((find "sha" "block_instr_per_s").St.tr_delta_pct = None);
   let s = St.render_trend [ place; e1; e2 ] in
-  Alcotest.(check bool) "render mentions block column" true
-    (let needle = "d-block" in
-     let nl = String.length needle in
-     let rec found i =
-       i + nl <= String.length s
-       && (String.sub s i nl = needle || found (i + 1))
-     in
-     found 0)
+  Alcotest.(check bool) "render names the metric" true
+    (contains s "block_instr_per_s");
+  Alcotest.(check bool) "render shows the delta" true (contains s "+25.0%")
 
 (* ------------------------------------------------------------------ *)
 (* Span statistics                                                      *)
@@ -291,94 +323,145 @@ let budgets_of_string s =
   | Ok bs -> bs
   | Error e -> Alcotest.fail e
 
+let breached (b : St.breach) =
+  (b.St.br_budget.St.b_program, b.St.br_budget.St.b_metric)
+
 let test_gate () =
   let budgets =
     budgets_of_string
-      {|{"budgets":[{"program":"crc","max_dyn_ckpts":100,"max_cycles":3000},
-                    {"program":"ghost","max_dyn_ckpts":1}]}|}
+      {|{"budgets":[{"program":"crc","metric":"dyn_ckpts","bound":100},
+                    {"program":"crc","metric":"cycles","bound":3000},
+                    {"program":"ghost","metric":"dyn_ckpts","bound":1}]}|}
   in
-  let g1 = place_gen "G1" [ ("crc", "g", 120, 2500) ] in
-  let g2 = place_gen "G2" [ ("crc", "g", 90, 2500) ] in
+  let g1 = place_gen "G1" [ ("crc", 120, 2500) ] in
+  let g2 = place_gen "G2" [ ("crc", 90, 2500) ] in
   (* the newest appearance wins: G2's 90 <= 100 passes even though G1 broke
      it; ghost appears nowhere and is its own breach *)
   (match St.gate ~budgets [ g1; g2 ] with
   | [ b ] ->
-      Alcotest.(check string) "missing program breaches" "ghost"
-        b.St.br_program;
-      Alcotest.(check string) "metric is missing" "missing" b.St.br_metric;
-      Alcotest.(check bool) "no actual value" true (b.St.br_actual = None)
-  | bs -> Alcotest.fail (Printf.sprintf "expected 1 breach, got %d" (List.length bs)));
+      Alcotest.(check (pair string string)) "missing program breaches"
+        ("ghost", "dyn_ckpts") (breached b);
+      Alcotest.(check bool) "no actual row" true (b.St.br_row = None)
+  | bs ->
+      Alcotest.fail
+        (Printf.sprintf "expected 1 breach, got %d" (List.length bs)));
   (* a +10% regression on a 5%-headroom budget must breach *)
-  let tight = budgets_of_string {|{"budgets":[{"program":"crc","max_dyn_ckpts":105}]}|} in
-  let base = place_gen "B" [ ("crc", "g", 100, 1000) ] in
-  Alcotest.(check bool) "baseline passes" true (St.gate ~budgets:tight [ base ] = []);
-  let regressed = place_gen "R" [ ("crc", "g", 110, 1000) ] in
+  let tight =
+    budgets_of_string
+      {|{"budgets":[{"program":"crc","metric":"dyn_ckpts","bound":105}]}|}
+  in
+  let base = place_gen "B" [ ("crc", 100, 1000) ] in
+  Alcotest.(check bool) "baseline passes" true
+    (St.gate ~budgets:tight [ base ] = []);
+  let regressed = place_gen "R" [ ("crc", 110, 1000) ] in
   (match St.gate ~budgets:tight [ base; regressed ] with
-  | [ b ] ->
-      Alcotest.(check string) "dyn budget breached" "dyn_ckpts" b.St.br_metric;
-      Alcotest.(check bool) "actual reported" true (b.St.br_actual = Some 110);
-      Alcotest.(check int) "limit reported" 105 b.St.br_limit
+  | [ { St.br_row = Some r; _ } as b ] ->
+      Alcotest.(check (pair string string)) "dyn budget breached"
+        ("crc", "dyn_ckpts") (breached b);
+      Alcotest.(check bool) "actual reported" true (r.St.r_value = 110.)
   | _ -> Alcotest.fail "regression not caught");
+  (* the bound itself is inside the budget *)
+  Alcotest.(check bool) "value equal to the bound passes" true
+    (St.gate ~budgets:tight [ place_gen "E" [ ("crc", 105, 1000) ] ] = []);
   (* renderers survive both outcomes *)
   Alcotest.(check bool) "empty breach render" true
-    (String.length (St.render_breaches []) >= 0);
-  Alcotest.(check bool) "breach render mentions the program" true
+    (contains (St.render_breaches []) "all budgets respected");
+  Alcotest.(check bool) "breach render names program and bound" true
     (let s = St.render_breaches (St.gate ~budgets:tight [ regressed ]) in
-     let needle = "crc" in
-     let nl = String.length needle in
-     let rec found i =
-       i + nl <= String.length s
-       && (String.sub s i nl = needle || found (i + 1))
-     in
-     found 0)
+     contains s "crc" && contains s "<= 105")
 
 let test_gate_floor () =
   let budgets =
     budgets_of_string
-      {|{"budgets":[{"program":"aes","min_instr_per_s":1.0e8},
-                    {"program":"sha","min_instr_per_s":5.0e7}]}|}
+      {|{"budgets":[{"program":"aes","metric":"block_instr_per_s","bound":1.0e8},
+                    {"program":"sha","metric":"block_instr_per_s","bound":5.0e7}]}|}
   in
   let healthy = emu_gen "E" [ ("aes", 7e7, 2.2e8) ] in
-  (* aes clears its floor; sha appears in no emu generation *)
+  (* aes clears its floor; sha appears in no generation *)
   (match St.gate ~budgets [ healthy ] with
   | [ b ] ->
-      Alcotest.(check string) "missing floor program" "sha" b.St.br_program;
-      Alcotest.(check string) "metric" "instr_per_s missing" b.St.br_metric;
-      Alcotest.(check bool) "no actual" true (b.St.br_actual = None)
+      Alcotest.(check (pair string string)) "missing floor program"
+        ("sha", "block_instr_per_s") (breached b);
+      Alcotest.(check bool) "no actual" true (b.St.br_row = None)
   | bs ->
       Alcotest.fail
         (Printf.sprintf "expected 1 breach, got %d" (List.length bs)));
-  (* a floor-only budget must NOT demand a placement appearance *)
   let aes_only =
-    budgets_of_string {|{"budgets":[{"program":"aes","min_instr_per_s":1.0e8}]}|}
+    budgets_of_string
+      {|{"budgets":[{"program":"aes","metric":"block_instr_per_s","bound":1.0e8}]}|}
   in
-  Alcotest.(check bool) "floor-only budget passes without placement gens" true
+  Alcotest.(check bool) "floor-only budget passes without placement rows"
+    true
     (St.gate ~budgets:aes_only [ healthy ] = []);
-  (* falling under the floor breaches, with the actual and the floor *)
+  (* falling under the floor breaches: the row's direction inverts the
+     comparison *)
   let regressed = emu_gen "R" [ ("aes", 7e7, 0.5e8) ] in
   (match St.gate ~budgets:aes_only [ regressed ] with
-  | [ b ] ->
-      Alcotest.(check string) "floor breached" "instr_per_s" b.St.br_metric;
-      Alcotest.(check bool) "actual reported" true
-        (b.St.br_actual = Some 50_000_000);
-      Alcotest.(check int) "floor reported" 100_000_000 b.St.br_limit
+  | [ { St.br_row = Some r; _ } ] ->
+      Alcotest.(check bool) "actual reported" true (r.St.r_value = 0.5e8);
+      Alcotest.(check bool) "breach renders as a floor" true
+        (contains (St.render_breaches (St.gate ~budgets:aes_only [ regressed ]))
+           ">= 100000000")
   | _ -> Alcotest.fail "throughput regression not caught");
-  (* the newest emu appearance wins: a recovered run clears an old breach *)
+  (* the newest appearance wins: a recovered run clears an old breach *)
   Alcotest.(check bool) "newest generation wins" true
     (St.gate ~budgets:aes_only [ regressed; healthy ] = []);
-  (* mixed ceiling + floor budgets check both artefact kinds at once *)
+  (* ceiling and floor rows for one program, from two artefacts *)
   let mixed =
     budgets_of_string
-      {|{"budgets":[{"program":"aes","max_dyn_ckpts":100,"min_instr_per_s":1.0e8}]}|}
+      {|{"budgets":[{"program":"aes","metric":"dyn_ckpts","bound":100},
+                    {"program":"aes","metric":"block_instr_per_s","bound":1.0e8}]}|}
   in
-  let place = place_gen "P" [ ("aes", "g", 90, 1000) ] in
+  let place = place_gen "P" [ ("aes", 90, 1000) ] in
   Alcotest.(check bool) "ceiling + floor both satisfied" true
     (St.gate ~budgets:mixed [ place; healthy ] = []);
   match St.gate ~budgets:mixed [ place; regressed ] with
-  | [ b ] -> Alcotest.(check string) "only the floor trips" "instr_per_s" b.St.br_metric
+  | [ b ] ->
+      Alcotest.(check (pair string string)) "only the floor trips"
+        ("aes", "block_instr_per_s") (breached b)
   | bs ->
       Alcotest.fail
         (Printf.sprintf "expected 1 breach, got %d" (List.length bs))
+
+let test_budget_typos () =
+  (* a misspelled or missing budget field is a parse error: read as
+     "no budget" it would pass the gate unchecked *)
+  List.iter
+    (fun (what, body) ->
+      match St.budgets_of_json (Result.get_ok (J.parse body)) with
+      | Ok _ -> Alcotest.fail (what ^ " accepted")
+      | Error _ -> ())
+    [
+      ("old-style misspelled key", {|{"budgets":[{"program":"crc","max_dyn_ckpt":1}]}|});
+      ( "unknown extra field",
+        {|{"budgets":[{"program":"crc","metric":"dyn_ckpts","bound":1,"min_instr_per_second":1e12}]}|}
+      );
+      ("missing bound", {|{"budgets":[{"program":"crc","metric":"dyn_ckpts"}]}|});
+      ("missing metric", {|{"budgets":[{"program":"crc","bound":1}]}|});
+      ( "string bound",
+        {|{"budgets":[{"program":"crc","metric":"dyn_ckpts","bound":"1"}]}|} );
+      ("not an object", {|{"budgets":[1]}|});
+      ("no budgets array", {|{"budget":[]}|});
+    ]
+
+let test_budget_absent_metric () =
+  (* a well-formed budget naming a metric no generation carries (here a
+     typo in the metric's value) is a breach, not a pass *)
+  let budgets =
+    budgets_of_string
+      {|{"budgets":[{"program":"cache-sweep","metric":"speedups","bound":1e9}]}|}
+  in
+  let cache =
+    gen "C"
+      [ row ~better:St.Higher ~unit:"ratio" "cache-sweep" "speedup" 20. ]
+  in
+  match St.gate ~budgets [ place_gen "P" [ ("crc", 1, 1) ]; cache ] with
+  | [ { St.br_row = None; _ } as b ] ->
+      Alcotest.(check (pair string string)) "absent metric breaches"
+        ("cache-sweep", "speedups") (breached b);
+      Alcotest.(check bool) "renders as absent" true
+        (contains (St.render_breaches [ b ]) "absent from every generation")
+  | _ -> Alcotest.fail "a budget on an absent metric passed the gate"
 
 (* ------------------------------------------------------------------ *)
 (* Report.table degenerate inputs                                       *)
@@ -410,6 +493,10 @@ let suite =
     Alcotest.test_case "stats: throughput trend" `Quick test_throughput_trend;
     Alcotest.test_case "stats: regression gate" `Quick test_gate;
     Alcotest.test_case "stats: throughput floor gate" `Quick test_gate_floor;
+    Alcotest.test_case "stats: budget typos are parse errors" `Quick
+      test_budget_typos;
+    Alcotest.test_case "stats: budget on an absent metric breaches" `Quick
+      test_budget_absent_metric;
     Alcotest.test_case "report: degenerate tables" `Quick
       test_table_degenerate;
   ]
