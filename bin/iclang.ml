@@ -10,7 +10,7 @@
      iclang trace -e wario -b crc --out t.json --metrics m.jsonl --profile
      iclang pgo -b dijkstra -e wario --stats
      iclang list-benchmarks
-     iclang verify                          # fault-injection sweep
+     iclang verify                          # fault-injection campaign
      iclang verify --repro '(repro (workload rmw_loop) (env wario) ...)'
      iclang dump-ir prog.mc -e wario *)
 
@@ -808,7 +808,7 @@ let do_corpus ~engine dir =
         (fun p -> Printf.printf "  STALE %s\n%!" (Filename.basename p))
         ps;
       Printf.printf
-        "  re-record with `iclang verify --campaign --corpus-out %s` to \
+        "  re-record with `iclang verify --corpus-out %s` to \
          refresh the expectations\n%!"
         dir);
   Printf.printf "corpus replay: %d ok, %d failed, %d stale\n"
@@ -818,14 +818,8 @@ let do_corpus ~engine dir =
   if !bad = 0 then `Ok ()
   else `Error (false, "corpus replay: expectations not upheld")
 
-let do_campaign ~config_envs ~workloads ~schedules ~small ~min_coverage
-    ~corpus_out ~coverage_out ~seed ~opts ~jobs ~engine ~spans =
-  let budget =
-    match schedules with
-    | Some n -> n
-    | None ->
-        if small then V.Campaign.small_budget else V.Campaign.default_budget
-  in
+let do_campaign ~config_envs ~workloads ~budget ~min_coverage ~corpus_out
+    ~coverage_out ~seed ~opts ~jobs ~engine ~spans =
   let config =
     {
       V.Campaign.envs = config_envs;
@@ -834,11 +828,17 @@ let do_campaign ~config_envs ~workloads ~schedules ~small ~min_coverage
       seed;
       opts;
       jobs;
-      max_shrunk_per_case = 5;
       engine;
     }
   in
+  (* progress lines may be emitted while worker domains are live: funnel
+     them through one mutex so lines never interleave *)
   let log = X.serialized (fun s -> Printf.printf "  %s\n%!" s) in
+  Printf.printf
+    "static pre-check: certifying %d environment(s) × %d workload(s)\n%!"
+    (List.length config_envs) (List.length workloads);
+  let rejected = V.Campaign.static_precheck ~log config in
+  Printf.printf "static pre-check: %d rejection(s)\n%!" (List.length rejected);
   Printf.printf
     "campaign: %d environment(s) × %d workload(s), budget %d schedules per \
      case, seed %Ld, %d job(s)\n%!"
@@ -872,6 +872,8 @@ let do_campaign ~config_envs ~workloads ~schedules ~small ~min_coverage
      %d%%), %d consistency failure(s)\n"
     (List.length reports) minpct min_coverage failures;
   if failures > 0 then `Error (false, "crash-consistency violations detected")
+  else if rejected <> [] then
+    `Error (false, "static certifier rejected some builds")
   else if minpct < float_of_int min_coverage then
     `Error
       ( false,
@@ -879,9 +881,9 @@ let do_campaign ~config_envs ~workloads ~schedules ~small ~min_coverage
           min_coverage )
   else `Ok ()
 
-let do_verify envs workloads schedules seed exhaustive_limit unroll max_region
-    drop_ckpt placement jobs repro campaign small min_coverage corpus_out
-    coverage_out corpus span_out span_jsonl engine =
+let do_verify envs workloads budget seed unroll max_region drop_ckpt placement
+    jobs repro min_coverage corpus_out coverage_out corpus span_out span_jsonl
+    engine =
   match resolve_jobs jobs with
   | Error e -> `Error (true, e)
   | Ok jobs -> (
@@ -906,7 +908,7 @@ let do_verify envs workloads schedules seed exhaustive_limit unroll max_region
       | Error e -> `Error (false, "bad reproducer: " ^ e)
       | Ok r -> (
           Printf.printf "replaying %s\n%!" (V.Repro.to_string r);
-          match V.Harness.replay ~engine r with
+          match V.Corpus.replay_repro ~engine r with
           | Ok () ->
               Printf.printf "reproducer no longer fails (fixed?)\n";
               `Ok ()
@@ -917,12 +919,12 @@ let do_verify envs workloads schedules seed exhaustive_limit unroll max_region
   | None -> (
       let config_envs =
         match envs with
-        | [] -> V.Harness.instrumented_environments
+        | [] -> P.instrumented_environments
         | es -> es
       in
       let named_workloads =
         match workloads with
-        | [] -> Ok V.Harness.default_config.V.Harness.workloads
+        | [] -> Ok V.Campaign.default_config.V.Campaign.workloads
         | ws ->
             List.fold_left
               (fun acc w ->
@@ -934,10 +936,10 @@ let do_verify envs workloads schedules seed exhaustive_limit unroll max_region
       in
       match named_workloads with
       | Error e -> `Error (false, e)
-      | Ok workloads when campaign ->
-          finish "iclang verify --campaign"
-            (do_campaign ~config_envs ~workloads ~schedules ~small
-               ~min_coverage ~corpus_out ~coverage_out ~seed
+      | Ok workloads ->
+          finish "iclang verify"
+            (do_campaign ~config_envs ~workloads ~budget ~min_coverage
+               ~corpus_out ~coverage_out ~seed
                ~opts:
                  (apply_placement placement
                     {
@@ -946,68 +948,7 @@ let do_verify envs workloads schedules seed exhaustive_limit unroll max_region
                       max_region;
                       drop_middle_ckpt = drop_ckpt;
                     })
-               ~jobs ~engine ~spans)
-      | Ok workloads ->
-          let schedules = Option.value schedules ~default:200 in
-          let config =
-            {
-              V.Harness.envs = config_envs;
-              workloads;
-              schedules_per_case = schedules;
-              exhaustive_limit;
-              max_failures_per_case = 3;
-              seed;
-              opts =
-                (apply_placement placement
-                   {
-                     P.default_options with
-                     unroll_factor = unroll;
-                     max_region;
-                     drop_middle_ckpt = drop_ckpt;
-                   });
-              jobs;
-              engine;
-            }
-          in
-          (* progress lines may be emitted while worker domains are live:
-             funnel them through one mutex so lines never interleave *)
-          let log = X.serialized (fun s -> Printf.printf "  %s\n%!" s) in
-          Printf.printf
-            "static pre-check: certifying %d environment(s) × %d workload(s)\n%!"
-            (List.length config_envs) (List.length workloads);
-          let rejected = V.Harness.static_precheck ~log config in
-          Printf.printf "static pre-check: %d rejection(s)\n%!"
-            (List.length rejected);
-          Printf.printf
-            "fault-injection sweep: %d environment(s) × %d workload(s), ≥%d \
-             schedules each, seed %Ld, %d job(s)\n%!"
-            (List.length config_envs) (List.length workloads) schedules seed
-            jobs;
-          let reports =
-            O.Span.with_span spans "verify.sweep" (fun () ->
-                let reports = V.Harness.sweep ~log config in
-                O.Span.add_counter spans "schedules"
-                  ~by:
-                    (List.fold_left
-                       (fun acc r -> acc + r.V.Harness.c_schedules)
-                       0 reports);
-                reports)
-          in
-          let total =
-            List.fold_left
-              (fun acc r -> acc + r.V.Harness.c_schedules)
-              0 reports
-          in
-          let failures = V.Harness.total_failures reports in
-          Printf.printf
-            "%d case(s), %d schedule(s) injected, %d consistency failure(s), \
-             %d static rejection(s)\n"
-            (List.length reports) total failures (List.length rejected);
-          finish "iclang verify"
-            (if failures = 0 && rejected = [] then `Ok ()
-             else if failures = 0 then
-               `Error (false, "static certifier rejected some builds")
-             else `Error (false, "crash-consistency violations detected")))))
+               ~jobs ~engine ~spans))))
 
 let verify_cmd =
   let envs =
@@ -1024,13 +965,18 @@ let verify_cmd =
           ~doc:
             "Workload(s) to verify: a micro program or benchmark name            (repeatable; default: all micro programs).")
   in
-  let schedules =
+  let budget =
     Arg.(
       value
-      & opt (some int) None
+      & opt int V.Campaign.default_budget
       & info [ "n"; "schedules" ] ~docv:"N"
           ~doc:
-            "Injected failure schedules per (environment, workload) case            (default: 200 for the sweep; the campaign budget for            --campaign).")
+            (Printf.sprintf
+               "Schedule budget per (environment, workload) case (default \
+                %d; a fleet-scale campaign uses 100000).  The exhaustive \
+                boundary set and the adversary's cuts always run, even \
+                past the budget; random fill consumes the remainder."
+               V.Campaign.default_budget))
   in
   let seed =
     Arg.(
@@ -1039,20 +985,13 @@ let verify_cmd =
           ~doc:
             "PRNG seed (printed with every reproducer; the same seed            regenerates the same schedules).")
   in
-  let exhaustive_limit =
-    Arg.(
-      value & opt int 600
-      & info [ "exhaustive-limit" ] ~docv:"N"
-          ~doc:
-            "Also cut exhaustively at every checkpoint commit ±1 when that            set has at most N schedules.")
-  in
   let drop_ckpt =
     Arg.(
       value
       & opt (some int) None
       & info [ "drop-ckpt" ] ~docv:"N"
           ~doc:
-            "TEST-ONLY: sabotage the pipeline by deleting the N-th            middle-end checkpoint, to demonstrate that the harness catches            a broken schedule.")
+            "TEST-ONLY: sabotage the pipeline by deleting the N-th            middle-end checkpoint, to demonstrate that the campaign catches            a broken schedule.")
   in
   let repro =
     Arg.(
@@ -1060,28 +999,14 @@ let verify_cmd =
       & opt (some string) None
       & info [ "repro" ] ~docv:"SEXPR"
           ~doc:
-            "Replay a shrunk counterexample emitted by a previous sweep,            e.g. '(repro (workload rmw_loop) (env wario) (unroll 8)            (cuts 413 879))'.")
-  in
-  let campaign =
-    Arg.(
-      value & flag
-      & info [ "campaign" ]
-          ~doc:
-            "Run the fleet-scale adversarial campaign instead of the basic            sweep: exhaustive boundary cuts, boundary-bisecting adversary,            harvester-style supply models and seeded random fill, with            cut-coverage accounting per case.")
-  in
-  let small =
-    Arg.(
-      value & flag
-      & info [ "small" ]
-          ~doc:
-            "With --campaign: use the smoke-test budget (2000 schedules per            case) instead of the fleet default (100000).")
+            "Replay a shrunk counterexample emitted by a previous campaign,            e.g. '(repro (workload rmw_loop) (env wario) (unroll 8)            (cuts 413 879))'.")
   in
   let min_coverage =
     Arg.(
       value & opt int 95
       & info [ "min-coverage" ] ~docv:"PCT"
           ~doc:
-            "With --campaign: fail unless every case reaches at least PCT%            commit-boundary cut coverage.")
+            "Fail unless every case reaches at least PCT% commit-boundary            cut coverage.")
   in
   let corpus_out =
     Arg.(
@@ -1089,14 +1014,14 @@ let verify_cmd =
       & opt (some string) None
       & info [ "corpus-out" ] ~docv:"DIR"
           ~doc:
-            "With --campaign: persist every shrunk counterexample into DIR            as a deduplicated regression-corpus entry.")
+            "Persist every shrunk counterexample into DIR as a            deduplicated regression-corpus entry.")
   in
   let coverage_out =
     Arg.(
       value
       & opt (some string) None
       & info [ "coverage-out" ] ~docv:"FILE"
-          ~doc:"With --campaign: write the coverage report as JSON to FILE.")
+          ~doc:"Write the per-case coverage report as JSON to FILE.")
   in
   let corpus =
     Arg.(
@@ -1109,14 +1034,13 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "Adversarial fault injection: sweep power-cut schedules over            workloads × environments and check crash consistency")
+         "Adversarial fault injection: certify every build, then run a            coverage-accounted power-cut campaign over workloads ×            environments and check crash consistency")
     Term.(
       ret
-        (const do_verify $ envs $ workloads $ schedules $ seed
-       $ exhaustive_limit $ unroll_arg $ max_region_arg $ drop_ckpt
-       $ placement_arg $ jobs_arg $ repro $ campaign $ small $ min_coverage
-       $ corpus_out $ coverage_out $ corpus $ span_out_arg $ span_jsonl_arg
-       $ engine_arg))
+        (const do_verify $ envs $ workloads $ budget $ seed $ unroll_arg
+       $ max_region_arg $ drop_ckpt $ placement_arg $ jobs_arg $ repro
+       $ min_coverage $ corpus_out $ coverage_out $ corpus $ span_out_arg
+       $ span_jsonl_arg $ engine_arg))
 
 (* --- certify --- *)
 
@@ -1147,7 +1071,7 @@ let do_certify file benchmark envs unroll max_region no_opt drop_ckpt verbose
   | Ok sources ->
       let envs =
         match envs with
-        | [] -> V.Harness.instrumented_environments
+        | [] -> P.instrumented_environments
         | es -> es
       in
       let opts =

@@ -35,6 +35,9 @@ let all_environments =
   [ Plain; Ratchet; R_pdg; Epilog_opt; Write_cluster; Loop_cluster; Wario;
     Wario_expander ]
 
+let instrumented_environments =
+  List.filter (fun e -> e <> Plain) all_environments
+
 let environment_of_name s =
   List.find_opt (fun e -> environment_name e = s) all_environments
 

@@ -17,6 +17,11 @@ type environment =
 
 val environment_name : environment -> string
 val all_environments : environment list
+
+val instrumented_environments : environment list
+(** Every environment except [Plain] (which is only ever run on
+    continuous power). *)
+
 val environment_of_name : string -> environment option
 
 type options = {

@@ -58,5 +58,5 @@ val serialized : ('a -> unit) -> 'a -> unit
 (** [serialized sink] is [sink] behind a mutex: a single-writer funnel for
     progress lines emitted from inside parallel jobs, so concurrent writes
     are never interleaved mid-line.  (Code on the main-domain side of a
-    [map] — e.g. the verify harness, which logs verdicts after collecting
+    [map] — e.g. the verify campaign, which logs verdicts after collecting
     them in input order — does not need this.) *)

@@ -6,7 +6,8 @@
 
      objects/<key>    one file per entry: a fixed magic line, the key
                       (self-describing — a corrupt or misplaced file can
-                      be detected without the index), then the payload
+                      be detected without the index), the hex MD5 digest
+                      of the payload, then the payload
      tmp/             write staging; entries land via [Sys.rename]
      index.jsonl      advisory append-only log of puts ({key, meta,
                       bytes}); informational only — the objects
@@ -30,9 +31,13 @@
 
    Failure policy: a cache must never break its caller.  Every
    filesystem error degrades to a miss ([find] -> None) or a no-op
-   ([put]); corrupt entries are deleted on discovery. *)
+   ([put]); corrupt entries are deleted on discovery.  [find] checks the
+   payload digest before handing the bytes out, so a bit-flipped or
+   truncated payload never reaches the caller's [Marshal.from_string]
+   (which is not memory-safe on malformed input). *)
 
-let magic = "wario-store-1\n"
+(* Bump on any change to the entry layout: old entries then miss. *)
+let magic = "wario-store-2\n"
 
 type t = {
   dir : string;
@@ -196,17 +201,24 @@ let find (t : t) (key : string) : string option =
     | exception (Sys_error _ | End_of_file) -> miss ()
     | body ->
         let mlen = String.length magic and klen = String.length key in
-        let header_len = mlen + klen + 1 in
+        let dpos = mlen + klen + 1 in
+        let header_len = dpos + 33 in
+        let plen = String.length body - header_len in
         if
-          String.length body > header_len
+          plen > 0
           && String.sub body 0 mlen = magic
           && String.sub body mlen klen = key
           && body.[mlen + klen] = '\n'
+          && body.[header_len - 1] = '\n'
+          (* the digest is checked over the payload in place, before the
+             one copy that hands it out *)
+          && String.sub body dpos 32
+             = Digest.to_hex (Digest.substring body header_len plen)
         then begin
           (* LRU touch: both timestamps to "now" *)
           (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
           Atomic.incr t.hits;
-          Some (String.sub body header_len (String.length body - header_len))
+          Some (String.sub body header_len plen)
         end
         else begin
           (* corrupt or mislabelled entry: delete on discovery *)
@@ -220,7 +232,10 @@ let mem (t : t) (key : string) : bool =
 let put (t : t) ?(meta = "") (key : string) (payload : string) : unit =
   if valid_key key then begin
     try
-      let body = magic ^ key ^ "\n" ^ payload in
+      let body =
+        String.concat ""
+          [ magic; key; "\n"; Digest.to_hex (Digest.string payload); "\n"; payload ]
+      in
       let tmp =
         Filename.concat (tmp_dir t)
           (Printf.sprintf "%s.%d.%d" key (Unix.getpid ())

@@ -3,7 +3,8 @@
     stage-keyed interface and DESIGN.md §19 for the layout).
 
     Entries live as [dir/objects/<key>] files, each self-describing (a
-    magic line plus its own key before the payload).  Writes stage under
+    magic line, its own key and the payload's MD5 digest before the
+    payload).  Writes stage under
     [dir/tmp/] and land via an atomic [rename], so concurrent readers —
     other processes, or other domains of an {!Wario_exec} pool — never
     observe torn entries.  [dir/index.jsonl] is an advisory put log,
@@ -37,8 +38,9 @@ val open_store : ?max_bytes:int -> string -> t
 
 val find : t -> string -> string option
 (** Payload stored under a key, or [None] (counted as a miss) when
-    absent, torn, corrupt or unreadable.  A hit refreshes the entry's
-    LRU position. *)
+    absent, torn, corrupt or unreadable.  The payload's digest is checked
+    before it is returned; an entry that fails any check is deleted.  A
+    hit refreshes the entry's LRU position. *)
 
 val mem : t -> string -> bool
 (** Existence probe without reading, counting or LRU-touching. *)

@@ -1,9 +1,6 @@
-(* The fleet-scale adversarial power campaign.
-
-   `iclang verify`'s sweep is a spot check: a few hundred splitmix64
-   schedules per case.  A campaign turns that into a budgeted, coverage-
-   accounted search.  Per (workload, environment) case it mixes, in a
-   fixed priority order:
+(* The fault-injection campaign behind `iclang verify`: a budgeted,
+   coverage-accounted schedule search.  Per (workload, environment) case
+   it mixes, in a fixed priority order:
 
    1. the boundary set — single-cut schedules at every checkpoint-commit
       offset −1/+0/+1 of the reference run while that fits the budget, the
@@ -203,7 +200,6 @@ type config = {
   seed : int64;
   opts : P.options;
   jobs : int;
-  max_shrunk_per_case : int;
   engine : E.Emulator.engine;
       (** emulator engine for every oracle run (default [Block]): golden
           runs, schedules, adversary probes and shrink steps.  Both
@@ -211,24 +207,31 @@ type config = {
           engine-independent — asserted byte-identical in CI *)
 }
 
-let default_budget = 100_000
-let small_budget = 2_000
+let default_budget = 2_000
+
+(* distinct failures shrunk and recorded per case; the rest are counted
+   in [k_failures_total] only *)
+let max_shrunk_per_case = 5
 
 let default_config =
   {
-    envs = Harness.instrumented_environments;
-    workloads = Harness.default_config.Harness.workloads;
+    envs = P.instrumented_environments;
+    workloads =
+      List.map
+        (fun (m : Wario_workloads.Micro.t) ->
+          (m.Wario_workloads.Micro.name, m.Wario_workloads.Micro.source))
+        Wario_workloads.Micro.all;
     budget = default_budget;
     seed = 1L;
     opts = P.default_options;
     jobs = 1;
-    max_shrunk_per_case = 5;
     engine = E.Emulator.Block;
   }
 
 (* Per-case generator: derived from the campaign seed and the case
-   identity (salted so campaign streams never collide with sweep
-   streams), so a single case replays identically in isolation. *)
+   identity, so a single case replays identically in isolation.  The
+   "campaign" salt is part of every recorded stream: changing it would
+   change every report. *)
 let case_gen config ~workload ~env =
   Schedule.of_seed
     (Int64.logxor config.seed
@@ -389,8 +392,9 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
   match Oracle.golden_violations g with
   | _ :: _ as vs ->
       log
-        (Printf.sprintf "%s × %s: golden run already violates (%d)" name
-           (P.environment_name env) (List.length vs));
+        (Printf.sprintf "%s × %s: golden run already violates (%d)\n  repro: %s"
+           name (P.environment_name env) (List.length vs)
+           (Repro.to_string (repro_of config ~workload:name ~env [||])));
       {
         k_workload = name;
         k_env = env;
@@ -469,8 +473,14 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
         if Array.length cuts <= 512 then Shrink.ddmin ~still_fails cuts
         else cuts
       in
-      (* fixed-size chunks + in-order consumption: byte-identical reports
-         for every [jobs] (the Harness.run_case argument applies verbatim) *)
+      (* The oracle fan-out runs schedules in fixed-size chunks:
+         [Exec.map] evaluates a whole chunk (on [config.jobs] domains —
+         each oracle run builds its own emulator; [g]/[c] are only read),
+         then the verdicts are consumed sequentially, in input order, in
+         the calling domain.  Shrinking, logging, coverage and the shrink
+         cap therefore see schedules in exactly the sequential order, and
+         the chunk size is fixed (not derived from [jobs]), so reports are
+         byte-identical for every [jobs] value. *)
       let chunk_size = 64 in
       let rec chunks = function
         | [] -> []
@@ -514,8 +524,7 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
                 match verdict with
                 | Ok () -> ()
                 | Error _ when
-                      List.length !shrunk_failures
-                      >= config.max_shrunk_per_case ->
+                      List.length !shrunk_failures >= max_shrunk_per_case ->
                     (* beyond the shrink cap: count it, skip the ddmin *)
                     incr failures_total
                 | Error _ ->
@@ -609,6 +618,28 @@ let run ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config) :
 
 let total_failures (reports : case_report list) : int =
   List.fold_left (fun acc r -> acc + r.k_failures_total) 0 reports
+
+(* Static pre-check: run the idempotence certifier (lib/certify) on each
+   case's build before injecting any power failure.  A certified image
+   cannot trip the dynamic WAR verifier, so a rejection pinpoints a pipeline
+   bug — with a concrete load→store witness, logged — without spending a
+   single schedule. *)
+let static_precheck ?(log = fun _ -> ()) (config : config) :
+    (string * P.environment) list =
+  List.concat_map
+    (fun (name, source) ->
+      List.filter_map
+        (fun env ->
+          let c = P.compile ~opts:config.opts env source in
+          match P.certify c with
+          | Wario_certify.Certify.Certified _ -> None
+          | Wario_certify.Certify.Rejected _ as v ->
+              log
+                (Printf.sprintf "%s × %s: static certifier REJECTED\n%s" name
+                   (P.environment_name env) (P.certify_report c v));
+              Some (name, env))
+        config.envs)
+    config.workloads
 
 let min_boundary_pct (reports : case_report list) : float =
   List.fold_left

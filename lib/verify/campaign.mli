@@ -1,10 +1,10 @@
-(** The fleet-scale adversarial power campaign: a budgeted, coverage-
-    accounted schedule search per (workload, environment) case, mixing the
+(** The fault-injection campaign: a budgeted, coverage-accounted
+    schedule search per (workload, environment) case, mixing the
     exhaustive boundary ±1 set, the {!Adversary} bisection, harvester-style
     {!Supply} models and seeded random fill.  The plan is generated up
     front from the seed and consumed in input order, so a campaign is
     schedule-for-schedule deterministic for any [jobs] value.  CLI entry:
-    [iclang verify --campaign]. *)
+    [iclang verify]. *)
 
 (** {1 Coverage}
 
@@ -84,9 +84,6 @@ type config = {
   seed : int64;
   opts : Wario.Pipeline.options;
   jobs : int;  (** fan-out domains; reports are identical for any value *)
-  max_shrunk_per_case : int;
-      (** distinct failures shrunk and recorded per case; the rest are
-          counted in [k_failures_total] only *)
   engine : Wario_emulator.Emulator.engine;
       (** emulator engine for every oracle run (default [Block]): golden
           runs, schedules, adversary probes and shrink steps.  Oracle
@@ -96,12 +93,14 @@ type config = {
 }
 
 val default_budget : int
-(** 100_000 — the fleet-scale default. *)
-
-val small_budget : int
-(** 2_000 — the [--small] smoke-test budget. *)
+(** 2_000 schedules per case — [iclang verify]'s default [-n]; a fleet-
+    scale campaign passes [-n 100000]. *)
 
 val default_config : config
+(** Every instrumented environment × every micro workload, the default
+    budget, seed 1, one job, the block engine.  At most five distinct
+    failures per case are shrunk and recorded; the rest are only counted
+    in [k_failures_total]. *)
 
 val run_case :
   ?log:(string -> unit) ->
@@ -132,6 +131,14 @@ val run :
   case_report list
 
 val total_failures : case_report list -> int
+
+val static_precheck :
+  ?log:(string -> unit) -> config -> (string * Wario.Pipeline.environment) list
+(** Run the static idempotence certifier (lib/certify) on every case's
+    build and return the rejected (workload, environment) cases; each
+    rejection is logged with its witness paths.  A certified image cannot
+    trip the dynamic WAR verifier, so rejections pinpoint pipeline bugs
+    before any schedule is injected. *)
 
 val min_boundary_pct : case_report list -> float
 (** The worst per-case boundary coverage — what [--min-coverage] gates. *)

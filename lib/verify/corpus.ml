@@ -12,7 +12,7 @@
 
    [expect] gives the entry its polarity:
    - [fail]: the verifier must STILL flag this replay — these are detector
-     regression tests (e.g. sabotaged builds the harness must keep
+     regression tests (e.g. sabotaged builds the verifier must keep
      catching);
    - [pass]: the replay must stay green — these are fixed bugs that must
      not come back.
@@ -243,6 +243,24 @@ let load_dir (dir : string) :
 (* Replay                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Recompile exactly as recorded and re-run the oracle on the recorded
+   cut schedule. *)
+let replay_repro ?engine (r : Repro.t) : (unit, string) result =
+  match Repro.source_of_workload r.Repro.workload with
+  | Error e -> Error e
+  | Ok source -> (
+      let c = P.compile ~opts:(Repro.options_of r) r.Repro.env source in
+      let g = Oracle.golden ?engine c in
+      match Oracle.golden_violations g with
+      | _ :: _ as vs ->
+          Error
+            (Oracle.string_of_divergence (Oracle.War_violations vs)
+            ^ " (in the golden run, before any injection)")
+      | [] -> (
+          match Oracle.check_schedule ?engine g c r.Repro.cuts with
+          | Ok () -> Ok ()
+          | Error d -> Error (Oracle.string_of_divergence d)))
+
 type verdict = {
   v_ok : bool;  (** expectation upheld *)
   v_stale : bool;  (** program hash no longer matches the workload *)
@@ -265,7 +283,7 @@ let replay ?engine (e : entry) : verdict =
         | None -> false)
   in
   let ok, message =
-    match (Harness.replay ?engine e.e_repro, e.e_expect) with
+    match (replay_repro ?engine e.e_repro, e.e_expect) with
     | Ok (), Must_pass -> (true, "replay green, as expected")
     | Error d, Must_fail -> (true, "still caught: " ^ d)
     | Ok (), Must_fail ->

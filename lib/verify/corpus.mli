@@ -7,7 +7,7 @@
 type expect =
   | Must_fail
       (** the verifier must still flag this replay (detector regression
-          test — e.g. a sabotaged build the harness must keep catching) *)
+          test — e.g. a sabotaged build the verifier must keep catching) *)
   | Must_pass  (** a fixed bug that must stay fixed: replay must be green *)
 
 type entry = {
@@ -58,8 +58,14 @@ type verdict = {
   v_message : string;
 }
 
+val replay_repro :
+  ?engine:Wario_emulator.Emulator.engine -> Repro.t -> (unit, string) result
+(** Recompile exactly as recorded and re-run the oracle on the recorded
+    cuts, on [engine] (default [Block]); [Error] describes the
+    (reproduced) divergence. *)
+
 val replay : ?engine:Wario_emulator.Emulator.engine -> entry -> verdict
-(** Recompile exactly as recorded ({!Harness.replay}, on [engine]) and
+(** Recompile exactly as recorded ({!replay_repro}, on [engine]) and
     judge the outcome against the entry's expectation.  A stale program
     fingerprint is reported in the verdict but does not by itself decide
     it. *)

@@ -7,7 +7,7 @@
    name (a micro program or a paper benchmark), the software environment,
    the pipeline options that shape the checkpoint schedule (unroll factor,
    optional region bound, optional test-only sabotage) and the cut
-   schedule itself.  [seed] is bookkeeping: the sweep seed that found the
+   schedule itself.  [seed] is bookkeeping: the campaign seed that found the
    failure. *)
 
 module P = Wario.Pipeline
@@ -19,7 +19,7 @@ type t = {
   max_region : int option;
   drop_ckpt : int option;  (** test-only sabotage replay (see Pipeline) *)
   cuts : int array;
-  seed : int64 option;  (** sweep seed that found the failure *)
+  seed : int64 option;  (** campaign seed that found the failure *)
 }
 
 let make ?(unroll = P.default_options.P.unroll_factor) ?max_region ?drop_ckpt

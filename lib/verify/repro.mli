@@ -1,6 +1,6 @@
 (** One-line S-expression reproducers for failing injection schedules,
     e.g. [(repro (workload rmw_loop) (env wario) (unroll 8) (cuts 413 879))].
-    Replayable via [iclang verify --repro] or {!Harness.replay}. *)
+    Replayable via [iclang verify --repro] or {!Corpus.replay_repro}. *)
 
 type t = {
   workload : string;  (** micro-program or benchmark name *)
@@ -10,7 +10,7 @@ type t = {
   drop_ckpt : int option;
       (** replays the test-only sabotage hook (see {!Wario.Pipeline.options}) *)
   cuts : int array;  (** the injection schedule *)
-  seed : int64 option;  (** sweep seed that found the failure (bookkeeping) *)
+  seed : int64 option;  (** campaign seed that found the failure (bookkeeping) *)
 }
 
 val make :

@@ -1,6 +1,6 @@
 (* Harvester-style power-supply models for the verification campaign.
 
-   The sweep's splitmix64 schedules (Schedule.random_schedules) explore cut
+   The random-fill schedules (Schedule.random_schedules) explore cut
    *positions*; they say nothing about the temporal texture of a real
    energy-harvesting source.  This module closes that gap: every model
    synthesizes a finite sequence of on-durations — an RF-style bursty

@@ -103,6 +103,51 @@ let test_store_corrupt_entry_is_miss () =
       Alcotest.(check (option string))
         "overwritten cleanly" (Some "fresh") (Store.find s "cc"))
 
+(* Every single-bit flip and every truncation of a small cache entry
+   reads back as a miss or as the original value — never as a
+   mis-unmarshalled value, an exception or a crash.  Without the payload
+   digest, a flip inside the marshalled bytes would reach
+   [Marshal.from_string]. *)
+let test_cache_entry_bit_flips_and_truncations () =
+  let dir = tmp_dir "wario-test-cache" in
+  Fun.protect
+    ~finally:(fun () -> remove_tree dir)
+    (fun () ->
+      let cache = C.create dir in
+      let key = C.Key.of_parts [ ("stage", "flip-test") ] in
+      let v = ([ 1; 2; 3 ], "payload", Some 4.5) in
+      C.put cache key v;
+      let path =
+        Filename.concat (Filename.concat dir "objects") (C.Key.to_hex key)
+      in
+      let good = In_channel.with_open_bin path In_channel.input_all in
+      let check what bytes =
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc bytes);
+        match (C.get cache key : (int list * string * float option) option) with
+        | None -> ()
+        | Some v' when v' = v -> ()
+        | Some _ -> Alcotest.failf "%s: a different value came back" what
+        | exception e ->
+            Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+      in
+      for i = 0 to String.length good - 1 do
+        for bit = 0 to 7 do
+          let b = Bytes.of_string good in
+          Bytes.set b i
+            (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+          check (Printf.sprintf "bit %d of byte %d flipped" bit i)
+            (Bytes.to_string b)
+        done
+      done;
+      for len = 0 to String.length good - 1 do
+        check (Printf.sprintf "truncated to %d bytes" len)
+          (String.sub good 0 len)
+      done;
+      (* the untouched entry still hits *)
+      check "intact" good;
+      Alcotest.(check bool) "intact entry hits" true (C.get cache key = Some v))
+
 let test_store_lru_eviction () =
   (* budget of ~3 small entries; oldest (least-recently-touched) goes *)
   let payload = String.make 200 'x' in
@@ -506,6 +551,8 @@ let suite =
       test_store_rejects_bad_keys;
     Alcotest.test_case "store: corrupt entry is a miss" `Quick
       test_store_corrupt_entry_is_miss;
+    Alcotest.test_case "cache: every bit flip and truncation is a miss" `Quick
+      test_cache_entry_bit_flips_and_truncations;
     Alcotest.test_case "store: LRU eviction under a byte budget" `Quick
       test_store_lru_eviction;
     Alcotest.test_case "keys: shape and determinism" `Quick test_key_shape;

@@ -10,7 +10,7 @@ module E = Wario_emulator
 module C = Wario_certify.Certify
 module W = Wario_workloads
 
-let envs = Wario_verify.Harness.instrumented_environments
+let envs = P.instrumented_environments
 
 (* Every benchmark × instrumented environment, compiled and certified
    once, shared by the tests below that judge them. *)

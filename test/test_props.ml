@@ -392,7 +392,7 @@ let test_micro_oracle_all_envs () =
             (tag "no violations under periodic power")
             0
             (List.length r.E.Emulator.violations))
-        Wario_verify.Harness.instrumented_environments)
+        P.instrumented_environments)
     Wario_workloads.Micro.tiny
 
 (* ------------------------------------------------------------------ *)
