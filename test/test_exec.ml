@@ -4,10 +4,12 @@
    input order, re-raises the lowest-indexed failure, and produces
    structurally identical results for every [jobs] value — which is what
    lets the verify campaign and the bench driver parallelise without
-   changing a byte of their output.  test_campaign.ml holds the
-   integrated stack to that equation on a sabotaged case. *)
+   changing a byte of their output.  The harness round-trip at the bottom
+   holds the integrated stack to that equation. *)
 
 module X = Wario_exec.Exec
+module P = Wario.Pipeline
+module Cm = Wario_verify.Campaign
 
 let test_map_input_order () =
   let items = List.init 100 Fun.id in
@@ -91,6 +93,34 @@ let test_serialized_sink () =
     (List.map (fun i -> Printf.sprintf "item-%04d" i) items)
     lines
 
+(* The integrated contract: a verify campaign case — including one with
+   real failures — yields an identical report whether the schedule
+   fan-out runs on one domain or several. *)
+let harness_case_report jobs =
+  (* byte_ops + drop_middle_ckpt 1 is the proven sabotage from
+     test_verify.ml: it reliably re-opens a WAR window, so the failure
+     path (reproducer, failure accounting) is exercised *)
+  let m = Wario_workloads.Micro.find "byte_ops" in
+  let config =
+    {
+      Cm.default_config with
+      Cm.budget = 40;
+      opts = { P.default_options with P.drop_middle_ckpt = Some 1 };
+      jobs;
+    }
+  in
+  Cm.run_case config
+    ~workload:(m.Wario_workloads.Micro.name, m.Wario_workloads.Micro.source)
+    ~env:P.Wario
+
+let test_harness_jobs_deterministic () =
+  let seq = harness_case_report 1 in
+  let par = harness_case_report 3 in
+  Alcotest.(check bool)
+    "sabotaged byte_ops case finds failures" true
+    (seq.Cm.k_failures <> []);
+  Alcotest.(check bool) "report identical for jobs=1 and jobs=3" true (seq = par)
+
 let suite =
   [
     Alcotest.test_case "map: input order" `Quick test_map_input_order;
@@ -106,4 +136,6 @@ let suite =
       test_map_lowest_failure_wins;
     Alcotest.test_case "serialized: single-writer funnel" `Quick
       test_serialized_sink;
+    Alcotest.test_case "harness: report identical across jobs" `Quick
+      test_harness_jobs_deterministic;
   ]

@@ -240,6 +240,65 @@ let test_repro_roundtrip () =
       "(repro (workload arith) (env wario) (cuts 1)" (* unbalanced *);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The harness end to end                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [iclang verify] runs {!V.Campaign}; these drive one case of it at a
+   small budget. *)
+let small_config = { V.Campaign.default_config with V.Campaign.budget = 40 }
+
+let test_harness_green_on_healthy () =
+  let m = M.find "arith" in
+  let report =
+    V.Campaign.run_case small_config
+      ~workload:(m.M.name, m.M.source)
+      ~env:P.Wario
+  in
+  Alcotest.(check int) "no failures" 0 report.V.Campaign.k_failures_total;
+  Alcotest.(check bool) "schedules exercised" true
+    (report.V.Campaign.k_schedules >= small_config.V.Campaign.budget)
+
+(* The acceptance-criterion test: a deliberately broken checkpoint
+   schedule (the test-only drop_middle_ckpt hook removes one middle-end
+   checkpoint, re-opening a WAR window) must be caught and shrunk to a
+   reproducer of at most 3 cut points. *)
+let test_sabotaged_build_caught () =
+  let m = M.find "byte_ops" in
+  let config =
+    {
+      small_config with
+      V.Campaign.opts =
+        { P.default_options with P.drop_middle_ckpt = Some 1 };
+    }
+  in
+  let report =
+    V.Campaign.run_case config ~workload:(m.M.name, m.M.source) ~env:P.Wario
+  in
+  (match report.V.Campaign.k_failures with
+  | [] -> Alcotest.fail "sabotaged build not caught"
+  | f :: _ ->
+      Alcotest.(check bool) "shrunk to <= 3 cut points" true
+        (Array.length f.V.Campaign.k_shrunk <= 3);
+      (* the printed reproducer parses back and still reproduces *)
+      let line = V.Repro.to_string f.V.Campaign.k_repro in
+      (match V.Repro.of_string line with
+      | Error e -> Alcotest.failf "reproducer %S does not parse: %s" line e
+      | Ok r -> (
+          Alcotest.(check (option int)) "repro carries the sabotage hook"
+            (Some 1) r.V.Repro.drop_ckpt;
+          match V.Corpus.replay_repro r with
+          | Ok () -> Alcotest.failf "replay of %S did not reproduce" line
+          | Error _ -> ())));
+  (* sanity: same workload without the hook is clean *)
+  let healthy =
+    V.Campaign.run_case small_config
+      ~workload:(m.M.name, m.M.source)
+      ~env:P.Wario
+  in
+  Alcotest.(check int) "healthy build clean" 0
+    healthy.V.Campaign.k_failures_total
+
 (* With the WAR verifier silenced, the sabotaged build exhibits the
    underlying physical failure: some single power cut makes replay
    re-execute the clobbered read and the program emits a wrong value.
@@ -291,6 +350,10 @@ let suite =
     Alcotest.test_case "ddmin: minimal cut sets" `Quick test_ddmin_minimises;
     Alcotest.test_case "repro: round-trip and rejects" `Quick
       test_repro_roundtrip;
+    Alcotest.test_case "harness: healthy case is green" `Quick
+      test_harness_green_on_healthy;
+    Alcotest.test_case "harness: sabotaged build caught and shrunk" `Quick
+      test_sabotaged_build_caught;
     Alcotest.test_case "sabotage: physical divergence sans verifier" `Slow
       test_sabotage_diverges_without_verifier;
   ]
