@@ -15,12 +15,12 @@
      iclang dump-ir prog.mc -e wario *)
 
 module P = Wario.Pipeline
-module R = Wario.Run
 module E = Wario_emulator
 module W = Wario_workloads.Programs
 module V = Wario_verify
 module O = Wario_obs
 module X = Wario_exec.Exec
+module J = Wario_support.Json
 open Cmdliner
 
 let read_file path =
@@ -29,6 +29,11 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
 
 let load_source file benchmark =
   match (file, benchmark) with
@@ -182,13 +187,33 @@ let apply_placement pl (opts : P.options) =
         motion = true;
       }
 
-let supply_of power trace =
-  match (power, trace) with
-  | Some p, _ -> Ok (E.Power.Periodic p)
-  | None, Some "rf" -> Ok (E.Power.Trace (E.Traces.rf_trace ()))
-  | None, Some "solar" -> Ok (E.Power.Trace (E.Traces.solar_trace ()))
-  | None, Some t -> Error ("unknown trace " ^ t ^ " (rf|solar)")
-  | None, None -> Ok E.Power.Continuous
+(* --power / --trace, shared by run, trace and pgo; --power wins *)
+let supply_arg =
+  let power =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "power" ] ~docv:"CYCLES" ~doc:"Intermittent power: fixed on-period.")
+  in
+  let trace =
+    Arg.(
+      value
+      & opt (some (enum [ ("rf", `Rf); ("solar", `Solar) ])) None
+      & info [ "trace" ] ~docv:"NAME" ~doc:"Harvester trace: rf or solar.")
+  in
+  let supply power trace =
+    match (power, trace) with
+    | Some p, _ -> E.Power.Periodic p
+    | None, Some `Rf -> E.Power.Trace (E.Traces.rf_trace ())
+    | None, Some `Solar -> E.Power.Trace (E.Traces.solar_trace ())
+    | None, None -> E.Power.Continuous
+  in
+  Term.(const supply $ power $ trace)
+
+let irq_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "irq" ] ~docv:"CYCLES" ~doc:"Fire an interrupt every N cycles.")
 
 (* --- span output (--span-out / --span-jsonl) --- *)
 
@@ -214,11 +239,6 @@ let span_recorder span_out span_jsonl =
   if span_out <> None || span_jsonl <> None then O.Span.create ()
   else O.Span.disabled
 
-let write_span_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
 (* Self-check before writing: a trace whose children overflow their
    parents is an attribution bug, and shipping it would poison every
    downstream trend report. *)
@@ -230,36 +250,17 @@ let flush_spans ~process_name spans span_out span_jsonl =
     | Error e -> failwith ("span self-check failed: " ^ e));
     Option.iter
       (fun p ->
-        write_span_file p (O.Span.to_chrome_json ~process_name roots);
+        write_file p (O.Span.to_chrome_json ~process_name roots);
         Printf.printf "spans: wrote Chrome trace to %s\n" p)
       span_out;
     Option.iter
       (fun p ->
-        write_span_file p (O.Span.to_jsonl roots);
+        write_file p (O.Span.to_jsonl roots);
         Printf.printf "spans: wrote JSONL to %s\n" p)
       span_jsonl
   end
 
 (* --- --explain: per-checkpoint placement rationale --- *)
-
-let write_text path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* One JSON object per compile: where every middle-end checkpoint went and
    why (solver weight, interprocedural frequency, WAR sets covered), plus
@@ -275,7 +276,7 @@ let explain_json (c : P.compiled) : string =
   Buffer.add_string b "{\n";
   Buffer.add_string b
     (Printf.sprintf "  \"environment\": \"%s\",\n"
-       (json_escape (P.environment_name c.P.env)));
+       (J.escape (P.environment_name c.P.env)));
   Buffer.add_string b "  \"function_frequencies\": {";
   let nf = List.length freqs in
   List.iteri
@@ -283,7 +284,7 @@ let explain_json (c : P.compiled) : string =
       Buffer.add_string b
         (Printf.sprintf "%s\"%s\": %.6g%s"
            (if i = 0 then "" else " ")
-           (json_escape f) x
+           (J.escape f) x
            (if i = nf - 1 then "" else ",")))
     freqs;
   Buffer.add_string b "},\n";
@@ -297,7 +298,7 @@ let explain_json (c : P.compiled) : string =
            "    {\"function\": \"%s\", \"block\": \"%s\", \"index\": %d, \
             \"weight\": %.6g, \"function_frequency\": %.6g, \
             \"wars_covered\": %d}%s\n"
-           (json_escape p.T.pi_func) (json_escape p.T.pi_block) p.T.pi_index
+           (J.escape p.T.pi_func) (J.escape p.T.pi_block) p.T.pi_index
            p.T.pi_weight (freq p.T.pi_func) p.T.pi_wars
            (if i = np - 1 then "" else ",")))
     ps;
@@ -329,16 +330,16 @@ let explain_json (c : P.compiled) : string =
                 \"%s\", \"from\": \"%s\", \"to\": \"%s\", \"weight_from\": \
                 %.6g, \"weight_to\": %.6g, \"applied\": %b, \"verdict\": \
                 \"%s\"}%s\n"
-               (json_escape m.M.mv_func)
+               (J.escape m.M.mv_func)
                (match m.M.mv_kind with M.Hoist -> "hoist" | M.Sink -> "sink")
                (match m.M.mv_cause with
                | Wario_machine.Isa.Middle_end_war -> "middle-end-war"
                | Wario_machine.Isa.Back_end_war -> "back-end-war"
                | Wario_machine.Isa.Function_entry -> "entry"
                | Wario_machine.Isa.Function_exit -> "exit")
-               (json_escape m.M.mv_from) (json_escape m.M.mv_to) m.M.mv_w_from
+               (J.escape m.M.mv_from) (J.escape m.M.mv_to) m.M.mv_w_from
                m.M.mv_w_to m.M.mv_applied
-               (json_escape m.M.mv_verdict)
+               (J.escape m.M.mv_verdict)
                (if i = nm - 1 then "" else ",")))
         s.M.moves;
       Buffer.add_string b "  ]}\n");
@@ -401,7 +402,7 @@ let do_compile file benchmark env unroll max_region no_opt placement explain
         (match explain with
         | None -> ()
         | Some path ->
-            write_text path (explain_json c);
+            write_file path (explain_json c);
             Printf.printf "placement rationale written to %s\n" path);
         `Ok ()
       with
@@ -424,8 +425,8 @@ let compile_cmd =
 
 (* --- run --- *)
 
-let do_run file benchmark env unroll max_region no_opt profile_guided power
-    trace irq stats no_verify engine =
+let do_run file benchmark env unroll max_region no_opt profile_guided supply
+    irq stats no_verify engine =
   match load_source file benchmark with
   | Error e -> `Error (false, e)
   | Ok src -> (
@@ -442,11 +443,6 @@ let do_run file benchmark env unroll max_region no_opt profile_guided power
                    ~profile:pilot.E.Emulator.call_counts unroll)
               env src
           end
-        in
-        let supply =
-          match supply_of power trace with
-          | Ok s -> s
-          | Error e -> failwith e
         in
         let r =
           E.Emulator.run ~supply ~irq_period:irq ~verify:(not no_verify)
@@ -485,23 +481,6 @@ let do_run file benchmark env unroll max_region no_opt profile_guided power
             (false, "no forward progress under power supply " ^ supply))
 
 let run_cmd =
-  let power =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "power" ] ~docv:"CYCLES" ~doc:"Intermittent power: fixed on-period.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"NAME" ~doc:"Harvester trace: rf or solar.")
-  in
-  let irq =
-    Arg.(
-      value & opt int 0
-      & info [ "irq" ] ~docv:"CYCLES" ~doc:"Fire an interrupt every N cycles.")
-  in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print run statistics.") in
   let no_verify =
     Arg.(value & flag & info [ "no-verify" ] ~doc:"Disable the WAR verifier.")
@@ -510,17 +489,12 @@ let run_cmd =
     Term.(
       ret
         (const do_run $ file_arg $ benchmark_arg $ env_arg $ unroll_arg
-       $ max_region_arg $ no_opt_arg $ profile_guided_arg $ power $ trace
-       $ irq $ stats $ no_verify $ engine_arg))
+       $ max_region_arg $ no_opt_arg $ profile_guided_arg $ supply_arg
+       $ irq_arg $ stats $ no_verify $ engine_arg))
 
 (* --- trace --- *)
 
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let do_trace file benchmark env unroll max_region no_opt power trace irq out
+let do_trace file benchmark env unroll max_region no_opt supply irq out
     metrics_out folded_out show_profile ring_cap jobs span_out span_jsonl
     engine =
   match resolve_jobs jobs with
@@ -538,9 +512,6 @@ let do_trace file benchmark env unroll max_region no_opt power trace irq out
         in
         let c =
           P.compile ~opts:(opts_of ?max_region ~no_opt unroll) ~spans env src
-        in
-        let supply =
-          match supply_of power trace with Ok s -> s | Error e -> failwith e
         in
         let sink = O.Trace.ring ~capacity:ring_cap () in
         let r =
@@ -669,23 +640,6 @@ let do_trace file benchmark env unroll max_region no_opt power trace irq out
           `Error (false, "no forward progress under power supply " ^ supply)))
 
 let trace_cmd =
-  let power =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "power" ] ~docv:"CYCLES" ~doc:"Intermittent power: fixed on-period.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"NAME" ~doc:"Harvester trace: rf or solar.")
-  in
-  let irq =
-    Arg.(
-      value & opt int 0
-      & info [ "irq" ] ~docv:"CYCLES" ~doc:"Fire an interrupt every N cycles.")
-  in
   let out =
     Arg.(
       value
@@ -730,16 +684,11 @@ let trace_cmd =
     Term.(
       ret
         (const do_trace $ file_arg $ benchmark_arg $ env_arg $ unroll_arg
-       $ max_region_arg $ no_opt_arg $ power $ trace $ irq $ out $ metrics_out
+       $ max_region_arg $ no_opt_arg $ supply_arg $ irq_arg $ out $ metrics_out
        $ folded_out $ show_profile $ ring_cap $ jobs_arg $ span_out_arg
        $ span_jsonl_arg $ engine_arg))
 
 (* --- verify --- *)
-
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
 
 (* machine-readable coverage artifact for CI upload *)
 let coverage_json (reports : V.Campaign.case_report list) : string =
@@ -837,13 +786,16 @@ let do_campaign ~config_envs ~workloads ~budget ~min_coverage ~corpus_out
   Printf.printf
     "static pre-check: certifying %d environment(s) × %d workload(s)\n%!"
     (List.length config_envs) (List.length workloads);
-  let rejected = V.Campaign.static_precheck ~log config in
+  let builds = V.Campaign.builds config in
+  let rejected = V.Campaign.static_precheck ~log builds in
   Printf.printf "static pre-check: %d rejection(s)\n%!" (List.length rejected);
   Printf.printf
     "campaign: %d environment(s) × %d workload(s), budget %d schedules per \
-     case, seed %Ld, %d job(s)\n%!"
-    (List.length config_envs) (List.length workloads) budget seed jobs;
-  let reports = V.Campaign.run ~log ~spans config in
+     case, seed %Ld\n%!"
+    (List.length config_envs) (List.length workloads) budget seed;
+  (* the job count depends on the host, so it stays off the report *)
+  Printf.eprintf "campaign: %d job(s)\n%!" jobs;
+  let reports = V.Campaign.run ~log ~spans config builds in
   print_string (Wario.Report.campaign_table (V.Campaign.report_rows reports));
   (match coverage_out with
   | None -> ()
@@ -1151,7 +1103,7 @@ let certify_cmd =
 
 (* --- pgo --- *)
 
-let do_pgo file benchmark env unroll max_region no_opt power trace stats
+let do_pgo file benchmark env unroll max_region no_opt supply stats
     explain span_out span_jsonl engine cache_dir no_cache =
   match load_source file benchmark with
   | Error e -> `Error (false, e)
@@ -1208,14 +1160,11 @@ let do_pgo file benchmark env unroll max_region no_opt power trace stats
               (if v = pilot.Wario.Pgo.selected then "  <- selected" else ""))
           [ Wario.Pgo.Greedy; Wario.Pgo.Static; Wario.Pgo.Profile;
             Wario.Pgo.Inter ];
-        let supply =
-          match supply_of power trace with Ok s -> s | Error e -> failwith e
-        in
         let best = Wario.Pgo.compiled_of cs pilot.Wario.Pgo.selected in
         (match explain with
         | None -> ()
         | Some path ->
-            write_text path (explain_json best);
+            write_file path (explain_json best);
             Printf.printf "placement rationale for %s written to %s\n"
               (Wario.Pgo.variant_name pilot.Wario.Pgo.selected)
               path);
@@ -1259,19 +1208,6 @@ let do_pgo file benchmark env unroll max_region no_opt power trace stats
           `Error (false, "no forward progress under power supply " ^ supply))
 
 let pgo_cmd =
-  let power =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "power" ] ~docv:"CYCLES"
-          ~doc:"Intermittent power for the final run: fixed on-period.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"NAME" ~doc:"Harvester trace: rf or solar.")
-  in
   let stats =
     Arg.(
       value & flag
@@ -1285,7 +1221,7 @@ let pgo_cmd =
     Term.(
       ret
         (const do_pgo $ file_arg $ benchmark_arg $ env_arg $ unroll_arg
-       $ max_region_arg $ no_opt_arg $ power $ trace $ stats $ explain_arg
+       $ max_region_arg $ no_opt_arg $ supply_arg $ stats $ explain_arg
        $ span_out_arg $ span_jsonl_arg $ engine_arg $ cache_dir_arg
        $ no_cache_arg))
 
@@ -1437,7 +1373,6 @@ let serve_cmd =
 (* --- stats --- *)
 
 let do_stats bench_files span_files coverage_files budgets_file gate_flag top =
-  let module J = Wario_support.Json in
   let module St = Wario.Stats in
   try
     (* BENCH generations, in the order given (pass oldest first) *)

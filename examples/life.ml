@@ -10,7 +10,6 @@
    power failure would corrupt them. *)
 
 module P = Wario.Pipeline
-module R = Wario.Run
 module E = Wario_emulator
 
 let source =
@@ -92,7 +91,7 @@ int main(void) {
 let () =
   print_endline "== battery-free Game of Life ==\n";
   let wario = P.compile P.Wario source in
-  let cont = (R.continuous wario).R.result in
+  let cont = E.Emulator.run wario.P.image in
   Printf.printf
     "continuous run: %d generations, final population %s, census %s\n"
     (Int32.to_int (List.nth cont.E.Emulator.output 0))

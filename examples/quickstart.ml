@@ -4,11 +4,10 @@
      dune exec examples/quickstart.exe
 
    Walks the full public API: [Pipeline.compile] (choose a software
-   environment), [Run.continuous] / [Run.periodic] (emulate), and the
+   environment), [Emulator.run] under a power supply (emulate), and the
    statistics the emulator collects. *)
 
 module P = Wario.Pipeline
-module R = Wario.Run
 module E = Wario_emulator
 
 (* A tiny data logger: read "samples", keep a running histogram in
@@ -48,7 +47,7 @@ let () =
 
   (* 2. Run under continuous power: everything agrees, but the protected
      builds pay for their checkpoints. *)
-  let run c = (R.continuous c).R.result in
+  let run c = E.Emulator.run c.P.image in
   let rp = run plain and rr = run ratchet and rw = run wario in
   let show name (r : E.Emulator.result) =
     Printf.printf "%-8s  output=%s  cycles=%8d  checkpoints=%5d\n" name
@@ -72,7 +71,7 @@ let () =
   (* 3. Now pull the plug every 2000 cycles.  The plain build cannot survive
      this at all; the WARio build recomputes the exact same answer. *)
   print_endline "\n-- intermittent power: 2000-cycle on-periods --";
-  let ri = (R.periodic ~on_cycles:2000 wario).R.result in
+  let ri = E.Emulator.run ~supply:(E.Power.Periodic 2000) wario.P.image in
   Printf.printf
     "output=%s  power_failures=%d  boots=%d  violations=%d\n"
     (String.concat "," (List.map Int32.to_string ri.output))

@@ -9,7 +9,6 @@
    each environment wastes on checkpoints and re-execution. *)
 
 module P = Wario.Pipeline
-module R = Wario.Run
 module E = Wario_emulator
 
 let () =
@@ -22,7 +21,7 @@ let () =
 
   (* baseline cost under continuous power *)
   let plain_cycles =
-    (R.continuous (P.compile P.Plain m.source)).R.result.E.Emulator.cycles
+    (E.Emulator.run (P.compile P.Plain m.source).P.image).E.Emulator.cycles
   in
 
   Printf.printf "%-22s %10s %8s %9s %10s %9s\n" "environment" "cycles"
@@ -30,8 +29,15 @@ let () =
   List.iter
     (fun env ->
       let c = P.compile env m.source in
-      let o = (R.with_trace ~trace c).R.result in
-      R.check_no_violations { R.result = o; compiled = c };
+      let o = E.Emulator.run ~supply:(E.Power.Trace trace) c.P.image in
+      (* a violating run: the certifier's path witnesses say which WAR *)
+      if o.E.Emulator.violations <> [] then begin
+        Printf.printf "%d WAR violation(s) under %s\n%s"
+          (List.length o.E.Emulator.violations)
+          (P.environment_name env)
+          (P.certify_report c (P.certify c));
+        exit 1
+      end;
       Printf.printf "%-22s %10d %8d %9d %9.1f%% %9b\n"
         (P.environment_name env) o.E.Emulator.cycles
         o.E.Emulator.checkpoints_total o.E.Emulator.power_failures
@@ -50,11 +56,11 @@ let () =
   let c = P.compile P.Wario m.source in
   List.iter
     (fun on ->
-      match R.periodic ~on_cycles:on c with
+      match E.Emulator.run ~supply:(E.Power.Periodic on) c.P.image with
       | o ->
           Printf.printf
             "  on-period %6d cycles: finished after %4d power failures\n" on
-            o.R.result.E.Emulator.power_failures
+            o.E.Emulator.power_failures
       | exception E.Emulator.No_forward_progress _ ->
           Printf.printf "  on-period %6d cycles: no forward progress\n" on)
     [ 2500; 12_000; 20_000; 50_000; 100_000 ]

@@ -8,7 +8,6 @@
    idempotent-region statistics that bound the minimum usable on-time. *)
 
 module P = Wario.Pipeline
-module R = Wario.Run
 module E = Wario_emulator
 module Report = Wario.Report
 
@@ -16,7 +15,7 @@ let () =
   let bench = Wario_workloads.Programs.find "sha" in
   Printf.printf "== power exploration: %s ==\n\n" bench.name;
   let c = P.compile P.Wario_expander bench.source in
-  let cont = (R.continuous c).R.result in
+  let cont = E.Emulator.run c.P.image in
   Printf.printf "continuous: %d cycles, %d checkpoints\n\n"
     cont.E.Emulator.cycles cont.E.Emulator.checkpoints_total;
 

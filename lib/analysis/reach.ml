@@ -78,38 +78,3 @@ let reaches t ((bl, i) : point) ((bq, j) : point) : bool =
   (clear_after t bl i
   && clear_before t bq j
   && Str_set.mem bq (reachable_entries t bl))
-
-(** Like [reaches], but produce the barrier-free path as evidence: the two
-    end points bracketing the entry point of every block traversed in
-    between ([[p; q]] for a straight-line path).  [None] when [q] is not
-    barrier-free-reachable from [p]. *)
-let reaches_witness t ((bl, i) as p : point) ((bq, j) as q : point) :
-    point list option =
-  if bl = bq && i < j && clear_between t bl i j then Some [ p; q ]
-  else if not (clear_after t bl i && clear_before t bq j) then None
-  else begin
-    (* BFS with parents over transparent interior blocks *)
-    let parent : (label, label option) Hashtbl.t = Hashtbl.create 16 in
-    let queue = Queue.create () in
-    List.iter (fun s -> Queue.add (s, None) queue) (Cfg.succs t.cfg bl);
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let b, from = Queue.take queue in
-      if not (Hashtbl.mem parent b) then begin
-        Hashtbl.replace parent b from;
-        if b = bq then found := true
-        else if is_transparent t b then
-          List.iter (fun s -> Queue.add (s, Some b) queue) (Cfg.succs t.cfg b)
-      end
-    done;
-    if not !found then None
-    else begin
-      let rec chain acc b =
-        match Hashtbl.find parent b with
-        | None -> b :: acc
-        | Some prev -> chain (b :: acc) prev
-      in
-      let blocks = chain [] bq in
-      Some ((p :: List.map (fun b -> (b, 0)) blocks) @ [ q ])
-    end
-  end

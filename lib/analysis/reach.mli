@@ -12,11 +12,3 @@ val build : Cfg.t -> t
 val reaches : t -> Wario_ir.Ir.point -> Wario_ir.Ir.point -> bool
 (** Is there a CFG path from the first point to the second that executes no
     barrier? *)
-
-val reaches_witness :
-  t -> Wario_ir.Ir.point -> Wario_ir.Ir.point -> Wario_ir.Ir.point list option
-(** Like [reaches], but with evidence: the end points bracketing the entry
-    point of every block the barrier-free path traverses ([[p; q]] for a
-    straight-line path), or [None] if unreachable.  Used by the WAR
-    diagnostics in [Run.check_no_violations] and the static certifier's
-    reports, which print the path instead of a bare boolean. *)

@@ -41,6 +41,18 @@ let instrumented_environments =
 let environment_of_name s =
   List.find_opt (fun e -> environment_name e = s) all_environments
 
+(* The canonical placement names: the "place" stage key and the serve
+   protocol both spell them this way. *)
+let placement_name = function
+  | T.Checkpoint_inserter.Greedy -> "greedy"
+  | T.Checkpoint_inserter.Cost_guided -> "cost-guided"
+  | T.Checkpoint_inserter.Interprocedural -> "interprocedural"
+
+let placement_of_name s =
+  List.find_opt
+    (fun p -> placement_name p = s)
+    T.Checkpoint_inserter.[ Greedy; Cost_guided; Interprocedural ]
+
 type options = {
   unroll_factor : int;  (** the paper's N; default 8 (§5.2.4) *)
   expander_size_limit : int;
@@ -368,18 +380,6 @@ let middle_place ~opts ~spans (env : environment) (prog : Ir.program)
       | None -> []);
   }
 
-(** Run the middle end for [env] on [prog] (mutates it).  A live [spans]
-    recorder gets a ["middle"] span with one child span per pass
-    ([middle.<pass>]) carrying the headline deltas of the pass as
-    counters. *)
-let middle_end ?(opts = default_options) ?(spans = S.disabled)
-    (env : environment) (prog : Ir.program) : middle_stats =
-  S.with_span spans "middle" @@ fun () ->
-  let pre = middle_pre ~opts ~spans env prog in
-  middle_place ~opts ~spans env prog pre
-
-(** Compile an already-lowered IR program (used by tests and by
-    {!compile} after the front end). *)
 (* Weight table for the back end's stack-spill inserter, keyed by mangled
    machine labels (Isel's 1:1 block mapping plus the bare-[fname] prolog
    stub).  Built on the post-middle-end IR, whose block structure the back
@@ -503,14 +503,6 @@ let image_ckpt_cost ~(weights : string -> float) (prog : Ir.program)
     image.Wario_emulator.Image.code;
   !cost
 
-(* The post-placement stage runners, shared verbatim by the uncached
-   {!compile_ir} path and the cache-aware {!compile_with_report} ladder
-   so the two paths cannot drift. *)
-
-let run_backend ~spans env ~block_weights (prog : Ir.program) =
-  S.with_span spans "backend" (fun () ->
-      B.Backend.run ~spans ?block_weights ~config:(backend_config env) prog)
-
 let run_elide ~(opts : options) ~spans env ~block_weights
     (mprog : Wario_machine.Isa.mprog) : Elide.stats option =
   if
@@ -540,48 +532,136 @@ let run_motion ~(opts : options) ~spans env ~block_weights
              s))
   | _ -> None
 
-let run_link ~spans (mprog : Wario_machine.Isa.mprog) : Wario_emulator.Image.t
-    =
-  S.with_span spans "link" (fun () ->
-      let image = Wario_emulator.Image.link mprog in
-      S.add_counter ~by:image.Wario_emulator.Image.text_bytes spans "text_bytes";
-      S.add_counter ~by:image.Wario_emulator.Image.data_bytes spans "data_bytes";
-      image)
+(* ------------------------------------------------------------------ *)
+(* The compile driver                                                   *)
+(* ------------------------------------------------------------------ *)
 
-let rec compile_ir ?(opts = default_options) ?(spans = S.disabled)
+(* The one place the stage order is written (paper Figure 2): trial
+   expansion → middle_pre → middle_place → ir_verify → weight table →
+   backend → elide → motion → link → model cost.  The five cacheable
+   stages run deepest-probe-first: each [stage] looks its key up and, on a
+   hit, resumes from the stored artifact instead of building it.
+
+   Stage payloads are marshalled snapshots taken BEFORE any later pass
+   mutates the artifact ([Cache.put] marshals eagerly): the "wir" entry
+   is the program before placement mutates it, the "mach" entry is the
+   machine program before elision/motion rewrite it in place.  Loading
+   an entry yields a fresh structure, so cached prefixes are safe to
+   mutate onward from.
+
+   With a disabled cache every stage simply builds: [keys] is never
+   forced, nothing is marshalled, and no outcome is recorded or
+   counted — that is the uncached compile, and the only one. *)
+let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
+    compiled * (string * bool) list =
+  let cached = Cache.enabled cache in
+  S.with_span spans
+    ~attrs:
+      (("env", S.Str (environment_name env))
+      :: (if cached then [ ("cached", S.Str "on") ] else []))
+    "pipeline.compile"
+  @@ fun () ->
+  let report = ref [] in
+  (* per-stage hit/miss counters on the pipeline.compile span *)
+  let note name hit =
+    S.add_counter spans
+      (Printf.sprintf "cache_%s_%s" name (if hit then "hit" else "miss"));
+    report := (name, hit) :: !report
+  in
+  let stage name build =
+    if not cached then build ()
+    else
+      let key = List.assoc name (Lazy.force keys) in
+      match Cache.get cache key with
+      | Some v ->
+          note name true;
+          v
+      | None ->
+          note name false;
+          let v = build () in
+          Cache.put cache ~stage:name key v;
+          v
+  in
+  (* place artifact: the program after the whole middle end (what
+     [compiled.ir] exposes) plus its stats — always materialized, even
+     on a full image hit, because the compiled record carries it *)
+  let prog, middle =
+    stage "place" @@ fun () ->
+    let prog, pre =
+      stage "wir" @@ fun () ->
+      let prog = stage "front" front in
+      let trial = run_trial_expander ~opts ~spans env prog in
+      let pre =
+        S.with_span spans "middle" (fun () -> middle_pre ~opts ~spans env prog)
+      in
+      (prog, if trial = None then pre else { pre with pm_expander = trial })
+    in
+    let middle =
+      S.with_span spans "middle" (fun () ->
+          middle_place ~opts ~spans env prog pre)
+    in
+    S.with_span spans "middle.ir_verify" (fun () ->
+        Wario_ir.Ir_verify.verify_program prog);
+    (prog, middle)
+  in
+  let mprog, backend, wtbl =
+    stage "mach" @@ fun () ->
+    let wtbl = backend_weight_table middle opts prog in
+    let mprog, backend =
+      S.with_span spans "backend" (fun () ->
+          B.Backend.run ~spans
+            ?block_weights:(Option.map weights_of_table wtbl)
+            ~config:(backend_config env) prog)
+    in
+    (mprog, backend, wtbl)
+  in
+  let mprog, image, elision, motion, model_cost, text_bytes =
+    stage "image" @@ fun () ->
+    let block_weights = Option.map weights_of_table wtbl in
+    let elision = run_elide ~opts ~spans env ~block_weights mprog in
+    let motion = run_motion ~opts ~spans env ~block_weights mprog in
+    let image =
+      S.with_span spans "link" (fun () ->
+          let image = Wario_emulator.Image.link mprog in
+          S.add_counter ~by:image.Wario_emulator.Image.text_bytes spans
+            "text_bytes";
+          S.add_counter ~by:image.Wario_emulator.Image.data_bytes spans
+            "data_bytes";
+          image)
+    in
+    let model_cost =
+      Option.map (fun weights -> image_ckpt_cost ~weights prog image)
+        block_weights
+    in
+    ( mprog,
+      image,
+      elision,
+      motion,
+      model_cost,
+      image.Wario_emulator.Image.text_bytes )
+  in
+  ( {
+      env;
+      ir = prog;
+      mprog;
+      image;
+      middle;
+      backend;
+      elision;
+      motion;
+      model_cost;
+      text_bytes;
+    },
+    List.rev !report )
+
+(* An already-lowered program enters the driver uncached: there is no
+   source text to key it by. *)
+and compile_ir ?(opts = default_options) ?(spans = S.disabled)
     (env : environment) (prog : Ir.program) : compiled =
-  let trial_expander = run_trial_expander ~opts ~spans env prog in
-  let middle = middle_end ~opts ~spans env prog in
-  let middle =
-    match trial_expander with
-    | Some _ -> { middle with expander = trial_expander }
-    | None -> middle
-  in
-  S.with_span spans "middle.ir_verify" (fun () ->
-      Wario_ir.Ir_verify.verify_program prog);
-  let wtbl = backend_weight_table middle opts prog in
-  let block_weights = Option.map weights_of_table wtbl in
-  let mprog, backend = run_backend ~spans env ~block_weights prog in
-  let elision = run_elide ~opts ~spans env ~block_weights mprog in
-  let motion = run_motion ~opts ~spans env ~block_weights mprog in
-  let image = run_link ~spans mprog in
-  let model_cost =
-    match block_weights with
-    | None -> None
-    | Some weights -> Some (image_ckpt_cost ~weights prog image)
-  in
-  {
-    env;
-    ir = prog;
-    mprog;
-    image;
-    middle;
-    backend;
-    elision;
-    motion;
-    model_cost;
-    text_bytes = image.Wario_emulator.Image.text_bytes;
-  }
+  fst
+    (drive ~opts ~spans ~cache:Cache.disabled ~keys:(lazy [])
+       ~front:(fun () -> prog)
+       env)
 
 (* Cost-coupled expansion (Interprocedural only) happens before the
    middle end, because each candidate inline is auditioned by a full
@@ -702,7 +782,7 @@ and trial_expand ~opts env (prog : Ir.program) : T.Expander.stats * int * int
     !compiles )
 
 (* ------------------------------------------------------------------ *)
-(* Stage keys and the content-addressed compile (DESIGN.md §19)         *)
+(* Stage keys (DESIGN.md §19)                                           *)
 (* ------------------------------------------------------------------ *)
 
 let stage_names = [ "front"; "wir"; "place"; "mach"; "image" ]
@@ -720,11 +800,6 @@ let save_all_sampled () =
 
 let canon_bool b = if b then "1" else "0"
 let canon_opt_int = function None -> "-" | Some n -> string_of_int n
-
-let canon_placement = function
-  | T.Checkpoint_inserter.Greedy -> "greedy"
-  | T.Checkpoint_inserter.Cost_guided -> "cost-guided"
-  | T.Checkpoint_inserter.Interprocedural -> "interprocedural"
 
 (* Canonical rendering of a (label, count) profile: sorted, so two
    permutations of the same counts share a key. *)
@@ -783,7 +858,7 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
       [
         ("stage", "place");
         ("parent", k_wir);
-        ("placement", canon_placement opts.placement);
+        ("placement", placement_name opts.placement);
         ("block_profile", canon_counts opts.block_profile);
         ("max_region", canon_opt_int opts.max_region);
         ("drop_middle_ckpt", canon_opt_int opts.drop_middle_ckpt);
@@ -810,165 +885,26 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
 let image_key ?opts (env : environment) (source : string) : Cache.Key.t =
   List.assoc "image" (stage_keys ?opts env source)
 
-let compile_uncached ~opts ~spans (env : environment) (source : string) :
-    compiled =
-  S.with_span spans
-    ~attrs:[ ("env", S.Str (environment_name env)) ]
-    "pipeline.compile"
-  @@ fun () ->
-  let prog =
-    S.with_span spans "frontend" (fun () -> Wario_minic.Minic.compile source)
-  in
-  compile_ir ~opts ~spans env prog
-
-(* Stage payloads are marshalled snapshots taken BEFORE any later pass
-   mutates the artifact ([Cache.put] marshals eagerly): the "wir" entry
-   is the program before placement mutates it, the "mach" entry is the
-   machine program before elision/motion rewrite it in place.  Loading
-   an entry yields a fresh structure, so cached prefixes are safe to
-   mutate onward from. *)
+(** Cache-aware compile of MiniC source text, additionally reporting the
+    per-stage cache outcomes. *)
 let compile_with_report ?(opts = default_options) ?(spans = S.disabled)
     ~(cache : Cache.t) (env : environment) (source : string) :
     compiled * (string * bool) list =
-  if not (Cache.enabled cache) then
-    (compile_uncached ~opts ~spans env source, [])
-  else
-    S.with_span spans
-      ~attrs:
-        [ ("env", S.Str (environment_name env)); ("cached", S.Str "on") ]
-      "pipeline.compile"
-    @@ fun () ->
-    let keys = stage_keys ~opts env source in
-    let k s = List.assoc s keys in
-    let report = ref [] in
-    (* per-stage hit/miss counters on the pipeline.compile span *)
-    let note stage hit =
-      S.add_counter spans
-        (Printf.sprintf "cache_%s_%s" stage (if hit then "hit" else "miss"));
-      report := (stage, hit) :: !report
-    in
-    (* place artifact: the program after the whole middle end (what
-       [compiled.ir] exposes) plus its stats — always materialized, even
-       on a full image hit, because the compiled record carries it *)
-    let prog, middle =
-      match Cache.get cache (k "place") with
-      | Some v ->
-          note "place" true;
-          v
-      | None ->
-          note "place" false;
-          let prog, pre =
-            match Cache.get cache (k "wir") with
-            | Some v ->
-                note "wir" true;
-                v
-            | None ->
-                note "wir" false;
-                let prog =
-                  match Cache.get cache (k "front") with
-                  | Some p ->
-                      note "front" true;
-                      p
-                  | None ->
-                      note "front" false;
-                      let p =
-                        S.with_span spans "frontend" (fun () ->
-                            Wario_minic.Minic.compile source)
-                      in
-                      Cache.put cache ~stage:"front" (k "front") p;
-                      p
-                in
-                let trial = run_trial_expander ~opts ~spans env prog in
-                let pre =
-                  S.with_span spans "middle" (fun () ->
-                      middle_pre ~opts ~spans env prog)
-                in
-                let pre =
-                  match trial with
-                  | Some _ -> { pre with pm_expander = trial }
-                  | None -> pre
-                in
-                Cache.put cache ~stage:"wir" (k "wir") (prog, pre);
-                (prog, pre)
-          in
-          let middle =
-            S.with_span spans "middle" (fun () ->
-                middle_place ~opts ~spans env prog pre)
-          in
-          S.with_span spans "middle.ir_verify" (fun () ->
-              Wario_ir.Ir_verify.verify_program prog);
-          Cache.put cache ~stage:"place" (k "place") (prog, middle);
-          (prog, middle)
-    in
-    let mprog0, backend, wtbl =
-      match Cache.get cache (k "mach") with
-      | Some v ->
-          note "mach" true;
-          v
-      | None ->
-          note "mach" false;
-          let wtbl = backend_weight_table middle opts prog in
-          let block_weights = Option.map weights_of_table wtbl in
-          let mprog, backend = run_backend ~spans env ~block_weights prog in
-          Cache.put cache ~stage:"mach" (k "mach") (mprog, backend, wtbl);
-          (mprog, backend, wtbl)
-    in
-    let mprog, image, elision, motion, model_cost, text_bytes =
-      match Cache.get cache (k "image") with
-      | Some v ->
-          note "image" true;
-          v
-      | None ->
-          note "image" false;
-          let block_weights = Option.map weights_of_table wtbl in
-          let elision = run_elide ~opts ~spans env ~block_weights mprog0 in
-          let motion = run_motion ~opts ~spans env ~block_weights mprog0 in
-          let image = run_link ~spans mprog0 in
-          let model_cost =
-            match wtbl with
-            | None -> None
-            | Some t ->
-                Some
-                  (image_ckpt_cost ~weights:(weights_of_table t) prog image)
-          in
-          let v =
-            ( mprog0,
-              image,
-              elision,
-              motion,
-              model_cost,
-              image.Wario_emulator.Image.text_bytes )
-          in
-          Cache.put cache ~stage:"image" (k "image") v;
-          v
-    in
-    ( {
-        env;
-        ir = prog;
-        mprog;
-        image;
-        middle;
-        backend;
-        elision;
-        motion;
-        model_cost;
-        text_bytes;
-      },
-      List.rev !report )
+  drive ~opts ~spans ~cache
+    ~keys:(lazy (stage_keys ~opts env source))
+    ~front:(fun () ->
+      S.with_span spans "frontend" (fun () -> Wario_minic.Minic.compile source))
+    env
 
-(** Compile MiniC source text under a software environment.  With an
-    enabled [cache] (explicit, or ambient via [WARIO_CACHE_DIR] when the
-    argument is omitted) the compile runs through the keyed stage ladder
-    and reuses every cached prefix; with the cache disabled this is the
-    classic single-pass pipeline. *)
+(** Compile MiniC source text under a software environment, through the
+    stage ladder with [cache] (explicit, or ambient via [WARIO_CACHE_DIR]
+    when the argument is omitted). *)
 let compile ?(opts = default_options) ?(spans = S.disabled) ?cache
     (env : environment) (source : string) : compiled =
   let cache =
     match cache with Some c -> c | None -> Cache.from_env ()
   in
-  if Cache.enabled cache then
-    fst (compile_with_report ~opts ~spans ~cache env source)
-  else compile_uncached ~opts ~spans env source
+  fst (compile_with_report ~opts ~spans ~cache env source)
 
 (** Static WAR-freedom certification of the linked image (lib/certify):
     translation validation of the whole pipeline above. *)

@@ -24,6 +24,13 @@ val instrumented_environments : environment list
 
 val environment_of_name : string -> environment option
 
+val placement_name : Wario_transforms.Checkpoint_inserter.placement -> string
+(** ["greedy"], ["cost-guided"] or ["interprocedural"]: the spelling the
+    ["place"] stage key and the serve protocol share. *)
+
+val placement_of_name :
+  string -> Wario_transforms.Checkpoint_inserter.placement option
+
 type options = {
   unroll_factor : int;  (** the paper's N; default 8 (§5.2.4) *)
   expander_size_limit : int;
@@ -104,21 +111,6 @@ type compiled = {
   text_bytes : int;
 }
 
-val middle_end :
-  ?opts:options ->
-  ?spans:Wario_obs.Span.t ->
-  environment ->
-  Wario_ir.Ir.program ->
-  middle_stats
-(** Run just the middle end (mutates the program).  A live [spans]
-    recorder nests one span per pass ([middle.<pass>]) under a ["middle"]
-    span, each carrying the pass's headline deltas as counters (stores
-    postponed/moved, inlines; on the inserter span WARs found, checkpoints
-    inserted, exact solves, branch-and-bound nodes and greedy
-    fallbacks).  Note that under
-    [Interprocedural] the middle end alone never expands: cost-coupled
-    expansion is driven by trial compilation in {!compile_ir}. *)
-
 val stage_names : string list
 (** The five cacheable pipeline stages, in order:
     ["front"; "wir"; "place"; "mach"; "image"]. *)
@@ -151,18 +143,26 @@ val compile :
   environment ->
   string ->
   compiled
-(** Compile MiniC source text.  [spans] wraps the whole compile in a
-    ["pipeline.compile"] span with per-stage children (frontend → middle
-    passes → backend and its per-pass children → elide/motion → link),
-    including per-recheck certifier spans inside elide/motion; counters
-    on those spans carry the per-pass deltas, the spill stats and the
-    linked section sizes.  [Wario_obs.Span.to_metrics_jsonl] projects the
-    tree onto named timers and counters.
+(** Compile MiniC source text.  Every compile runs one stage order
+    (paper Figure 2): front end, cost-coupled trial expansion (only under
+    [Interprocedural]), the placement-independent middle end, placement,
+    IR verification, back end, elision, motion, link.
+
+    [spans] wraps the compile in a ["pipeline.compile"] span (attribute
+    [env]) with per-stage children: ["frontend"], ["middle"] twice (the
+    placement-independent passes, then placement; each pass a
+    ["middle.<pass>"] child carrying its headline deltas — stores
+    postponed/moved, inlines, WARs found, checkpoints inserted, exact
+    solves, branch-and-bound nodes, greedy fallbacks), ["backend"] and its
+    per-pass children, ["backend.elide"]/["backend.motion"] with their
+    per-recheck certifier spans, and ["link"] with the section sizes.
+    [Wario_obs.Span.to_metrics_jsonl] projects the tree onto named
+    timers and counters.
 
     [cache] (default: the ambient {!Cache.from_env}, i.e. enabled exactly
-    when [WARIO_CACHE_DIR] is set) routes the compile through the keyed
-    stage ladder of {!compile_with_report}; with a disabled cache this is
-    the classic single-pass pipeline.
+    when [WARIO_CACHE_DIR] is set) lets the compile resume from the
+    deepest cached stage; see {!compile_with_report}.  With a disabled
+    cache every stage runs.
     @raise Wario_minic.Minic.Error on front-end errors *)
 
 val compile_with_report :
@@ -176,8 +176,9 @@ val compile_with_report :
     as [(stage, hit)] pairs in probe order (deepest reusable stage
     first; stages that never needed probing are absent).  A live [spans]
     recorder also counts them on the ["pipeline.compile"] span as
-    [cache_<stage>_hit] / [cache_<stage>_miss].  With a
-    disabled [cache] the report is empty and the compile is uncached.
+    [cache_<stage>_hit] / [cache_<stage>_miss] and marks that span
+    [cached=on].  With a disabled [cache] nothing is keyed, marshalled,
+    reported or counted: the report is empty.
     The resulting [compiled] is byte-identical (up to [Marshal]) to an
     uncached compile of the same inputs — enforced by the test suite and
     re-asserted in-process by the cache bench before any number is
@@ -189,7 +190,10 @@ val compile_ir :
   environment ->
   Wario_ir.Ir.program ->
   compiled
-(** Compile an already-lowered IR program (mutates it). *)
+(** Compile an already-lowered IR program (mutates it) through the same
+    stages as {!compile}, minus the front end, with the cache disabled —
+    there is no source text to key it by.  Hand-built IR and the
+    expansion trial compiles enter here. *)
 
 val certify : compiled -> Wario_certify.Certify.verdict
 (** Statically certify the linked image WAR-free (translation validation

@@ -24,18 +24,6 @@ type job = {
   j_opts : Pipeline.options;
 }
 
-let placement_of_name = function
-  | "greedy" -> Some Wario_transforms.Checkpoint_inserter.Greedy
-  | "cost-guided" -> Some Wario_transforms.Checkpoint_inserter.Cost_guided
-  | "interprocedural" ->
-      Some Wario_transforms.Checkpoint_inserter.Interprocedural
-  | _ -> None
-
-let placement_name = function
-  | Wario_transforms.Checkpoint_inserter.Greedy -> "greedy"
-  | Wario_transforms.Checkpoint_inserter.Cost_guided -> "cost-guided"
-  | Wario_transforms.Checkpoint_inserter.Interprocedural -> "interprocedural"
-
 (* Known job fields.  Unknown keys are errors, not ignored: a typo'd
    option silently compiling with defaults would defeat the point of a
    batch front end. *)
@@ -102,7 +90,7 @@ let job_of_json ~(lookup : string -> string option) ~(index : int) (j : J.t)
             match str "placement" with
             | None -> Ok Pipeline.default_options.Pipeline.placement
             | Some name -> (
-                match placement_of_name name with
+                match Pipeline.placement_of_name name with
                 | Some p -> Ok p
                 | None ->
                     Error
@@ -206,7 +194,7 @@ let result_line ?(stats_only = false) ~(job : job) ~(key : Cache.Key.t)
   add {|{"id":"%s","ok":true,"program":"%s","env":"%s"|} (J.escape job.j_id)
     (J.escape job.j_program)
     (Pipeline.environment_name job.j_env);
-  add {|,"placement":"%s"|} (placement_name job.j_opts.Pipeline.placement);
+  add {|,"placement":"%s"|} (Pipeline.placement_name job.j_opts.Pipeline.placement);
   add {|,"key":"%s"|} (Cache.Key.to_hex key);
   (match dedup_of with
   | Some id -> add {|,"dedup_of":"%s"|} (J.escape id)

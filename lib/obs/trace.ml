@@ -1,6 +1,8 @@
 (* Emulator execution tracing: typed events, sinks, and the Chrome
    trace-event renderer.  See trace.mli for the event schema. *)
 
+module J = Wario_support.Json
+
 type cause = Entry | Exit | Middle | Backend | Console
 
 let string_of_cause = function
@@ -93,27 +95,12 @@ let dropped = function
 (* Chrome trace-event JSON                                              *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One trace-event object.  [ts]/[dur] are cycles rendered as µs. *)
 let obj b ~first ~name ~cat ~ph ~ts ?dur ?(tid = 0) ?(extra = []) () =
   if not first then Buffer.add_string b ",\n";
   Buffer.add_string b
     (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%d"
-       (escape name) cat ph ts);
+       (J.escape name) cat ph ts);
   (match dur with
   | Some d -> Buffer.add_string b (Printf.sprintf ",\"dur\":%d" d)
   | None -> ());
@@ -131,7 +118,7 @@ let obj b ~first ~name ~cat ~ph ~ts ?dur ?(tid = 0) ?(extra = []) () =
       Buffer.add_char b '}');
   Buffer.add_char b '}'
 
-let json_str s = "\"" ^ escape s ^ "\""
+let json_str s = "\"" ^ J.escape s ^ "\""
 
 let to_chrome_json ?(process_name = "wario-tm2") (evs : timed list) : string =
   let b = Buffer.create 65536 in

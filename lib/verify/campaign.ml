@@ -359,9 +359,33 @@ let divergence_class = function
   | Oracle.War_violations _ -> "war"
   | Oracle.No_progress _ -> "no-progress"
 
-let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
-    ~(workload : string * string) ~(env : P.environment) : case_report =
-  let name, source = workload in
+(* One case's build: compiled once, certified by the static pre-check,
+   then run by the campaign. *)
+type build = {
+  b_workload : string * string;
+  b_env : P.environment;
+  b_compiled : P.compiled;
+}
+
+let builds (config : config) : build list =
+  List.concat_map
+    (fun ((_, source) as workload) ->
+      List.map
+        (fun env ->
+          {
+            b_workload = workload;
+            b_env = env;
+            b_compiled = P.compile ~opts:config.opts env source;
+          })
+        config.envs)
+    config.workloads
+
+(* [compiled] runs inside the campaign.golden span: [run_case] compiles
+   there, a campaign over prebuilt cases only looks its build up. *)
+let run_build ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
+    ~(workload : string * string) ~(env : P.environment) ~compiled :
+    case_report =
+  let name = fst workload in
   S.with_span spans
     ~attrs:
       [ ("workload", S.Str name); ("env", S.Str (P.environment_name env)) ]
@@ -369,7 +393,7 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
   @@ fun () ->
   let c, g =
     S.with_span spans "campaign.golden" (fun () ->
-        let c = P.compile ~opts:config.opts env source in
+        let c = compiled () in
         let g = Oracle.golden ~engine:config.engine c in
         let fs = Oracle.fork_stats g in
         S.add_counter ~by:fs.Oracle.snapshots spans "snapshots";
@@ -594,27 +618,31 @@ let run_case ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
         k_worst_reexec = worst_reexec;
       }
 
-let run ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config) :
-    case_report list =
-  List.concat_map
-    (fun workload ->
-      List.map
-        (fun env ->
-          let r = run_case ~log ~spans config ~workload ~env in
-          log
-            (Printf.sprintf
-               "%s × %s: %d schedules + %d probes, boundary coverage %.1f%%, \
-                %s"
-               r.k_workload (P.environment_name env) r.k_schedules r.k_probes
-               (boundary_pct r.k_coverage)
-               (match r.k_failures_total with
-               | 0 -> "ok"
-               | n ->
-                   Printf.sprintf "%d FAILURE(S) (%d distinct shrunk)" n
-                     (List.length r.k_failures)));
-          r)
-        config.envs)
-    config.workloads
+let run_case ?log ?spans config ~workload ~env =
+  run_build ?log ?spans config ~workload ~env ~compiled:(fun () ->
+      P.compile ~opts:config.opts env (snd workload))
+
+let run ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
+    (builds : build list) : case_report list =
+  List.map
+    (fun b ->
+      let env = b.b_env in
+      let r =
+        run_build ~log ~spans config ~workload:b.b_workload ~env
+          ~compiled:(fun () -> b.b_compiled)
+      in
+      log
+        (Printf.sprintf
+           "%s × %s: %d schedules + %d probes, boundary coverage %.1f%%, %s"
+           r.k_workload (P.environment_name env) r.k_schedules r.k_probes
+           (boundary_pct r.k_coverage)
+           (match r.k_failures_total with
+           | 0 -> "ok"
+           | n ->
+               Printf.sprintf "%d FAILURE(S) (%d distinct shrunk)" n
+                 (List.length r.k_failures)));
+      r)
+    builds
 
 let total_failures (reports : case_report list) : int =
   List.fold_left (fun acc r -> acc + r.k_failures_total) 0 reports
@@ -624,22 +652,18 @@ let total_failures (reports : case_report list) : int =
    cannot trip the dynamic WAR verifier, so a rejection pinpoints a pipeline
    bug — with a concrete load→store witness, logged — without spending a
    single schedule. *)
-let static_precheck ?(log = fun _ -> ()) (config : config) :
+let static_precheck ?(log = fun _ -> ()) (builds : build list) :
     (string * P.environment) list =
-  List.concat_map
-    (fun (name, source) ->
-      List.filter_map
-        (fun env ->
-          let c = P.compile ~opts:config.opts env source in
-          match P.certify c with
-          | Wario_certify.Certify.Certified _ -> None
-          | Wario_certify.Certify.Rejected _ as v ->
-              log
-                (Printf.sprintf "%s × %s: static certifier REJECTED\n%s" name
-                   (P.environment_name env) (P.certify_report c v));
-              Some (name, env))
-        config.envs)
-    config.workloads
+  List.filter_map
+    (fun { b_workload = name, _; b_env = env; b_compiled = c } ->
+      match P.certify c with
+      | Wario_certify.Certify.Certified _ -> None
+      | Wario_certify.Certify.Rejected _ as v ->
+          log
+            (Printf.sprintf "%s × %s: static certifier REJECTED\n%s" name
+               (P.environment_name env) (P.certify_report c v));
+          Some (name, env))
+    builds
 
 let min_boundary_pct (reports : case_report list) : float =
   List.fold_left

@@ -124,18 +124,29 @@ val run_case :
     counter); the chunked {!Wario_exec.Exec.map} fan-outs inside the
     execute and mop-up phases contribute their own pool/worker spans. *)
 
+type build
+(** One (workload, environment) case compiled under the campaign's
+    options: made once, certified by {!static_precheck}, run by {!run}. *)
+
+val builds : config -> build list
+(** Compile every case of the config, workloads outer, environments
+    inner — the order of the campaign report. *)
+
 val run :
   ?log:(string -> unit) ->
   ?spans:Wario_obs.Span.t ->
   config ->
+  build list ->
   case_report list
+(** {!run_case} over prebuilt cases, in order: the golden phase runs the
+    given build instead of compiling again. *)
 
 val total_failures : case_report list -> int
 
 val static_precheck :
-  ?log:(string -> unit) -> config -> (string * Wario.Pipeline.environment) list
-(** Run the static idempotence certifier (lib/certify) on every case's
-    build and return the rejected (workload, environment) cases; each
+  ?log:(string -> unit) -> build list -> (string * Wario.Pipeline.environment) list
+(** Run the static idempotence certifier (lib/certify) on every build
+    and return the rejected (workload, environment) cases; each
     rejection is logged with its witness paths.  A certified image cannot
     trip the dynamic WAR verifier, so rejections pinpoint pipeline bugs
     before any schedule is injected. *)

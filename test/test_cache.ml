@@ -338,12 +338,18 @@ let test_warm_equals_fresh_every_environment () =
         (fun env ->
           let cold, _ = P.compile_with_report ~cache env src2 in
           let warm, report = P.compile_with_report ~cache env src2 in
-          let fresh = P.compile ~cache:C.disabled env src2 in
+          let fresh, uncached = P.compile_with_report ~cache:C.disabled env src2 in
+          let lowered = P.compile_ir env (Wario_minic.Minic.compile src2) in
           let name = P.environment_name env in
           Alcotest.(check string)
             (name ^ ": warm == cold") (image_bytes cold) (image_bytes warm);
           Alcotest.(check string)
             (name ^ ": warm == fresh") (image_bytes fresh) (image_bytes warm);
+          Alcotest.(check string)
+            (name ^ ": IR entry == fresh") (image_bytes fresh)
+            (image_bytes lowered);
+          Alcotest.(check (list (pair string bool)))
+            (name ^ ": uncached compile reports no stage") [] uncached;
           Alcotest.(check bool)
             (name ^ ": warm run hit the cache")
             true

@@ -637,6 +637,10 @@ let test_pipeline_metrics () =
   in
   Alcotest.(check bool) "frontend timed" true
     (List.mem_assoc "frontend.ms" metrics);
+  Alcotest.(check bool) "uncached: no cache counters" false
+    (List.exists
+       (fun (m, _) -> String.starts_with ~prefix:"pipeline.compile.cache_" m)
+       metrics);
   Alcotest.(check bool) "backend passes timed" true
     (List.mem_assoc "backend.regalloc.ms" metrics);
   count "middle.checkpoint_inserter.wars" c.P.middle.P.wars_found;
