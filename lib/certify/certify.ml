@@ -167,24 +167,37 @@ let entry_state () =
   regs.(I.sp) <- D.Exact (D.of_base D.Sp);
   { regs; cells = Util.Int_map.empty }
 
+(* Join [b] into the stored state [a], returning [a] itself when nothing
+   changes, so the fixpoint tests stability by physical equality.  A value
+   physically or [equal_aval]-equal to the stored one is kept as is: the
+   join of equal values is equal to them, and keeping the stored one skips
+   the rebuild.  Cells survive only where both sides track them. *)
 let join_st ~slot_of_off a b =
-  let regs = Array.init 16 (fun i -> D.join_aval ~slot_of_off a.regs.(i) b.regs.(i)) in
-  let cells =
-    Util.Int_map.merge
-      (fun _ x y ->
-        match (x, y) with
-        | Some x, Some y -> Some (D.join_aval ~slot_of_off x y)
-        | _ -> None)
-      a.cells b.cells
+  let changed = ref false in
+  let join_val x y =
+    if x == y || D.equal_aval x y then x
+    else
+      let j = D.join_aval ~slot_of_off x y in
+      if D.equal_aval j x then x
+      else (
+        changed := true;
+        j)
   in
-  { regs; cells }
-
-let equal_st a b =
-  (try
-     Array.iter2 (fun x y -> if not (D.equal_aval x y) then raise Exit) a.regs b.regs;
-     true
-   with Exit -> false)
-  && Util.Int_map.equal D.equal_aval a.cells b.cells
+  let regs = Array.map2 join_val a.regs b.regs in
+  let cells =
+    if a.cells == b.cells then a.cells
+    else
+      Util.Int_map.merge
+        (fun _ x y ->
+          match (x, y) with
+          | Some x, Some y -> Some (join_val x y)
+          | Some _, None ->
+              changed := true;
+              None
+          | None, _ -> None)
+        a.cells b.cells
+  in
+  if !changed then { regs; cells } else a
 
 let eval_op2 st = function
   | I.R r -> st.regs.(r)
@@ -310,31 +323,48 @@ let transfer (ctx : fctx) (img : Img.t) (pc : int) (st : st) : st =
   | I.SpillLd (rd, _) -> set_reg st rd D.unknown
   | I.SpillSt _ -> { st with cells = Util.Int_map.empty }
 
-(** Context-insensitive fixpoint over one function's pc range. *)
+(** Context-insensitive fixpoint over one function's pc range, in layout
+    order: each sweep visits the dirty pcs from [lo] to [hi], and a new
+    sweep starts only when a back edge ([q <= pc]) changed a state —
+    forward edges are caught later in the same sweep. *)
 let analyse_function (img : Img.t) (ctx : fctx) (inp : st option array) : unit =
   let so = slot_of_off ctx in
-  inp.(ctx.lo) <- Some (entry_state ());
-  let work = Queue.create () in
-  Queue.add ctx.lo work;
-  while not (Queue.is_empty work) do
-    let pc = Queue.pop work in
-    match inp.(pc) with
-    | None -> ()
-    | Some st ->
-        let out = transfer ctx img pc st in
-        List.iter
-          (fun q ->
-            if q >= ctx.lo && q <= ctx.hi then
-              match inp.(q) with
-              | None ->
-                  inp.(q) <- Some out;
-                  Queue.add q work
-              | Some old ->
-                  let j = join_st ~slot_of_off:so old out in
-                  if not (equal_st j old) then (
-                    inp.(q) <- Some j;
-                    Queue.add q work))
-          (Img.succs img pc)
+  let lo = ctx.lo and hi = ctx.hi in
+  let dirty = Bytes.make (hi - lo + 1) '\000' in
+  inp.(lo) <- Some (entry_state ());
+  Bytes.set dirty 0 '\001';
+  let again = ref true in
+  while !again do
+    again := false;
+    for pc = lo to hi do
+      if Bytes.get dirty (pc - lo) <> '\000' then begin
+        Bytes.set dirty (pc - lo) '\000';
+        match inp.(pc) with
+        | None -> ()
+        | Some st ->
+            let out = transfer ctx img pc st in
+            List.iter
+              (fun q ->
+                if q >= lo && q <= hi then
+                  let changed =
+                    match inp.(q) with
+                    | None ->
+                        inp.(q) <- Some out;
+                        true
+                    | Some old ->
+                        let j = join_st ~slot_of_off:so old out in
+                        if j == old then false
+                        else (
+                          inp.(q) <- Some j;
+                          true)
+                  in
+                  if changed then begin
+                    Bytes.set dirty (q - lo) '\001';
+                    if q <= pc then again := true
+                  end)
+              (Img.succs img pc)
+      end
+    done
   done
 
 (* ------------------------------------------------------------------ *)
@@ -930,6 +960,41 @@ let judge_image (an : analysis) : verdict =
   if rejects = [] then Certified stats else Rejected (rejects, stats)
 
 let certify (img : Img.t) : verdict = judge_image (analyse img)
+
+(* The fixpoint's own check, compared structurally so that it does not
+   lean on [join_st]'s physical-equality shortcut. *)
+let equal_st a b =
+  Array.for_all2 D.equal_aval a.regs b.regs
+  && Util.Int_map.equal D.equal_aval a.cells b.cells
+
+let first_unstable_pc (img : Img.t) : int option =
+  let an = analyse img in
+  let inp = an.an_inp in
+  let first = ref None in
+  List.iter
+    (fun ctx ->
+      let so = slot_of_off ctx in
+      for pc = ctx.lo to ctx.hi do
+        match inp.(pc) with
+        | None -> ()
+        | Some st ->
+            let out = transfer ctx img pc st in
+            List.iter
+              (fun q ->
+                let moves =
+                  q >= ctx.lo && q <= ctx.hi
+                  &&
+                  match inp.(q) with
+                  | None -> true
+                  | Some old ->
+                      not (equal_st (join_st ~slot_of_off:so old out) old)
+                in
+                if moves && Option.fold ~none:true ~some:(( < ) q) !first then
+                  first := Some q)
+              (Img.succs img pc)
+      done)
+    an.an_ctxs;
+  !first
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-certification session                                 *)

@@ -44,6 +44,12 @@ val certify : Wario_emulator.Image.t -> verdict
     witnesses.  Only instrumented builds can certify: the uninstrumented
     baseline fails the pop-conversion obligation by construction. *)
 
+val first_unstable_pc : Wario_emulator.Image.t -> int option
+(** Test-facing check of the abstract interpretation behind {!certify}:
+    the lowest pc whose fixpoint state one more transfer from a
+    predecessor, joined in, would change; [None] when every state is
+    stable. *)
+
 (** The one abstract interpretation of an image behind {!certify},
     checkpoint elision ({!Wario.Elide}) and checkpoint motion
     ({!Wario.Motion}): each analyses an image once, through a session,

@@ -358,6 +358,7 @@ let divergence_class = function
   | Oracle.Memory_mismatch _ -> "memory"
   | Oracle.War_violations _ -> "war"
   | Oracle.No_progress _ -> "no-progress"
+  | Oracle.Fault _ -> "fault"
 
 (* One case's build: compiled once, certified by the static pre-check,
    then run by the campaign. *)

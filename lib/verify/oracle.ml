@@ -78,6 +78,7 @@ type divergence =
   | Memory_mismatch of { got : int64; want : int64 }
   | War_violations of E.Emulator.violation list
   | No_progress of string
+  | Fault of string
 
 (* Every oracle run — golden, injected, resumed — goes through
    [run_batch] and [run_to_commit] on the caller's [engine]: verify-mode
@@ -234,21 +235,28 @@ let judge (g : golden) (r : E.Emulator.result) digest =
 (* Inject an arbitrary supply and return both the verdict and (when the
    run terminated) the full emulator result: the adversarial cut search
    maximizes [result.waste.w_reexec] across probes, so the measurement and
-   the differential check must come from the same run. *)
+   the differential check must come from the same run.  An emulator fault
+   (a memory fault, an exhausted cycle budget) is a divergence like any
+   other: a checkpoint that restores the wrong state can send the replay
+   anywhere.  A run that fails once started hands its instance back as
+   the domain's spare (its page bitmap covers every write it made); one
+   whose start failed has no instance, and the next run allocates. *)
 let run_supply ?engine (g : golden) (c : P.compiled) (supply : E.Power.supply)
     : E.Emulator.result option * (unit, divergence) result =
   let snaps = snapshots_for g c in
   match start g c snaps supply with
   | exception E.Emulator.No_forward_progress s -> (None, Error (No_progress s))
-  | emu, i ->
-      let outcome =
-        match finish ?engine g snaps emu i with
-        | exception E.Emulator.No_forward_progress s ->
-            (None, Error (No_progress s))
-        | r, digest -> (Some r, judge g r digest)
-      in
-      Domain.DLS.set spare (Some emu);
-      outcome
+  | exception E.Emulator.Emu_error s -> (None, Error (Fault s))
+  | emu, i -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> Domain.DLS.set spare (Some emu))
+          (fun () -> finish ?engine g snaps emu i)
+      with
+      | exception E.Emulator.No_forward_progress s ->
+          (None, Error (No_progress s))
+      | exception E.Emulator.Emu_error s -> (None, Error (Fault s))
+      | r, digest -> (Some r, judge g r digest))
 
 let run_schedule ?engine (g : golden) (c : P.compiled) (cuts : int array) =
   run_supply ?engine g c (E.Power.Schedule cuts)
@@ -278,3 +286,4 @@ let string_of_divergence = function
         (List.hd vs).E.Emulator.v_instr (List.hd vs).E.Emulator.v_addr
         (List.hd vs).E.Emulator.v_func
   | No_progress s -> Printf.sprintf "no forward progress under %s" s
+  | Fault s -> Printf.sprintf "emulator fault: %s" s

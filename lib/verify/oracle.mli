@@ -49,6 +49,10 @@ type divergence =
   | Memory_mismatch of { got : int64; want : int64 }
   | War_violations of Wario_emulator.Emulator.violation list
   | No_progress of string
+  | Fault of string
+      (** the injected run stopped on an emulator error (a memory fault,
+          an exhausted cycle budget): replay went somewhere the golden run
+          never did *)
 
 val golden :
   ?engine:Wario_emulator.Emulator.engine -> Wario.Pipeline.compiled -> golden

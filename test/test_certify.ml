@@ -28,6 +28,24 @@ let benchmark_builds =
            envs)
        W.Programs.all)
 
+(* crc, sha and dijkstra under interprocedural placement with elision
+   and motion, as [iclang pgo]'s cost-guided variant builds them. *)
+let inter_images =
+  lazy
+    (let opts =
+       {
+         P.default_options with
+         P.placement = Wario_transforms.Checkpoint_inserter.Interprocedural;
+         elide = true;
+         motion = true;
+       }
+     in
+     List.map
+       (fun (b : W.Programs.benchmark) ->
+         ( b.W.Programs.name ^ " × wario inter+elide+motion",
+           (P.compile ~opts P.Wario b.W.Programs.source).P.image ))
+       W.Programs.[ crc; sha; dijkstra ])
+
 let test_benchmarks_certified () =
   List.iter
     (fun (what, c, v) ->
@@ -102,6 +120,11 @@ let test_session_verdict_is_certify () =
   List.iter
     (fun (what, c, v) -> ignore (same what c.P.image v))
     (Lazy.force benchmark_builds);
+  (* the images elision and motion leave behind, which every expander
+     audition and pgo candidate certifies *)
+  List.iter
+    (fun (what, img) -> ignore (same what img (C.certify img)))
+    (Lazy.force inter_images);
   let sabotaged =
     (P.compile
        ~opts:{ P.default_options with P.drop_middle_ckpt = Some 0 }
@@ -133,6 +156,33 @@ let test_session_verdict_is_certify () =
   img.E.Image.code.(pc) <- Wario_machine.Isa.Mov (0, Wario_machine.Isa.R 0);
   Alcotest.(check bool) "edited: Session.verdict = certify" true
     (C.Session.verdict ses = C.certify img)
+
+(* The certifier's fixpoint is a fixpoint: no state changes under one more
+   transfer+join, on every benchmark build, the elided and moved images
+   and random programs.  Catches a schedule that stops before a back edge
+   has been propagated. *)
+let test_fixpoint_stable () =
+  let stable what img =
+    match C.first_unstable_pc img with
+    | None -> ()
+    | Some pc -> Alcotest.failf "%s: state at pc %d is not a fixpoint" what pc
+  in
+  List.iter
+    (fun (what, c, _) -> stable what c.P.image)
+    (Lazy.force benchmark_builds);
+  List.iter (fun (what, img) -> stable what img) (Lazy.force inter_images)
+
+let prop_fixpoint_stable =
+  QCheck.Test.make ~name:"random programs: certifier fixpoint is stable"
+    ~count:6 Test_props.arbitrary_program (fun src ->
+      List.for_all
+        (fun env ->
+          match C.first_unstable_pc (P.compile env src).P.image with
+          | None -> true
+          | Some pc ->
+              QCheck.Test.fail_reportf "unstable state at pc %d [%s]" pc
+                (P.environment_name env))
+        envs)
 
 (* Certifier vs dynamic WAR verifier on random MiniC programs, across all
    instrumented environments and with the sabotage hook armed:
@@ -184,5 +234,8 @@ let suite =
       test_sabotaged_rejected;
     Alcotest.test_case "session: verdict equals certify" `Slow
       test_session_verdict_is_certify;
+    Alcotest.test_case "fixpoint: every state stable" `Slow
+      test_fixpoint_stable;
   ]
-  @ List.map Test_props.to_alcotest [ prop_certifier_agrees_with_dynamic ]
+  @ List.map Test_props.to_alcotest
+      [ prop_certifier_agrees_with_dynamic; prop_fixpoint_stable ]

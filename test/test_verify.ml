@@ -330,6 +330,44 @@ let test_sabotage_diverges_without_verifier () =
     "some boundary cut corrupts output once a checkpoint is dropped" true
     !diverged
 
+(* An emulator fault in an injected run is a divergence, not a crash.
+   Clearing the lowest r0-r12 bit of every checkpoint's save mask leaves
+   the golden run clean (a run without cuts never restores), but a cut
+   run restores that register as 0 and its replay faults. *)
+let test_fault_is_divergence () =
+  let m = M.find "rmw_loop" in
+  let c = P.compile P.Wario m.M.source in
+  let code = c.P.image.E.Image.code in
+  Array.iteri
+    (fun pc ins ->
+      match ins with
+      | Wario_machine.Isa.Ckpt (cause, mask) ->
+          let low = mask land 0x1fff in
+          code.(pc) <-
+            Wario_machine.Isa.Ckpt (cause, mask land lnot (low land -low))
+      | _ -> ())
+    code;
+  let g = V.Oracle.golden c in
+  Alcotest.(check (list int32)) "golden output" m.M.expected g.V.Oracle.g_output;
+  Alcotest.(check bool) "golden clean" true (V.Oracle.golden_violations g = []);
+  let is_fault = function Some (V.Oracle.Fault _) -> true | _ -> false in
+  let faults cut =
+    cut > 0
+    &&
+    match V.Oracle.check_schedule g c [| cut |] with
+    | Error d -> is_fault (Some d)
+    | Ok () -> false
+  in
+  let ref_ = V.Schedule.reference_of_result g.V.Oracle.g_result in
+  Alcotest.(check bool) "a cut run faults: oracle" true
+    (Array.exists
+       (fun b -> faults (b - 1) || faults b || faults (b + 1))
+       ref_.V.Schedule.boundaries);
+  Alcotest.(check bool) "a cut run faults: adversary probe" true
+    (List.exists
+       (fun w -> is_fault w.V.Adversary.a_divergence)
+       (V.Adversary.search g c))
+
 let suite =
   [
     Alcotest.test_case "prng: reproducible and splittable" `Quick
@@ -354,6 +392,8 @@ let suite =
       test_harness_green_on_healthy;
     Alcotest.test_case "harness: sabotaged build caught and shrunk" `Quick
       test_sabotaged_build_caught;
+    Alcotest.test_case "oracle: emulator fault is a divergence" `Quick
+      test_fault_is_divergence;
     Alcotest.test_case "sabotage: physical divergence sans verifier" `Slow
       test_sabotage_diverges_without_verifier;
   ]
