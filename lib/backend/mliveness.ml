@@ -24,33 +24,7 @@ let instr_defs = function
     checkpoint routine itself). *)
 let set_ckpt_masks (mf : I.mfunc) : unit =
   let blocks = Array.of_list mf.I.mblocks in
-  let n = Array.length blocks in
-  let label_index = Hashtbl.create 16 in
-  Array.iteri (fun i b -> Hashtbl.replace label_index b.I.mlabel i) blocks;
-  let succs i =
-    let b = blocks.(i) in
-    let rec scan acc seals = function
-      | [] -> (acc, seals)
-      | ins :: rest ->
-          let acc =
-            match ins with
-            | I.B l | I.Bc (_, l) -> (
-                match Hashtbl.find_opt label_index l with
-                | Some t -> t :: acc
-                | None -> acc)
-            | _ -> acc
-          in
-          let seals =
-            match (rest, ins) with [], (I.B _ | I.Bx_lr) -> true | _ -> seals
-          in
-          scan acc seals rest
-    in
-    let targets, sealed = scan [] false b.I.mcode in
-    if sealed || i + 1 >= n then targets else (i + 1) :: targets
-  in
   (* lr counts in liveness too (Bx_lr reads it) *)
-  let lr_bit = I.lr in
-  ignore lr_bit;
   let uses ins =
     let base = instr_uses ins in
     match ins with I.Bx_lr -> base | _ -> base @ (if List.mem I.lr (I.reads ins) then [ I.lr ] else [])
@@ -61,45 +35,11 @@ let set_ckpt_masks (mf : I.mfunc) : unit =
     | Some d when d = I.lr -> I.lr :: base
     | _ -> base
   in
-  let gen_kill b =
-    List.fold_left
-      (fun (gen, kill) ins ->
-        let gen =
-          List.fold_left
-            (fun g u -> if Int_set.mem u kill then g else Int_set.add u g)
-            gen (uses ins)
-        in
-        let kill =
-          List.fold_left (fun k d -> Int_set.add d k) kill (defs ins)
-        in
-        (gen, kill))
-      (Int_set.empty, Int_set.empty)
-      b.I.mcode
+  let _, live_out =
+    Mcfg.liveness ~succs:(Mcfg.succs blocks)
+      ~regs:(fun ins -> (uses ins, defs ins))
+      blocks
   in
-  let gens = Array.map (fun b -> fst (gen_kill b)) blocks in
-  let kills = Array.map (fun b -> snd (gen_kill b)) blocks in
-  let live_in = Array.make n Int_set.empty in
-  let live_out = Array.make n Int_set.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = n - 1 downto 0 do
-      let out =
-        List.fold_left
-          (fun acc s -> Int_set.union acc live_in.(s))
-          Int_set.empty (succs i)
-      in
-      let inn = Int_set.union gens.(i) (Int_set.diff out kills.(i)) in
-      if not (Int_set.equal out live_out.(i)) then begin
-        live_out.(i) <- out;
-        changed := true
-      end;
-      if not (Int_set.equal inn live_in.(i)) then begin
-        live_in.(i) <- inn;
-        changed := true
-      end
-    done
-  done;
   (* per-instruction backward pass within each block to set masks *)
   Array.iteri
     (fun i b ->

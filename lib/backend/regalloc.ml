@@ -24,78 +24,13 @@ type result = {
   spill_slots : int;  (** number of 4-byte spill slots allocated *)
 }
 
-let vregs_of_instr i =
-  let vs l = List.filter (fun r -> r >= I.first_vreg) l in
-  (vs (I.reads i), match I.writes i with Some d when d >= I.first_vreg -> Some d | _ -> None)
-
 let run (mf : I.mfunc) : result =
   let blocks = Array.of_list mf.I.mblocks in
   let nblocks = Array.length blocks in
-  let label_index = Hashtbl.create 16 in
-  Array.iteri (fun i b -> Hashtbl.replace label_index b.I.mlabel i) blocks;
-  let succs i =
-    let b = blocks.(i) in
-    let rec scan acc ends_in_b = function
-      | [] -> (acc, ends_in_b)
-      | ins :: rest ->
-          let acc =
-            match ins with
-            | I.B l | I.Bc (_, l) -> (
-                match Hashtbl.find_opt label_index l with
-                | Some t -> t :: acc
-                | None -> acc)
-            | _ -> acc
-          in
-          let ends =
-            match (rest, ins) with
-            | [], (I.B _ | I.Bx_lr) -> true
-            | _ -> ends_in_b
-          in
-          scan acc ends rest
-    in
-    let targets, no_fallthrough = scan [] false b.I.mcode in
-    if no_fallthrough || i + 1 >= nblocks then targets else (i + 1) :: targets
-  in
   (* --- liveness of virtual registers -------------------------------- *)
-  let uses_defs b =
-    (* block-level gen/kill *)
-    List.fold_left
-      (fun (gen, kill) ins ->
-        let us, d = vregs_of_instr ins in
-        let gen =
-          List.fold_left
-            (fun g u -> if Int_set.mem u kill then g else Int_set.add u g)
-            gen us
-        in
-        let kill = match d with Some d -> Int_set.add d kill | None -> kill in
-        (gen, kill))
-      (Int_set.empty, Int_set.empty)
-      b.I.mcode
+  let live_in, live_out =
+    Mcfg.vreg_liveness ~succs:(Mcfg.succs blocks) blocks
   in
-  let gens = Array.map (fun b -> fst (uses_defs b)) blocks in
-  let kills = Array.map (fun b -> snd (uses_defs b)) blocks in
-  let live_in = Array.make nblocks Int_set.empty in
-  let live_out = Array.make nblocks Int_set.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = nblocks - 1 downto 0 do
-      let out =
-        List.fold_left
-          (fun acc s -> Int_set.union acc live_in.(s))
-          Int_set.empty (succs i)
-      in
-      let inn = Int_set.union gens.(i) (Int_set.diff out kills.(i)) in
-      if not (Int_set.equal out live_out.(i)) then begin
-        live_out.(i) <- out;
-        changed := true
-      end;
-      if not (Int_set.equal inn live_in.(i)) then begin
-        live_in.(i) <- inn;
-        changed := true
-      end
-    done
-  done;
   (* --- intervals over a linear numbering ---------------------------- *)
   let positions = Array.make nblocks (0, 0) in
   let counter = ref 0 in
@@ -122,7 +57,7 @@ let run (mf : I.mfunc) : result =
       List.iteri
         (fun k ins ->
           let p = bstart + k in
-          let us, d = vregs_of_instr ins in
+          let us, d = Mcfg.vregs_of_instr ins in
           List.iter (fun u -> extend u p) us;
           Option.iter (fun dd -> extend dd p) d)
         b.I.mcode)
@@ -222,7 +157,7 @@ let run (mf : I.mfunc) : result =
       let out = ref [] in
       List.iter
         (fun ins ->
-          let us, d = vregs_of_instr ins in
+          let us, d = Mcfg.vregs_of_instr ins in
           (* map spilled uses to scratch registers *)
           let scratch_map = Hashtbl.create 4 in
           let next_scratch = ref [ scratch0; scratch1 ] in

@@ -42,27 +42,6 @@ let run ?(weight : (string -> float) option) ~(strategy : strategy)
   let label_index = Hashtbl.create 16 in
   Array.iteri (fun i b -> Hashtbl.replace label_index b.I.mlabel i) blocks;
   let code = Array.map (fun b -> Array.of_list b.I.mcode) blocks in
-  let succs i =
-    let rec scan acc seals = function
-      | [] -> (acc, seals)
-      | ins :: rest ->
-          let acc =
-            match ins with
-            | I.B l | I.Bc (_, l) -> (
-                match Hashtbl.find_opt label_index l with
-                | Some t -> t :: acc
-                | None -> acc)
-            | _ -> acc
-          in
-          let seals =
-            match (rest, ins) with [], (I.B _ | I.Bx_lr) -> true | _ -> seals
-          in
-          scan acc seals rest
-    in
-    let targets, sealed = scan [] false (Array.to_list code.(i)) in
-    if sealed || i + 1 >= n then targets else (i + 1) :: targets
-  in
-  ignore succs;
   (* Machine blocks can hold mid-block branches AND barriers, so
      barrier-free reachability must be edge-aware: a path may escape a
      block through a Bc before hitting a later barrier.  Per block we keep

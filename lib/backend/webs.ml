@@ -16,8 +16,9 @@
 
 module I = Wario_machine.Isa
 module Int_map = Wario_support.Util.Int_map
+module Int_set = Wario_support.Util.Int_set
 
-(* Union-find over def ids. *)
+(* Union-find over def and join nodes. *)
 module Uf = struct
   type t = { parent : int array; rank : int array }
 
@@ -42,150 +43,64 @@ module Uf = struct
       end
 end
 
-let vreg_uses_defs ins =
-  let vs l = List.filter (fun r -> r >= I.first_vreg) l in
-  ( vs (I.reads ins),
-    match I.writes ins with
-    | Some d when d >= I.first_vreg -> Some d
-    | _ -> None )
-
 (** Split the virtual live ranges of [mf] into webs; returns the next free
-    virtual register id after renaming. *)
+    virtual register id after renaming.
+
+    Union-find nodes are one join node per (block, vreg live into it),
+    standing for the vreg's value at block entry, plus the defs, numbered
+    in layout order.  Walking a block from its join nodes gives every use
+    exactly one node, the current def or join of its vreg, so uses need no
+    unions; a [Movc] def joins the node it conditionally keeps.  Then each
+    CFG edge joins the successor's join nodes with the predecessor's value
+    at block end.  A def reaches a use exactly when the vreg is live at
+    every point between them, so the components restricted to defs are
+    the du-chain webs.  A use no def reaches maps to join nodes only: it
+    gets a web of its own. *)
 let run (mf : I.mfunc) ~(next_vreg : int) : int =
   let blocks = Array.of_list mf.I.mblocks in
-  let n = Array.length blocks in
-  let label_index = Hashtbl.create 16 in
-  Array.iteri (fun i b -> Hashtbl.replace label_index b.I.mlabel i) blocks;
-  let succs i =
-    let rec scan acc seals = function
-      | [] -> (acc, seals)
-      | ins :: rest ->
-          let acc =
-            match ins with
-            | I.B l | I.Bc (_, l) -> (
-                match Hashtbl.find_opt label_index l with
-                | Some t -> t :: acc
-                | None -> acc)
-            | _ -> acc
-          in
-          let seals =
-            match (rest, ins) with [], (I.B _ | I.Bx_lr) -> true | _ -> seals
-          in
-          scan acc seals rest
-    in
-    let targets, sealed = scan [] false blocks.(i).I.mcode in
-    if sealed || i + 1 >= n then targets else (i + 1) :: targets
+  let succs = Mcfg.succs blocks in
+  let live_in, _ = Mcfg.vreg_liveness ~succs blocks in
+  let nnodes = ref 0 in
+  let fresh () =
+    let id = !nnodes in
+    incr nnodes;
+    id
   in
-  (* number all defs; def id per (block, instr index) *)
-  let def_ids = Hashtbl.create 256 in
-  let ndefs = ref 0 in
-  Array.iteri
-    (fun bi b ->
-      List.iteri
-        (fun k ins ->
-          match vreg_uses_defs ins with
-          | _, Some _ ->
-              Hashtbl.replace def_ids (bi, k) !ndefs;
-              incr ndefs
-          | _ -> ())
-        b.I.mcode)
-    blocks;
-  (* one synthetic "undef" def per vreg for uses with no reaching def *)
-  let undef_def = Hashtbl.create 16 in
-  let undef_of v =
-    match Hashtbl.find_opt undef_def v with
-    | Some d -> d
-    | None ->
-        let d = !ndefs in
-        incr ndefs;
-        Hashtbl.replace undef_def v d;
-        d
+  let joins =
+    Array.map
+      (fun live ->
+        Int_set.fold (fun v m -> Int_map.add v (fresh ()) m) live Int_map.empty)
+      live_in
   in
-  (* reaching definitions at block level: for each vreg, the set of def ids
-     live at block entry/exit.  Sets are small; use sorted int lists. *)
-  let module Ds = Set.Make (Int) in
-  let gen_out = Array.make n Int_map.empty in
-  (* block transfer: defs surviving to the end (last def of each vreg) and
-     vregs killed *)
-  let block_last_def = Array.make n Int_map.empty in
-  Array.iteri
-    (fun bi b ->
-      let m = ref Int_map.empty in
-      List.iteri
-        (fun k ins ->
-          match vreg_uses_defs ins with
-          | _, Some d -> m := Int_map.add d (Hashtbl.find def_ids (bi, k)) !m
-          | _ -> ())
-        b.I.mcode;
-      block_last_def.(bi) <- !m)
-    blocks;
-  let live_in = Array.make n Int_map.empty in
-  let preds = Array.make n [] in
-  Array.iteri (fun i _ -> List.iter (fun s -> preds.(s) <- i :: preds.(s)) (succs i)) blocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      (* in = union over preds of out *)
-      let inn =
+  let first_def = !nnodes in
+  (* each block's vreg -> node map at its end, numbering defs in layout
+     order; each [Movc] def with the node it may keep *)
+  let kept = ref [] in
+  let outs =
+    Array.mapi
+      (fun bi b ->
         List.fold_left
-          (fun acc p ->
-            Int_map.union (fun _ a b -> Some (Ds.union a b)) acc gen_out.(p))
-          Int_map.empty preds.(i)
-      in
-      if not (Int_map.equal Ds.equal inn live_in.(i)) then begin
-        live_in.(i) <- inn;
-        changed := true
-      end;
-      let out =
-        Int_map.merge
-          (fun _ last inherited ->
-            match last with
-            | Some d -> Some (Ds.singleton d)
-            | None -> inherited)
-          block_last_def.(i) inn
-      in
-      if not (Int_map.equal Ds.equal out gen_out.(i)) then begin
-        gen_out.(i) <- out;
-        changed := true
-      end
-    done
-  done;
-  (* walk each block, joining reaching defs at uses *)
-  let uf = Uf.create !ndefs in
+          (fun cur ins ->
+            match Mcfg.vreg_def ins with
+            | Some v ->
+                let d = fresh () in
+                (match ins with
+                | I.Movc _ -> kept := (d, Int_map.find v cur) :: !kept
+                | _ -> ());
+                Int_map.add v d cur
+            | None -> cur)
+          joins.(bi) b.I.mcode)
+      blocks
+  in
+  let uf = Uf.create !nnodes in
+  List.iter (fun (d, k) -> Uf.union uf d k) !kept;
   Array.iteri
-    (fun bi b ->
-      let reach = ref live_in.(bi) in
-      List.iteri
-        (fun k ins ->
-          let uses, def = vreg_uses_defs ins in
-          List.iter
-            (fun v ->
-              match Int_map.find_opt v !reach with
-              | Some ds when not (Ds.is_empty ds) ->
-                  let first = Ds.min_elt ds in
-                  Ds.iter (fun d -> Uf.union uf first d) ds
-              | _ ->
-                  (* no reaching def: tie to the vreg's undef web *)
-                  ignore (undef_of v))
-            uses;
-          (* a conditional move merges the old and new value of rd: its def
-             must live in the same web as the reaching defs of rd *)
-          (match ins with
-          | I.Movc (_, rd, _) when rd >= I.first_vreg ->
-              let d = Hashtbl.find def_ids (bi, k) in
-              (match Int_map.find_opt rd !reach with
-              | Some ds when not (Ds.is_empty ds) ->
-                  Ds.iter (fun d' -> Uf.union uf d d') ds
-              | _ -> Uf.union uf d (undef_of rd))
-          | _ -> ());
-          match def with
-          | Some v ->
-              let d = Hashtbl.find def_ids (bi, k) in
-              reach := Int_map.add v (Ds.singleton d) !reach
-          | None -> ())
-        b.I.mcode)
-    blocks;
+    (fun p out ->
+      List.iter
+        (fun s ->
+          Int_map.iter (fun v j -> Uf.union uf j (Int_map.find v out)) joins.(s))
+        succs.(p))
+    outs;
   (* assign fresh vregs per (vreg, web-root); keep a stable mapping *)
   let web_reg : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let next = ref next_vreg in
@@ -199,28 +114,20 @@ let run (mf : I.mfunc) ~(next_vreg : int) : int =
         r
   in
   (* second walk: rewrite *)
+  let next_def = ref first_def in
   Array.iteri
     (fun bi b ->
-      let reach = ref live_in.(bi) in
+      let cur = ref joins.(bi) in
       b.I.mcode <-
-        List.mapi
-          (fun k ins ->
-            let uses, def = vreg_uses_defs ins in
-            ignore uses;
+        List.map
+          (fun ins ->
+            let d = !next_def in
             let map_use v =
               if v < I.first_vreg then v
-              else
-                match Int_map.find_opt v !reach with
-                | Some ds when not (Ds.is_empty ds) ->
-                    reg_for v (Uf.find uf (Ds.min_elt ds))
-                | _ -> reg_for v (Uf.find uf (undef_of v))
+              else reg_for v (Uf.find uf (Int_map.find v !cur))
             in
-            (* compute the def's new name *)
             let map_def v =
-              if v < I.first_vreg then v
-              else
-                let d = Hashtbl.find def_ids (bi, k) in
-                reg_for v (Uf.find uf d)
+              if v < I.first_vreg then v else reg_for v (Uf.find uf d)
             in
             let mo = function I.R r -> I.R (map_use r) | o -> o in
             let ins' =
@@ -229,8 +136,8 @@ let run (mf : I.mfunc) ~(next_vreg : int) : int =
               | I.Mov (rd, o) -> I.Mov (map_def rd, mo o)
               | I.Movw32 (rd, v) -> I.Movw32 (map_def rd, v)
               | I.Movc (c, rd, o) ->
-                  (* conditional write: the use (old value) and the def must
-                     agree — the use join above already unified them *)
+                  (* conditional write: the use (old value) and the def
+                     share a web, joined in the walk above *)
                   let rd' = map_use rd in
                   I.Movc (c, rd', mo o)
               | I.Cmp (rn, o) -> I.Cmp (map_use rn, mo o)
@@ -248,11 +155,10 @@ let run (mf : I.mfunc) ~(next_vreg : int) : int =
                 | I.Cpsid | I.Cpsie | I.Svc _) as i ->
                   i
             in
-            (* update reaching defs after the def *)
-            (match def with
+            (match Mcfg.vreg_def ins with
             | Some v ->
-                let d = Hashtbl.find def_ids (bi, k) in
-                reach := Int_map.add v (Ds.singleton d) !reach
+                incr next_def;
+                cur := Int_map.add v d !cur
             | None -> ());
             ins')
           b.I.mcode)

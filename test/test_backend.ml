@@ -137,6 +137,274 @@ let test_webs_join_at_merge () =
   Alcotest.(check int) "branch defs unified" da db;
   Alcotest.(check int) "join use sees the web" da use
 
+(* The three shapes liveness decides: a dead join keeps webs apart, a
+   loop-carried def joins its header's web, and a [Movc] keeps the web of
+   the value it may leave in place. *)
+
+let block_code mf l = (List.find (fun b -> b.I.mlabel = l) mf.I.mblocks).I.mcode
+let def_reg ins = Option.get (I.writes ins)
+let use_reg ins = List.hd (I.reads ins)
+
+let test_webs_dead_join_splits () =
+  let v = I.first_vreg in
+  let mf =
+    {
+      I.mname = "w";
+      frame_words = 0; mframe = None;
+      mblocks =
+        [
+          { I.mlabel = "w";
+            mcode = [ I.Cmp (0, I.I 0l); I.Bc (I.EQ, "a"); I.B "b" ] };
+          { I.mlabel = "a";
+            mcode =
+              [ I.Mov (v, I.I 1l); I.Alu (I.ADD, v + 1, v, I.I 0l); I.B "join" ] };
+          { I.mlabel = "b";
+            mcode =
+              [ I.Mov (v, I.I 2l); I.Alu (I.ADD, v + 2, v, I.I 0l); I.B "join" ] };
+          (* [v] is dead here: the two defs share no use *)
+          { I.mlabel = "join"; mcode = [ I.Mov (0, I.I 0l); I.Bx_lr ] };
+        ];
+    }
+  in
+  ignore (B.Webs.run mf ~next_vreg:(v + 3));
+  let da = def_reg (List.nth (block_code mf "a") 0) in
+  let db = def_reg (List.nth (block_code mf "b") 0) in
+  Alcotest.(check bool) "defs meeting where dead stay apart" true (da <> db);
+  Alcotest.(check int) "a's use" da (use_reg (List.nth (block_code mf "a") 1));
+  Alcotest.(check int) "b's use" db (use_reg (List.nth (block_code mf "b") 1))
+
+let test_webs_loop_carried () =
+  let v = I.first_vreg in
+  let mf =
+    {
+      I.mname = "w";
+      frame_words = 0; mframe = None;
+      mblocks =
+        [
+          { I.mlabel = "w"; mcode = [ I.Mov (v, I.I 0l) ] };
+          { I.mlabel = "h"; mcode = [ I.Cmp (v, I.I 10l); I.Bc (I.GE, "x") ] };
+          { I.mlabel = "body";
+            mcode = [ I.Alu (I.ADD, v, v, I.I 1l); I.B "h" ] };
+          { I.mlabel = "x";
+            mcode = [ I.Alu (I.ADD, v + 1, v, I.I 0l); I.Bx_lr ] };
+        ];
+    }
+  in
+  ignore (B.Webs.run mf ~next_vreg:(v + 2));
+  let init = def_reg (List.hd (block_code mf "w")) in
+  let step = List.hd (block_code mf "body") in
+  Alcotest.(check int) "header use sees the entry def" init
+    (use_reg (List.hd (block_code mf "h")));
+  Alcotest.(check int) "loop-carried def joins the header's web" init
+    (def_reg step);
+  Alcotest.(check int) "loop body reads the same web" init (use_reg step);
+  Alcotest.(check int) "exit use sees the web" init
+    (use_reg (List.hd (block_code mf "x")))
+
+let test_webs_movc_keeps_web () =
+  let v = I.first_vreg in
+  let mf =
+    {
+      I.mname = "w";
+      frame_words = 0; mframe = None;
+      mblocks =
+        [
+          {
+            I.mlabel = "w";
+            mcode =
+              [
+                I.Mov (v, I.I 1l);
+                I.Alu (I.ADD, v + 1, v, I.I 0l);
+                I.Mov (v, I.I 2l);
+                I.Cmp (0, I.I 0l);
+                I.Movc (I.EQ, v, I.I 3l);
+                I.Alu (I.ADD, v + 2, v, I.I 0l);
+                I.Bx_lr;
+              ];
+          };
+        ];
+    }
+  in
+  ignore (B.Webs.run mf ~next_vreg:(v + 3));
+  let code = block_code mf "w" in
+  let first = def_reg (List.nth code 0) and kept = def_reg (List.nth code 2) in
+  Alcotest.(check bool) "first value has its own web" true (first <> kept);
+  Alcotest.(check int) "movc writes the kept value's web" kept
+    (def_reg (List.nth code 4));
+  Alcotest.(check int) "later use reads that web" kept
+    (use_reg (List.nth code 5))
+
+(* Reading an uninitialised local is undefined in C but must not crash the
+   compiler: the use gets a web of its own.  Exit codes are not compared
+   with [Ir_interp], which reads the value as 0. *)
+let test_uninitialised_local () =
+  let src = "int main(void) { int x; return x + 1; }" in
+  List.iter
+    (fun env ->
+      let name = P.environment_name env in
+      let c = compile_env env src in
+      (if env <> P.Plain then
+         match P.certify c with
+         | Wario_certify.Certify.Certified _ -> ()
+         | v -> Alcotest.failf "%s: %s" name (P.certify_report c v));
+      ignore (E.Emulator.run ~verify:(env <> P.Plain) c.P.image))
+    P.all_environments
+
+(* Differential reference for webs: brute-force du-chains on the pre-webs
+   code.  The defs reaching a use are found by searching backward from it
+   over an independently computed CFG.  Two properties are checked on the
+   renamed code, which keeps every instruction in place:
+   - every def reaching a use writes the register that use now reads;
+   - two defs of one vreg share a register only if a chain of common uses
+     (or a [Movc], which reads and writes its destination) connects them.
+   Returns an error message for the first violation. *)
+let webs_match_du_chains (mf : I.mfunc) ~next_vreg : (unit, string) result =
+  let vreg r = r >= I.first_vreg in
+  let code () =
+    Array.of_list (List.map (fun b -> Array.of_list b.I.mcode) mf.I.mblocks)
+  in
+  let pre = code () in
+  let labels = Array.of_list (List.map (fun b -> b.I.mlabel) mf.I.mblocks) in
+  ignore (B.Webs.run mf ~next_vreg);
+  let post = code () in
+  let n = Array.length pre in
+  (* the last block carrying label [l], as a branch resolves it *)
+  let index l =
+    let rec go i =
+      if i < 0 then None else if labels.(i) = l then Some i else go (i - 1)
+    in
+    go (n - 1)
+  in
+  let preds = Array.make n [] in
+  Array.iteri
+    (fun i code ->
+      let len = Array.length code in
+      Array.iter
+        (function
+          | I.B l | I.Bc (_, l) ->
+              Option.iter (fun t -> preds.(t) <- i :: preds.(t)) (index l)
+          | _ -> ())
+        code;
+      let sealed =
+        len > 0 && match code.(len - 1) with I.B _ | I.Bx_lr -> true | _ -> false
+      in
+      if (not sealed) && i + 1 < n then preds.(i + 1) <- i :: preds.(i + 1))
+    pre;
+  let defines v ins = I.writes ins = Some v in
+  (* defs of [v] reaching position [k] of block [b] *)
+  let reaching b k v =
+    let rec last_def b k =
+      if k < 0 then None
+      else if defines v pre.(b).(k) then Some (b, k)
+      else last_def b (k - 1)
+    in
+    match last_def b (k - 1) with
+    | Some d -> [ d ]
+    | None ->
+        let seen = Array.make n false and found = ref [] in
+        let rec visit p =
+          if not seen.(p) then begin
+            seen.(p) <- true;
+            match last_def p (Array.length pre.(p) - 1) with
+            | Some d -> found := d :: !found
+            | None -> List.iter visit preds.(p)
+          end
+        in
+        List.iter visit preds.(b);
+        !found
+  in
+  let classes = Hashtbl.create 64 in
+  let rec find d =
+    match Hashtbl.find_opt classes d with
+    | Some p when p <> d ->
+        let r = find p in
+        Hashtbl.replace classes d r;
+        r
+    | _ -> d
+  in
+  let union a b =
+    let ra = find a and rb = find b in
+    if ra <> rb then Hashtbl.replace classes ra rb
+  in
+  let error = ref None in
+  let fail fmt =
+    Printf.ksprintf (fun m -> if !error = None then error := Some m) fmt
+  in
+  Array.iteri
+    (fun b code ->
+      Array.iteri
+        (fun k ins ->
+          let now = I.reads post.(b).(k) in
+          List.iteri
+            (fun i v ->
+              if vreg v then begin
+                let r = List.nth now i in
+                let defs = reaching b k v in
+                List.iter
+                  (fun (db, dk) ->
+                    if I.writes post.(db).(dk) <> Some r then
+                      fail "%s: def at %s+%d of r%d does not write r%d, read at %s+%d"
+                        mf.I.mname labels.(db) dk v r labels.(b) k;
+                    union (db, dk) (List.hd defs))
+                  defs;
+                match ins with
+                | I.Movc (_, rd, _) when rd = v && defs <> [] ->
+                    union (b, k) (List.hd defs)
+                | _ -> ()
+              end)
+            (I.reads ins))
+        code)
+    pre;
+  (* renamed register -> (original vreg, reference class) of its defs *)
+  let owner = Hashtbl.create 64 in
+  Array.iteri
+    (fun b code ->
+      Array.iteri
+        (fun k ins ->
+          match I.writes ins with
+          | Some v when vreg v -> (
+              let r = Option.get (I.writes post.(b).(k)) in
+              let mine = (v, find (b, k)) in
+              match Hashtbl.find_opt owner r with
+              | None -> Hashtbl.replace owner r mine
+              | Some o when o <> mine ->
+                  fail "%s: def at %s+%d of r%d shares r%d with an unconnected def"
+                    mf.I.mname labels.(b) k v r
+              | Some _ -> ())
+          | _ -> ())
+        code)
+    pre;
+  match !error with None -> Ok () | Some m -> Error m
+
+let check_webs_of_program what (prog : Wario_ir.Ir.program) =
+  List.iter
+    (fun f ->
+      let mf, next_vreg = B.Isel.select_func f in
+      match webs_match_du_chains mf ~next_vreg with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" what m)
+    prog.Wario_ir.Ir.funcs
+
+let test_webs_du_chains_benchmarks () =
+  List.iter
+    (fun (what, c, _) -> check_webs_of_program what c.P.ir)
+    (Lazy.force Test_certify.benchmark_builds)
+
+let prop_webs_du_chains =
+  QCheck.Test.make ~name:"random programs: webs = du-chain reference"
+    ~count:25 Test_props.arbitrary_program
+    (fun src ->
+      List.for_all
+        (fun prog ->
+          List.for_all
+            (fun f ->
+              let mf, next_vreg = B.Isel.select_func f in
+              match webs_match_du_chains mf ~next_vreg with
+              | Ok () -> true
+              | Error m -> QCheck.Test.fail_reportf "%s" m)
+            prog.Wario_ir.Ir.funcs)
+        [ Minic.compile src; (compile_env P.Wario src).P.ir ])
+
 (* ------------------------------------------------------------------ *)
 (* Register allocation                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -330,6 +598,16 @@ let suite =
     Alcotest.test_case "isel: structure" `Quick test_isel_structure;
     Alcotest.test_case "webs: splits independent ranges" `Quick test_webs_split;
     Alcotest.test_case "webs: joins at merges" `Quick test_webs_join_at_merge;
+    Alcotest.test_case "webs: dead join keeps defs apart" `Quick
+      test_webs_dead_join_splits;
+    Alcotest.test_case "webs: loop-carried def joins header" `Quick
+      test_webs_loop_carried;
+    Alcotest.test_case "webs: movc keeps its web" `Quick test_webs_movc_keeps_web;
+    Alcotest.test_case "webs: uninitialised local compiles and runs" `Quick
+      test_uninitialised_local;
+    Alcotest.test_case "webs: du-chain reference, benchmarks" `Slow
+      test_webs_du_chains_benchmarks;
+    Test_props.to_alcotest prop_webs_du_chains;
     Alcotest.test_case "regalloc: no virtual registers survive" `Quick
       test_regalloc_physical_only;
     Alcotest.test_case "regalloc: spills correctly" `Quick
