@@ -4,17 +4,19 @@
    Keys are canonical: a stage key is built from an explicit, ordered
    list of (field, value) pairs — the stage name, a format version, the
    parent stage's key, and exactly the option fields that stage consumes
-   (Pipeline owns the per-stage field lists).  Two FNV-1a 64-bit passes
-   over the canonical string (plain, and domain-separated) give a
-   128-bit hex key; the format version is baked into every key so a
-   layout change simply misses against old entries instead of
-   misreading them.
+   (Pipeline owns the per-stage field lists).  The key is the FNV-1a
+   64-bit hash of the canonical string, followed by the hash of that
+   string with ["\x02wario-key"] appended.  FNV-1a is a left fold, so
+   the second half is a function of the first: the 32 hex characters
+   carry 64 bits, not 128.  The format version is baked into every key
+   so a key-derivation change simply misses against old entries instead
+   of misreading them.
 
    Payloads are [Marshal]ed OCaml values.  That is safe here because
    (a) every stage's artifacts are plain data — IR programs, machine
    programs, images, stats records; no closures — and (b) a key
    collision across payload types would require two different canonical
-   strings to collide in 128 bits.  Marshalling is compiler-version
+   strings to collide in 64 bits.  Marshalling is compiler-version
    specific, so the OCaml version string participates in the format
    version: a toolchain bump invalidates the cache wholesale rather
    than risking a misparse. *)
@@ -22,25 +24,30 @@
 module U = Wario_support.Util
 module Store = Wario_support.Store
 
-(* Bump on any change to stage payloads or key derivation. *)
+(* Bump on any change to key derivation: every key moves with it.  A
+   change to a stage's payload type instead bumps [Store.magic], which
+   makes every old entry miss while the keys (serve's [key] field, the
+   corpus fingerprints) stay put. *)
 let format_version = "1:" ^ Sys.ocaml_version
 
 module Key = struct
   type t = string
 
+  (* FNV-1a state after the format version, where every key starts *)
+  let version_state = U.fnv1a64 format_version
+
+  (* The canonical string is never built: each piece is folded into the
+     running hash, which gives the same bits as hashing the
+     concatenation. *)
   let of_parts (parts : (string * string) list) : t =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf format_version;
-    List.iter
-      (fun (field, value) ->
-        Buffer.add_char buf '\x00';
-        Buffer.add_string buf field;
-        Buffer.add_char buf '\x01';
-        Buffer.add_string buf value)
-      parts;
-    let canon = Buffer.contents buf in
-    Printf.sprintf "%016Lx%016Lx" (U.fnv1a64 canon)
-      (U.fnv1a64 (canon ^ "\x02wario-key"))
+    let h =
+      List.fold_left
+        (fun h (field, value) ->
+          let h = U.fnv1a64_from (U.fnv1a64_from h "\x00") field in
+          U.fnv1a64_from (U.fnv1a64_from h "\x01") value)
+        version_state parts
+    in
+    Printf.sprintf "%016Lx%016Lx" h (U.fnv1a64_from h "\x02wario-key")
 
   let to_hex (k : t) : string = k
 end

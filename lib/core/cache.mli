@@ -4,19 +4,23 @@
 
     {!Pipeline} owns the per-stage key derivations (which option fields
     each stage consumes); this module owns the canonical encoding, the
-    128-bit FNV-1a key, and the never-raise get/put discipline: every
-    cache failure degrades to a recompile, never an error. *)
+    FNV-1a key, and the never-raise get/put discipline: every cache
+    failure degrades to a recompile, never an error. *)
 
 module Key : sig
   type t = string
-  (** 32 lowercase hex characters: two domain-separated FNV-1a 64-bit
-      hashes of the canonical field string. *)
+  (** 32 lowercase hex characters: the FNV-1a 64-bit hash of the
+      canonical field string, then the hash of that string with a
+      domain suffix.  FNV-1a is a left fold, so the second half is a
+      function of the first: a key carries 64 bits, not 128. *)
 
   val of_parts : (string * string) list -> t
   (** Canonical key of an ordered (field, value) list.  The cache format
       version (which includes the OCaml compiler version — payloads are
-      [Marshal]ed) is folded into every key, so format changes miss
-      against old entries instead of misreading them. *)
+      [Marshal]ed) is folded into every key, so key-derivation changes
+      miss against old entries instead of misreading them.  A payload
+      type change bumps the store's entry magic instead, which keeps
+      every key. *)
 
   val to_hex : t -> string
 end

@@ -539,8 +539,10 @@ let run_motion ~(opts : options) ~spans env ~block_weights
 (* The one place the stage order is written (paper Figure 2): trial
    expansion → middle_pre → middle_place → ir_verify → weight table →
    backend → elide → motion → link → model cost.  The five cacheable
-   stages run deepest-probe-first: each [stage] looks its key up and, on a
-   hit, resumes from the stored artifact instead of building it.
+   stages nest outermost-first: each [stage] looks its key up and, on a
+   hit, resumes from the stored artifact instead of building it.  The
+   "image" entry is the whole [compiled] record, so a full hit reads one
+   entry; "place" and "mach" are only probed when "image" misses.
 
    Stage payloads are marshalled snapshots taken BEFORE any later pass
    mutates the artifact ([Cache.put] marshals eagerly): the "wir" entry
@@ -548,6 +550,10 @@ let run_motion ~(opts : options) ~spans env ~block_weights
    machine program before elision/motion rewrite it in place.  Loading
    an entry yields a fresh structure, so cached prefixes are safe to
    mutate onward from.
+
+   A stage's outcome is reported when its probe answers, except
+   "image", which is reported after the stages its build resolved
+   ("place", "mach"): the last stage built is the last one reported.
 
    With a disabled cache every stage simply builds: [keys] is never
    forced, nothing is marshalled, and no outcome is recorded or
@@ -568,7 +574,7 @@ let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
       (Printf.sprintf "cache_%s_%s" name (if hit then "hit" else "miss"));
     report := (name, hit) :: !report
   in
-  let stage name build =
+  let stage ?(note_after = false) name build =
     if not cached then build ()
     else
       let key = List.assoc name (Lazy.force keys) in
@@ -577,46 +583,47 @@ let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
           note name true;
           v
       | None ->
-          note name false;
+          if not note_after then note name false;
           let v = build () in
+          if note_after then note name false;
           Cache.put cache ~stage:name key v;
           v
   in
-  (* place artifact: the program after the whole middle end (what
-     [compiled.ir] exposes) plus its stats — always materialized, even
-     on a full image hit, because the compiled record carries it *)
-  let prog, middle =
-    stage "place" @@ fun () ->
-    let prog, pre =
-      stage "wir" @@ fun () ->
-      let prog = stage "front" front in
-      let trial = run_trial_expander ~opts ~spans env prog in
-      let pre =
-        S.with_span spans "middle" (fun () -> middle_pre ~opts ~spans env prog)
+  let compiled =
+    stage ~note_after:true "image" @@ fun () ->
+    (* place artifact: the program after the whole middle end (what
+       [compiled.ir] exposes) plus its stats *)
+    let prog, middle =
+      stage "place" @@ fun () ->
+      let prog, pre =
+        stage "wir" @@ fun () ->
+        let prog = stage "front" front in
+        let trial = run_trial_expander ~opts ~spans env prog in
+        let pre =
+          S.with_span spans "middle" (fun () ->
+              middle_pre ~opts ~spans env prog)
+        in
+        (prog, if trial = None then pre else { pre with pm_expander = trial })
       in
-      (prog, if trial = None then pre else { pre with pm_expander = trial })
+      let middle =
+        S.with_span spans "middle" (fun () ->
+            middle_place ~opts ~spans env prog pre)
+      in
+      S.with_span spans "middle.ir_verify" (fun () ->
+          Wario_ir.Ir_verify.verify_program prog);
+      (prog, middle)
     in
-    let middle =
-      S.with_span spans "middle" (fun () ->
-          middle_place ~opts ~spans env prog pre)
+    let mprog, backend, wtbl =
+      stage "mach" @@ fun () ->
+      let wtbl = backend_weight_table middle opts prog in
+      let mprog, backend =
+        S.with_span spans "backend" (fun () ->
+            B.Backend.run ~spans
+              ?block_weights:(Option.map weights_of_table wtbl)
+              ~config:(backend_config env) prog)
+      in
+      (mprog, backend, wtbl)
     in
-    S.with_span spans "middle.ir_verify" (fun () ->
-        Wario_ir.Ir_verify.verify_program prog);
-    (prog, middle)
-  in
-  let mprog, backend, wtbl =
-    stage "mach" @@ fun () ->
-    let wtbl = backend_weight_table middle opts prog in
-    let mprog, backend =
-      S.with_span spans "backend" (fun () ->
-          B.Backend.run ~spans
-            ?block_weights:(Option.map weights_of_table wtbl)
-            ~config:(backend_config env) prog)
-    in
-    (mprog, backend, wtbl)
-  in
-  let mprog, image, elision, motion, model_cost, text_bytes =
-    stage "image" @@ fun () ->
     let block_weights = Option.map weights_of_table wtbl in
     let elision = run_elide ~opts ~spans env ~block_weights mprog in
     let motion = run_motion ~opts ~spans env ~block_weights mprog in
@@ -633,14 +640,7 @@ let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
       Option.map (fun weights -> image_ckpt_cost ~weights prog image)
         block_weights
     in
-    ( mprog,
-      image,
-      elision,
-      motion,
-      model_cost,
-      image.Wario_emulator.Image.text_bytes )
-  in
-  ( {
+    {
       env;
       ir = prog;
       mprog;
@@ -650,9 +650,10 @@ let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
       elision;
       motion;
       model_cost;
-      text_bytes;
-    },
-    List.rev !report )
+      text_bytes = image.Wario_emulator.Image.text_bytes;
+    }
+  in
+  (compiled, List.rev !report)
 
 (* An already-lowered program enters the driver uncached: there is no
    source text to key it by. *)

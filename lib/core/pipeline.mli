@@ -173,9 +173,15 @@ val compile_with_report :
   string ->
   compiled * (string * bool) list
 (** Cache-aware compile, additionally reporting per-stage cache outcomes
-    as [(stage, hit)] pairs in probe order (deepest reusable stage
-    first; stages that never needed probing are absent).  A live [spans]
-    recorder also counts them on the ["pipeline.compile"] span as
+    as [(stage, hit)] pairs.  The ["image"] entry holds the whole
+    [compiled] record, so it is probed first and a full hit reads that
+    one entry and reports [[("image", true)]].  On an image miss the
+    build probes ["place"] (then ["wir"] and ["front"] as far as they
+    miss) and ["mach"]; each stage is reported when its probe answers,
+    and ["image"] after the stages its build resolved, so an [elide]
+    toggle reports [[place hit; mach hit; image miss]].  Stages that
+    never needed probing are absent.  A live [spans] recorder also
+    counts the outcomes on the ["pipeline.compile"] span as
     [cache_<stage>_hit] / [cache_<stage>_miss] and marks that span
     [cached=on].  With a disabled [cache] nothing is keyed, marshalled,
     reported or counted: the report is empty.

@@ -36,8 +36,9 @@
    truncated payload never reaches the caller's [Marshal.from_string]
    (which is not memory-safe on malformed input). *)
 
-(* Bump on any change to the entry layout: old entries then miss. *)
-let magic = "wario-store-2\n"
+(* Bump on any change to the entry layout or to the type of a payload
+   stored under an unchanged key: old entries then miss. *)
+let magic = "wario-store-3\n"
 
 type t = {
   dir : string;

@@ -79,15 +79,24 @@ let mean xs =
     versions (unlike [Hashtbl.hash] on structured data), so it is safe to
     persist — the regression corpus uses it both to content-address entry
     files and to fingerprint the program a reproducer was recorded
-    against. *)
-let fnv1a64 (s : string) : int64 =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
+    against.
+
+    FNV-1a is a left fold over the bytes, so [fnv1a64_from (fnv1a64 a) b =
+    fnv1a64 (a ^ b)]: a digest can be continued without building the
+    concatenation.  The accumulator is a local [ref] that never escapes
+    the loop, so the native compiler keeps it unboxed: hashing allocates
+    nothing per byte. *)
+let fnv1a64_from (h : int64) (s : string) : int64 =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   !h
+
+let fnv1a64 (s : string) : int64 = fnv1a64_from 0xcbf29ce484222325L s
 
 (** A deterministic 32-bit linear congruential generator, used wherever the
     library needs reproducible pseudo-randomness (workload inputs, synthetic

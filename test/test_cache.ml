@@ -183,6 +183,34 @@ let test_key_shape () =
     "stage names" P.stage_names
     (List.map fst (P.stage_keys P.Wario src))
 
+(* Keys must not move: serve's [key] field and the corpus fingerprints
+   are persisted.  [Key.of_parts] folds the pieces into a running hash;
+   the reference below builds the canonical string and hashes it twice,
+   as the derivation is specified.  The literal was recorded before the
+   fold was introduced; the format version carries the OCaml version, so
+   it is compared only under the toolchain it was recorded with. *)
+let test_key_pinned () =
+  let reference parts =
+    let canon =
+      String.concat ""
+        (("1:" ^ Sys.ocaml_version)
+        :: List.map (fun (f, v) -> "\x00" ^ f ^ "\x01" ^ v) parts)
+    in
+    Printf.sprintf "%016Lx%016Lx"
+      (Wario_support.Util.fnv1a64 canon)
+      (Wario_support.Util.fnv1a64 (canon ^ "\x02wario-key"))
+  in
+  let pinned = [ ("stage", "front"); ("source", "int main() { return 0; }") ] in
+  List.iter
+    (fun parts ->
+      Alcotest.(check string)
+        "of_parts = hash of the canonical string" (reference parts)
+        (C.Key.of_parts parts))
+    [ []; pinned; [ ("", "") ]; [ ("stage", "image"); ("parent", key P.Wario src) ] ];
+  if Sys.ocaml_version = "5.1.1" then
+    Alcotest.(check string)
+      "recorded key" "20c4bd46a7983a3156c6e08efe0a554f" (C.Key.of_parts pinned)
+
 (* Flipping ANY options field must change the image key: the cache can
    never serve one configuration's image to another. *)
 let test_every_option_field_flips_the_key () =
@@ -355,6 +383,97 @@ let test_warm_equals_fresh_every_environment () =
             true
             (List.for_all snd report))
         P.all_environments)
+
+(* A warm compile is one store read: the "image" entry is the whole
+   compiled record, so nothing else is probed, and what comes back
+   equals a fresh compile in everything a caller reads. *)
+let test_warm_compile_reads_one_entry () =
+  with_cache (fun cache ->
+      List.iter
+        (fun env ->
+          let name = P.environment_name env in
+          let _ = P.compile_with_report ~cache env src2 in
+          let before = C.counters cache in
+          let warm, report = P.compile_with_report ~cache env src2 in
+          let after = C.counters cache in
+          let fresh = P.compile ~cache:C.disabled env src2 in
+          Alcotest.(check (list (pair string bool)))
+            (name ^ ": only the image entry is read")
+            [ ("image", true) ]
+            report;
+          Alcotest.(check int)
+            (name ^ ": one hit") (before.C.hits + 1) after.C.hits;
+          Alcotest.(check int)
+            (name ^ ": no miss") before.C.misses after.C.misses;
+          Alcotest.(check string)
+            (name ^ ": image bytes") (image_bytes fresh) (image_bytes warm);
+          Alcotest.(check string)
+            (name ^ ": printed IR")
+            (Wario_ir.Ir_printer.program_to_string fresh.P.ir)
+            (Wario_ir.Ir_printer.program_to_string warm.P.ir);
+          Alcotest.(check int)
+            (name ^ ": machine functions")
+            (List.length fresh.P.mprog.Wario_machine.Isa.mfuncs)
+            (List.length warm.P.mprog.Wario_machine.Isa.mfuncs);
+          let job =
+            {
+              Wario.Serve.j_id = "j";
+              j_program = "<inline>";
+              j_source = src2;
+              j_env = env;
+              j_opts = P.default_options;
+            }
+          in
+          let line c =
+            Wario.Serve.result_line ~job ~key:(Wario.Serve.key_of_job job)
+              ~dedup_of:None ~stages:[] ~wall_ms:0. c
+          in
+          Alcotest.(check string)
+            (name ^ ": result line") (line fresh) (line warm))
+        P.all_environments)
+
+(* The image payload changed type when it became the compiled record.
+   An entry under the previous store magic at a live image key must read
+   as a miss, never unmarshal as the new record, and be replaced. *)
+let test_old_store_magic_is_a_miss () =
+  let dir = tmp_dir "wario-test-cache" in
+  Fun.protect
+    ~finally:(fun () -> remove_tree dir)
+    (fun () ->
+      let cache = C.create dir in
+      let cold, _ = P.compile_with_report ~cache P.Wario src2 in
+      (* the previous layout's image payload, under the previous magic *)
+      let key = P.image_key P.Wario src2 in
+      let payload =
+        Marshal.to_string
+          ( cold.P.mprog,
+            cold.P.image,
+            cold.P.elision,
+            cold.P.motion,
+            cold.P.model_cost,
+            cold.P.text_bytes )
+          []
+      in
+      let path = Filename.concat (Filename.concat dir "objects") key in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (String.concat ""
+               [ "wario-store-2\n"; key; "\n";
+                 Digest.to_hex (Digest.string payload); "\n"; payload ]));
+      let again, report = P.compile_with_report ~cache P.Wario src2 in
+      Alcotest.(check (list (pair string bool)))
+        "old image entry misses; place and mach still hit"
+        [ ("place", true); ("mach", true); ("image", false) ]
+        report;
+      Alcotest.(check string)
+        "rebuilt identically" (image_bytes cold) (image_bytes again);
+      Alcotest.(check string)
+        "same IR"
+        (Wario_ir.Ir_printer.program_to_string cold.P.ir)
+        (Wario_ir.Ir_printer.program_to_string again.P.ir);
+      let _, report = P.compile_with_report ~cache P.Wario src2 in
+      Alcotest.(check (list (pair string bool)))
+        "the rebuilt entry replaced it" [ ("image", true) ] report)
 
 let test_incremental_recompilation_paths () =
   with_cache (fun cache ->
@@ -562,6 +681,7 @@ let suite =
     Alcotest.test_case "store: LRU eviction under a byte budget" `Quick
       test_store_lru_eviction;
     Alcotest.test_case "keys: shape and determinism" `Quick test_key_shape;
+    Alcotest.test_case "keys: pinned derivation" `Quick test_key_pinned;
     Alcotest.test_case "keys: every option field flips the image key" `Quick
       test_every_option_field_flips_the_key;
     Alcotest.test_case "keys: WARIO_SAVE_ALL is sampled into the key" `Quick
@@ -571,6 +691,10 @@ let suite =
     to_alcotest qcheck_distinct_options_distinct_keys;
     Alcotest.test_case "compile: warm == cold == fresh, every environment"
       `Quick test_warm_equals_fresh_every_environment;
+    Alcotest.test_case "compile: a warm compile reads one entry" `Quick
+      test_warm_compile_reads_one_entry;
+    Alcotest.test_case "compile: an old-magic image entry is a miss" `Quick
+      test_old_store_magic_is_a_miss;
     Alcotest.test_case "compile: elide re-links, placement reuses WIR" `Quick
       test_incremental_recompilation_paths;
     Alcotest.test_case "compile: corrupt cache degrades to recompile" `Quick

@@ -84,8 +84,24 @@ let test_fold_range () =
   Alcotest.(check int) "sum 0..9" 45 (U.fold_range (fun a i -> a + i) 0 0 10);
   Alcotest.(check int) "empty range" 7 (U.fold_range (fun a i -> a + i) 7 5 5)
 
+(* The standard FNV-1a 64-bit test vectors, and the left-fold identity
+   that cache keys and corpus fingerprints rely on. *)
+let test_fnv1a64 () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "fnv1a64 %S" s)
+        want
+        (Printf.sprintf "%016Lx" (U.fnv1a64 s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8") ];
+  Alcotest.(check string)
+    "continuing a digest = digesting the concatenation" "7df7e94bfdde9aee"
+    (Printf.sprintf "%016Lx" (U.fnv1a64_from (U.fnv1a64 "xyz") "\x02wario-key"))
+
 let suite =
   [
+    Alcotest.test_case "fnv1a64 vectors" `Quick test_fnv1a64;
     Alcotest.test_case "list helpers" `Quick test_list_helpers;
     Alcotest.test_case "align_up" `Quick test_align_up;
     Alcotest.test_case "percentile/mean" `Quick test_stats;
