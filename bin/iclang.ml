@@ -77,6 +77,28 @@ let benchmark_arg =
     & opt (some string) None
     & info [ "benchmark"; "b" ] ~docv:"NAME" ~doc:"Use a built-in benchmark.")
 
+(* The test-only sabotage flags: --drop-ckpt N or --drop-reg N. *)
+let sabotage_arg ~ckpt_doc =
+  let drop_ckpt =
+    Arg.(value & opt (some int) None & info [ "drop-ckpt" ] ~docv:"N" ~doc:ckpt_doc)
+  in
+  let drop_reg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "drop-reg" ] ~docv:"N"
+          ~doc:
+            "TEST-ONLY: sabotage the linked image by clearing the lowest            r0-r12 bit of the save mask of the N-th checkpoint that saves            one.  The continuous run stays clean; runs with power failures            restore that register as 0.")
+  in
+  let pick ckpt reg =
+    match (ckpt, reg) with
+    | Some _, Some _ -> `Error (true, "--drop-ckpt and --drop-reg exclude each other")
+    | Some n, None -> `Ok (Some (P.Drop_ckpt n))
+    | None, Some n -> `Ok (Some (P.Drop_saved_reg n))
+    | None, None -> `Ok None
+  in
+  Term.(ret (const pick $ drop_ckpt $ drop_reg))
+
 let unroll_arg =
   Arg.(
     value & opt int 8
@@ -833,7 +855,7 @@ let do_campaign ~config_envs ~workloads ~budget ~min_coverage ~corpus_out
           min_coverage )
   else `Ok ()
 
-let do_verify envs workloads budget seed unroll max_region drop_ckpt placement
+let do_verify envs workloads budget seed unroll max_region sabotage placement
     jobs repro min_coverage corpus_out coverage_out corpus span_out span_jsonl
     engine =
   match resolve_jobs jobs with
@@ -898,7 +920,7 @@ let do_verify envs workloads budget seed unroll max_region drop_ckpt placement
                       P.default_options with
                       unroll_factor = unroll;
                       max_region;
-                      drop_middle_ckpt = drop_ckpt;
+                      sabotage;
                     })
                ~jobs ~engine ~spans))))
 
@@ -937,13 +959,10 @@ let verify_cmd =
           ~doc:
             "PRNG seed (printed with every reproducer; the same seed            regenerates the same schedules).")
   in
-  let drop_ckpt =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "drop-ckpt" ] ~docv:"N"
-          ~doc:
-            "TEST-ONLY: sabotage the pipeline by deleting the N-th            middle-end checkpoint, to demonstrate that the campaign catches            a broken schedule.")
+  let sabotage =
+    sabotage_arg
+      ~ckpt_doc:
+        "TEST-ONLY: sabotage the pipeline by deleting the N-th            middle-end checkpoint, to demonstrate that the campaign catches            a broken schedule."
   in
   let repro =
     Arg.(
@@ -990,13 +1009,13 @@ let verify_cmd =
     Term.(
       ret
         (const do_verify $ envs $ workloads $ budget $ seed $ unroll_arg
-       $ max_region_arg $ drop_ckpt $ placement_arg $ jobs_arg $ repro
+       $ max_region_arg $ sabotage $ placement_arg $ jobs_arg $ repro
        $ min_coverage $ corpus_out $ coverage_out $ corpus $ span_out_arg
        $ span_jsonl_arg $ engine_arg))
 
 (* --- certify --- *)
 
-let do_certify file benchmark envs unroll max_region no_opt drop_ckpt verbose
+let do_certify file benchmark envs unroll max_region no_opt sabotage verbose
     jobs =
   match resolve_jobs jobs with
   | Error e -> `Error (true, e)
@@ -1029,7 +1048,7 @@ let do_certify file benchmark envs unroll max_region no_opt drop_ckpt verbose
       let opts =
         {
           (opts_of ?max_region ~no_opt unroll) with
-          P.drop_middle_ckpt = drop_ckpt;
+          P.sabotage;
         }
       in
       let tasks =
@@ -1079,13 +1098,10 @@ let certify_cmd =
           ~doc:
             "Environment(s) to certify (repeatable; default: every            instrumented environment).")
   in
-  let drop_ckpt =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "drop-ckpt" ] ~docv:"N"
-          ~doc:
-            "TEST-ONLY: sabotage the pipeline by deleting the N-th            middle-end checkpoint; the certifier must reject the build            with a path witness.")
+  let sabotage =
+    sabotage_arg
+      ~ckpt_doc:
+        "TEST-ONLY: sabotage the pipeline by deleting the N-th            middle-end checkpoint; the certifier must reject the build            with a path witness."
   in
   let verbose =
     Arg.(
@@ -1099,7 +1115,7 @@ let certify_cmd =
     Term.(
       ret
         (const do_certify $ file_arg $ benchmark_arg $ envs $ unroll_arg
-       $ max_region_arg $ no_opt_arg $ drop_ckpt $ verbose $ jobs_arg))
+       $ max_region_arg $ no_opt_arg $ sabotage $ verbose $ jobs_arg))
 
 (* --- pgo --- *)
 
@@ -1285,7 +1301,8 @@ let do_serve input output jobs cache_dir no_cache stats_only span_out
               let job = oks.(idx) in
               let t0 = Unix.gettimeofday () in
               let c, report =
-                P.compile_with_report ~opts:job.Sv.j_opts ~cache job.Sv.j_env
+                P.compile_with_report ~opts:job.Sv.j_opts
+                  ~keys:plan.Sv.p_stage_keys.(idx) ~cache job.Sv.j_env
                   job.Sv.j_source
               in
               (idx, c, report, (Unix.gettimeofday () -. t0) *. 1000.))

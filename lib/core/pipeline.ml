@@ -53,6 +53,8 @@ let placement_of_name s =
     (fun p -> placement_name p = s)
     T.Checkpoint_inserter.[ Greedy; Cost_guided; Interprocedural ]
 
+type sabotage = Drop_ckpt of int | Drop_saved_reg of int
+
 type options = {
   unroll_factor : int;  (** the paper's N; default 8 (§5.2.4) *)
   expander_size_limit : int;
@@ -61,10 +63,9 @@ type options = {
       (** dynamic call counts: switches the Expander to profile-guided mode *)
   max_region : int option;
       (** bound idempotent regions to ~n estimated cycles (extension, §6) *)
-  drop_middle_ckpt : int option;
-      (** TEST-ONLY sabotage hook for the fault-injection harness: delete
-          the n-th middle-end checkpoint after insertion, deliberately
-          re-opening the WAR it covered.  Never set outside tests. *)
+  sabotage : sabotage option;
+      (** TEST-ONLY sabotage hook for the fault-injection harness.  Never
+          set outside tests. *)
   placement : T.Checkpoint_inserter.placement;
       (** checkpoint placement policy for both the middle-end inserter and
           the back end's stack-spill inserter (default [Cost_guided]) *)
@@ -92,7 +93,7 @@ let default_options =
     optimize = true;
     expander_profile = None;
     max_region = None;
-    drop_middle_ckpt = None;
+    sabotage = None;
     placement = T.Checkpoint_inserter.Cost_guided;
     block_profile = None;
     elide = false;
@@ -200,6 +201,31 @@ let drop_middle_checkpoint (prog : Ir.program) (n : int) : bool =
       prog.Ir.funcs;
     true
   end
+
+(* Clear the lowest r0-r12 bit of the save mask of the [n]-th (mod
+   count) checkpoint of [code] that saves one of r0-r12.  The continuous
+   run never restores, so it cannot tell; a run restored there finds
+   that register zeroed.  Returns false when no checkpoint saves one. *)
+let drop_saved_register (code : Wario_machine.Isa.instr array) (n : int) : bool =
+  let module I = Wario_machine.Isa in
+  let sites = ref [] in
+  Array.iteri
+    (fun pc ins ->
+      match ins with
+      | I.Ckpt (_, mask) when mask land 0x1fff <> 0 -> sites := pc :: !sites
+      | _ -> ())
+    code;
+  let sites = Array.of_list (List.rev !sites) in
+  let total = Array.length sites in
+  total > 0
+  &&
+  let pc = sites.(((n mod total) + total) mod total) in
+  (match code.(pc) with
+  | I.Ckpt (cause, mask) ->
+      let low = mask land 0x1fff in
+      code.(pc) <- I.Ckpt (cause, mask land lnot (low land -low))
+  | _ -> assert false);
+  true
 
 (* The middle end is split at the placement boundary so the compilation
    cache can reuse its two halves independently (DESIGN.md §19):
@@ -358,9 +384,9 @@ let middle_place ~opts ~spans (env : environment) (prog : Ir.program)
       S.with_span spans "middle.region_bounder" (fun () ->
           ignore (T.Region_bounder.run ~max_instrs:n prog)));
   (* test-only sabotage: break the schedule so the verifier has a target *)
-  (match (env, opts.drop_middle_ckpt) with
-  | Plain, _ | _, None -> ()
-  | _, Some n -> ignore (drop_middle_checkpoint prog n));
+  (match (env, opts.sabotage) with
+  | Plain, _ | _, (None | Some (Drop_saved_reg _)) -> ()
+  | _, Some (Drop_ckpt n) -> ignore (drop_middle_checkpoint prog n));
   {
     wars_found;
     middle_ckpts;
@@ -630,6 +656,10 @@ let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
     let image =
       S.with_span spans "link" (fun () ->
           let image = Wario_emulator.Image.link mprog in
+          (match (env, opts.sabotage) with
+          | Plain, _ | _, (None | Some (Drop_ckpt _)) -> ()
+          | _, Some (Drop_saved_reg n) ->
+              ignore (drop_saved_register image.Wario_emulator.Image.code n));
           S.add_counter ~by:image.Wario_emulator.Image.text_bytes spans
             "text_bytes";
           S.add_counter ~by:image.Wario_emulator.Image.data_bytes spans
@@ -811,6 +841,17 @@ let canon_counts = function
       |> List.map (fun (l, c) -> l ^ ":" ^ string_of_int c)
       |> String.concat ","
 
+(* The sabotages' key parts: a [Drop_ckpt] build keys as its
+   "drop_middle_ckpt" part, and only a [Drop_saved_reg] build carries a
+   part of its own, so no other build's keys depend on that variant. *)
+let dropped_ckpt opts =
+  match opts.sabotage with Some (Drop_ckpt n) -> Some n | _ -> None
+
+let dropped_reg opts name =
+  match opts.sabotage with
+  | Some (Drop_saved_reg n) -> [ (name, string_of_int n) ]
+  | _ -> []
+
 (** The five stage keys of one (source, env, options) compile, in
     pipeline order.  Each key is a canonical hash of the stage's input
     artifact (via the parent stage's key) plus exactly the option fields
@@ -847,11 +888,12 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
         [
           ("trial_placement", "interprocedural");
           ("trial_max_region", canon_opt_int opts.max_region);
-          ("trial_drop_middle_ckpt", canon_opt_int opts.drop_middle_ckpt);
+          ("trial_drop_middle_ckpt", canon_opt_int (dropped_ckpt opts));
           ("trial_elide", canon_bool opts.elide);
           ("trial_motion", canon_bool opts.motion);
           ("trial_save_all", canon_bool (save_all_sampled ()));
         ]
+        @ dropped_reg opts "trial_drop_saved_reg"
       else [])
   in
   let k_place =
@@ -862,18 +904,19 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
         ("placement", placement_name opts.placement);
         ("block_profile", canon_counts opts.block_profile);
         ("max_region", canon_opt_int opts.max_region);
-        ("drop_middle_ckpt", canon_opt_int opts.drop_middle_ckpt);
+        ("drop_middle_ckpt", canon_opt_int (dropped_ckpt opts));
       ]
   in
   let k_mach = Cache.Key.of_parts [ ("stage", "mach"); ("parent", k_place) ] in
   let k_image =
     Cache.Key.of_parts
-      [
+      ([
         ("stage", "image");
         ("parent", k_mach);
         ("elide", canon_bool opts.elide);
         ("motion", canon_bool opts.motion);
       ]
+      @ dropped_reg opts "drop_saved_reg")
   in
   [
     ("front", k_front);
@@ -888,11 +931,14 @@ let image_key ?opts (env : environment) (source : string) : Cache.Key.t =
 
 (** Cache-aware compile of MiniC source text, additionally reporting the
     per-stage cache outcomes. *)
-let compile_with_report ?(opts = default_options) ?(spans = S.disabled)
+let compile_with_report ?(opts = default_options) ?(spans = S.disabled) ?keys
     ~(cache : Cache.t) (env : environment) (source : string) :
     compiled * (string * bool) list =
   drive ~opts ~spans ~cache
-    ~keys:(lazy (stage_keys ~opts env source))
+    ~keys:
+      (match keys with
+      | Some k -> Lazy.from_val k
+      | None -> lazy (stage_keys ~opts env source))
     ~front:(fun () ->
       S.with_span spans "frontend" (fun () -> Wario_minic.Minic.compile source))
     env

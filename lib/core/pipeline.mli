@@ -31,6 +31,21 @@ val placement_name : Wario_transforms.Checkpoint_inserter.placement -> string
 val placement_of_name :
   string -> Wario_transforms.Checkpoint_inserter.placement option
 
+(** TEST-ONLY sabotage of a build, for the fault-injection harness
+    (lib/verify): each gives the crash-consistency oracle a real bug to
+    catch.  Ignored for [Plain]. *)
+type sabotage =
+  | Drop_ckpt of int
+      (** delete the n-th (mod count) middle-end checkpoint after
+          insertion, re-opening the WAR it covered (the continuous run
+          already violates) *)
+  | Drop_saved_reg of int
+      (** in the linked image, clear the lowest r0-r12 bit of the save
+          mask of the n-th (mod count) checkpoint that saves one of
+          r0-r12: a restore there zeroes a register the code after it
+          reads.  The continuous run never restores, so it stays clean;
+          only runs with power failures can diverge. *)
+
 type options = {
   unroll_factor : int;  (** the paper's N; default 8 (§5.2.4) *)
   expander_size_limit : int;
@@ -39,12 +54,8 @@ type options = {
       (** dynamic call counts: switches the Expander to profile-guided mode *)
   max_region : int option;
       (** bound idempotent regions to ~n estimated cycles (extension, §6) *)
-  drop_middle_ckpt : int option;
-      (** TEST-ONLY sabotage hook for the fault-injection harness
-          (lib/verify): delete the n-th (mod count) middle-end checkpoint
-          after insertion, deliberately re-opening the WAR it covered so
-          the crash-consistency oracle has a real bug to catch.  Ignored
-          for [Plain].  Never set this outside tests. *)
+  sabotage : sabotage option;
+      (** TEST-ONLY (see {!sabotage}); never set this outside tests *)
   placement : Wario_transforms.Checkpoint_inserter.placement;
       (** checkpoint placement policy for both the middle-end inserter and
           the back end's stack-spill inserter (default [Cost_guided]).
@@ -168,6 +179,7 @@ val compile :
 val compile_with_report :
   ?opts:options ->
   ?spans:Wario_obs.Span.t ->
+  ?keys:(string * Cache.Key.t) list ->
   cache:Cache.t ->
   environment ->
   string ->
@@ -185,6 +197,8 @@ val compile_with_report :
     [cache_<stage>_hit] / [cache_<stage>_miss] and marks that span
     [cached=on].  With a disabled [cache] nothing is keyed, marshalled,
     reported or counted: the report is empty.
+    [keys], when the caller already derived them, must be
+    [stage_keys ~opts env source]; they are then not derived again.
     The resulting [compiled] is byte-identical (up to [Marshal]) to an
     uncached compile of the same inputs — enforced by the test suite and
     re-asserted in-process by the cache bench before any number is

@@ -141,6 +141,8 @@ let key_of_job (job : job) : Cache.Key.t =
 
 type plan = {
   p_keys : Cache.Key.t array;  (** image key of each job, input order *)
+  p_stage_keys : (string * Cache.Key.t) list array;
+      (** every stage key of each job, input order *)
   p_canonical : int array;
       (** for each job, the index of the first job with the same key
           (itself when the job is the first) *)
@@ -149,7 +151,12 @@ type plan = {
 
 let plan (jobs : job list) : plan =
   let jobs = Array.of_list jobs in
-  let keys = Array.map key_of_job jobs in
+  let stage_keys =
+    Array.map
+      (fun job -> Pipeline.stage_keys ~opts:job.j_opts job.j_env job.j_source)
+      jobs
+  in
+  let keys = Array.map (List.assoc "image") stage_keys in
   let first : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let canonical =
     Array.mapi
@@ -165,7 +172,12 @@ let plan (jobs : job list) : plan =
     Array.to_list (Array.mapi (fun i c -> (i, c)) canonical)
     |> List.filter_map (fun (i, c) -> if i = c then Some i else None)
   in
-  { p_keys = keys; p_canonical = canonical; p_distinct = distinct }
+  {
+    p_keys = keys;
+    p_stage_keys = stage_keys;
+    p_canonical = canonical;
+    p_distinct = distinct;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Result lines                                                         *)

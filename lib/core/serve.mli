@@ -46,6 +46,9 @@ val key_of_job : job -> Cache.Key.t
 
 type plan = {
   p_keys : Cache.Key.t array;  (** image key of each job, input order *)
+  p_stage_keys : (string * Cache.Key.t) list array;
+      (** every {!Pipeline.stage_keys} key of each job, input order: a
+          compile of the job takes them as its [keys] *)
   p_canonical : int array;
       (** for each job, the index of the first job with the same key
           (itself when the job is the first) *)

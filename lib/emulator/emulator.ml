@@ -127,6 +127,113 @@ type uop =
   | U_svc_print | U_svc_halt
   | U_pseudo
 
+(* Pages of [page_size] bytes: the unit of the written-page bitmap and of
+   the copies a jump check keeps.  1 KiB keeps a copy near the bytes
+   actually written (a stack top, a few globals) while the checkpoint area
+   still fits in page 0. *)
+let page_bits = 10
+let page_size = 1 lsl page_bits
+let n_pages = Image.mem_size lsr page_bits
+
+(* A set of memory pages, each with a copy of its contents. *)
+type pageset = {
+  ps_slot : int array;  (** page -> slot; -1 when absent *)
+  mutable ps_pages : int array;  (** slot -> page *)
+  mutable ps_data : Bytes.t;  (** slot [i]'s copy at [i * page_size] *)
+  mutable ps_n : int;
+}
+
+(* The continuous run's redo log (see {!start_log}).  Commit 0 is the
+   state right after the first boot and commit [l_commits + 1] the halt.
+   Every column is packed int32 words in chunks (see [word]); the
+   per-commit ones hold one word per commit:
+   - [l_cyc], [l_ins]: active cycles and retired instructions;
+   - [l_meta]: resume pc (the halting pc for the halt) lsl 8, cause lsl 5
+     (0 entry, 1 exit, 2 middle, 3 back end, 4 console), primask lsl 4,
+     packed flags;
+   - [l_off]: for j >= 1, the first word of region j's entries in [l_ops]
+     (region j ends in commit j, or in the halt); entry [l_commits + 2]
+     ends the stream.
+   [l_ops] holds, per region, the bytes the region left written and
+   the registers and call counters that differ from the previous commit:
+   - [(addr lsl 8 lor byte) lsl 2]: one byte;
+   - [addr lsl 2 lor 1], value: an aligned word;
+   - [mask lsl 2 lor 2], values: the registers in [mask], lowest first;
+   - [fn lsl 2 lor 3], count: calls of function slot [fn]. *)
+type log = {
+  l_img : Image.t;
+  l_save_all : bool;
+  l_commits : int;
+  l_cyc : Bytes.t array;
+  l_ins : Bytes.t array;
+  l_meta : Bytes.t array;
+  l_off : Bytes.t array;
+  l_ops : Bytes.t array;
+  l_out : int32 array;  (** console output, oldest first *)
+  l_out_at : int array;  (** the commit that emitted each output *)
+  l_exit : int32;
+  l_bases : base array;  (** [i]: at commit [(i + 1) * base_stride] *)
+  l_tails : int list array;
+      (** the logged run's region sizes from region [i * base_stride + 1]
+          on: the suffix a run that jumps to the halt shares *)
+}
+
+(* The logged state at every [base_stride]th commit, so that a long jump
+   replays at most two strides of regions: registers, cause counts and
+   call counters there, and the pages the stride's regions wrote, with
+   their contents there. *)
+and base = {
+  b_regs : int array;
+  b_counts : int array;  (** entry, exit, middle, back end *)
+  b_calls : int array;
+  b_pages : int array;
+  b_data : Bytes.t;  (** page [b_pages.(i)] at [i * page_size] *)
+}
+
+(* A log column while it grows: int32 words in chunks, so that growing
+   it copies nothing. *)
+type words = {
+  mutable w_full : Bytes.t list;  (** full chunks, newest first *)
+  mutable w_done : int;  (** words in [w_full] *)
+  mutable w_cur : Bytes.t;
+  mutable w_pos : int;  (** words in [w_cur] *)
+}
+
+(* A logging run's state: the log so far, the registers and call
+   counters at the last commit, against which the next region's
+   differences are taken, and the pages written since the last base. *)
+type recorder = {
+  r_cyc : words;
+  r_ins : words;
+  r_meta : words;
+  r_off : words;
+  r_ops : words;
+  r_regs : int array;
+  r_calls : int array;
+  mutable r_out_at : int list;
+  r_touched : Bytes.t;  (** per page: written since the last base *)
+  mutable r_pages : int list;
+  mutable r_bases : base list;  (** newest first *)
+}
+
+(* A run following a log: the last commit [fl_v] at which it was in the
+   logged state (it has executed nothing since when its cycle count is
+   still [fl_vcyc]), the logged registers there, the pages written since
+   with their contents at [fl_v], and the back-off of failed checks. *)
+type follower = {
+  fl_log : log;
+  mutable fl_v : int;
+  mutable fl_vcyc : int;
+  fl_vregs : int array;
+  mutable fl_retry : int;  (** no check before this commit *)
+  mutable fl_gap : int;  (** commits to the next retry after a failed one *)
+  fl_undo : pageset;
+  fl_scratch : pageset;  (** a check's logged pages *)
+  fl_regs : int array;  (** a check's logged registers *)
+  mutable fl_jumps : int;
+  mutable fl_from_boot : bool;
+}
+
 type state = {
   img : Image.t;
   supply_desc : string;  (** for diagnostics (No_forward_progress) *)
@@ -165,16 +272,32 @@ type state = {
   mutable touched : int array;
   mutable n_touched : int;
   mutable violations : violation list;
-  (* pages written since boot, one byte per [page_size] page ('\001' =
-     written), marked where the shadow first records a write; [ckpt_read]:
-     a tracked load addressed the checkpoint area.  Both feed {!snapshot}
-     and {!splice}; the bitmap is empty when [verify] is off. *)
+  (* pages written since boot, one byte per [page_size] page, marked
+     where the shadow first records a write: '\000' never written, '\001'
+     written but not since the follower's last verified commit, '\002'
+     written since (or written at all, without a follower).  Empty when
+     [verify] is off.  [ckpt_read]/[ckpt_write]: a tracked load/store
+     addressed the checkpoint area. *)
   written : Bytes.t;
   mutable ckpt_read : bool;
+  mutable ckpt_write : bool;
+  mutable recorder : recorder option;  (** logging replay ({!record}) *)
+  mutable follower : follower option;  (** jumping run ({!follow}) *)
+  mutable stop_commit : int;
+      (** batches stop right after this commit ({!run_to_commit}) *)
+  mutable jump_log : log option;
+      (** the log of the jumps recorded in [regions_rev] *)
+  mutable pagesets : (pageset * pageset) option;
+      (** a follower's page copies, lent on by [create ~reuse] *)
+  mutable tail_from : int;
+      (** after a jump to the halt from commit [k]: [k], and the logged
+          regions from [k + 1] on follow [regions_rev]; -1 otherwise *)
   (* stats *)
   counts : cause_counts;
   mutable region_start : int;
   mutable regions_rev : int list;
+      (** closed regions, newest first; a negative entry stands for the
+          logged regions of a jump (see [segment]) *)
   mutable failures : int;
   mutable boots : int;
   mutable boots_since_commit : int;
@@ -284,12 +407,47 @@ let mark st i kind =
   Array.unsafe_set st.touched n i;
   st.n_touched <- n + 1
 
-(* Pages of [page_size] bytes: the unit a snapshot copies.  1 KiB keeps
-   a snapshot's footprint near the bytes actually written (a stack top, a
-   few globals) while the checkpoint area still fits in page 0. *)
-let page_bits = 10
-let page_size = 1 lsl page_bits
-let n_pages = Image.mem_size lsr page_bits
+let pageset_create () =
+  {
+    ps_slot = Array.make n_pages (-1);
+    ps_pages = Array.make 8 0;
+    ps_data = Bytes.create (8 * page_size);
+    ps_n = 0;
+  }
+
+(* Add page [p] (absent) with a copy of [src] from [src_off]; its slot. *)
+let pageset_add ps p src src_off =
+  let i = ps.ps_n in
+  if i = Array.length ps.ps_pages then begin
+    let pages = Array.make (2 * i) 0 and data = Bytes.create (2 * i * page_size) in
+    Array.blit ps.ps_pages 0 pages 0 i;
+    Bytes.blit ps.ps_data 0 data 0 (i * page_size);
+    ps.ps_pages <- pages;
+    ps.ps_data <- data
+  end;
+  Bytes.blit src src_off ps.ps_data (i * page_size) page_size;
+  ps.ps_pages.(i) <- p;
+  ps.ps_slot.(p) <- i;
+  ps.ps_n <- i + 1;
+  i
+
+let pageset_clear ps =
+  for i = 0 to ps.ps_n - 1 do
+    ps.ps_slot.(ps.ps_pages.(i)) <- -1
+  done;
+  ps.ps_n <- 0
+
+(* First write to page [p] since the follower's last verified commit (or
+   since boot): a follower keeps the page's contents from before it. *)
+let dirty_page st p =
+  (match st.follower with
+  | Some f -> ignore (pageset_add f.fl_undo p st.mem (p lsl page_bits))
+  | None -> ());
+  Bytes.unsafe_set st.written p '\002'
+
+let[@inline] note_write st i =
+  let p = i lsr page_bits in
+  if Bytes.unsafe_get st.written p <> '\002' then dirty_page st p
 
 (* Start a new region: O(bytes touched in the old one), not O(memory). *)
 let clear_shadow st =
@@ -310,18 +468,20 @@ let shadow_read st a n =
     done
 
 (* A byte turns 'w' at most once per region, and only here: that is
-   where the written-page bitmap is kept, one store per byte first written
-   in a region. *)
+   where the written-page bitmap is kept, one test per byte first written
+   in a region.  It runs before the store itself, so a follower's copy of
+   a page is the page before the write. *)
 let shadow_write st a n =
-  if not (in_ckpt_area a) then
+  if in_ckpt_area a then st.ckpt_write <- true
+  else
     for i = a to a + n - 1 do
       let k = Bytes.unsafe_get st.kinds i in
       if k = ' ' then begin
         mark st i 'w';
-        Bytes.unsafe_set st.written (i lsr page_bits) '\001'
+        note_write st i
       end
       else if k = 'r' then begin
-        Bytes.unsafe_set st.written (i lsr page_bits) '\001';
+        note_write st i;
         st.violations <-
           {
             v_pc = st.pc;
@@ -461,6 +621,160 @@ let obs_cause : I.ckpt_cause -> Tr.cause = function
    masked registers. *)
 let ckpt_bytes mask = 4 * (popcount mask + 5)
 
+(* --- a logging run's records (see [start_log]) --- *)
+
+let chunk_bits = 12
+let chunk_words = 1 lsl chunk_bits
+let base_stride = 256
+
+let words_create () =
+  { w_full = []; w_done = 0; w_cur = Bytes.create (4 * chunk_words); w_pos = 0 }
+
+let words_grow w =
+  w.w_full <- w.w_cur :: w.w_full;
+  w.w_done <- w.w_done + w.w_pos;
+  w.w_cur <- Bytes.create (4 * chunk_words);
+  w.w_pos <- 0
+
+let[@inline] words_add w v =
+  if w.w_pos = chunk_words then words_grow w;
+  Bytes.set_int32_le w.w_cur (4 * w.w_pos) (Int32.of_int v);
+  w.w_pos <- w.w_pos + 1
+
+let words_length w = w.w_done + w.w_pos
+
+(* A column kept in its chunks, the last one trimmed: a column is never
+   copied whole. *)
+let words_chunks w =
+  Array.of_list
+    (List.rev (Bytes.sub w.w_cur 0 (4 * w.w_pos) :: w.w_full))
+
+(* Word [i] of a finished column. *)
+let[@inline] word col i =
+  Int32.to_int
+    (Bytes.get_int32_le
+       (Array.unsafe_get col (i lsr chunk_bits))
+       (4 * (i land (chunk_words - 1))))
+
+(* The registers entry [x] at word [i] of [ops] into [regs]; the next
+   entry's index. *)
+let load_regs ops i x regs =
+  let mask = x lsr 2 and j = ref (i + 1) in
+  for r = 0 to 15 do
+    if mask land (1 lsl r) <> 0 then begin
+      regs.(r) <- word ops !j;
+      incr j
+    end
+  done;
+  !j
+
+let cause_code : Tr.cause -> int = function
+  | Tr.Entry -> 0
+  | Tr.Exit -> 1
+  | Tr.Middle -> 2
+  | Tr.Backend -> 3
+  | Tr.Console -> 4
+
+let meta_of st pc cause =
+  (pc lsl 8) lor (cause lsl 5)
+  lor (if st.primask then 16 else 0)
+  lor pack_flags st
+
+(* The region just ended: the bytes it wrote (each byte it wrote is
+   marked 'w' in the shadow, once), with their values now, then the
+   registers and call counters that changed since the last commit. *)
+let record_region st r =
+  let ops = r.r_ops and t = st.touched and n = st.n_touched
+  and kinds = st.kinds in
+  let j = ref 0 in
+  while !j < n do
+    let i = !j in
+    let a = Array.unsafe_get t i in
+    if Bytes.unsafe_get kinds a <> 'w' then j := i + 1
+    else begin
+      if
+        a land 3 = 0 && i + 3 < n
+        && Array.unsafe_get t (i + 1) = a + 1
+        && Array.unsafe_get t (i + 2) = a + 2
+        && Array.unsafe_get t (i + 3) = a + 3
+        && Bytes.unsafe_get kinds (a + 1) = 'w'
+        && Bytes.unsafe_get kinds (a + 2) = 'w'
+        && Bytes.unsafe_get kinds (a + 3) = 'w'
+      then begin
+        words_add ops ((a lsl 2) lor 1);
+        words_add ops (ld32 st.mem a);
+        j := i + 4
+      end
+      else begin
+        words_add ops
+          (((a lsl 8) lor Char.code (Bytes.unsafe_get st.mem a)) lsl 2);
+        j := i + 1
+      end;
+      let p = a lsr page_bits in
+      if Bytes.unsafe_get r.r_touched p = '\000' then begin
+        Bytes.unsafe_set r.r_touched p '\001';
+        r.r_pages <- p :: r.r_pages
+      end
+    end
+  done;
+  let regs = st.regs and logged = r.r_regs in
+  let changed = ref 0 in
+  for i = 0 to 15 do
+    if Array.unsafe_get regs i <> Array.unsafe_get logged i then
+      changed := !changed lor (1 lsl i)
+  done;
+  if !changed <> 0 then begin
+    words_add ops ((!changed lsl 2) lor 2);
+    for i = 0 to 15 do
+      if !changed land (1 lsl i) <> 0 then begin
+        words_add ops (Array.unsafe_get regs i);
+        Array.unsafe_set logged i (Array.unsafe_get regs i)
+      end
+    done
+  end;
+  for i = 0 to Array.length st.fn_calls - 1 do
+    if st.fn_calls.(i) <> r.r_calls.(i) then begin
+      words_add ops ((i lsl 2) lor 3);
+      words_add ops (st.fn_calls.(i) - r.r_calls.(i));
+      r.r_calls.(i) <- st.fn_calls.(i)
+    end
+  done;
+  words_add r.r_off (words_length r.r_ops)
+
+(* Called by the commit itself, before the shadow is cleared and before
+   the cause is counted; the checkpoint instruction retires right
+   after. *)
+let record_commit st r cause resume_pc =
+  let j = st.commits in
+  record_region st r;
+  words_add r.r_cyc st.cycles;
+  words_add r.r_ins (st.instrs + 1);
+  let code = cause_code cause in
+  words_add r.r_meta (meta_of st resume_pc code);
+  if code = 4 then r.r_out_at <- j :: r.r_out_at;
+  if j mod base_stride = 0 then begin
+    let pages = Array.of_list (List.sort compare r.r_pages) in
+    let data = Bytes.create (Array.length pages * page_size) in
+    Array.iteri
+      (fun i p ->
+        Bytes.blit st.mem (p lsl page_bits) data (i * page_size) page_size;
+        Bytes.set r.r_touched p '\000')
+      pages;
+    r.r_pages <- [];
+    let c = st.counts in
+    let counts = [| c.c_entry; c.c_exit; c.c_middle; c.c_backend |] in
+    if code < 4 then counts.(code) <- counts.(code) + 1;
+    r.r_bases <-
+      {
+        b_regs = Array.copy st.regs;
+        b_counts = counts;
+        b_calls = Array.copy st.fn_calls;
+        b_pages = pages;
+        b_data = data;
+      }
+      :: r.r_bases
+  end
+
 let commit_checkpoint st ~(cause : Tr.cause) mask resume_pc =
   let target =
     match active_buffer st with Some 0 -> 1 | Some _ -> 0 | None -> 0
@@ -498,6 +812,9 @@ let commit_checkpoint st ~(cause : Tr.cause) mask resume_pc =
            bytes = ckpt_bytes mask;
            cost = ckpt_cost mask;
          });
+  (match st.recorder with
+  | Some r -> record_commit st r cause resume_pc
+  | None -> ());
   region_boundary st
 
 (* Returns the replay cost in cycles, or [None] when there is no committed
@@ -1068,6 +1385,13 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       violations = [];
       written = (if verify then Bytes.make n_pages '\000' else Bytes.empty);
       ckpt_read = false;
+      ckpt_write = false;
+      recorder = None;
+      follower = None;
+      stop_commit = max_int;
+      jump_log = None;
+      pagesets = (match reuse with Some o -> o.pagesets | None -> None);
+      tail_from = -1;
       counts = { c_entry = 0; c_exit = 0; c_middle = 0; c_backend = 0 };
       region_start = 0;
       regions_rev = [];
@@ -1159,10 +1483,11 @@ let cut_power st =
     reboot st
   end
 
-(* n [step]s on the fully instrumented reference interpreter *)
+(* n [step]s on the fully instrumented reference interpreter, fewer when
+   one makes the commit the batch stops at *)
 let reference_batch st n : step =
   let rec go left =
-    if left = 0 then Stepped
+    if left = 0 || st.commits >= st.stop_commit then Stepped
     else match step st with Stepped -> go (left - 1) | s -> s
   in
   go n
@@ -1194,7 +1519,8 @@ let reference_batch st n : step =
    push records its access in the WAR shadow where the reference path
    does, so violations, the written-page bitmap and [ckpt_read] come out
    the same.  A commit still ends its block, so the shadow is blank right
-   after one, as {!snapshot} and {!splice} need. *)
+   after one, and a batch can stop there, as {!run_to_commit} and the
+   jumps of {!follow} need. *)
 
 (* The block engine is only sound when nothing per-step is observable
    beyond the architectural state and the WAR shadow: no tracer, no
@@ -1442,7 +1768,7 @@ let compile_blocks (st : state) : bcache =
                 | I.Back_end_war ->
                     st.counts.c_backend <- st.counts.c_backend + 1);
                 st.instrs <- st.instrs + 1;
-                if nb >= 0 then nb
+                if nb >= 0 && st.commits < st.stop_commit then nb
                 else begin
                   st.pc <- me + 1;
                   -1
@@ -1459,7 +1785,7 @@ let compile_blocks (st : state) : bcache =
                   Int32.of_int (Array.unsafe_get st.regs 0) :: st.out_rev;
                 commit_checkpoint st ~cause:Tr.Console mask (me + 1);
                 st.instrs <- st.instrs + 1;
-                if nb >= 0 then nb
+                if nb >= 0 && st.commits < st.stop_commit then nb
                 else begin
                   st.pc <- me + 1;
                   -1
@@ -1983,9 +2309,9 @@ let compile_blocks (st : state) : bcache =
    the verify flag (closures capture operand constants, checkpoint
    costs/masks — which [WARIO_SAVE_ALL] inflates — the image's code array
    and, in verify mode, the WAR-shadow twins; never other instance state).
-   It belongs to the instances that share it: {!clone}, and a [create] or
-   {!resume} whose [reuse] runs the same image under the same toggle and
-   flag, hand it on ([bcache_for]); snapshots leave it out.  So a
+   It belongs to the instances that share it: {!clone}, and a [create]
+   whose [reuse] runs the same image under the same toggle and flag,
+   hand it on ([bcache_for]); a log leaves it out.  So a
    campaign probing 10^5 schedules compiles about once per domain, and
    the cache is dropped with the last instance of its image, never
    later. *)
@@ -2025,7 +2351,7 @@ let block_batch st n : step =
   in
   let rec go left =
     if st.halted then Halted
-    else if left = 0 then Stepped
+    else if left = 0 || st.commits >= st.stop_commit then Stepped
     else
       let pc = st.pc in
       let cur =
@@ -2073,6 +2399,9 @@ let clone st =
       };
     fn_calls = Array.copy st.fn_calls;
     pc_counts = Option.map Array.copy st.pc_counts;
+    recorder = None;
+    follower = None;
+    pagesets = None;
     (* cost/eff_mask/push_n/call_fn/fn_names are immutable: shared *)
   }
 
@@ -2132,7 +2461,25 @@ let result st : result =
     checkpoints_total =
       st.counts.c_entry + st.counts.c_exit + st.counts.c_middle
       + st.counts.c_backend;
-    region_sizes = List.rev ((st.cycles - st.region_start) :: st.regions_rev);
+    region_sizes =
+      List.fold_left
+        (fun acc x ->
+          if x >= 0 then x :: acc
+          else
+            (* a jump's logged regions *)
+            let l = Option.get st.jump_log and x = -1 - x in
+            let acc = ref acc in
+            for j = x land 0x7fffffff downto x lsr 31 do
+              acc := (word l.l_cyc j - word l.l_cyc (j - 1)) :: !acc
+            done;
+            !acc)
+        (match st.jump_log with
+        | Some l when st.tail_from >= 0 ->
+            let k = st.tail_from in
+            let rec drop n t = if n = 0 then t else drop (n - 1) (List.tl t) in
+            drop (k mod base_stride) l.l_tails.(k / base_stride)
+        | _ -> [ st.cycles - st.region_start ])
+        st.regions_rev;
     power_failures = st.failures;
     failure_sites = List.rev st.fail_sites_rev;
     boots = st.boots;
@@ -2157,254 +2504,433 @@ let result st : result =
 let output st = List.rev st.out_rev
 
 (* ------------------------------------------------------------------ *)
-(* Commit snapshots                                                     *)
+(* Redo log and jumps                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let reads_ckpt_area st = st.ckpt_read
+let batch_size = 4096
 
-(* Stepping that stops the moment the [k]th commit has been made.  An
-   instruction commits at most once, so a batch of [k - commits]
-   instructions cannot overshoot: the commit count is tested once per
-   batch, not once per step.  A checkpoint is its own single-instruction
-   block, so the same holds for the block engine. *)
-let rec run_to_commit ?engine st k : step =
+(* Stepping that stops the moment the [k]th commit has been made: every
+   batch stops right after the commit that reaches [stop_commit] (a
+   checkpoint ends its block, so the block engine stops there too). *)
+let run_to_commit ?engine st k : step =
   if st.halted then Halted
   else if st.commits >= k then Stepped
-  else
-    match run_batch ?engine st (k - st.commits) with
-    | Halted -> Halted
-    | Stepped | Rebooted -> run_to_commit ?engine st k
+  else begin
+    let saved = st.stop_commit in
+    st.stop_commit <- k;
+    let rec go () =
+      match run_batch ?engine st batch_size with
+      | Halted -> Halted
+      | Stepped | Rebooted -> if st.commits >= k then Stepped else go ()
+    in
+    match go () with
+    | s ->
+        st.stop_commit <- saved;
+        s
+    | exception e ->
+        st.stop_commit <- saved;
+        raise e
+  end
 
-(* A snapshot is the instance's scalar state — registers, flags, power
-   and statistics — plus the pages written since boot.  Memory, WAR
-   shadow and touched list are left out: pages nobody wrote still hold the
-   image's initial data, and the shadow is blank.  The checkpoint area's
-   page is always kept, because a resumed run restores from it.  The
-   written-page bitmap is [s_pages] itself.  Left out too, because they
-   would outweigh the pages: the per-pc tables and compiled blocks
-   (rebuilt, or lent by the resumed run's [reuse]) and the closed regions,
-   one per commit, which are the first [commits] of the finished run's
-   [region_sizes]. *)
-type snapshot = {
-  s_st : state;
-      (** [mem], [kinds], [touched], [written], the per-pc tables and
-          [regions_rev] empty, no compiled blocks *)
-  s_pages : int array;  (** ascending page indices *)
-  s_data : Bytes.t;  (** their contents, page after page *)
-  s_out_len : int;  (** console outputs so far *)
-  s_viol_len : int;  (** WAR violations so far *)
-}
+(* A logging run is the same run as any other, with [commit_checkpoint]
+   recording each region as it closes; the halt closes the last one. *)
+let close_row st r =
+  words_add r.r_cyc st.cycles;
+  words_add r.r_ins st.instrs;
+  words_add r.r_meta (meta_of st st.pc 0)
 
-let snapshot st =
-  if (not st.verify) || st.n_touched <> 0 then
-    invalid_arg "Emulator.snapshot: needs a verify-mode instance with a blank \
-                 WAR shadow";
-  let pages = ref [] in
-  for p = n_pages - 1 downto 0 do
-    if p = ckpt_page || Bytes.get st.written p <> '\000' then
-      pages := p :: !pages
-  done;
-  let pages = Array.of_list !pages in
-  let data = Bytes.create (Array.length pages * page_size) in
-  Array.iteri
-    (fun i p ->
-      Bytes.blit st.mem (p * page_size) data (i * page_size) page_size)
-    pages;
-  let s =
-    clone
-      {
-        st with
-        mem = Bytes.empty;
-        kinds = Bytes.empty;
-        touched = [||];
-        written = Bytes.empty;
-        regions_rev = [];
-        cost = [||];
-        eff_mask = [||];
-        push_n = [||];
-        call_fn = [||];
-        fop = [||];
-        fa = [||];
-        fb = [||];
-        fc = [||];
-        fcond = [||];
-        bcache = None;
-      }
-  in
-  {
-    s_st = s;
-    s_pages = pages;
-    s_data = data;
-    s_out_len = List.length st.out_rev;
-    s_viol_len = List.length st.violations;
-  }
-
-let snapshot_cycles s = s.s_st.cycles
-let snapshot_commits s = s.s_st.commits
-let snapshot_bytes s = Bytes.length s.s_data
-
-(* The first on-period of a [Schedule] counts active cycles from boot, and
-   [spend] only ever compares the cumulative spend against it, so a
-   scheduled run whose first cut is at or after the snapshot's cycle is in
-   exactly the snapshot's state when it gets there — with [d - cycles] of
-   that period left and the cursor past it. *)
-let resume ?reuse ~supply ~(final : result) snap =
-  let s = snap.s_st in
-  let rec rev_take n l acc =
-    match l with x :: rest when n > 0 -> rev_take (n - 1) rest (x :: acc) | _ -> acc
-  in
-  let first =
-    match supply with
-    | Power.Schedule cuts when Array.length cuts > 0 && cuts.(0) >= s.cycles ->
-        cuts.(0)
-    | _ ->
-        invalid_arg
-          "Emulator.resume: needs a schedule whose first cut is at or after \
-           the snapshot"
-  in
-  let power = Power.create supply in
-  ignore (Power.next_budget power);
-  let cost, eff_mask, push_n, call_fn, _, fop, fa, fb, fc, fcond =
-    tables_for ?reuse ~save_all:s.save_all s.img
-  in
-  let mem, kinds, touched =
-    match reuse with
-    | Some old when old.verify -> recycled_buffers old
-    | _ -> fresh_buffers ()
-  in
-  let st =
+let start_log st =
+  if
+    not
+      (st.verify && st.irq_period = 0 && (not st.trace_on)
+      && Power.is_continuous st.power
+      && st.instrs = 0 && st.commits = 0 && st.recorder = None)
+  then
+    invalid_arg
+      "Emulator.start_log: needs a fresh continuous-power verify-mode \
+       instance without interrupts or tracer";
+  let r =
     {
-      (clone s) with
-      cost;
-      eff_mask;
-      push_n;
-      call_fn;
-      fop;
-      fa;
-      fb;
-      fc;
-      fcond;
-      bcache = bcache_for ?reuse ~save_all:s.save_all ~verify:s.verify s.img;
-      supply_desc = Power.describe supply;
-      mem;
-      kinds;
-      touched;
-      written = Bytes.make n_pages '\000';
-      power;
-      budget = first - s.cycles;
-      regions_rev = rev_take s.commits final.region_sizes [];
+      r_cyc = words_create ();
+      r_ins = words_create ();
+      r_meta = words_create ();
+      r_off = words_create ();
+      r_ops = words_create ();
+      r_regs = Array.copy st.regs;
+      r_calls = Array.copy st.fn_calls;
+      r_out_at = [];
+      r_touched = Bytes.make n_pages '\000';
+      r_pages = [];
+      r_bases = [];
     }
   in
-  init_memory st;
-  Array.iteri
-    (fun i p ->
-      Bytes.blit snap.s_data (i * page_size) st.mem (p * page_size) page_size;
-      Bytes.set st.written p '\001')
-    snap.s_pages;
-  st
+  close_row st r;
+  words_add r.r_off 0;
+  words_add r.r_off 0;
+  st.recorder <- Some r
 
-(* Memory outside the checkpoint area equals the snapshot's: every page
-   the run wrote is one the snapshot holds, and those pages agree.  Pages
-   neither wrote still hold the image's initial data in both. *)
-let memory_matches st snap =
-  (* [i] walks the ascending [s_pages] alongside [p] *)
-  let rec unheld p i =
-    p < n_pages
-    &&
-    let held = i < Array.length snap.s_pages && snap.s_pages.(i) = p in
-    (Bytes.unsafe_get st.written p <> '\000' && not held)
-    || unheld (p + 1) (if held then i + 1 else i)
+let finish_log ~(continuous : result) st =
+  match st.recorder with
+  | Some r when st.halted ->
+      st.recorder <- None;
+      if
+        st.cycles <> continuous.cycles
+        || st.commits <> List.length continuous.region_sizes - 1
+      then invalid_arg "Emulator.finish_log: not this run's result";
+      record_region st r;
+      close_row st r;
+      if st.violations <> [] || st.ckpt_read || st.ckpt_write then None
+      else
+        let tails = Array.make ((st.commits / base_stride) + 1) [] in
+        let rec fill i = function
+          | [] -> ()
+          | _ :: rest as t ->
+              if i mod base_stride = 0 then tails.(i / base_stride) <- t;
+              fill (i + 1) rest
+        in
+        fill 0 continuous.region_sizes;
+        Some
+          {
+            l_img = st.img;
+            l_save_all = st.save_all;
+            l_commits = st.commits;
+            l_cyc = words_chunks r.r_cyc;
+            l_ins = words_chunks r.r_ins;
+            l_meta = words_chunks r.r_meta;
+            l_off = words_chunks r.r_off;
+            l_ops = words_chunks r.r_ops;
+            l_out = Array.of_list (List.rev st.out_rev);
+            l_out_at = Array.of_list (List.rev r.r_out_at);
+            l_exit = st.exit_code;
+            l_bases = Array.of_list (List.rev r.r_bases);
+            l_tails = tails;
+          }
+  | _ -> invalid_arg "Emulator.finish_log: needs a halted logging instance"
+
+let log_commits l = l.l_commits
+
+let log_bytes l =
+  let column = Array.fold_left (fun a c -> a + Bytes.length c) 0 in
+  column l.l_cyc + column l.l_ins + column l.l_meta + column l.l_off
+  + column l.l_ops
+  + (4 * Array.length l.l_out)
+  + (8 * Array.length l.l_out_at)
+  + Array.fold_left
+      (fun a b ->
+        a + Bytes.length b.b_data
+        + (8 * (Array.length b.b_regs + Array.length b.b_counts
+               + Array.length b.b_calls + Array.length b.b_pages)))
+      0 l.l_bases
+
+(* The last logged commit, or the halt ([l_commits + 1]), that a run in
+   the logged state at commit [k] reaches within [room] cycles. *)
+let reach l k room =
+  let base = word l.l_cyc k in
+  let lo = ref k and hi = ref (l.l_commits + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if word l.l_cyc mid - base <= room then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* [st] is in the logged state at [st.commits] and has executed nothing
+   since: its pages written since the last verified commit need no copy
+   any more. *)
+let verified st f =
+  f.fl_v <- st.commits;
+  f.fl_vcyc <- st.cycles;
+  Array.blit st.regs 0 f.fl_vregs 0 16;
+  let u = f.fl_undo in
+  for i = 0 to u.ps_n - 1 do
+    Bytes.unsafe_set st.written u.ps_pages.(i) '\001'
+  done;
+  pageset_clear u;
+  f.fl_retry <- 0;
+  f.fl_gap <- 1
+
+(* Whether [st], at its commit [k], is in the logged state there:
+   registers, flags, pc, primask and pending interrupt, and every byte
+   outside the checkpoint area of every page that the run or the log
+   wrote since the last verified commit [fl_v].  Those pages are rebuilt
+   in [fl_scratch]: their contents at [fl_v] (the run's copy when it
+   wrote the page, its memory when only the log did), then the logged
+   stores of regions [fl_v + 1 .. k]; the registers likewise, from the
+   logged ones at [fl_v]. *)
+let matches st f k =
+  let l = f.fl_log in
+  let meta = word l.l_meta k in
+  st.pc = meta lsr 8
+  && pack_flags st = meta land 15
+  && st.primask = (meta land 16 <> 0)
+  && (not st.pending_irq)
+  &&
+  let regs = f.fl_regs and sc = f.fl_scratch and u = f.fl_undo in
+  Array.blit f.fl_vregs 0 regs 0 16;
+  pageset_clear sc;
+  for i = 0 to u.ps_n - 1 do
+    ignore (pageset_add sc u.ps_pages.(i) u.ps_data (i * page_size))
+  done;
+  let at a =
+    let p = a lsr page_bits in
+    let s = sc.ps_slot.(p) in
+    let s = if s >= 0 then s else pageset_add sc p st.mem (p lsl page_bits) in
+    (s lsl page_bits) + (a land (page_size - 1))
   in
-  let page_equal i p =
-    let a = p * page_size and b = i * page_size in
+  let ops = l.l_ops and stop = word l.l_off (k + 1) in
+  let i = ref (word l.l_off (f.fl_v + 1)) in
+  while !i < stop do
+    let x = word ops !i in
+    match x land 3 with
+    | 0 ->
+        let o = at (x lsr 10) in
+        Bytes.unsafe_set sc.ps_data o (Char.unsafe_chr ((x lsr 2) land 0xff));
+        i := !i + 1
+    | 1 ->
+        let o = at (x lsr 2) in
+        st32 sc.ps_data o (word ops (!i + 1));
+        i := !i + 2
+    | 2 -> i := load_regs ops !i x regs
+    | _ -> i := !i + 2
+  done;
+  let rec same_regs r = r > 15 || (st.regs.(r) = regs.(r) && same_regs (r + 1)) in
+  let same_page s =
+    let a = sc.ps_pages.(s) lsl page_bits and b = s lsl page_bits in
     let rec go o =
       o >= page_size
       || (in_ckpt_area (a + o)
          || Int64.equal
               (Bytes.get_int64_le st.mem (a + o))
-              (Bytes.get_int64_le snap.s_data (b + o)))
+              (Bytes.get_int64_le sc.ps_data (b + o)))
          && go (o + 8)
     in
     go 0
   in
-  let rec pages i =
-    i >= Array.length snap.s_pages
-    || (page_equal i snap.s_pages.(i) && pages (i + 1))
-  in
-  (not (unheld 0 0)) && pages 0
+  let rec same_pages s = s >= sc.ps_n || (same_page s && same_pages (s + 1)) in
+  same_regs 0 && same_pages 0
 
-let rec drop n l =
-  match l with _ :: rest when n > 0 -> drop (n - 1) rest | _ -> l
+(* The double-buffer words commit [j] writes — seq, mask, resume pc, sp,
+   flags and the masked registers — from the logged state there. *)
+let write_buffer st l j regs =
+  let meta = word l.l_meta j in
+  let pc = meta lsr 8 in
+  let mask = st.eff_mask.(pc - 1) in
+  let base = buf_addr ((j - 1) land 1) in
+  raw_store32 st (base + 4) mask;
+  raw_store32 st (base + 8) pc;
+  raw_store32 st (base + 12) regs.(I.sp);
+  raw_store32 st (base + 16) (meta land 15);
+  for r = 0 to 14 do
+    if mask land (1 lsl r) <> 0 then
+      raw_store32 st (base + 20 + (4 * r)) regs.(r)
+  done;
+  raw_store32 st base j
 
-let splice st snap ~(final : result) : result option =
-  let s = snap.s_st in
-  let suffix = final.cycles - s.cycles in
-  let converged =
-    st.commits = s.commits && st.verify && st.n_touched = 0
-    && (not st.halted) && st.irq_period = 0 && s.irq_period = 0
-    && st.budget >= suffix
-    && st.cycles + suffix <= st.fuel
-    && st.pc = s.pc && st.nf = s.nf && st.zf = s.zf && st.cf = s.cf
-    && st.vf = s.vf && st.primask = s.primask
-    && st.pending_irq = s.pending_irq
-    && st.regs = s.regs && memory_matches st snap
+(* A jump's logged regions [lo .. hi] in [regions_rev]: one negative
+   entry, expanded by [result]. *)
+let segment lo hi = -1 - ((lo lsl 31) lor hi)
+
+(* Count of the logged outputs emitted at commits up to [k]. *)
+let outputs_upto l k =
+  let lo = ref 0 and hi = ref (Array.length l.l_out_at) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if l.l_out_at.(mid) <= k then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Move [st], in the logged state at its commit [k], to the logged state at
+   commit [m] (the halt when [m = l_commits + 1]): memory, registers,
+   calls and causes of regions [k + 1 .. m], their outputs and regions,
+   the double buffer of the last two commits, and the counters.  Whole
+   strides between bases are not replayed: their pages are copied from
+   the bases and the counters taken from them.  Power and fuel are spent
+   as stepping would spend them; the caller has checked that they
+   last. *)
+let jump_to st f k m =
+  let l = f.fl_log in
+  let n = l.l_commits in
+  let last = min m n in
+  let regs = st.regs and mem = st.mem and ops = l.l_ops and c = st.counts in
+  (* regions [a + 1 .. b] entry by entry *)
+  let replay a b =
+    for j = a + 1 to b do
+      let stop = word l.l_off (j + 1) in
+      let i = ref (word l.l_off j) in
+      while !i < stop do
+        let x = word ops !i in
+        match x land 3 with
+        | 0 ->
+            let a = x lsr 10 in
+            Bytes.unsafe_set mem a (Char.unsafe_chr ((x lsr 2) land 0xff));
+            Bytes.unsafe_set st.written (a lsr page_bits) '\001';
+            i := !i + 1
+        | 1 ->
+            let a = x lsr 2 in
+            st32 mem a (word ops (!i + 1));
+            Bytes.unsafe_set st.written (a lsr page_bits) '\001';
+            i := !i + 2
+        | 2 -> i := load_regs ops !i x regs
+        | _ ->
+            let fn = x lsr 2 in
+            st.fn_calls.(fn) <- st.fn_calls.(fn) + word ops (!i + 1);
+            i := !i + 2
+      done;
+      if j <= n then begin
+        (match (word l.l_meta j lsr 5) land 7 with
+        | 0 -> c.c_entry <- c.c_entry + 1
+        | 1 -> c.c_exit <- c.c_exit + 1
+        | 2 -> c.c_middle <- c.c_middle + 1
+        | 3 -> c.c_backend <- c.c_backend + 1
+        | _ -> ());
+        if j >= last - 1 then write_buffer st l j regs
+      end
+    done
   in
-  if not converged then None
-  else begin
-    (* from here the run is the golden suffix, cycle for cycle *)
-    let plus mine theirs base = mine + theirs - base in
-    let counts =
-      {
-        c_entry = plus st.counts.c_entry final.checkpoints.c_entry s.counts.c_entry;
-        c_exit = plus st.counts.c_exit final.checkpoints.c_exit s.counts.c_exit;
-        c_middle =
-          plus st.counts.c_middle final.checkpoints.c_middle s.counts.c_middle;
-        c_backend =
-          plus st.counts.c_backend final.checkpoints.c_backend
-            s.counts.c_backend;
-      }
-    in
-    let cycles = st.cycles + suffix in
-    let calls = ref [] in
+  let first = ((k / base_stride) + 1) * base_stride
+  and final = (m - 1) / base_stride * base_stride in
+  if first < final then begin
+    replay k first;
+    let b0 = l.l_bases.((first / base_stride) - 1)
+    and b1 = l.l_bases.((final / base_stride) - 1) in
+    for i = first / base_stride to (final / base_stride) - 1 do
+      let b = l.l_bases.(i) in
+      Array.iteri
+        (fun s p ->
+          let a = p lsl page_bits in
+          if p = ckpt_page then begin
+            Bytes.blit b.b_data (s * page_size) mem a (Image.ckpt_base - a);
+            Bytes.blit b.b_data
+              ((s * page_size) + ckpt_end - a)
+              mem ckpt_end
+              (a + page_size - ckpt_end)
+          end
+          else Bytes.blit b.b_data (s * page_size) mem a page_size;
+          Bytes.unsafe_set st.written p '\001')
+        b.b_pages
+    done;
+    let d0 = b0.b_counts and d1 = b1.b_counts in
+    c.c_entry <- c.c_entry + d1.(0) - d0.(0);
+    c.c_exit <- c.c_exit + d1.(1) - d0.(1);
+    c.c_middle <- c.c_middle + d1.(2) - d0.(2);
+    c.c_backend <- c.c_backend + d1.(3) - d0.(3);
     Array.iteri
-      (fun i name ->
-        let n =
-          plus st.fn_calls.(i)
-            (Option.value ~default:0 (List.assoc_opt name final.call_counts))
-            s.fn_calls.(i)
-        in
-        if n > 0 then calls := (name, n) :: !calls)
-      st.fn_names;
-    Some
-      {
-        output = List.rev_append st.out_rev (drop snap.s_out_len final.output);
-        exit_code = final.exit_code;
-        cycles;
-        instrs = plus st.instrs final.instrs s.instrs;
-        checkpoints = counts;
-        checkpoints_total =
-          counts.c_entry + counts.c_exit + counts.c_middle + counts.c_backend;
-        (* one closed region per commit *)
-        region_sizes =
-          List.rev_append st.regions_rev (drop s.commits final.region_sizes);
-        power_failures = st.failures;
-        failure_sites = List.rev st.fail_sites_rev;
-        boots = st.boots;
-        (* the shadow is blank at a commit, so the suffix flags exactly
-           what it flagged in the run [final] came from *)
-        violations =
-          List.rev_append st.violations (drop snap.s_viol_len final.violations);
-        irqs_taken = plus st.irqs_taken final.irqs_taken s.irqs_taken;
-        call_counts = List.sort compare !calls;
-        waste =
-          {
-            w_useful = cycles - st.acc_boot - st.acc_restore - st.acc_reexec;
-            w_boot = st.acc_boot;
-            w_restore = st.acc_restore;
-            w_reexec = st.acc_reexec;
-          };
-      }
+      (fun i v -> st.fn_calls.(i) <- st.fn_calls.(i) + v - b0.b_calls.(i))
+      b1.b_calls;
+    Array.blit b1.b_regs 0 regs 0 16;
+    if final >= last - 1 then write_buffer st l final regs;
+    replay final m
   end
+  else replay k m;
+  for o = outputs_upto l k to outputs_upto l last - 1 do
+    st.out_rev <- l.l_out.(o) :: st.out_rev
+  done;
+  if m > n then st.tail_from <- k
+  else if last > k then st.regions_rev <- segment (k + 1) last :: st.regions_rev;
+  if last > k then st.boots_since_commit <- 0;
+  let d = word l.l_cyc m - word l.l_cyc k in
+  st.cycles <- st.cycles + d;
+  st.budget <- st.budget - d;
+  st.instrs <- st.instrs + (word l.l_ins m - word l.l_ins k);
+  let meta = word l.l_meta m in
+  st.pc <- meta lsr 8;
+  unpack_flags st meta;
+  st.primask <- meta land 16 <> 0;
+  st.commits <- last;
+  st.region_start <- st.cycles - (word l.l_cyc m - word l.l_cyc last);
+  st.work_at_commit <- work_total st - (st.cycles - st.region_start);
+  if m > n then begin
+    st.halted <- true;
+    st.exit_code <- l.l_exit
+  end;
+  verified st f
+
+type jumps = { jumps : int; from_boot : bool; to_halt : bool }
+
+(* One stop of a following run, at a commit it made itself or right after
+   boot: jump as far as its power and fuel last, when that passes a
+   commit and the run is in the logged state.  A failed check is retried
+   1, 2, 4, ... commits later, so a run that never converges checks
+   O(log) times. *)
+let jump st f =
+  let l = f.fl_log in
+  let k = st.commits in
+  (not st.halted)
+  && k <= l.l_commits
+  && st.region_start = st.cycles
+  && st.n_touched = 0
+  &&
+  let m = reach l k (min st.budget (st.fuel - st.cycles)) in
+  m > k
+  && (if k = f.fl_v && st.cycles = f.fl_vcyc then true
+      else if k < f.fl_retry then false
+      else if matches st f k then true
+      else begin
+        f.fl_retry <- k + f.fl_gap;
+        f.fl_gap <- 2 * f.fl_gap;
+        false
+      end)
+  &&
+  begin
+    if f.fl_jumps = 0 && k = 0 then f.fl_from_boot <- true;
+    f.fl_jumps <- f.fl_jumps + 1;
+    jump_to st f k m;
+    true
+  end
+
+let follow ?engine st l =
+  if
+    not
+      (st.verify && st.irq_period = 0 && (not st.trace_on)
+      && st.pc_counts = None && l.l_img == st.img
+      && l.l_save_all = st.save_all)
+  then
+    invalid_arg
+      "Emulator.follow: needs a verify-mode instance of the log's image, \
+       without interrupts, tracer or per-pc counts";
+  if st.instrs <> 0 || st.commits <> 0 || st.halted then
+    invalid_arg "Emulator.follow: needs a freshly booted instance";
+  let undo, scratch =
+    match st.pagesets with
+    | Some p -> p
+    | None ->
+        let p = (pageset_create (), pageset_create ()) in
+        st.pagesets <- Some p;
+        p
+  in
+  pageset_clear undo;
+  pageset_clear scratch;
+  let f =
+    {
+      fl_log = l;
+      fl_v = 0;
+      fl_vcyc = st.cycles;
+      fl_vregs = Array.copy st.regs;
+      fl_retry = 0;
+      fl_gap = 1;
+      fl_undo = undo;
+      fl_scratch = scratch;
+      fl_regs = Array.make 16 0;
+      fl_jumps = 0;
+      fl_from_boot = false;
+    }
+  in
+  st.follower <- Some f;
+  st.jump_log <- Some l;
+  let to_halt = ref false in
+  let rec go () =
+    if jump st f then to_halt := st.halted;
+    if not st.halted then
+      match run_to_commit ?engine st (max (st.commits + 1) f.fl_retry) with
+      | Halted -> ()
+      | Stepped | Rebooted -> go ()
+  in
+  (match go () with
+  | () -> st.follower <- None
+  | exception e ->
+      st.follower <- None;
+      raise e);
+  { jumps = f.fl_jumps; from_boot = f.fl_from_boot; to_halt = !to_halt }
 
 type engine_stats = {
   es_blocks : int;  (** basic blocks compiled (0 if never block-dispatched) *)
@@ -2425,8 +2951,6 @@ let engine_stats st =
     es_dispatches = st.n_dispatch;
     es_fallback_steps = st.n_fallback;
   }
-
-let batch_size = 4096
 
 let run ?fuel ?supply ?irq_period ?verify ?tracer ?(engine = Block)
     (img : Image.t) : result =

@@ -101,7 +101,7 @@ type engine =
     record every load, store and push in the WAR shadow as the reference
     path does, so violations come out the same.  Within a batch it takes
     one reference {!step} at power/fuel edges and at any pc inside a block
-    (e.g. right after a snapshot restore).  Both engines produce
+    (e.g. a restored or {!clone}d pc).  Both engines produce
     byte-for-byte identical {!result} records including [waste] and
     [failure_sites]; the reference path is the oracle (qcheck property
     "block engine = reference engine" in test/test_props.ml). *)
@@ -170,9 +170,10 @@ val create :
     per-pc state), so leave it off for measurement runs.
 
     [reuse], a finished verify-mode instance that is never used again,
-    lends a verify-mode instance its memory and WAR-shadow buffers: only
-    the pages it wrote and its image's initial data are cleared, instead
-    of allocating and clearing 2 MiB.  Of the same image (and
+    lends a verify-mode instance its memory and WAR-shadow buffers (and
+    the page copies of a {!follow}): only the pages it wrote and its
+    image's initial data are cleared, instead of allocating and clearing
+    2 MiB.  Of the same image (and
     [WARIO_SAVE_ALL] setting), it lends its per-pc tables and compiled
     blocks too.  Results already taken from it are unaffected. *)
 
@@ -238,13 +239,14 @@ val nv_digest : t -> int64
 val result : t -> result
 (** Statistics so far (complete once {!halted}). *)
 
-(** {1 Commit snapshots}
+(** {1 Redo log and jumps}
 
-    Compact snapshots let a fault-injection oracle start an injected run
-    from the continuous run's state instead of from boot, and stop it once
-    it is back in that run's state.  They need a verify-mode instance (the
-    default), which keeps a bitmap of the memory pages written since boot,
-    marked where the WAR shadow records a byte's first write in a region. *)
+    An injected run that is in the continuous run's exact state at one of
+    its commits is, until its power or fuel runs out, the continuous run
+    itself.  A log of the continuous run lets the fault-injection oracle
+    skip that stretch: it applies the logged stores instead of executing
+    them.  Both need a verify-mode instance, whose WAR shadow records
+    every program store. *)
 
 val reads_ckpt_area : t -> bool
 (** Whether a program load (not the checkpoint runtime) ever addressed the
@@ -255,59 +257,78 @@ val run_to_commit : ?engine:engine -> t -> int -> step
 (** [run_to_commit st k] runs batches of {!run_batch} on [engine]
     (default [Block]) until the instance has made [k] checkpoint commits
     ([Stepped], returned at once when it already has) or halts
-    ([Halted]); it never runs past the [k]th commit.  Power failures on
+    ([Halted]); it stops right after the [k]th commit.  Power failures on
     the way reboot as in {!step}.  Commits are atomic and never
     re-executed, so in a run that replays correctly the [k]th commit is
     the continuous run's. *)
 
-type snapshot
-(** Registers, flags, pc, primask, pending interrupt, power cursor and
-    every result counter of an instance, plus the contents of the pages it
-    wrote since boot and of the checkpoint area's page. *)
+type log
+(** The continuous run's redo log.  Per commit: active cycles, retired
+    instructions, resume pc, flags, primask and cause, and per region
+    (commit to commit, the last one to the halt) the bytes it left
+    written, the registers and the call counters that changed, and
+    every 256th commit a base of pages for long jumps.  Packed int32
+    words: about 14 words per commit on fib. *)
 
-val snapshot : t -> snapshot
-(** Take a snapshot; cost is the pages written since boot.
-    @raise Invalid_argument unless the instance verifies and its WAR
-    shadow is blank (as right after a commit). *)
+val start_log : t -> unit
+(** [start_log st] makes [st], a freshly created continuous-power
+    verify-mode instance without interrupts or tracer, log every region
+    as it commits, whatever engine then runs it.
+    @raise Invalid_argument for any other instance. *)
 
-val snapshot_cycles : snapshot -> int
-val snapshot_commits : snapshot -> int
+val finish_log : continuous:result -> t -> log option
+(** [finish_log ~continuous st], once [st] has halted, closes its last
+    region and returns its log.  [continuous] is [st]'s result (or that
+    of another continuous run of the same image): the log shares its
+    region list with the results of runs that jump to the halt.  [None]
+    when the run has WAR violations or loads from or stores to the
+    checkpoint area: a jump would then skip behaviour that depends on the
+    power schedule.
+    @raise Invalid_argument unless [st] is a halted logging instance and
+    [continuous] a result of its run. *)
 
-val snapshot_bytes : snapshot -> int
-(** Memory bytes the snapshot holds (whole pages). *)
+val log_bytes : log -> int
+val log_commits : log -> int
 
-val resume : ?reuse:t -> supply:Power.supply -> final:result -> snapshot -> t
-(** [resume ~supply ~final s], where [s] was taken during the first
-    on-period of a run that went on to halt with [final] (whose
-    [region_sizes] supply the regions closed before [s]) and [supply] is
-    [Schedule cuts] with [cuts.(0) >=
-    snapshot_cycles s]: the instance a run from boot under [supply] would
-    be when it reaches [s]'s cycle.  The first on-period spends only on
-    cumulative cycles, so that run is in [s]'s state, with [cuts.(0) -
-    snapshot_cycles s] cycles of the period left and the cursor past it.
-    Costs a fresh instance plus a blit of the snapshot's pages; [reuse]
-    lends its buffers, tables and compiled blocks as for {!create}.
-    @raise Invalid_argument for any other supply. *)
+type jumps = {
+  jumps : int;  (** jumps taken *)
+  from_boot : bool;  (** the first one was taken right after boot *)
+  to_halt : bool;  (** the run reached its halt by a jump *)
+}
 
-val splice : t -> snapshot -> final:result -> result option
-(** [splice st s ~final], where [s] was taken right after commit [k] of a
-    run that went on to halt with [final]: when [st]
-    has just made its own commit [k] in the same machine state —
-    registers, flags, pc, primask, pending interrupt and all memory
-    outside the checkpoint double buffer — and neither its current
-    on-period nor its fuel can run out within the [final.cycles -
-    snapshot_cycles s] cycles left, [st] from here on is that run's
-    suffix, and the result is the one [st] would reach at its halt: its
-    own output, regions, violations and counters so far joined with the
-    suffix's, its own failures, boots and waste.  [None] otherwise, and
-    [st] is untouched.
+val follow : ?engine:engine -> t -> log -> jumps
+(** [follow st log], where [st] was created from [log]'s image (same
+    [WARIO_SAVE_ALL] setting) with verify on and no interrupts, tracer or
+    per-pc counts, and has executed nothing yet, runs [st] to its halt
+    on [engine], like stepping, but takes jumps.  At a stop — right after
+    boot, or right after a commit [k] the run made itself — it finds the
+    last logged commit [m] (or the halt) that the current on-period and
+    the fuel still reach from [k] on the logged timeline.  When [m > k]
+    and the run is in the logged state at [k], it moves the run to the
+    logged state at [m]: it applies the logged stores, registers and call
+    counts of regions [k + 1 .. m], counts their commits and outputs,
+    writes the double-buffer words that the next restore reads (seq,
+    mask, pc, sp, flags and masked registers of commits [m - 1] and [m])
+    and spends the cycles from the period and the fuel.  The run then
+    goes on stepping into the failure that the jump stopped short of.
 
-    Sound as long as the suffix never loads from the checkpoint area
-    ({!reads_ckpt_area} of the finished run): the buffers are the only
-    memory the two runs may disagree on, the runtime reads them only to
-    pick the next commit's target, which costs the same either way, and
-    the period outlasts the suffix, so no restore happens.  Interrupts
-    must be off: their timing depends on the total cycle count. *)
+    "In the logged state" is an exact equality check, made unless the run
+    has executed nothing since its last jump: registers, flags, pc,
+    primask, pending interrupt, and every byte outside the checkpoint
+    area of every page written since the last verified commit, by the run
+    or by the log.  The run keeps a copy of each page it writes after a
+    verified commit, taken before the write, to rebuild the logged pages
+    from.  A failed check is retried 1, 2, 4, ... commits later.
+
+    Sound because the machine is deterministic: from equal registers,
+    flags, pc and memory outside the checkpoint area the run executes
+    exactly what the logged run executed, as long as nothing reads the
+    double buffer ({!finish_log} refuses such runs) and its period and fuel
+    last; and the restore after the failure reads only the words the jump
+    wrote.  Every result record, digest and verdict equals stepping's: the
+    qcheck property "oracle runs jumped = runs from boot" in
+    test/test_props.ml holds the two together.
+    @raise Invalid_argument for any other instance or log. *)
 
 type engine_stats = {
   es_blocks : int;  (** basic blocks compiled (0 if never block-dispatched) *)

@@ -39,7 +39,7 @@
 
    Failures are deduplicated by (shrunk schedule, divergence class),
    shrunk with the two-phase ddmin, and rendered as corpus entries:
-   sabotaged builds (drop-ckpt) become expect=fail detector-regression
+   sabotaged builds (drop-ckpt, drop-reg) become expect=fail detector-regression
    entries; real finds become expect=pass entries that gate CI red until
    the bug is fixed and green forever after. *)
 
@@ -241,7 +241,7 @@ let case_gen config ~workload ~env =
 let repro_of config ~workload ~env cuts =
   Repro.make ~unroll:config.opts.P.unroll_factor
     ?max_region:config.opts.P.max_region
-    ?drop_ckpt:config.opts.P.drop_middle_ckpt ~seed:config.seed ~workload ~env
+    ?sabotage:config.opts.P.sabotage ~seed:config.seed ~workload ~env
     cuts
 
 (* ------------------------------------------------------------------ *)
@@ -395,19 +395,20 @@ let run_build ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
   let c, g =
     S.with_span spans "campaign.golden" (fun () ->
         let c = compiled () in
-        let g = Oracle.golden ~engine:config.engine c in
+        let g = Oracle.golden ~engine:config.engine ~log:true c in
         let fs = Oracle.fork_stats g in
-        S.add_counter ~by:fs.Oracle.snapshots spans "snapshots";
-        S.add_counter ~by:(fs.Oracle.snapshot_bytes / 1024) spans
-          "snapshot_kib";
+        S.add_counter ~by:(fs.Oracle.log_bytes / 1024) spans "log_kib";
+        S.add_counter ~by:fs.Oracle.log_commits spans "log_commits";
         (c, g))
   in
-  (* runs of this phase that started from a golden snapshot or ended in
-     the golden suffix *)
-  let count_forks f =
+  (* this phase's jumps along the golden log: in all, from boot, and to
+     the halt *)
+  let count_jumps f =
     let before = Oracle.fork_stats g in
     let r = f () in
     let after = Oracle.fork_stats g in
+    S.add_counter ~by:(after.Oracle.jumped - before.Oracle.jumped) spans
+      "jumped";
     S.add_counter ~by:(after.Oracle.forked - before.Oracle.forked) spans
       "forked";
     S.add_counter ~by:(after.Oracle.spliced - before.Oracle.spliced) spans
@@ -457,7 +458,7 @@ let run_build ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
       let worst =
         S.with_span spans "campaign.adversary" (fun () ->
             let w =
-              count_forks (fun () ->
+              count_jumps (fun () ->
                   Adversary.search ~engine:config.engine ~max_regions g c)
             in
             S.add_counter ~by:(Adversary.total_probes w) spans "probes";
@@ -588,7 +589,7 @@ let run_build ?(log = fun _ -> ()) ?(spans = S.disabled) (config : config)
           (chunks sched_list)
       in
       S.with_span spans "campaign.execute" (fun () ->
-          count_forks (fun () -> process "campaign.chunk" plan);
+          count_jumps (fun () -> process "campaign.chunk" plan);
           S.add_counter ~by:!tried spans "schedules";
           S.add_counter ~by:!failures_total spans "failures");
       (* mop-up: whatever boundary windows the sweep's landing jitter (or
@@ -675,7 +676,7 @@ let min_boundary_pct (reports : case_report list) : float =
 (* Corpus emission                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Sabotaged builds (drop-ckpt) are detector-regression entries: the
+(* Sabotaged builds (drop-ckpt, drop-reg) are detector-regression entries: the
    verifier must keep catching them.  Real finds are expect=pass: they
    gate CI red until the bug is fixed, and forever green after. *)
 let corpus_entries (reports : case_report list) : Corpus.entry list =
@@ -684,7 +685,7 @@ let corpus_entries (reports : case_report list) : Corpus.entry list =
       List.map
         (fun f ->
           let expect =
-            if f.k_repro.Repro.drop_ckpt <> None then Corpus.Must_fail
+            if f.k_repro.Repro.sabotage <> None then Corpus.Must_fail
             else Corpus.Must_pass
           in
           let supply =

@@ -155,7 +155,7 @@ val min_boundary_pct : case_report list -> float
 (** The worst per-case boundary coverage — what [--min-coverage] gates. *)
 
 val corpus_entries : case_report list -> Corpus.entry list
-(** Shrunk failures as corpus entries: sabotaged builds (drop-ckpt) become
+(** Shrunk failures as corpus entries: sabotaged builds (drop-ckpt, drop-reg) become
     [expect=fail] detector-regression entries; real finds [expect=pass]. *)
 
 val report_rows : case_report list -> Wario.Report.campaign_row list

@@ -80,9 +80,10 @@ let legacy_program_hash (r : Repro.t) : int64 option =
             (match opts.P.max_region with
             | None -> "-"
             | Some m -> string_of_int m);
-            (match opts.P.drop_middle_ckpt with
+            (match opts.P.sabotage with
             | None -> "-"
-            | Some n -> string_of_int n);
+            | Some (P.Drop_ckpt n) -> string_of_int n
+            | Some (P.Drop_saved_reg n) -> "reg " ^ string_of_int n);
           ]
       in
       Some (U.fnv1a64 canon)
@@ -244,13 +245,14 @@ let load_dir (dir : string) :
 (* ------------------------------------------------------------------ *)
 
 (* Recompile exactly as recorded and re-run the oracle on the recorded
-   cut schedule. *)
+   cut schedule; the golden run logs itself, since a schedule always
+   follows it. *)
 let replay_repro ?engine (r : Repro.t) : (unit, string) result =
   match Repro.source_of_workload r.Repro.workload with
   | Error e -> Error e
   | Ok source -> (
       let c = P.compile ~opts:(Repro.options_of r) r.Repro.env source in
-      let g = Oracle.golden ?engine c in
+      let g = Oracle.golden ?engine ~log:true c in
       match Oracle.golden_violations g with
       | _ :: _ as vs ->
           Error

@@ -20,27 +20,21 @@
    An injected run pays only for the stretch where it differs from the
    golden run (Surbatovich et al.'s relation: an intermittent run is
    correct when it agrees with the continuous one at checkpoint
-   boundaries).  The golden run keeps a compact snapshot right after
-   commits 1, 2, 4, 8, ... and every multiple of 4096 (so each
-   [Campaign.sweep_chunk] finds one): registers, flags, counters and the
-   pages written since boot.
-
-   - Prefix fork.  A [Schedule] whose first cut is at or after a
-     snapshot's cycle resumes from the latest such snapshot: the first
-     on-period counts active cycles from boot, so the run from boot is in
-     exactly that state there.
-   - Suffix splice.  When a run has just made commit k and snapshot k
-     exists, and the run's registers, flags, pc, primask and memory
-     outside the checkpoint double buffer equal the snapshot's, and
-     neither the current on-period nor the fuel can run out before the
-     golden run's remaining cycles are spent, the run from there is the
-     golden suffix: nothing after a commit reads the double buffer except
-     the choice of the next commit's target, which costs the same either
-     way, and no restore can happen in a period that outlasts the suffix.
-     The result is the run's own output, regions and counters joined with
-     the golden suffix's, its own failures and waste, and the golden
-     digest.  Golden runs with WAR violations, or that load from the
-     checkpoint area, take no snapshots.
+   boundaries).  The golden run logs itself (the campaign asks for that)
+   or is replayed once more on first demand with a redo log on
+   ({!Wario_emulator.Emulator.start_log}): per commit its
+   registers, flags, pc and counters, per region the bytes it left
+   written.  An injected run then follows that log
+   ({!Wario_emulator.Emulator.follow}): right after boot, and right after
+   a commit it made in golden's exact state (an equality check against
+   the state rebuilt from the log), it jumps to the last golden commit
+   before its power or fuel runs out, or to the halt, and emulates only
+   from there into the failure, the restore and the re-execution, with
+   the WAR shadow on.  A jump from boot is a prefix fork and a jump to
+   the halt a suffix splice (the [forked] and [spliced] tallies).  Golden
+   runs with WAR
+   violations, or that load from or store to the checkpoint area, get no
+   log; interrupt-enabled instances never jump.
 
    Results, digests and verdicts are those of a run from boot; the
    differential property in test/test_props.ml holds the two together. *)
@@ -49,10 +43,12 @@ module P = Wario.Pipeline
 module E = Wario_emulator
 
 type fork = {
-  f_image : E.Image.t;  (** the image the snapshots were taken from *)
-  f_snapshots : E.Emulator.snapshot array;  (** in commit order *)
+  f_image : E.Image.t;  (** the image the golden run ran *)
+  f_log : E.Emulator.log option option Atomic.t;  (** [None] until built *)
+  f_lock : Mutex.t;
   f_forked : int Atomic.t;
   f_spliced : int Atomic.t;
+  f_jumped : int Atomic.t;
 }
 
 type golden = {
@@ -64,10 +60,11 @@ type golden = {
 }
 
 type fork_stats = {
-  snapshots : int;
-  snapshot_bytes : int;
+  log_bytes : int;
+  log_commits : int;
   forked : int;
   spliced : int;
+  jumped : int;
 }
 
 type divergence =
@@ -80,20 +77,20 @@ type divergence =
   | No_progress of string
   | Fault of string
 
-(* Every oracle run — golden, injected, resumed — goes through
-   [run_batch] and [run_to_commit] on the caller's [engine]: verify-mode
-   blocks by default, the reference interpreter under [Reference].  The
-   two give identical results, so campaign reports can be asserted
-   byte-identical across engines (the CI smoke). *)
+(* Every oracle run — golden, logging, injected — goes through [run_batch]
+   on the caller's [engine]: verify-mode blocks by default, the reference
+   interpreter under [Reference].  The two give identical results, so
+   campaign reports can be asserted byte-identical across engines (the CI
+   smoke). *)
 let run_to_halt ?engine emu =
   while not (E.Emulator.halted emu) do
     ignore (E.Emulator.run_batch ?engine emu 4096)
   done
 
-(* Each domain's last finished injected run: the next run or golden run
+(* Each domain's last finished injected or logging run: the next run
    takes over its buffers rather than allocating fresh ones.  A golden
-   run's own instance is not kept: a process that only takes golden runs
-   would hold 2 MiB for nothing. *)
+   run's own instance is kept only when its log is built right away: a
+   process that only takes golden runs would hold 2 MiB for nothing. *)
 let spare : E.Emulator.t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
@@ -102,51 +99,72 @@ let take_spare () =
   Domain.DLS.set spare None;
   reuse
 
-(* Snapshot cadence: doubling near boot, where the adversary's cuts
-   cluster, then every [snapshot_stride] commits. *)
-let snapshot_stride = 4096
-
-let next_snapshot k =
-  let rec pow p = if p > k then p else pow (2 * p) in
-  min (pow 1) ((k / snapshot_stride + 1) * snapshot_stride)
-
-let golden ?engine (c : P.compiled) : golden =
+(* The golden run; with [log], it logs itself as it runs, and its
+   instance becomes the domain's spare for the runs that follow. *)
+let golden ?engine ?(log = false) (c : P.compiled) : golden =
   let emu = E.Emulator.create ?reuse:(take_spare ()) c.P.image in
-  let rec go k acc =
-    match E.Emulator.run_to_commit ?engine emu k with
-    | E.Emulator.Halted -> List.rev acc
-    | _ -> go (next_snapshot k) (E.Emulator.snapshot emu :: acc)
-  in
-  let snapshots = go 1 [] in
+  if log then E.Emulator.start_log emu;
+  run_to_halt ?engine emu;
   let r = E.Emulator.result emu in
-  let digest = E.Emulator.nv_digest emu in
-  let reads_ckpt_area = E.Emulator.reads_ckpt_area emu in
-  {
-    g_output = r.E.Emulator.output;
-    g_exit = r.E.Emulator.exit_code;
-    g_digest = digest;
-    g_result = r;
-    g_fork =
-      {
-        f_image = c.P.image;
-        f_snapshots =
-          (if r.E.Emulator.violations <> [] || reads_ckpt_area then [||]
-           else Array.of_list snapshots);
-        f_forked = Atomic.make 0;
-        f_spliced = Atomic.make 0;
-      };
-  }
+  let g =
+    {
+      g_output = r.E.Emulator.output;
+      g_exit = r.E.Emulator.exit_code;
+      g_digest = E.Emulator.nv_digest emu;
+      g_result = r;
+      g_fork =
+        {
+          f_image = c.P.image;
+          f_log =
+            Atomic.make
+              (if log then Some (E.Emulator.finish_log ~continuous:r emu)
+               else None);
+          f_lock = Mutex.create ();
+          f_forked = Atomic.make 0;
+          f_spliced = Atomic.make 0;
+          f_jumped = Atomic.make 0;
+        };
+    }
+  in
+  if log then Domain.DLS.set spare (Some emu);
+  g
+
+(* The golden run's log.  Callers that run schedules build the golden
+   run with [~log:true]; this replay on the domain's spare instance is
+   kept only for goldens built without one (probes that time the golden
+   run alone, tests), and runs at most once: one domain builds the log
+   while the others wait, and [finish_log] refuses the runs that get
+   none. *)
+let log_of ?engine (g : golden) =
+  let f = g.g_fork in
+  match Atomic.get f.f_log with
+  | Some l -> l
+  | None ->
+      Mutex.protect f.f_lock (fun () ->
+          match Atomic.get f.f_log with
+          | Some l -> l
+          | None ->
+              let emu = E.Emulator.create ?reuse:(take_spare ()) f.f_image in
+              E.Emulator.start_log emu;
+              run_to_halt ?engine emu;
+              let l = E.Emulator.finish_log ~continuous:g.g_result emu in
+              Domain.DLS.set spare (Some emu);
+              Atomic.set f.f_log (Some l);
+              l)
 
 let fork_stats (g : golden) =
   let f = g.g_fork in
+  let log_bytes, log_commits =
+    match Atomic.get f.f_log with
+    | Some (Some l) -> (E.Emulator.log_bytes l, E.Emulator.log_commits l)
+    | _ -> (0, 0)
+  in
   {
-    snapshots = Array.length f.f_snapshots;
-    snapshot_bytes =
-      Array.fold_left
-        (fun a s -> a + E.Emulator.snapshot_bytes s)
-        0 f.f_snapshots;
+    log_bytes;
+    log_commits;
     forked = Atomic.get f.f_forked;
     spliced = Atomic.get f.f_spliced;
+    jumped = Atomic.get f.f_jumped;
   }
 
 (* Violations of the golden run itself: a broken checkpoint schedule shows
@@ -164,58 +182,24 @@ let is_double_emission ~want ~got =
   in
   List.length got > List.length want && sub want got
 
-(* The snapshots a run of [c] may use: none unless [c] is the golden
-   run's own image. *)
-let snapshots_for (g : golden) (c : P.compiled) =
-  if c.P.image == g.g_fork.f_image then g.g_fork.f_snapshots else [||]
-
-(* The instance a run under [supply] starts from, and the index of the
-   first snapshot still ahead of it. *)
-let start (g : golden) (c : P.compiled) snaps supply =
-  let latest =
-    match supply with
-    | E.Power.Schedule cuts when Array.length cuts > 0 ->
-        let rec last i found =
-          if
-            i < Array.length snaps
-            && E.Emulator.snapshot_cycles snaps.(i) <= cuts.(0)
-          then last (i + 1) (Some i)
-          else found
-        in
-        last 0 None
-    | _ -> None
-  in
-  match latest with
-  | Some i ->
-      Atomic.incr g.g_fork.f_forked;
-      ( E.Emulator.resume ?reuse:(take_spare ()) ~supply ~final:g.g_result
-          snaps.(i),
-        i + 1 )
-  | None -> (E.Emulator.create ?reuse:(take_spare ()) ~supply c.P.image, 0)
-
-(* Run to the halt, trying a splice at each snapshot's commit on the way;
-   the final result and memory digest. *)
-let finish ?engine (g : golden) snaps emu i =
-  let from_halt () = (E.Emulator.result emu, E.Emulator.nv_digest emu) in
-  let rec go i =
-    if i >= Array.length snaps then begin
+(* Run to the halt, following the golden log when [c] is the golden
+   run's own image; the final result and memory digest.  A run that
+   reached the halt by a jump holds golden's final memory outside the
+   checkpoint area, so its digest is golden's. *)
+let finish ?engine (g : golden) (c : P.compiled) emu =
+  let log = if c.P.image == g.g_fork.f_image then log_of ?engine g else None in
+  match log with
+  | Some l ->
+      let j = E.Emulator.follow ?engine emu l in
+      let f = g.g_fork in
+      if j.E.Emulator.from_boot then Atomic.incr f.f_forked;
+      if j.E.Emulator.to_halt then Atomic.incr f.f_spliced;
+      ignore (Atomic.fetch_and_add f.f_jumped j.E.Emulator.jumps);
+      ( E.Emulator.result emu,
+        if j.E.Emulator.to_halt then g.g_digest else E.Emulator.nv_digest emu )
+  | _ ->
       run_to_halt ?engine emu;
-      from_halt ()
-    end
-    else
-      let s = snaps.(i) in
-      match
-        E.Emulator.run_to_commit ?engine emu (E.Emulator.snapshot_commits s)
-      with
-      | E.Emulator.Halted -> from_halt ()
-      | _ -> (
-          match E.Emulator.splice emu s ~final:g.g_result with
-          | Some r ->
-              Atomic.incr g.g_fork.f_spliced;
-              (r, g.g_digest)
-          | None -> go (i + 1))
-  in
-  go i
+      (E.Emulator.result emu, E.Emulator.nv_digest emu)
 
 (* The verdict on a finished run, from its result and final memory
    digest. *)
@@ -243,15 +227,14 @@ let judge (g : golden) (r : E.Emulator.result) digest =
    whose start failed has no instance, and the next run allocates. *)
 let run_supply ?engine (g : golden) (c : P.compiled) (supply : E.Power.supply)
     : E.Emulator.result option * (unit, divergence) result =
-  let snaps = snapshots_for g c in
-  match start g c snaps supply with
+  match E.Emulator.create ?reuse:(take_spare ()) ~supply c.P.image with
   | exception E.Emulator.No_forward_progress s -> (None, Error (No_progress s))
   | exception E.Emulator.Emu_error s -> (None, Error (Fault s))
-  | emu, i -> (
+  | emu -> (
       match
         Fun.protect
           ~finally:(fun () -> Domain.DLS.set spare (Some emu))
-          (fun () -> finish ?engine g snaps emu i)
+          (fun () -> finish ?engine g c emu)
       with
       | exception E.Emulator.No_forward_progress s ->
           (None, Error (No_progress s))

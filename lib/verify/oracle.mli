@@ -3,24 +3,26 @@
     automation of the paper's §5.1.1 output-equivalence argument).
 
     An injected run costs only the stretch where it differs from the
-    golden run.  The golden run keeps compact snapshots right after
-    commits 1, 2, 4, 8, ... and every multiple of 4096.  A [Schedule]
-    whose first cut is at or after a snapshot's cycle starts from the
-    latest such snapshot instead of from boot (the first on-period counts
-    cycles from boot, so the run is in exactly that state there).  A run
-    that has just made commit [k] in snapshot [k]'s machine state —
-    registers, flags, pc, primask and memory outside the checkpoint double
-    buffer — with enough of its on-period and fuel left to cover the
-    golden run's remaining cycles, stops there and takes the golden suffix
-    (see {!Wario_emulator.Emulator.splice}).  That is sound because
-    nothing after a commit reads the double buffer except to pick the next
-    commit's target, which costs the same either way, and a period that
-    outlasts the suffix holds no restore.  Every result record, digest and
-    verdict equals that of a run from boot. *)
+    golden run.  The golden run logs itself, or is replayed once more on
+    first demand to build its redo log
+    ({!Wario_emulator.Emulator.start_log}): per commit its
+    registers, flags, pc and counters, per region the bytes it left
+    written.  An injected run of the golden run's own image follows the
+    log ({!Wario_emulator.Emulator.follow}): right after boot, and right
+    after any commit it made in golden's exact state — an equality check
+    against the state rebuilt from the log — it jumps to the last golden
+    commit before its power or fuel runs out, or to the halt, and
+    emulates only the failure, the restore and the re-execution, with
+    the WAR shadow on.  From equal registers, flags, pc and memory the
+    deterministic machine does what golden did; nothing in between reads
+    the double buffer (golden runs that do get no log), and the jump
+    writes the buffer words the next restore reads as the run would
+    have.  Every result record, digest and verdict equals that of a run
+    from boot. *)
 
 type fork
-(** The golden run's commit snapshots and the tallies of the runs that
-    used them. *)
+(** The golden run's redo log, built on first demand, and the tallies of
+    the runs that followed it. *)
 
 type golden = {
   g_output : int32 list;
@@ -31,10 +33,11 @@ type golden = {
 }
 
 type fork_stats = {
-  snapshots : int;  (** none when the golden run violates *)
-  snapshot_bytes : int;  (** memory pages the snapshots hold *)
-  forked : int;  (** runs so far that started from a snapshot *)
-  spliced : int;  (** runs so far that ended in the golden suffix *)
+  log_bytes : int;  (** the redo log's size; 0 until built, or without one *)
+  log_commits : int;  (** commits the log covers *)
+  forked : int;  (** runs so far whose first jump was taken at boot *)
+  spliced : int;  (** runs so far that reached the halt by a jump *)
+  jumped : int;  (** jumps taken so far, by all runs *)
 }
 
 val fork_stats : golden -> fork_stats
@@ -55,10 +58,18 @@ type divergence =
           never did *)
 
 val golden :
-  ?engine:Wario_emulator.Emulator.engine -> Wario.Pipeline.compiled -> golden
+  ?engine:Wario_emulator.Emulator.engine ->
+  ?log:bool ->
+  Wario.Pipeline.compiled ->
+  golden
 (** Continuous-power reference run (via the stepping API, so the final
-    memory digest is captured), run commit by commit to take its
-    snapshots.  Oracle instances keep the WAR verifier on; [engine]
+    memory digest is captured).  With [log] (default false) the run logs
+    itself as it goes, at no extra run: callers that go on to run
+    schedules pass it.  Without it the redo log is built by a logging
+    replay on the first run that needs it, a path kept for goldens that
+    are only timed or inspected.  No log is kept when the run violates
+    or reads the checkpoint area.  Oracle instances keep the WAR
+    verifier on; [engine]
     (default [Block]) picks verify-mode compiled blocks or the reference
     interpreter for this run and, passed to the functions below, for the
     injected ones.  The two give identical results, so verdicts do not
@@ -87,8 +98,8 @@ val check_schedule :
   (unit, divergence) result
 (** Run [c]'s image with power cut after each scheduled on-duration and
     compare output, exit code, final memory digest and WAR-verifier
-    verdict against the golden run.  Snapshots are used only when [c]'s
-    image is physically the golden run's. *)
+    verdict against the golden run.  Runs follow the golden log only
+    when [c]'s image is physically the golden run's. *)
 
 val run_schedule :
   ?engine:Wario_emulator.Emulator.engine ->
@@ -108,7 +119,6 @@ val run_supply :
   Wario_emulator.Power.supply ->
   Wario_emulator.Emulator.result option * (unit, divergence) result
 (** {!run_schedule} generalized to any supply (trace-driven and stochastic
-    models included).  Only a [Schedule] starts from a snapshot; a run
-    under any supply can end in the golden suffix. *)
+    models included); runs under every supply follow the golden log. *)
 
 val string_of_divergence : divergence -> string

@@ -17,21 +17,21 @@ type t = {
   env : P.environment;
   unroll : int;
   max_region : int option;
-  drop_ckpt : int option;  (** test-only sabotage replay (see Pipeline) *)
+  sabotage : P.sabotage option;  (** test-only sabotage replay (see Pipeline) *)
   cuts : int array;
   seed : int64 option;  (** campaign seed that found the failure *)
 }
 
-let make ?(unroll = P.default_options.P.unroll_factor) ?max_region ?drop_ckpt
+let make ?(unroll = P.default_options.P.unroll_factor) ?max_region ?sabotage
     ?seed ~workload ~env cuts =
-  { workload; env; unroll; max_region; drop_ckpt; cuts; seed }
+  { workload; env; unroll; max_region; sabotage; cuts; seed }
 
 let options_of (r : t) : P.options =
   {
     P.default_options with
     P.unroll_factor = r.unroll;
     max_region = r.max_region;
-    drop_middle_ckpt = r.drop_ckpt;
+    sabotage = r.sabotage;
   }
 
 let source_of_workload (name : string) : (string, string) result =
@@ -63,9 +63,12 @@ let to_string (r : t) : string =
   (match r.max_region with
   | None -> ()
   | Some m -> Buffer.add_string buf (Printf.sprintf " (max-region %d)" m));
-  (match r.drop_ckpt with
+  (match r.sabotage with
   | None -> ()
-  | Some n -> Buffer.add_string buf (Printf.sprintf " (drop-ckpt %d)" n));
+  | Some (P.Drop_ckpt n) ->
+      Buffer.add_string buf (Printf.sprintf " (drop-ckpt %d)" n)
+  | Some (P.Drop_saved_reg n) ->
+      Buffer.add_string buf (Printf.sprintf " (drop-reg %d)" n));
   Buffer.add_string buf " (cuts";
   Array.iter (fun c -> Buffer.add_string buf (Printf.sprintf " %d" c)) r.cuts;
   Buffer.add_string buf ")";
@@ -145,7 +148,7 @@ let of_sexp (sx : sexp) : (t, string) result =
     | List (Atom "repro" :: fields) ->
         let workload = ref None and env = ref None in
         let unroll = ref P.default_options.P.unroll_factor in
-        let max_region = ref None and drop_ckpt = ref None in
+        let max_region = ref None and sabotage = ref None in
         let cuts = ref [||] and seed = ref None in
         List.iter
           (function
@@ -158,7 +161,9 @@ let of_sexp (sx : sexp) : (t, string) result =
             | List [ Atom "max-region"; v ] ->
                 max_region := Some (int_of_atom "max-region" v)
             | List [ Atom "drop-ckpt"; v ] ->
-                drop_ckpt := Some (int_of_atom "drop-ckpt" v)
+                sabotage := Some (P.Drop_ckpt (int_of_atom "drop-ckpt" v))
+            | List [ Atom "drop-reg"; v ] ->
+                sabotage := Some (P.Drop_saved_reg (int_of_atom "drop-reg" v))
             | List (Atom "cuts" :: vs) ->
                 cuts :=
                   Array.of_list (List.map (int_of_atom "cuts") vs)
@@ -179,7 +184,7 @@ let of_sexp (sx : sexp) : (t, string) result =
             env = require "env" !env;
             unroll = !unroll;
             max_region = !max_region;
-            drop_ckpt = !drop_ckpt;
+            sabotage = !sabotage;
             cuts = !cuts;
             seed = !seed;
           }

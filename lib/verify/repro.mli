@@ -7,8 +7,9 @@ type t = {
   env : Wario.Pipeline.environment;
   unroll : int;
   max_region : int option;
-  drop_ckpt : int option;
-      (** replays the test-only sabotage hook (see {!Wario.Pipeline.options}) *)
+  sabotage : Wario.Pipeline.sabotage option;
+      (** replays the test-only sabotage hook (see {!Wario.Pipeline.options}):
+          [(drop-ckpt N)] or [(drop-reg N)] *)
   cuts : int array;  (** the injection schedule *)
   seed : int64 option;  (** campaign seed that found the failure (bookkeeping) *)
 }
@@ -16,7 +17,7 @@ type t = {
 val make :
   ?unroll:int ->
   ?max_region:int ->
-  ?drop_ckpt:int ->
+  ?sabotage:Wario.Pipeline.sabotage ->
   ?seed:int64 ->
   workload:string ->
   env:Wario.Pipeline.environment ->

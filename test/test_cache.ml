@@ -224,7 +224,8 @@ let test_every_option_field_flips_the_key () =
       ( "expander_profile",
         { d with P.expander_profile = Some [ ("helper", 3) ] } );
       ("max_region", { d with P.max_region = Some 700 });
-      ("drop_middle_ckpt", { d with P.drop_middle_ckpt = Some 1 });
+      ("drop_middle_ckpt", { d with P.sabotage = Some (P.Drop_ckpt 1) });
+      ("drop_saved_reg", { d with P.sabotage = Some (P.Drop_saved_reg 1) });
       ( "placement(greedy)",
         { d with P.placement = T.Checkpoint_inserter.Greedy } );
       ( "placement(inter)",
@@ -340,7 +341,7 @@ let gen_options : P.options QCheck.Gen.t =
       optimize;
       expander_profile;
       max_region;
-      drop_middle_ckpt = drop;
+      sabotage = Option.map (fun n -> P.Drop_ckpt n) drop;
       placement;
       block_profile;
       elide;

@@ -353,7 +353,7 @@ let sabotage_case () =
     {
       (campaign_config 40 1) with
       V.Campaign.opts =
-        { P.default_options with P.drop_middle_ckpt = Some 1 };
+        { P.default_options with P.sabotage = Some (P.Drop_ckpt 1) };
     }
   in
   V.Campaign.run_case config ~workload:(m.M.name, m.M.source) ~env:P.Wario
@@ -365,8 +365,40 @@ let test_campaign_catches_sabotage () =
   match r.V.Campaign.k_failures with
   | [] -> Alcotest.fail "no shrunk failure recorded"
   | f :: _ ->
-      Alcotest.(check (option int)) "repro carries the sabotage hook"
-        (Some 1) f.V.Campaign.k_repro.V.Repro.drop_ckpt
+      Alcotest.(check bool) "repro carries the sabotage hook" true
+        (f.V.Campaign.k_repro.V.Repro.sabotage = Some (P.Drop_ckpt 1))
+
+(* The pinned [Drop_saved_reg] pair: byte_ops with the save mask of its
+   second checkpoint that saves one of r0-r12 missing that register.  The
+   continuous run never restores, so it is clean; runs cut in the
+   checkpoint's region restore the register as 0 and diverge.  Its shrunk
+   failure carries [(drop-reg 1)], reparses and replays. *)
+let test_campaign_catches_dropped_register () =
+  let m = M.find "byte_ops" in
+  let opts = { P.default_options with P.sabotage = Some (P.Drop_saved_reg 1) } in
+  let g = V.Oracle.golden (P.compile ~opts P.Wario m.M.source) in
+  Alcotest.(check bool) "golden run clean" true (V.Oracle.golden_violations g = []);
+  Alcotest.(check (list int32)) "golden output" m.M.expected g.V.Oracle.g_output;
+  let r =
+    V.Campaign.run_case
+      { (campaign_config 40 1) with V.Campaign.opts }
+      ~workload:(m.M.name, m.M.source) ~env:P.Wario
+  in
+  Alcotest.(check bool) "failures found" true (r.V.Campaign.k_failures_total > 0);
+  match r.V.Campaign.k_failures with
+  | [] -> Alcotest.fail "no shrunk failure recorded"
+  | f :: _ -> (
+      Alcotest.(check bool) "found by a schedule" true
+        (Array.length f.V.Campaign.k_shrunk > 0);
+      let line = V.Repro.to_string f.V.Campaign.k_repro in
+      match V.Repro.of_string line with
+      | Error e -> Alcotest.failf "reproducer %S does not parse: %s" line e
+      | Ok r -> (
+          Alcotest.(check bool) "repro carries (drop-reg 1)" true
+            (r.V.Repro.sabotage = Some (P.Drop_saved_reg 1));
+          match V.Corpus.replay_repro r with
+          | Ok () -> Alcotest.failf "replay of %S did not reproduce" line
+          | Error _ -> ()))
 
 (* ------------------------------------------------------------------ *)
 (* Regression corpus                                                    *)
@@ -374,7 +406,7 @@ let test_campaign_catches_sabotage () =
 
 let sample_entry () =
   let r =
-    V.Repro.make ~unroll:8 ~drop_ckpt:1 ~seed:21L ~workload:"byte_ops"
+    V.Repro.make ~unroll:8 ~sabotage:(P.Drop_ckpt 1) ~seed:21L ~workload:"byte_ops"
       ~env:P.Wario [| 413 |]
   in
   V.Corpus.make ~supply:"markov:40" ~found_by:"campaign"
@@ -480,6 +512,8 @@ let suite =
       test_adversary_healthy;
     Alcotest.test_case "campaign: coverage and jobs-determinism" `Slow
       test_campaign_coverage_and_determinism;
+    Alcotest.test_case "campaign: catches a dropped saved register" `Quick
+      test_campaign_catches_dropped_register;
     Alcotest.test_case "campaign: catches sabotage" `Quick
       test_campaign_catches_sabotage;
     Alcotest.test_case "corpus: entry round-trip and rejects" `Quick

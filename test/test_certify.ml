@@ -1,7 +1,7 @@
 (* Tests for the static idempotence certifier (lib/certify).
 
    Acceptance: every benchmark certifies in every instrumented environment,
-   and the [drop_middle_ckpt] sabotage hook yields a rejection whose path
+   and the [Drop_ckpt] sabotage hook yields a rejection whose path
    witness names the unprotected load/store pair.  A qcheck property checks
    the certifier agrees with the dynamic WAR verifier on random programs. *)
 
@@ -72,7 +72,7 @@ let test_micros_certified_wario () =
    checkpoint from crc reopens the WAR it covered, and the certifier must
    name the unprotected load/store pair with a barrier-free pc path. *)
 let test_sabotaged_rejected () =
-  let opts = { P.default_options with P.drop_middle_ckpt = Some 0 } in
+  let opts = { P.default_options with P.sabotage = Some (P.Drop_ckpt 0) } in
   let c = P.compile ~opts P.Wario W.Programs.crc.W.Programs.source in
   match P.certify c with
   | C.Certified _ -> Alcotest.fail "sabotaged build certified"
@@ -127,7 +127,7 @@ let test_session_verdict_is_certify () =
     (Lazy.force inter_images);
   let sabotaged =
     (P.compile
-       ~opts:{ P.default_options with P.drop_middle_ckpt = Some 0 }
+       ~opts:{ P.default_options with P.sabotage = Some (P.Drop_ckpt 0) }
        P.Wario W.Programs.crc.W.Programs.source)
       .P.image
   in
@@ -201,7 +201,12 @@ let prop_certifier_agrees_with_dynamic =
         (fun env ->
           List.for_all
             (fun drop ->
-              let opts = { P.default_options with P.drop_middle_ckpt = drop } in
+              let opts =
+                {
+                  P.default_options with
+                  P.sabotage = Option.map (fun n -> P.Drop_ckpt n) drop;
+                }
+              in
               let c = P.compile ~opts env src in
               let r = E.Emulator.run ~verify:true c.P.image in
               let dynamic_clean = r.E.Emulator.violations = [] in

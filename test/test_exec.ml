@@ -97,7 +97,7 @@ let test_serialized_sink () =
    real failures — yields an identical report whether the schedule
    fan-out runs on one domain or several. *)
 let harness_case_report jobs =
-  (* byte_ops + drop_middle_ckpt 1 is the proven sabotage from
+  (* byte_ops + Drop_ckpt 1 is the proven sabotage from
      test_verify.ml: it reliably re-opens a WAR window, so the failure
      path (reproducer, failure accounting) is exercised *)
   let m = Wario_workloads.Micro.find "byte_ops" in
@@ -105,7 +105,7 @@ let harness_case_report jobs =
     {
       Cm.default_config with
       Cm.budget = 40;
-      opts = { P.default_options with P.drop_middle_ckpt = Some 1 };
+      opts = { P.default_options with P.sabotage = Some (P.Drop_ckpt 1) };
       jobs;
     }
   in

@@ -11,7 +11,7 @@ let () =
       ("backend", Test_backend.suite);
       ("emulator",
         Test_emulator.suite @ Test_emulator.cycle_suite
-        @ Test_emulator.snapshot_suite);
+        @ Test_emulator.jump_suite);
       ("pipeline", Test_pipeline.suite);
       ("obs", Test_obs.suite);
       ("stats", Test_stats.suite);

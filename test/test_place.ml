@@ -254,7 +254,7 @@ let test_motion_stands_down_on_rejected () =
     ((Wario.Motion.run ~weights healthy.P.mprog).Wario.Motion.proposed > 0);
   let c =
     P.compile
-      ~opts:{ P.default_options with P.drop_middle_ckpt = Some 0 }
+      ~opts:{ P.default_options with P.sabotage = Some (P.Drop_ckpt 0) }
       P.Wario (bench "crc")
   in
   (match P.certify c with

@@ -251,7 +251,7 @@ let prop_interrupts_safe =
    counts, checkpoint causes, region sizes, waste decomposition, per-callee
    call profile, output, boots, WAR violations...) and, when a run dies,
    the same exception.  Exercised with the WAR verifier off and on, on
-   healthy and sabotaged ([drop_middle_ckpt]) builds, across power
+   healthy and sabotaged ([Drop_ckpt]) builds, across power
    supplies — including periods tight enough to force many reboots — and,
    via [irq_period], through the reference fallback inside [run_batch].
    [block_violating_cases] counts the generated programs whose sabotaged
@@ -281,7 +281,7 @@ let prop_block_equals_reference =
             s := ((!s * 0x9e3779b1) + 0x6d2b79f5) land 0x3fffffff;
             500 + (!s mod 19500))
       in
-      let sabotaged = { P.default_options with P.drop_middle_ckpt = Some 1 } in
+      let sabotaged = { P.default_options with P.sabotage = Some (P.Drop_ckpt 1) } in
       let violated = ref false in
       let ok =
         List.for_all
@@ -396,62 +396,44 @@ let test_micro_oracle_all_envs () =
     Wario_workloads.Micro.tiny
 
 (* ------------------------------------------------------------------ *)
-(* Oracle runs forked from the golden run = runs from boot              *)
+(* Oracle runs that jump along the golden log = runs from boot           *)
 (* ------------------------------------------------------------------ *)
 
 module V = Wario_verify
 module Micro = Wario_workloads.Micro
 
-(* A plain run from boot: result and final memory digest, [None] when the
-   supply admits no forward progress. *)
-let from_boot img supply =
-  match
-    let st = E.Emulator.create ~supply img in
-    while not (E.Emulator.halted st) do
-      ignore (E.Emulator.run_batch st 4096)
-    done;
-    (E.Emulator.result st, E.Emulator.nv_digest st)
-  with
-  | exception E.Emulator.No_forward_progress _ -> None
-  | rd -> Some rd
+(* How a run ends: its result, final memory digest and pc, or the
+   emulator's error. *)
+let outcome f =
+  match f () with
+  | exception E.Emulator.No_forward_progress s -> Error (V.Oracle.No_progress s)
+  | exception E.Emulator.Emu_error s -> Error (V.Oracle.Fault s)
+  | st -> Ok (E.Emulator.result st, E.Emulator.nv_digest st, E.Emulator.pc st)
 
-(* The oracle's fork and splice, driven through the emulator API over
-   snapshots at commits 1, 2, 4, ... of the continuous run — taken even
-   when that run violates, where the oracle takes none: there runs really
-   diverge, and only the state comparison keeps them from splicing. *)
-let spliced img (snaps, final, digest) cuts =
-  let supply = E.Power.Schedule cuts in
-  match
-    let before, after =
-      List.partition (fun s -> E.Emulator.snapshot_cycles s <= cuts.(0)) snaps
-    in
-    let st =
-      match List.rev before with
-      | s :: _ -> E.Emulator.resume ~supply ~final s
-      | [] -> E.Emulator.create ~supply img
-    in
-    let rec go = function
-      | s :: rest -> (
-          match E.Emulator.run_to_commit st (E.Emulator.snapshot_commits s) with
-          | E.Emulator.Halted -> go []
-          | _ -> (
-              match E.Emulator.splice st s ~final with
-              | Some r -> (r, digest)
-              | None -> go rest))
-      | [] ->
-          while not (E.Emulator.halted st) do ignore (E.Emulator.step st) done;
-          (E.Emulator.result st, E.Emulator.nv_digest st)
-    in
-    go after
-  with
-  | exception E.Emulator.No_forward_progress _ -> None
-  | rd -> Some rd
+(* A plain run from boot. *)
+let from_boot img supply =
+  outcome (fun () ->
+      let st = E.Emulator.create ~supply img in
+      while not (E.Emulator.halted st) do
+        ignore (E.Emulator.run_batch st 4096)
+      done;
+      st)
+
+(* The oracle's jumps, driven through the emulator API: the same run
+   following the continuous run's log. *)
+let jumped img log supply =
+  outcome (fun () ->
+      let st = E.Emulator.create ~supply img in
+      ignore (E.Emulator.follow st log);
+      st)
 
 type subject = {
   label : string;
+  sabotaged : bool;
   compiled : P.compiled;
   golden : V.Oracle.golden;
-  continuous : E.Emulator.snapshot list * E.Emulator.result * int64;
+  log : E.Emulator.log option;  (** none when the golden run violates *)
+  total : int;  (** the continuous run's cycles *)
   commit_cycles : int array;  (** golden cycle of commit [k] at [k - 1] *)
 }
 
@@ -484,18 +466,9 @@ let replayed_increment () =
   in
   { (P.compile P.Plain "int main() { return 0; }") with P.image = img }
 
-let subject_of (label, c) =
-  let st = E.Emulator.create c.P.image in
-  let snaps = ref [] in
-  let rec go k =
-    match E.Emulator.run_to_commit st k with
-    | E.Emulator.Halted -> ()
-    | _ ->
-        snaps := E.Emulator.snapshot st :: !snaps;
-        go (2 * k)
-  in
-  go 1;
-  let final = E.Emulator.result st in
+let subject_of (label, sabotaged, c) =
+  let golden = V.Oracle.golden c in
+  let final = golden.V.Oracle.g_result in
   (* commit k closes region k; the last region ends at the halt *)
   let ends = Array.of_list final.E.Emulator.region_sizes in
   for i = 1 to Array.length ends - 1 do
@@ -503,17 +476,25 @@ let subject_of (label, c) =
   done;
   {
     label;
+    sabotaged;
     compiled = c;
-    golden = V.Oracle.golden c;
-    continuous = (List.rev !snaps, final, E.Emulator.nv_digest st);
+    golden;
+    log =
+      (let st = E.Emulator.create c.P.image in
+       E.Emulator.start_log st;
+       while not (E.Emulator.halted st) do
+         ignore (E.Emulator.run_batch st 4096)
+       done;
+       E.Emulator.finish_log ~continuous:final st);
+    total = final.E.Emulator.cycles;
     commit_cycles =
       Array.init
         (Array.length ends - 1)
         (fun i -> E.Emulator.boot_cycles + ends.(i));
   }
 
-(* every micro, healthy and — where that changes the image — with its
-   first middle-end checkpoint dropped, and the replayed increment *)
+(* every micro, healthy and under each sabotage that changes its image,
+   and the replayed increment *)
 let subjects =
   lazy
     (Array.of_list
@@ -521,25 +502,30 @@ let subjects =
           (List.concat_map
              (fun (m : Micro.t) ->
                let healthy = P.compile P.Wario m.Micro.source in
-               let sabotaged =
-                 P.compile
-                   ~opts:{ P.default_options with P.drop_middle_ckpt = Some 1 }
-                   P.Wario m.Micro.source
+               let sabotaged (name, sabotage) =
+                 let c =
+                   P.compile
+                     ~opts:{ P.default_options with P.sabotage = sabotage }
+                     P.Wario m.Micro.source
+                 in
+                 if c.P.image.E.Image.code = healthy.P.image.E.Image.code then []
+                 else [ (m.Micro.name ^ " " ^ name, true, c) ]
                in
-               (m.Micro.name, healthy)
-               ::
-               (if sabotaged.P.image.E.Image.code = healthy.P.image.E.Image.code
-                then []
-                else [ (m.Micro.name ^ " drop-ckpt 1", sabotaged) ]))
+               (m.Micro.name, false, healthy)
+               :: List.concat_map sabotaged
+                    [
+                      ("drop-ckpt 1", Some (P.Drop_ckpt 1));
+                      ("drop-reg 0", Some (P.Drop_saved_reg 0));
+                      ("drop-reg 1", Some (P.Drop_saved_reg 1));
+                    ])
              Micro.all
-          @ [ ("replayed increment", replayed_increment ()) ])))
+          @ [ ("replayed increment", false, replayed_increment ()) ])))
 
 (* A random schedule of 1-4 cuts.  The first lands in the boot window,
-   exactly on a snapshot commit's cycle, or anywhere; later on-periods are
-   short (a few regions), long enough to outlast the whole run, or
-   anywhere. *)
+   exactly on a commit's cycle, or anywhere; later on-periods are short
+   (a few regions), long enough to outlast the whole run, or anywhere. *)
 let random_cuts rng (s : subject) =
-  let total = (let _, f, _ = s.continuous in f).E.Emulator.cycles in
+  let total = s.total in
   let n_commits = Array.length s.commit_cycles in
   let short = E.Emulator.boot_cycles + 200 + Random.State.int rng 2000 in
   Array.init
@@ -548,32 +534,56 @@ let random_cuts rng (s : subject) =
       match (i, Random.State.int rng 3) with
       | 0, 0 -> 1 + Random.State.int rng E.Emulator.boot_cycles
       | 0, 1 when n_commits > 0 ->
-          let rec pow k = if 2 * k <= n_commits && Random.State.bool rng then pow (2 * k) else k in
-          s.commit_cycles.(pow 1 - 1)
+          s.commit_cycles.(Random.State.int rng n_commits)
       | 0, _ -> 1 + Random.State.int rng total
       | _, 0 -> 1 + Random.State.int rng short
       | _, 1 -> total + Random.State.int rng total
       | _ -> 1 + Random.State.int rng total)
 
-(* Whether a run is forked from a snapshot, spliced into the golden
-   suffix, or neither, it equals the plain run from boot: the full result
-   record and the verdict through the oracle, the result and the NV digest
-   through the emulator-level driver. *)
-let prop_forked_equals_from_boot =
-  QCheck.Test.make ~name:"oracle runs forked and spliced = runs from boot"
-    ~count:200 (QCheck.int_bound 0x3fffffff)
+(* A harvester schedule: a builtin supply model at mean on-duration
+   1/4, 1/16 or 1/64 of the run, as the campaign draws them. *)
+let supply_cuts rng (s : subject) =
+  let models = Array.of_list V.Supply.builtin in
+  let model = models.(Random.State.int rng (Array.length models)) in
+  let divisor = [| 4; 16; 64 |].(Random.State.int rng 3) in
+  V.Supply.durations model
+    ~seed:(Int64.of_int (Random.State.bits rng))
+    ~mean_on:(max 1 (s.total / divisor))
+    ~total:s.total
+
+(* Whether a run jumps from boot, jumps between commits, jumps to the
+   halt or never jumps, it equals the plain run from boot: the full
+   result record and the verdict through the oracle; the result, NV digest
+   and pc through the emulator-level driver.  Multi-cut schedules, the
+   builtin supply models and periodic supplies. *)
+let prop_jumped_equals_from_boot =
+  QCheck.Test.make ~name:"oracle runs jumped = runs from boot" ~count:300
+    (QCheck.int_bound 0x3fffffff)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let subjects = Lazy.force subjects in
       let s = subjects.(Random.State.int rng (Array.length subjects)) in
-      let cuts = random_cuts rng s in
-      let supply = E.Power.Schedule cuts in
+      let supply =
+        match Random.State.int rng 5 with
+        | 0 | 1 -> E.Power.Schedule (random_cuts rng s)
+        | 2 | 3 -> E.Power.Schedule (supply_cuts rng s)
+        | _ when s.sabotaged ->
+            (* a sabotaged build may loop until the fuel runs out under a
+               supply that never ends *)
+            E.Power.Schedule (supply_cuts rng s)
+        | _ ->
+            (* every period alike, from 1/32 to 1/4 of the run (plus the
+               boot), so that a run spans at most a few dozen periods *)
+            E.Power.Periodic
+              (E.Emulator.boot_cycles + 200 + (s.total / 32)
+              + Random.State.int rng (max 1 (s.total / 4)))
+      in
       let img = s.compiled.P.image in
       let boot = from_boot img supply in
       let want =
         match boot with
-        | None -> (None, Error (V.Oracle.No_progress (E.Power.describe supply)))
-        | Some (r, digest) -> (Some r, V.Oracle.judge s.golden r digest)
+        | Ok (r, digest, _) -> (Some r, V.Oracle.judge s.golden r digest)
+        | Error e -> (None, Error e)
       in
       let fail what =
         QCheck.Test.fail_reportf "%s: %s differs from boot under %s" s.label
@@ -581,16 +591,20 @@ let prop_forked_equals_from_boot =
       in
       (* the oracle's digest shows through its verdict: it is compared
          whenever the run is violation-free *)
-      (V.Oracle.run_schedule s.golden s.compiled cuts = want
+      (V.Oracle.run_supply s.golden s.compiled supply = want
       || fail "oracle result or verdict")
-      && (spliced img s.continuous cuts = boot || fail "spliced result or digest"))
+      &&
+      match s.log with
+      | None -> true
+      | Some log ->
+          jumped img log supply = boot || fail "jumped result, digest or pc")
 
 let suite =
   to_alcotest prop_transforms_preserve_ir
   :: block_equals_reference_test
   :: List.map to_alcotest
        ([ prop_intermittent_agrees; prop_interrupts_safe;
-          prop_forked_equals_from_boot ]
+          prop_jumped_equals_from_boot ]
        @ List.map prop_pipeline_preserves
            [ P.Plain; P.Ratchet; P.Wario; P.Wario_expander ])
   @ [

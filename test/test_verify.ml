@@ -211,15 +211,18 @@ let test_ddmin_minimises () =
 (* ------------------------------------------------------------------ *)
 
 let test_repro_roundtrip () =
-  let r =
-    V.Repro.make ~unroll:8 ~max_region:512 ~drop_ckpt:1 ~seed:77L
-      ~workload:"byte_ops" ~env:P.Wario [| 413; 879 |]
-  in
-  let s = V.Repro.to_string r in
-  Alcotest.(check bool) "one line" false (String.contains s '\n');
-  (match V.Repro.of_string s with
-  | Error e -> Alcotest.failf "failed to parse own output %S: %s" s e
-  | Ok r' -> Alcotest.(check bool) "round-trips" true (r = r'));
+  List.iter
+    (fun sabotage ->
+      let r =
+        V.Repro.make ~unroll:8 ~max_region:512 ~sabotage ~seed:77L
+          ~workload:"byte_ops" ~env:P.Wario [| 413; 879 |]
+      in
+      let s = V.Repro.to_string r in
+      Alcotest.(check bool) "one line" false (String.contains s '\n');
+      match V.Repro.of_string s with
+      | Error e -> Alcotest.failf "failed to parse own output %S: %s" s e
+      | Ok r' -> Alcotest.(check bool) "round-trips" true (r = r'))
+    [ P.Drop_ckpt 1; P.Drop_saved_reg 2 ];
   (* minimal form: only mandatory fields *)
   let r = V.Repro.make ~workload:"arith" ~env:P.Ratchet [||] in
   (match V.Repro.of_string (V.Repro.to_string r) with
@@ -260,7 +263,7 @@ let test_harness_green_on_healthy () =
     (report.V.Campaign.k_schedules >= small_config.V.Campaign.budget)
 
 (* The acceptance-criterion test: a deliberately broken checkpoint
-   schedule (the test-only drop_middle_ckpt hook removes one middle-end
+   schedule (the test-only Drop_ckpt hook removes one middle-end
    checkpoint, re-opening a WAR window) must be caught and shrunk to a
    reproducer of at most 3 cut points. *)
 let test_sabotaged_build_caught () =
@@ -269,7 +272,7 @@ let test_sabotaged_build_caught () =
     {
       small_config with
       V.Campaign.opts =
-        { P.default_options with P.drop_middle_ckpt = Some 1 };
+        { P.default_options with P.sabotage = Some (P.Drop_ckpt 1) };
     }
   in
   let report =
@@ -285,8 +288,8 @@ let test_sabotaged_build_caught () =
       (match V.Repro.of_string line with
       | Error e -> Alcotest.failf "reproducer %S does not parse: %s" line e
       | Ok r -> (
-          Alcotest.(check (option int)) "repro carries the sabotage hook"
-            (Some 1) r.V.Repro.drop_ckpt;
+          Alcotest.(check bool) "repro carries the sabotage hook" true
+            (r.V.Repro.sabotage = Some (P.Drop_ckpt 1));
           match V.Corpus.replay_repro r with
           | Ok () -> Alcotest.failf "replay of %S did not reproduce" line
           | Error _ -> ())));
@@ -306,7 +309,7 @@ let test_sabotaged_build_caught () =
    echoing the verifier. *)
 let test_sabotage_diverges_without_verifier () =
   let m = M.find "rmw_loop" in
-  let opts = { P.default_options with P.drop_middle_ckpt = Some 4 } in
+  let opts = { P.default_options with P.sabotage = Some (P.Drop_ckpt 4) } in
   let c = P.compile ~opts P.Wario m.M.source in
   let cont = E.Emulator.run ~verify:false c.P.image in
   let ref_ = V.Schedule.reference_of_result cont in
