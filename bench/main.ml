@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§5) on the TM2 emulator, plus Bechamel micro-benchmarks of
-   the compiler itself (one Test.make per table/figure family).
+   evaluation (§5) on the TM2 emulator.  The compiler's own pass timings
+   are per-layer metrics of the end-to-end benchmark (bench/e2e).
 
      dune exec bench/main.exe                     # everything
      dune exec bench/main.exe fig4                # one artefact
@@ -10,8 +10,8 @@
      dune exec bench/main.exe -- --jobs 8 place6  # place6 + BENCH_6.json
      dune exec bench/main.exe -- --small --artefact emu    # CI smoke
 
-   Artefacts: fig4 fig5 tab1 tab2 fig6 fig7 tab3 tab4 ext cert profile
-   bechamel emu place6 cache.  The three gated ones (emu, place6, cache)
+   Artefacts: fig4 fig5 tab1 tab2 fig6 fig7 tab3 tab4 ext profile emu
+   place6 cache.  The three gated ones (emu, place6, cache)
    each write a BENCH_*.json of (program, metric, value, unit, better)
    rows, the one schema [iclang stats] reads.  The compile+run cache is
    prefilled on --jobs domains (default and 0: the host's domain count;
@@ -503,39 +503,6 @@ let ext () =
        rows)
 
 (* ------------------------------------------------------------------ *)
-(* Certifier cost: static WAR-freedom check wall-time                   *)
-(* ------------------------------------------------------------------ *)
-
-let cert () =
-  print_endline
-    "\n=== Certifier: static WAR-freedom check wall-time per benchmark × \
-     environment ===\n";
-  let header = "benchmark" :: List.map P.environment_name instrumented_envs in
-  let rows =
-    List.map
-      (fun b ->
-        b.W.name
-        :: List.map
-             (fun env ->
-               let e = get b env in
-               let t0 = Unix.gettimeofday () in
-               let v = P.certify e.compiled in
-               let dt = (Unix.gettimeofday () -. t0) *. 1000. in
-               match v with
-               | Wario_certify.Certify.Certified st ->
-                   Printf.sprintf "%.1f ms (%d pairs)" dt
-                     st.Wario_certify.Certify.s_pairs
-               | Wario_certify.Certify.Rejected _ ->
-                   Printf.sprintf "%.1f ms REJECTED" dt)
-             instrumented_envs)
-      benchmarks
-  in
-  print_string (Report.table header rows);
-  print_endline
-    "\n(compile-time cost of [iclang certify]; every cell should certify —\n\
-    \ a REJECTED here is a pipeline bug, see lib/certify)"
-
-(* ------------------------------------------------------------------ *)
 (* Profile: traced per-function attribution (lib/obs)                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -603,65 +570,6 @@ let tab4 () =
   print_newline ();
   print_string (Report.table4 ());
   print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel: compiler throughput micro-benchmarks                       *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  print_endline
-    "\n=== Bechamel: compiler pass timings (one per artefact family) ===\n";
-  let open Bechamel in
-  let sha = W.find "sha" in
-  let mk_prog () =
-    let p = Wario_minic.Minic.compile sha.W.source in
-    Wario_transforms.Opt_pipeline.run p;
-    p
-  in
-  let precompiled = P.compile P.Wario sha.W.source in
-  let tests =
-    [
-      Test.make ~name:"fig4.compile-wario"
-        (Staged.stage (fun () -> ignore (P.compile P.Wario sha.W.source)));
-      Test.make ~name:"fig5.checkpoint-inserter"
-        (Staged.stage (fun () ->
-             ignore (Wario_transforms.Checkpoint_inserter.run (mk_prog ()))));
-      Test.make ~name:"tab1.compile-ratchet"
-        (Staged.stage (fun () -> ignore (P.compile P.Ratchet sha.W.source)));
-      Test.make ~name:"tab2.encode-text-size"
-        (Staged.stage (fun () ->
-             ignore (Wario_machine.Encode.text_size precompiled.P.mprog)));
-      Test.make ~name:"fig6.loop-write-clusterer"
-        (Staged.stage (fun () ->
-             ignore
-               (Wario_transforms.Loop_write_clusterer.run ~unroll_factor:8
-                  (mk_prog ()))));
-      Test.make ~name:"fig7.frontend-and-o3"
-        (Staged.stage (fun () -> ignore (mk_prog ())));
-      Test.make ~name:"tab3.trace-generation"
-        (Staged.stage (fun () -> ignore (E.Traces.rf_trace ())));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let raws =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"wario" tests)
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raws in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
-      let v =
-        match Analyze.OLS.estimates est with
-        | Some (v :: _) -> Printf.sprintf "%.0f ns/run" v
-        | _ -> "n/a"
-      in
-      rows := [ name; v ] :: !rows)
-    results;
-  print_string (Report.table [ "pass"; "time" ] (List.sort compare !rows))
 
 (* ------------------------------------------------------------------ *)
 (* Gated artefacts: settings, timing and the row writer                 *)
@@ -1232,7 +1140,7 @@ let artefacts =
   [
     ("fig4", fig4); ("fig5", fig5); ("tab1", tab1); ("tab2", tab2);
     ("fig6", fig6); ("fig7", fig7); ("tab3", tab3); ("tab4", tab4);
-    ("ext", ext); ("cert", cert); ("profile", profile); ("bechamel", bechamel);
+    ("ext", ext); ("profile", profile);
     ("emu", emu); ("place6", place6); ("cache", cache_bench);
   ]
 

@@ -818,17 +818,6 @@ and trial_expand ~opts env (prog : Ir.program) : T.Expander.stats * int * int
 
 let stage_names = [ "front"; "wir"; "place"; "mach"; "image" ]
 
-(* Mirrors Emulator.create's sampling of WARIO_SAVE_ALL exactly ("" and
-   "0" mean off).  The flag only matters to compilation under
-   [Interprocedural] (trial compiles run the emulator to audition
-   inlines), but it participates in every post-frontend key: the cache
-   must never have to reason about which configurations could have
-   observed it.  Sampled per call, not memoized — tests flip it. *)
-let save_all_sampled () =
-  match Sys.getenv_opt "WARIO_SAVE_ALL" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
 let canon_bool b = if b then "1" else "0"
 let canon_opt_int = function None -> "-" | Some n -> string_of_int n
 
@@ -871,13 +860,18 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
     opts.placement = T.Checkpoint_inserter.Interprocedural
     && env <> Plain && opts.expander_size_limit > 0
   in
+  (* The emulator's own sampling of WARIO_SAVE_ALL, per call (tests flip
+     it).  It only matters to trial compiles, but it enters every
+     post-frontend key: the cache must never have to reason about which
+     configurations could have observed it. *)
+  let save_all = canon_bool (Wario_emulator.Emulator.save_all_sampled ()) in
   let k_wir =
     Cache.Key.of_parts
       ([
          ("stage", "wir");
          ("parent", k_front);
          ("env", environment_name env);
-         ("save_all", canon_bool (save_all_sampled ()));
+         ("save_all", save_all);
          ("optimize", canon_bool opts.optimize);
          ("unroll_factor", string_of_int opts.unroll_factor);
          ("expander_size_limit", string_of_int opts.expander_size_limit);
@@ -891,7 +885,7 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
           ("trial_drop_middle_ckpt", canon_opt_int (dropped_ckpt opts));
           ("trial_elide", canon_bool opts.elide);
           ("trial_motion", canon_bool opts.motion);
-          ("trial_save_all", canon_bool (save_all_sampled ()));
+          ("trial_save_all", save_all);
         ]
         @ dropped_reg opts "trial_drop_saved_reg"
       else [])

@@ -29,6 +29,10 @@ exception No_forward_progress of string
 
 let no_forward_progress_threshold = 2000
 let boot_cycles = 400
+
+(* hardware exception entry: the eight-word frame push, an empty handler
+   and the return *)
+let irq_entry_cycles = 24
 let halt_magic = 0x7fffffffl
 
 type violation = { v_pc : int; v_func : string; v_addr : int; v_instr : string }
@@ -96,37 +100,6 @@ let[@inline] st32 mem a v =
   st16 mem a v;
   st16 mem (a + 2) (v lsr 16)
 
-(* Predecoded micro-ops for the block compiler.  Every static decode
-   decision — operand shape (register vs immediate), access width, ALU
-   operator — is folded into one constant constructor at [create], so the
-   compiler picks each instruction's closure by one match over an
-   immediate array instead of re-matching nested variants (and re-unboxing
-   [int32] immediates). *)
-type uop =
-  (* ALU, register / immediate second operand *)
-  | U_add_r | U_sub_r | U_rsb_r | U_mul_r | U_sdiv_r | U_udiv_r
-  | U_and_r | U_orr_r | U_eor_r | U_lsl_r | U_lsr_r | U_asr_r
-  | U_add_i | U_sub_i | U_rsb_i | U_mul_i | U_sdiv_i | U_udiv_i
-  | U_and_i | U_orr_i | U_eor_i | U_lsl_i | U_lsr_i | U_asr_i
-  (* moves and compares *)
-  | U_mov_r | U_mov_i | U_movw
-  | U_movc_r | U_movc_i
-  | U_cmp_r | U_cmp_i
-  (* loads: immediate offset / register offset, by width *)
-  | U_ldr8 | U_ldr8s | U_ldr16 | U_ldr16s | U_ldr32
-  | U_ldrr8 | U_ldrr8s | U_ldrr16 | U_ldrr16s | U_ldrr32
-  (* stores (sign-extending widths store identically to their unsigned
-     twins, so S8/S16 fold into W8/W16 at predecode) *)
-  | U_str8 | U_str16 | U_str32
-  | U_strr8 | U_strr16 | U_strr32
-  | U_push
-  (* control *)
-  | U_b | U_bc | U_bl | U_bx_lr
-  (* intermittence support *)
-  | U_ckpt | U_cpsid | U_cpsie
-  | U_svc_print | U_svc_halt
-  | U_pseudo
-
 (* Pages of [page_size] bytes: the unit of the written-page bitmap and of
    the copies a jump check keeps.  1 KiB keeps a copy near the bytes
    actually written (a stack top, a few globals) while the checkpoint area
@@ -184,7 +157,7 @@ type log = {
    their contents there. *)
 and base = {
   b_regs : int array;
-  b_counts : int array;  (** entry, exit, middle, back end *)
+  b_counts : int array;  (** as [counts] *)
   b_calls : int array;
   b_pages : int array;
   b_data : Bytes.t;  (** page [b_pages.(i)] at [i * page_size] *)
@@ -293,7 +266,8 @@ type state = {
       (** after a jump to the halt from commit [k]: [k], and the logged
           regions from [k + 1] on follow [regions_rev]; -1 otherwise *)
   (* stats *)
-  counts : cause_counts;
+  counts : int array;
+      (** commits by [cause_code]; console commits are not counted *)
   mutable region_start : int;
   mutable regions_rev : int list;
       (** closed regions, newest first; a negative entry stands for the
@@ -311,21 +285,11 @@ type state = {
      paid for once here instead of per step: *)
   save_all : bool;  (** WARIO_SAVE_ALL, read once at [create] *)
   debug_boots : bool;  (** WARIO_DEBUG_EMU, read once at [create] *)
-  cost : int array;  (** static spend per pc ([Bc]: the taken cost, 3) *)
+  cost : int array;
+      (** [instr_cycles] per pc ([Bc]: the taken cost, the larger) *)
   eff_mask : int array;
       (** effective checkpoint mask per pc ([Ckpt]/[Svc 0]); -1 elsewhere *)
-  push_n : int array;  (** registers pushed per pc ([Push]); 0 elsewhere *)
   call_fn : int array;  (** callee's [fn_names] slot per pc ([Bl]); -1 *)
-  (* predecoded program (block engine): micro-op plus up to three int
-     operands per pc.  Operand meaning is per-[uop]: register numbers,
-     sign-extended immediates/offsets, branch targets, callee slots.
-     [fcond] carries the condition for [U_bc]/[U_movc_*] pcs ([AL]
-     elsewhere).  All five are immediate arrays — reads never allocate. *)
-  fop : uop array;
-  fa : int array;
-  fb : int array;
-  fc : int array;
-  fcond : I.cond array;
   (* profiling: per-pc execution counts for the PGO pilot run ([None] =
      off).  Counting forces the reference path ([fast_eligible] checks it):
      compiled blocks never touch per-pc state. *)
@@ -605,6 +569,31 @@ let popcount mask =
 let ckpt_cost mask = 12 + (2 * (popcount mask + 3)) (* + sp, pc, flags *)
 let restore_cost mask = 8 + (2 * (popcount mask + 3))
 
+(* The registers a commit saves: a checkpoint's live mask (r0-r14 under
+   WARIO_SAVE_ALL), r0-r12 and lr for console output; -1 for any other
+   instruction. *)
+let saved_mask ~save_all : I.instr -> int = function
+  | I.Ckpt (_, mask) -> if save_all then 0x7fff else mask
+  | I.Svc 0 -> 0x5fff
+  | _ -> -1
+
+(* The cycle model: the cycles one instruction spends, [taken] telling
+   whether a conditional branch branches (a taken branch refills the
+   three-stage pipeline).  Pseudo instructions never execute. *)
+let instr_cycles ~save_all ~taken (ins : I.instr) =
+  match ins with
+  | I.Alu ((I.SDIV | I.UDIV), _, _, _) -> 6
+  | I.Alu _ | I.Mov _ | I.Movc _ | I.Cmp _ | I.Cpsid | I.Cpsie -> 1
+  | I.Movw32 _ | I.Ldr _ | I.LdrR _ | I.Str _ | I.StrR _ | I.AdrData _ -> 2
+  | I.Push rs -> 1 + List.length rs
+  | I.B _ | I.Bx_lr -> 3
+  | I.Bc _ -> if taken then 3 else 1
+  | I.Bl _ -> 4
+  | I.Ckpt _ -> ckpt_cost (saved_mask ~save_all ins)
+  | I.Svc 0 -> 2 + ckpt_cost (saved_mask ~save_all ins)
+  | I.Svc _ -> 1
+  | I.FrameAddr _ | I.SpillLd _ | I.SpillSt _ -> 0
+
 let active_buffer st =
   let s0 = raw_load32 st (buf_addr 0) and s1 = raw_load32 st (buf_addr 1) in
   if s0 = 0 && s1 = 0 then None
@@ -675,6 +664,11 @@ let cause_code : Tr.cause -> int = function
   | Tr.Backend -> 3
   | Tr.Console -> 4
 
+(* The one place a commit's cause is counted, whether the run makes the
+   commit or jumps over it; console commits (4) are not counted. *)
+let[@inline] count_cause counts code =
+  if code < 4 then Array.unsafe_set counts code (Array.unsafe_get counts code + 1)
+
 let meta_of st pc cause =
   (pc lsl 8) lor (cause lsl 5)
   lor (if st.primask then 16 else 0)
@@ -741,15 +735,13 @@ let record_region st r =
   done;
   words_add r.r_off (words_length r.r_ops)
 
-(* Called by the commit itself, before the shadow is cleared and before
-   the cause is counted; the checkpoint instruction retires right
-   after. *)
-let record_commit st r cause resume_pc =
+(* Called by the commit itself, after its cause is counted and before the
+   shadow is cleared; the checkpoint instruction retires right after. *)
+let record_commit st r code resume_pc =
   let j = st.commits in
   record_region st r;
   words_add r.r_cyc st.cycles;
   words_add r.r_ins (st.instrs + 1);
-  let code = cause_code cause in
   words_add r.r_meta (meta_of st resume_pc code);
   if code = 4 then r.r_out_at <- j :: r.r_out_at;
   if j mod base_stride = 0 then begin
@@ -761,13 +753,10 @@ let record_commit st r cause resume_pc =
         Bytes.set r.r_touched p '\000')
       pages;
     r.r_pages <- [];
-    let c = st.counts in
-    let counts = [| c.c_entry; c.c_exit; c.c_middle; c.c_backend |] in
-    if code < 4 then counts.(code) <- counts.(code) + 1;
     r.r_bases <-
       {
         b_regs = Array.copy st.regs;
-        b_counts = counts;
+        b_counts = Array.copy st.counts;
         b_calls = Array.copy st.fn_calls;
         b_pages = pages;
         b_data = data;
@@ -801,6 +790,8 @@ let commit_checkpoint st ~(cause : Tr.cause) mask resume_pc =
   st.boots_since_commit <- 0;
   st.commits <- st.commits + 1;
   st.work_at_commit <- work_total st;
+  let code = cause_code cause in
+  count_cause st.counts code;
   if st.trace_on then
     Tr.emit st.tracer st.cycles
       (Tr.Checkpoint
@@ -813,7 +804,7 @@ let commit_checkpoint st ~(cause : Tr.cause) mask resume_pc =
            cost = ckpt_cost mask;
          });
   (match st.recorder with
-  | Some r -> record_commit st r cause resume_pc
+  | Some r -> record_commit st r code resume_pc
   | None -> ());
   region_boundary st
 
@@ -941,7 +932,7 @@ let power_failure st =
    run an empty handler, pop, return.  The pushes are real tracked writes:
    this is precisely the ISR WAR hazard of paper §3.1.3. *)
 let take_irq st =
-  spend st 24;
+  spend st irq_entry_cycles;
   let sp = st.regs.(I.sp) in
   let frame = sp - 32 in
   let values =
@@ -982,125 +973,97 @@ let maybe_irq st =
 
 let op2 st = function I.R r -> st.regs.(r) | I.I i -> Int32.to_int i
 
+(* Every instruction spends its [cost] entry, an untaken [Bc] its
+   untaken cost; a pseudo instruction raises without spending. *)
 let exec_instr st (ins : I.instr) =
-  let next = st.pc + 1 in
+  let pc = st.pc in
+  let next = pc + 1 in
   match ins with
-  | I.Alu (op, rd, rn, o) ->
-      spend st (match op with I.SDIV | I.UDIV -> 6 | _ -> 1);
-      st.regs.(rd) <- eval_alu op st.regs.(rn) (op2 st o);
-      st.pc <- next
-  | I.Mov (rd, o) ->
-      spend st 1;
-      st.regs.(rd) <- op2 st o;
-      st.pc <- next
-  | I.Movw32 (rd, v) ->
-      spend st 2;
-      st.regs.(rd) <- Int32.to_int v;
-      st.pc <- next
-  | I.Movc (c, rd, o) ->
-      spend st 1;
-      if cond_holds st c then st.regs.(rd) <- op2 st o;
-      st.pc <- next
-  | I.Cmp (rn, o) ->
-      spend st 1;
-      set_flags st st.regs.(rn) (op2 st o);
-      st.pc <- next
-  | I.Ldr (w, rd, rn, off) ->
-      spend st 2;
-      st.regs.(rd) <- load st w (st.regs.(rn) + Int32.to_int off);
-      st.pc <- next
-  | I.LdrR (w, rd, rn, rm) ->
-      spend st 2;
-      st.regs.(rd) <- load st w (st.regs.(rn) + st.regs.(rm));
-      st.pc <- next
-  | I.Str (w, rd, rn, off) ->
-      spend st 2;
-      store st w (st.regs.(rn) + Int32.to_int off) st.regs.(rd);
-      st.pc <- next
-  | I.StrR (w, rd, rn, rm) ->
-      spend st 2;
-      store st w (st.regs.(rn) + st.regs.(rm)) st.regs.(rd);
-      st.pc <- next
-  | I.AdrData (rd, _, _) ->
-      spend st 2;
-      st.regs.(rd) <- Int32.to_int st.img.Image.adr.(st.pc);
-      st.pc <- next
-  | I.Push rs ->
-      spend st st.cost.(st.pc);
-      let n = st.push_n.(st.pc) in
-      let sp = st.regs.(I.sp) - (4 * n) in
-      check_addr st sp (4 * n);
-      List.iteri
-        (fun i r ->
-          track_write st (sp + (4 * i)) 4;
-          raw_store32 st (sp + (4 * i)) st.regs.(r))
-        rs;
-      st.regs.(I.sp) <- sp;
-      st.pc <- next
-  | I.B _ ->
-      spend st 3;
-      st.pc <- st.img.Image.target.(st.pc)
-  | I.Bc (c, _) ->
-      if cond_holds st c then begin
-        spend st 3;
-        st.pc <- st.img.Image.target.(st.pc)
-      end
-      else begin
-        spend st 1;
-        st.pc <- next
-      end
-  | I.Bl _ ->
-      spend st 4;
-      let idx = st.call_fn.(st.pc) in
-      st.fn_calls.(idx) <- st.fn_calls.(idx) + 1;
-      st.regs.(I.lr) <- next;
-      st.pc <- st.img.Image.target.(st.pc)
-  | I.Bx_lr ->
-      spend st 3;
-      if st.regs.(I.lr) = halt_magic_i then begin
-        st.halted <- true;
-        st.exit_code <- Int32.of_int st.regs.(0);
-        if st.trace_on then
-          Tr.emit st.tracer st.cycles (Tr.Halt { exit_code = st.exit_code })
-      end
-      else st.pc <- st.regs.(I.lr)
-  | I.Ckpt (cause, _) ->
-      (* effective mask (WARIO_SAVE_ALL folded in) and its cost are
-         precomputed per pc by [create] *)
-      let mask = st.eff_mask.(st.pc) in
-      spend st st.cost.(st.pc);
-      commit_checkpoint st ~cause:(obs_cause cause) mask next;
-      (match cause with
-      | I.Function_entry -> st.counts.c_entry <- st.counts.c_entry + 1
-      | I.Function_exit -> st.counts.c_exit <- st.counts.c_exit + 1
-      | I.Middle_end_war -> st.counts.c_middle <- st.counts.c_middle + 1
-      | I.Back_end_war -> st.counts.c_backend <- st.counts.c_backend + 1);
-      st.pc <- next
-  | I.Cpsid ->
-      spend st 1;
-      st.primask <- true;
-      st.pc <- next
-  | I.Cpsie ->
-      spend st 1;
-      st.primask <- false;
-      st.pc <- next
-  | I.Svc 0 ->
-      (* console output, made atomic with an implicit checkpoint (the
-         standard treatment of peripheral output; not counted in the cause
-         statistics) *)
-      let mask = st.eff_mask.(st.pc) in
-      spend st st.cost.(st.pc);
-      st.out_rev <- Int32.of_int st.regs.(0) :: st.out_rev;
-      commit_checkpoint st ~cause:Tr.Console mask next;
-      st.pc <- next
-  | I.Svc _ ->
-      spend st 1;
-      st.halted <- true;
-      st.exit_code <- Int32.of_int st.regs.(0);
-      if st.trace_on then
-        Tr.emit st.tracer st.cycles (Tr.Halt { exit_code = st.exit_code })
   | I.FrameAddr _ | I.SpillLd _ | I.SpillSt _ ->
       raise (Emu_error ("pseudo instruction in linked code: " ^ I.string_of_instr ins))
+  | I.Bc (c, _) when not (cond_holds st c) ->
+      spend st (instr_cycles ~save_all:st.save_all ~taken:false ins);
+      st.pc <- next
+  | _ -> (
+      spend st st.cost.(pc);
+      match ins with
+      | I.Alu (op, rd, rn, o) ->
+          st.regs.(rd) <- eval_alu op st.regs.(rn) (op2 st o);
+          st.pc <- next
+      | I.Mov (rd, o) ->
+          st.regs.(rd) <- op2 st o;
+          st.pc <- next
+      | I.Movw32 (rd, v) ->
+          st.regs.(rd) <- Int32.to_int v;
+          st.pc <- next
+      | I.Movc (c, rd, o) ->
+          if cond_holds st c then st.regs.(rd) <- op2 st o;
+          st.pc <- next
+      | I.Cmp (rn, o) ->
+          set_flags st st.regs.(rn) (op2 st o);
+          st.pc <- next
+      | I.Ldr (w, rd, rn, off) ->
+          st.regs.(rd) <- load st w (st.regs.(rn) + Int32.to_int off);
+          st.pc <- next
+      | I.LdrR (w, rd, rn, rm) ->
+          st.regs.(rd) <- load st w (st.regs.(rn) + st.regs.(rm));
+          st.pc <- next
+      | I.Str (w, rd, rn, off) ->
+          store st w (st.regs.(rn) + Int32.to_int off) st.regs.(rd);
+          st.pc <- next
+      | I.StrR (w, rd, rn, rm) ->
+          store st w (st.regs.(rn) + st.regs.(rm)) st.regs.(rd);
+          st.pc <- next
+      | I.AdrData (rd, _, _) ->
+          st.regs.(rd) <- Int32.to_int st.img.Image.adr.(pc);
+          st.pc <- next
+      | I.Push rs ->
+          let n = List.length rs in
+          let sp = st.regs.(I.sp) - (4 * n) in
+          check_addr st sp (4 * n);
+          List.iteri
+            (fun i r ->
+              track_write st (sp + (4 * i)) 4;
+              raw_store32 st (sp + (4 * i)) st.regs.(r))
+            rs;
+          st.regs.(I.sp) <- sp;
+          st.pc <- next
+      | I.B _ | I.Bc _ -> st.pc <- st.img.Image.target.(pc)
+      | I.Bl _ ->
+          let idx = st.call_fn.(pc) in
+          st.fn_calls.(idx) <- st.fn_calls.(idx) + 1;
+          st.regs.(I.lr) <- next;
+          st.pc <- st.img.Image.target.(pc)
+      | I.Bx_lr ->
+          if st.regs.(I.lr) = halt_magic_i then begin
+            st.halted <- true;
+            st.exit_code <- Int32.of_int st.regs.(0);
+            if st.trace_on then
+              Tr.emit st.tracer st.cycles (Tr.Halt { exit_code = st.exit_code })
+          end
+          else st.pc <- st.regs.(I.lr)
+      | I.Ckpt (cause, _) ->
+          commit_checkpoint st ~cause:(obs_cause cause) st.eff_mask.(pc) next;
+          st.pc <- next
+      | I.Cpsid ->
+          st.primask <- true;
+          st.pc <- next
+      | I.Cpsie ->
+          st.primask <- false;
+          st.pc <- next
+      | I.Svc 0 ->
+          (* console output, made atomic with an implicit checkpoint (the
+             standard treatment of peripheral output; not counted in the
+             cause statistics) *)
+          st.out_rev <- Int32.of_int st.regs.(0) :: st.out_rev;
+          commit_checkpoint st ~cause:Tr.Console st.eff_mask.(pc) next;
+          st.pc <- next
+      | I.Svc _ ->
+          st.halted <- true;
+          st.exit_code <- Int32.of_int st.regs.(0);
+          if st.trace_on then
+            Tr.emit st.tracer st.cycles (Tr.Halt { exit_code = st.exit_code })
+      | I.FrameAddr _ | I.SpillLd _ | I.SpillSt _ -> assert false)
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                            *)
@@ -1141,21 +1104,24 @@ let fresh_buffers () =
 
 type t = state
 
+(* "" and "0" mean off, so tests (and shells) can clear a flag without
+   [unsetenv] *)
+let env_flag name =
+  match Sys.getenv_opt name with
+  | None | Some "" | Some "0" -> false
+  | Some _ -> true
+
+let save_all_sampled () = env_flag "WARIO_SAVE_ALL"
+
 (* Per-pc cost/mask/callee tables, computed once per instance.  They fold
-   every static per-instruction decision — ALU cost class, checkpoint mask
-   (incl. the WARIO_SAVE_ALL override) and its popcount-derived cost, push
-   width, callee identity — out of the interpreter loop. *)
+   every static per-instruction decision — [instr_cycles], checkpoint mask
+   (incl. the WARIO_SAVE_ALL override) and callee identity — out of the
+   interpreter loop. *)
 let build_tables ~save_all (img : Image.t) =
   let n = Array.length img.Image.code in
-  let cost = Array.make n 1
+  let cost = Array.make n 0
   and eff_mask = Array.make n (-1)
-  and push_n = Array.make n 0
-  and call_fn = Array.make n (-1)
-  and fop = Array.make n U_pseudo
-  and fa = Array.make n 0
-  and fb = Array.make n 0
-  and fc = Array.make n 0
-  and fcond = Array.make n I.AL in
+  and call_fn = Array.make n (-1) in
   (* dense function indexing, in func_of_pc order (deterministic) *)
   let index = Hashtbl.create 16 in
   let names_rev = ref [] in
@@ -1170,158 +1136,22 @@ let build_tables ~save_all (img : Image.t) =
   in
   Array.iter (fun f -> ignore (fn_index f)) img.Image.func_of_pc;
   for pc = 0 to n - 1 do
-    cost.(pc) <-
-      (match img.Image.code.(pc) with
-      | I.Alu (op, _, _, _) -> (
-          match op with I.SDIV | I.UDIV -> 6 | _ -> 1)
-      | I.Mov _ | I.Movc _ | I.Cmp _ | I.Cpsid | I.Cpsie -> 1
-      | I.Movw32 _ | I.Ldr _ | I.LdrR _ | I.Str _ | I.StrR _ | I.AdrData _ ->
-          2
-      | I.Push rs ->
-          push_n.(pc) <- List.length rs;
-          1 + List.length rs
-      | I.B _ | I.Bx_lr -> 3
-      | I.Bc _ -> 3 (* taken; not-taken costs 1 *)
-      | I.Bl _ ->
-          call_fn.(pc) <-
-            fn_index img.Image.func_of_pc.(img.Image.target.(pc));
-          4
-      | I.Ckpt (_, mask) ->
-          let m = if save_all then 0x7fff else mask in
-          eff_mask.(pc) <- m;
-          ckpt_cost m
-      | I.Svc 0 ->
-          eff_mask.(pc) <- 0x5fff;
-          2 + ckpt_cost 0x5fff
-      | I.Svc _ -> 1
-      | I.FrameAddr _ | I.SpillLd _ | I.SpillSt _ -> 1 (* raises on execute *));
-    (* predecode (reads [call_fn] for Bl, so it runs after the cost pass
-       above has filled this pc's slot) *)
-    (match img.Image.code.(pc) with
-    | I.Alu (op, rd, rn, o) ->
-        fa.(pc) <- rd;
-        fb.(pc) <- rn;
-        fop.(pc) <-
-          (match (op, o) with
-          | I.ADD, I.R _ -> U_add_r | I.SUB, I.R _ -> U_sub_r
-          | I.RSB, I.R _ -> U_rsb_r | I.MUL, I.R _ -> U_mul_r
-          | I.SDIV, I.R _ -> U_sdiv_r | I.UDIV, I.R _ -> U_udiv_r
-          | I.AND, I.R _ -> U_and_r | I.ORR, I.R _ -> U_orr_r
-          | I.EOR, I.R _ -> U_eor_r | I.LSL, I.R _ -> U_lsl_r
-          | I.LSR, I.R _ -> U_lsr_r | I.ASR, I.R _ -> U_asr_r
-          | I.ADD, I.I _ -> U_add_i | I.SUB, I.I _ -> U_sub_i
-          | I.RSB, I.I _ -> U_rsb_i | I.MUL, I.I _ -> U_mul_i
-          | I.SDIV, I.I _ -> U_sdiv_i | I.UDIV, I.I _ -> U_udiv_i
-          | I.AND, I.I _ -> U_and_i | I.ORR, I.I _ -> U_orr_i
-          | I.EOR, I.I _ -> U_eor_i | I.LSL, I.I _ -> U_lsl_i
-          | I.LSR, I.I _ -> U_lsr_i | I.ASR, I.I _ -> U_asr_i);
-        fc.(pc) <- (match o with I.R rm -> rm | I.I i -> Int32.to_int i)
-    | I.Mov (rd, o) ->
-        fa.(pc) <- rd;
-        (match o with
-        | I.R rm ->
-            fop.(pc) <- U_mov_r;
-            fc.(pc) <- rm
-        | I.I i ->
-            fop.(pc) <- U_mov_i;
-            fc.(pc) <- Int32.to_int i)
-    | I.Movw32 (rd, v) ->
-        fop.(pc) <- U_movw;
-        fa.(pc) <- rd;
-        fc.(pc) <- Int32.to_int v
-    | I.AdrData (rd, _, _) ->
-        (* the link-resolved constant: same "load constant" micro-op *)
-        fop.(pc) <- U_movw;
-        fa.(pc) <- rd;
-        fc.(pc) <- Int32.to_int img.Image.adr.(pc)
-    | I.Movc (c, rd, o) ->
-        fa.(pc) <- rd;
-        fcond.(pc) <- c;
-        (match o with
-        | I.R rm ->
-            fop.(pc) <- U_movc_r;
-            fc.(pc) <- rm
-        | I.I i ->
-            fop.(pc) <- U_movc_i;
-            fc.(pc) <- Int32.to_int i)
-    | I.Cmp (rn, o) ->
-        fa.(pc) <- rn;
-        (match o with
-        | I.R rm ->
-            fop.(pc) <- U_cmp_r;
-            fc.(pc) <- rm
-        | I.I i ->
-            fop.(pc) <- U_cmp_i;
-            fc.(pc) <- Int32.to_int i)
-    | I.Ldr (w, rd, rn, off) ->
-        fa.(pc) <- rd;
-        fb.(pc) <- rn;
-        fc.(pc) <- Int32.to_int off;
-        fop.(pc) <-
-          (match w with
-          | I.W8 -> U_ldr8 | I.S8 -> U_ldr8s
-          | I.W16 -> U_ldr16 | I.S16 -> U_ldr16s
-          | I.W32 -> U_ldr32)
-    | I.LdrR (w, rd, rn, rm) ->
-        fa.(pc) <- rd;
-        fb.(pc) <- rn;
-        fc.(pc) <- rm;
-        fop.(pc) <-
-          (match w with
-          | I.W8 -> U_ldrr8 | I.S8 -> U_ldrr8s
-          | I.W16 -> U_ldrr16 | I.S16 -> U_ldrr16s
-          | I.W32 -> U_ldrr32)
-    | I.Str (w, rd, rn, off) ->
-        fa.(pc) <- rd;
-        fb.(pc) <- rn;
-        fc.(pc) <- Int32.to_int off;
-        fop.(pc) <-
-          (match w with
-          | I.W8 | I.S8 -> U_str8
-          | I.W16 | I.S16 -> U_str16
-          | I.W32 -> U_str32)
-    | I.StrR (w, rd, rn, rm) ->
-        fa.(pc) <- rd;
-        fb.(pc) <- rn;
-        fc.(pc) <- rm;
-        fop.(pc) <-
-          (match w with
-          | I.W8 | I.S8 -> U_strr8
-          | I.W16 | I.S16 -> U_strr16
-          | I.W32 -> U_strr32)
-    | I.Push _ ->
-        (* the register list itself is re-read from [code] on execution *)
-        fop.(pc) <- U_push;
-        fa.(pc) <- push_n.(pc)
-    | I.B _ ->
-        fop.(pc) <- U_b;
-        fc.(pc) <- img.Image.target.(pc)
-    | I.Bc (c, _) ->
-        fop.(pc) <- U_bc;
-        fcond.(pc) <- c;
-        fc.(pc) <- img.Image.target.(pc)
+    let ins = img.Image.code.(pc) in
+    cost.(pc) <- instr_cycles ~save_all ~taken:true ins;
+    eff_mask.(pc) <- saved_mask ~save_all ins;
+    match ins with
     | I.Bl _ ->
-        fop.(pc) <- U_bl;
-        fa.(pc) <- call_fn.(pc);
-        fc.(pc) <- img.Image.target.(pc)
-    | I.Bx_lr -> fop.(pc) <- U_bx_lr
-    | I.Ckpt _ -> fop.(pc) <- U_ckpt
-    | I.Cpsid -> fop.(pc) <- U_cpsid
-    | I.Cpsie -> fop.(pc) <- U_cpsie
-    | I.Svc 0 -> fop.(pc) <- U_svc_print
-    | I.Svc _ -> fop.(pc) <- U_svc_halt
-    | I.FrameAddr _ | I.SpillLd _ | I.SpillSt _ -> fop.(pc) <- U_pseudo)
+        call_fn.(pc) <- fn_index img.Image.func_of_pc.(img.Image.target.(pc))
+    | _ -> ()
   done;
-  let fn_names = Array.of_list (List.rev !names_rev) in
-  (cost, eff_mask, push_n, call_fn, fn_names, fop, fa, fb, fc, fcond)
+  (cost, eff_mask, call_fn, Array.of_list (List.rev !names_rev))
 
 (* [build_tables], or the tables of [reuse] when it runs the same image
    under the same save-all setting. *)
 let tables_for ?reuse ~save_all img =
   match reuse with
   | Some o when o.img == img && o.save_all = save_all ->
-      ( o.cost, o.eff_mask, o.push_n, o.call_fn, o.fn_names, o.fop, o.fa,
-        o.fb, o.fc, o.fcond )
+      (o.cost, o.eff_mask, o.call_fn, o.fn_names)
   | _ -> build_tables ~save_all img
 
 (* The compiled blocks of [reuse] when it runs the same image under the
@@ -1335,20 +1165,12 @@ let bcache_for ?reuse ~save_all ~verify img =
 let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
     ?(irq_period = 0) ?(verify = true) ?(tracer = Tr.null)
     ?(count_pcs = false) ?reuse (img : Image.t) : t =
-  (* environment flags are sampled exactly once, here; "" and "0" mean off
-     so tests (and shells) can clear them without [unsetenv] *)
-  let env_flag name =
-    match Sys.getenv_opt name with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true
-  in
-  let save_all = env_flag "WARIO_SAVE_ALL" in
+  (* environment flags are sampled exactly once, here *)
+  let save_all = save_all_sampled () in
   let reuse =
     match reuse with Some old when verify && old.verify -> Some old | _ -> None
   in
-  let cost, eff_mask, push_n, call_fn, fn_names, fop, fa, fb, fc, fcond =
-    tables_for ?reuse ~save_all img
-  in
+  let cost, eff_mask, call_fn, fn_names = tables_for ?reuse ~save_all img in
   let mem, kinds, touched =
     match reuse with
     | Some o -> recycled_buffers o
@@ -1392,7 +1214,7 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       jump_log = None;
       pagesets = (match reuse with Some o -> o.pagesets | None -> None);
       tail_from = -1;
-      counts = { c_entry = 0; c_exit = 0; c_middle = 0; c_backend = 0 };
+      counts = Array.make 4 0;
       region_start = 0;
       regions_rev = [];
       failures = 0;
@@ -1405,13 +1227,7 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       debug_boots = env_flag "WARIO_DEBUG_EMU";
       cost;
       eff_mask;
-      push_n;
       call_fn;
-      fop;
-      fa;
-      fb;
-      fc;
-      fcond;
       pc_counts =
         (if count_pcs then Some (Array.make (Array.length img.Image.code) 0)
          else None);
@@ -1496,8 +1312,7 @@ let reference_batch st n : step =
 (* Block engine                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Basic blocks of the predecoded uop stream, translated once into
-   closures.  Leaders: the image entry, every branch target, the pc after
+(* Basic blocks of the image's code, translated once into closures.  Leaders: the image entry, every branch target, the pc after
    any control transfer (call returns included) and every checkpoint
    site — a commit snapshots the registers, cycle counter and flags, so a
    checkpoint must begin its own block with fully published state.  The
@@ -1533,9 +1348,9 @@ let fast_eligible st =
 
 let max_block_len = 64
 
-let is_terminator = function
-  | U_b | U_bc | U_bl | U_bx_lr | U_ckpt | U_svc_print | U_svc_halt
-  | U_pseudo ->
+let is_terminator : I.instr -> bool = function
+  | I.B _ | I.Bc _ | I.Bl _ | I.Bx_lr | I.Ckpt _ | I.Svc _ | I.FrameAddr _
+  | I.SpillLd _ | I.SpillSt _ ->
       true
   | _ -> false
 
@@ -1567,15 +1382,12 @@ let holds_direct (c : I.cond) (x : int) (y : int) : bool =
 
 let compile_blocks (st : state) : bcache =
   let img = st.img in
-  let code = img.Image.code in
+  let code = img.Image.code and target = img.Image.target in
   let n = Array.length code in
-  let fop = st.fop
-  and fa = st.fa
-  and fb = st.fb
-  and fc = st.fc
-  and fcond = st.fcond
-  and cost = st.cost
+  let cost = st.cost
   and eff_mask = st.eff_mask
+  and call_fn = st.call_fn
+  and save_all = st.save_all
   and verify = st.verify in
   let msize = Image.mem_size in
   (* ---- pass 1: leaders ---- *)
@@ -1583,15 +1395,14 @@ let compile_blocks (st : state) : bcache =
   if n > 0 then leader.(img.Image.entry) <- true;
   let mark t = if t >= 0 && t < n then leader.(t) <- true in
   for pc = 0 to n - 1 do
-    match fop.(pc) with
-    | U_b | U_bc | U_bl ->
-        mark fc.(pc);
+    match code.(pc) with
+    | I.B _ | I.Bc _ | I.Bl _ ->
+        mark target.(pc);
         mark (pc + 1)
-    | U_bx_lr | U_svc_halt | U_pseudo -> mark (pc + 1)
-    | U_ckpt | U_svc_print ->
+    | I.Ckpt _ | I.Svc 0 ->
         mark pc;
         mark (pc + 1)
-    | _ -> ()
+    | ins -> if is_terminator ins then mark (pc + 1)
   done;
   (* cap straight-line runs so a block's worst-case cost stays small
      relative to realistic on-periods (a split point is itself a leader) *)
@@ -1632,7 +1443,7 @@ let compile_blocks (st : state) : bcache =
         body_end.(i) <- limit;
         term_pc.(i) <- -1
       end
-      else if is_terminator fop.(pc) then begin
+      else if is_terminator code.(pc) then begin
         body_end.(i) <- pc;
         term_pc.(i) <- pc
       end
@@ -1650,9 +1461,9 @@ let compile_blocks (st : state) : bcache =
        branch *)
     let fuse_cmp =
       t >= 0
-      && fop.(t) = U_bc
+      && (match code.(t) with I.Bc _ -> true | _ -> false)
       && e > s
-      && (match fop.(e - 1) with U_cmp_r | U_cmp_i -> true | _ -> false)
+      && match code.(e - 1) with I.Cmp _ -> true | _ -> false
     in
     let body_stop = if fuse_cmp then e - 1 else e in
     let body_cost = ref 0 in
@@ -1681,19 +1492,19 @@ let compile_blocks (st : state) : bcache =
             st.pc <- limit;
             -1
       | t -> (
-          match fop.(t) with
-          | U_b ->
-              let tc = bc_ + 3 and tn = bn + 1 in
-              let nb = bidx.(fc.(t)) in
+          match code.(t) with
+          | I.B _ ->
+              let tc = bc_ + cost.(t) and tn = bn + 1 in
+              let nb = bidx.(target.(t)) in
               fun st ->
                 st.cycles <- st.cycles + tc;
                 st.budget <- st.budget - tc;
                 st.instrs <- st.instrs + tn;
                 nb
-          | U_bl ->
-              let tc = bc_ + 4 and tn = bn + 1 in
-              let nb = bidx.(fc.(t)) in
-              let slot = fa.(t) and ret = t + 1 in
+          | I.Bl _ ->
+              let tc = bc_ + cost.(t) and tn = bn + 1 in
+              let nb = bidx.(target.(t)) in
+              let slot = call_fn.(t) and ret = t + 1 in
               fun st ->
                 Array.unsafe_set st.regs 14 ret;
                 Array.unsafe_set st.fn_calls slot
@@ -1702,8 +1513,8 @@ let compile_blocks (st : state) : bcache =
                 st.budget <- st.budget - tc;
                 st.instrs <- st.instrs + tn;
                 nb
-          | U_bx_lr ->
-              let tc = bc_ + 3 and tn = bn + 1 in
+          | I.Bx_lr ->
+              let tc = bc_ + cost.(t) and tn = bn + 1 in
               let me = t in
               fun st ->
                 st.cycles <- st.cycles + tc;
@@ -1720,8 +1531,34 @@ let compile_blocks (st : state) : bcache =
                   st.pc <- l;
                   if l >= 0 && l < n then Array.unsafe_get bidx l else -1
                 end
-          | U_svc_halt ->
-              let tc = bc_ + 1 and tn = bn + 1 in
+          | I.Ckpt _ | I.Svc 0 ->
+              (* its own single-instruction block (commit sites are
+                 leaders), so every counter is exact at the commit *)
+              let cst = cost.(t) and mask = eff_mask.(t) in
+              let cause =
+                match code.(t) with
+                | I.Ckpt (c, _) -> obs_cause c
+                | _ -> Tr.Console
+              in
+              let console = cause = Tr.Console in
+              let me = t in
+              let nb = if t + 1 < n then bidx.(t + 1) else -1 in
+              fun st ->
+                st.pc <- me;
+                st.cycles <- st.cycles + cst;
+                st.budget <- st.budget - cst;
+                if console then
+                  st.out_rev <-
+                    Int32.of_int (Array.unsafe_get st.regs 0) :: st.out_rev;
+                commit_checkpoint st ~cause mask (me + 1);
+                st.instrs <- st.instrs + 1;
+                if nb >= 0 && st.commits < st.stop_commit then nb
+                else begin
+                  st.pc <- me + 1;
+                  -1
+                end
+          | I.Svc _ ->
+              let tc = bc_ + cost.(t) and tn = bn + 1 in
               let me = t in
               fun st ->
                 st.cycles <- st.cycles + tc;
@@ -1731,103 +1568,44 @@ let compile_blocks (st : state) : bcache =
                 st.halted <- true;
                 st.exit_code <- Int32.of_int (Array.unsafe_get st.regs 0);
                 -1
-          | U_pseudo ->
-              (* the pseudo neither spends nor retires, as in the
-                 reference path *)
-              let tc = bc_ and tn = bn in
-              let me = t in
-              fun st ->
-                st.cycles <- st.cycles + tc;
-                st.budget <- st.budget - tc;
-                st.instrs <- st.instrs + tn;
-                st.pc <- me;
-                raise
-                  (Emu_error
-                     ("pseudo instruction in linked code: "
-                     ^ I.string_of_instr code.(me)))
-          | U_ckpt ->
-              (* its own single-instruction block (checkpoint sites are
-                 leaders), so every counter is exact at the commit *)
-              let cst = cost.(t) and mask = eff_mask.(t) in
-              let cause =
-                match code.(t) with I.Ckpt (c, _) -> c | _ -> assert false
-              in
-              let oc = obs_cause cause in
-              let me = t in
-              let nb = if t + 1 < n then bidx.(t + 1) else -1 in
-              fun st ->
-                st.pc <- me;
-                st.cycles <- st.cycles + cst;
-                st.budget <- st.budget - cst;
-                commit_checkpoint st ~cause:oc mask (me + 1);
-                (match cause with
-                | I.Function_entry -> st.counts.c_entry <- st.counts.c_entry + 1
-                | I.Function_exit -> st.counts.c_exit <- st.counts.c_exit + 1
-                | I.Middle_end_war ->
-                    st.counts.c_middle <- st.counts.c_middle + 1
-                | I.Back_end_war ->
-                    st.counts.c_backend <- st.counts.c_backend + 1);
-                st.instrs <- st.instrs + 1;
-                if nb >= 0 && st.commits < st.stop_commit then nb
-                else begin
-                  st.pc <- me + 1;
-                  -1
-                end
-          | U_svc_print ->
-              let cst = cost.(t) and mask = eff_mask.(t) in
-              let me = t in
-              let nb = if t + 1 < n then bidx.(t + 1) else -1 in
-              fun st ->
-                st.pc <- me;
-                st.cycles <- st.cycles + cst;
-                st.budget <- st.budget - cst;
-                st.out_rev <-
-                  Int32.of_int (Array.unsafe_get st.regs 0) :: st.out_rev;
-                commit_checkpoint st ~cause:Tr.Console mask (me + 1);
-                st.instrs <- st.instrs + 1;
-                if nb >= 0 && st.commits < st.stop_commit then nb
-                else begin
-                  st.pc <- me + 1;
-                  -1
-                end
-          | U_bc when fuse_cmp ->
-              (* cmp+bc superinstruction: branches on the native-int
-                 predicate, sets the flags as the reference path does *)
-              let cp = e - 1 in
-              let xa = fa.(cp) and xc = fc.(cp) in
-              let cmp_reg = fop.(cp) = U_cmp_r in
-              let cnd = fcond.(t) in
-              let tcT = bc_ + 3 and tcN = bc_ + 1 and tn = bn + 1 in
-              let tgt = bidx.(fc.(t)) in
+          | I.Bc (cnd, _) ->
+              let tcT = bc_ + cost.(t)
+              and tcN = bc_ + instr_cycles ~save_all ~taken:false code.(t)
+              and tn = bn + 1 in
+              let tgt = bidx.(target.(t)) in
               let nbn = if t + 1 < n then bidx.(t + 1) else -1 in
               let me = t in
-              fun st ->
-                let x = Array.unsafe_get st.regs xa in
-                let y = if cmp_reg then Array.unsafe_get st.regs xc else xc in
-                set_flags st x y;
-                if holds_direct cnd x y then begin
-                  st.cycles <- st.cycles + tcT;
-                  st.budget <- st.budget - tcT;
-                  st.instrs <- st.instrs + tn;
-                  tgt
-                end
-                else begin
-                  st.cycles <- st.cycles + tcN;
-                  st.budget <- st.budget - tcN;
-                  st.instrs <- st.instrs + tn;
-                  if nbn >= 0 then nbn
-                  else begin
-                    st.pc <- me + 1;
-                    -1
+              if fuse_cmp then begin
+                (* cmp+bc superinstruction: branches on the native-int
+                   predicate, sets the flags as the reference path does *)
+                let xa, xc, cmp_reg =
+                  match code.(e - 1) with
+                  | I.Cmp (rn, I.R rm) -> (rn, rm, true)
+                  | I.Cmp (rn, I.I v) -> (rn, Int32.to_int v, false)
+                  | _ -> assert false
+                in
+                fun st ->
+                  let x = Array.unsafe_get st.regs xa in
+                  let y = if cmp_reg then Array.unsafe_get st.regs xc else xc in
+                  set_flags st x y;
+                  if holds_direct cnd x y then begin
+                    st.cycles <- st.cycles + tcT;
+                    st.budget <- st.budget - tcT;
+                    st.instrs <- st.instrs + tn;
+                    tgt
                   end
-                end
-          | U_bc ->
-              let cnd = fcond.(t) in
-              let tcT = bc_ + 3 and tcN = bc_ + 1 and tn = bn + 1 in
-              let tgt = bidx.(fc.(t)) in
-              let nbn = if t + 1 < n then bidx.(t + 1) else -1 in
-              let me = t in
-              fun st ->
+                  else begin
+                    st.cycles <- st.cycles + tcN;
+                    st.budget <- st.budget - tcN;
+                    st.instrs <- st.instrs + tn;
+                    if nbn >= 0 then nbn
+                    else begin
+                      st.pc <- me + 1;
+                      -1
+                    end
+                  end
+              end
+              else fun st ->
                 if cond_holds st cnd then begin
                   st.cycles <- st.cycles + tcT;
                   st.budget <- st.budget - tcT;
@@ -1844,7 +1622,19 @@ let compile_blocks (st : state) : bcache =
                     -1
                   end
                 end
-          | _ -> assert false)
+          | ins ->
+              (* a pseudo instruction: it neither spends nor retires, as
+                 in the reference path *)
+              let tc = bc_ and tn = bn in
+              let me = t in
+              fun st ->
+                st.cycles <- st.cycles + tc;
+                st.budget <- st.budget - tc;
+                st.instrs <- st.instrs + tn;
+                st.pc <- me;
+                raise
+                  (Emu_error
+                     ("pseudo instruction in linked code: " ^ I.string_of_instr ins)))
     in
     (* ---- body, folded right-to-left into the terminator ----
        [fault_consts pc]: the cycles spent within the block up to and
@@ -1858,334 +1648,351 @@ let compile_blocks (st : state) : bcache =
       (!cc + cost.(pc), pc - s)
     in
     let comp pc (k : state -> int) : state -> int =
-      let a = fa.(pc) and b = fb.(pc) and c = fc.(pc) in
       let me = pc in
       let fcy, cn = fault_consts pc in
-      match fop.(pc) with
-      | U_add_r ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a
-              (sext32 (Array.unsafe_get r b + Array.unsafe_get r c));
-            k st
-      | U_add_i ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a (sext32 (Array.unsafe_get r b + c));
-            k st
-      | U_sub_r ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a
-              (sext32 (Array.unsafe_get r b - Array.unsafe_get r c));
-            k st
-      | U_sub_i ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a (sext32 (Array.unsafe_get r b - c));
-            k st
-      | U_rsb_r ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a
-              (sext32 (Array.unsafe_get r c - Array.unsafe_get r b));
-            k st
-      | U_rsb_i ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a (sext32 (c - Array.unsafe_get r b));
-            k st
-      | U_mul_r ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a
-              (sext32 (Array.unsafe_get r b * Array.unsafe_get r c));
-            k st
-      | U_mul_i ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a (sext32 (Array.unsafe_get r b * c));
-            k st
-      | U_sdiv_r ->
-          fun st ->
-            let r = st.regs in
-            let x = Array.unsafe_get r b and y = Array.unsafe_get r c in
-            Array.unsafe_set r a
-              (if y = 0 then 0
-               else if x = -0x80000000 && y = -1 then -0x80000000
-               else x / y);
-            k st
-      | U_sdiv_i ->
-          fun st ->
-            let r = st.regs in
-            let x = Array.unsafe_get r b in
-            Array.unsafe_set r a
-              (if c = 0 then 0
-               else if x = -0x80000000 && c = -1 then -0x80000000
-               else x / c);
-            k st
-      | U_udiv_r ->
-          fun st ->
-            let r = st.regs in
-            let x = Array.unsafe_get r b land 0xffffffff
-            and y = Array.unsafe_get r c land 0xffffffff in
-            Array.unsafe_set r a (if y = 0 then 0 else sext32 (x / y));
-            k st
-      | U_udiv_i ->
-          let y = c land 0xffffffff in
-          fun st ->
-            let r = st.regs in
-            let x = Array.unsafe_get r b land 0xffffffff in
-            Array.unsafe_set r a (if y = 0 then 0 else sext32 (x / y));
-            k st
-      | U_and_r ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a
-              (Array.unsafe_get r b land Array.unsafe_get r c);
-            k st
-      | U_and_i ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a (Array.unsafe_get r b land c);
-            k st
-      | U_orr_r ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a
-              (Array.unsafe_get r b lor Array.unsafe_get r c);
-            k st
-      | U_orr_i ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a (Array.unsafe_get r b lor c);
-            k st
-      | U_eor_r ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a
-              (Array.unsafe_get r b lxor Array.unsafe_get r c);
-            k st
-      | U_eor_i ->
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a (Array.unsafe_get r b lxor c);
-            k st
-      | U_lsl_r ->
-          fun st ->
-            let r = st.regs in
-            let sh = Array.unsafe_get r c land 255 in
-            Array.unsafe_set r a
-              (if sh >= 32 then 0 else sext32 (Array.unsafe_get r b lsl sh));
-            k st
-      | U_lsl_i ->
-          let sh = c land 255 in
-          if sh >= 32 then fun st ->
-            Array.unsafe_set st.regs a 0;
-            k st
-          else fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a (sext32 (Array.unsafe_get r b lsl sh));
-            k st
-      | U_lsr_r ->
-          fun st ->
-            let r = st.regs in
-            let sh = Array.unsafe_get r c land 255 in
-            Array.unsafe_set r a
-              (if sh >= 32 then 0
-               else sext32 ((Array.unsafe_get r b land 0xffffffff) lsr sh));
-            k st
-      | U_lsr_i ->
-          let sh = c land 255 in
-          if sh >= 32 then fun st ->
-            Array.unsafe_set st.regs a 0;
-            k st
-          else fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a
-              (sext32 ((Array.unsafe_get r b land 0xffffffff) lsr sh));
-            k st
-      | U_asr_r ->
-          fun st ->
-            let r = st.regs in
-            let sh = Array.unsafe_get r c land 255 in
-            Array.unsafe_set r a
-              (if sh >= 32 then Array.unsafe_get r b asr 31
-               else Array.unsafe_get r b asr sh);
-            k st
-      | U_asr_i ->
-          let sh = min (c land 255) 31 in
-          fun st ->
-            let r = st.regs in
-            Array.unsafe_set r a (Array.unsafe_get r b asr sh);
-            k st
-      | U_mov_r ->
+      match code.(pc) with
+      | I.Alu (op, a, b, I.R c) -> (
+          match op with
+          | I.ADD ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a
+                  (sext32 (Array.unsafe_get r b + Array.unsafe_get r c));
+                k st
+          | I.SUB ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a
+                  (sext32 (Array.unsafe_get r b - Array.unsafe_get r c));
+                k st
+          | I.RSB ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a
+                  (sext32 (Array.unsafe_get r c - Array.unsafe_get r b));
+                k st
+          | I.MUL ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a
+                  (sext32 (Array.unsafe_get r b * Array.unsafe_get r c));
+                k st
+          | I.SDIV ->
+              fun st ->
+                let r = st.regs in
+                let x = Array.unsafe_get r b and y = Array.unsafe_get r c in
+                Array.unsafe_set r a
+                  (if y = 0 then 0
+                   else if x = -0x80000000 && y = -1 then -0x80000000
+                   else x / y);
+                k st
+          | I.UDIV ->
+              fun st ->
+                let r = st.regs in
+                let x = Array.unsafe_get r b land 0xffffffff
+                and y = Array.unsafe_get r c land 0xffffffff in
+                Array.unsafe_set r a (if y = 0 then 0 else sext32 (x / y));
+                k st
+          | I.AND ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a
+                  (Array.unsafe_get r b land Array.unsafe_get r c);
+                k st
+          | I.ORR ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a
+                  (Array.unsafe_get r b lor Array.unsafe_get r c);
+                k st
+          | I.EOR ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a
+                  (Array.unsafe_get r b lxor Array.unsafe_get r c);
+                k st
+          | I.LSL ->
+              fun st ->
+                let r = st.regs in
+                let sh = Array.unsafe_get r c land 255 in
+                Array.unsafe_set r a
+                  (if sh >= 32 then 0 else sext32 (Array.unsafe_get r b lsl sh));
+                k st
+          | I.LSR ->
+              fun st ->
+                let r = st.regs in
+                let sh = Array.unsafe_get r c land 255 in
+                Array.unsafe_set r a
+                  (if sh >= 32 then 0
+                   else sext32 ((Array.unsafe_get r b land 0xffffffff) lsr sh));
+                k st
+          | I.ASR ->
+              fun st ->
+                let r = st.regs in
+                let sh = Array.unsafe_get r c land 255 in
+                Array.unsafe_set r a
+                  (if sh >= 32 then Array.unsafe_get r b asr 31
+                   else Array.unsafe_get r b asr sh);
+                k st)
+      | I.Alu (op, a, b, I.I v) -> (
+          let c = Int32.to_int v in
+          match op with
+          | I.ADD ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a (sext32 (Array.unsafe_get r b + c));
+                k st
+          | I.SUB ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a (sext32 (Array.unsafe_get r b - c));
+                k st
+          | I.RSB ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a (sext32 (c - Array.unsafe_get r b));
+                k st
+          | I.MUL ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a (sext32 (Array.unsafe_get r b * c));
+                k st
+          | I.SDIV ->
+              fun st ->
+                let r = st.regs in
+                let x = Array.unsafe_get r b in
+                Array.unsafe_set r a
+                  (if c = 0 then 0
+                   else if x = -0x80000000 && c = -1 then -0x80000000
+                   else x / c);
+                k st
+          | I.UDIV ->
+              let y = c land 0xffffffff in
+              fun st ->
+                let r = st.regs in
+                let x = Array.unsafe_get r b land 0xffffffff in
+                Array.unsafe_set r a (if y = 0 then 0 else sext32 (x / y));
+                k st
+          | I.AND ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a (Array.unsafe_get r b land c);
+                k st
+          | I.ORR ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a (Array.unsafe_get r b lor c);
+                k st
+          | I.EOR ->
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a (Array.unsafe_get r b lxor c);
+                k st
+          | I.LSL ->
+              let sh = c land 255 in
+              if sh >= 32 then fun st ->
+                Array.unsafe_set st.regs a 0;
+                k st
+              else fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a (sext32 (Array.unsafe_get r b lsl sh));
+                k st
+          | I.LSR ->
+              let sh = c land 255 in
+              if sh >= 32 then fun st ->
+                Array.unsafe_set st.regs a 0;
+                k st
+              else fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a
+                  (sext32 ((Array.unsafe_get r b land 0xffffffff) lsr sh));
+                k st
+          | I.ASR ->
+              let sh = min (c land 255) 31 in
+              fun st ->
+                let r = st.regs in
+                Array.unsafe_set r a (Array.unsafe_get r b asr sh);
+                k st)
+      | I.Mov (a, I.R c) ->
           fun st ->
             let r = st.regs in
             Array.unsafe_set r a (Array.unsafe_get r c);
             k st
-      | U_mov_i | U_movw ->
+      | (I.Mov (a, I.I _) | I.Movw32 (a, _) | I.AdrData (a, _, _)) as ins ->
+          let c =
+            match ins with
+            | I.Mov (_, I.I v) | I.Movw32 (_, v) -> Int32.to_int v
+            | _ -> Int32.to_int img.Image.adr.(pc) (* resolved at link *)
+          in
           fun st ->
             Array.unsafe_set st.regs a c;
             k st
-      | U_movc_r ->
-          let cnd = fcond.(pc) in
+      | I.Movc (cnd, a, I.R c) ->
           fun st ->
             let r = st.regs in
             if cond_holds st cnd then
               Array.unsafe_set r a (Array.unsafe_get r c);
             k st
-      | U_movc_i ->
-          let cnd = fcond.(pc) in
+      | I.Movc (cnd, a, I.I v) ->
+          let c = Int32.to_int v in
           fun st ->
             if cond_holds st cnd then Array.unsafe_set st.regs a c;
             k st
-      | U_cmp_r ->
+      | I.Cmp (a, I.R c) ->
           fun st ->
             let r = st.regs in
             set_flags st (Array.unsafe_get r a) (Array.unsafe_get r c);
             k st
-      | U_cmp_i ->
+      | I.Cmp (a, I.I v) ->
+          let c = Int32.to_int v in
           fun st ->
             set_flags st (Array.unsafe_get st.regs a) c;
             k st
-      | U_ldr8 ->
-          fun st ->
-            let r = st.regs in
-            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-            Array.unsafe_set r a (Char.code (Bytes.unsafe_get st.mem ad));
-            k st
-      | U_ldrr8 ->
-          fun st ->
-            let r = st.regs in
-            let ad =
-              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-            in
-            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-            Array.unsafe_set r a (Char.code (Bytes.unsafe_get st.mem ad));
-            k st
-      | U_ldr8s ->
-          fun st ->
-            let r = st.regs in
-            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-            Array.unsafe_set r a
-              ((Char.code (Bytes.unsafe_get st.mem ad) lxor 0x80) - 0x80);
-            k st
-      | U_ldrr8s ->
-          fun st ->
-            let r = st.regs in
-            let ad =
-              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-            in
-            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-            Array.unsafe_set r a
-              ((Char.code (Bytes.unsafe_get st.mem ad) lxor 0x80) - 0x80);
-            k st
-      | U_ldr16 ->
-          fun st ->
-            let r = st.regs in
-            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-            Array.unsafe_set r a (ld16 st.mem ad);
-            k st
-      | U_ldrr16 ->
-          fun st ->
-            let r = st.regs in
-            let ad =
-              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-            in
-            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-            Array.unsafe_set r a (ld16 st.mem ad);
-            k st
-      | U_ldr16s ->
-          fun st ->
-            let r = st.regs in
-            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-            Array.unsafe_set r a ((ld16 st.mem ad lxor 0x8000) - 0x8000);
-            k st
-      | U_ldrr16s ->
-          fun st ->
-            let r = st.regs in
-            let ad =
-              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-            in
-            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-            Array.unsafe_set r a ((ld16 st.mem ad lxor 0x8000) - 0x8000);
-            k st
-      | U_ldr32 ->
-          fun st ->
-            let r = st.regs in
-            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-            if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
-            Array.unsafe_set r a (ld32 st.mem ad);
-            k st
-      | U_ldrr32 ->
-          fun st ->
-            let r = st.regs in
-            let ad =
-              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-            in
-            if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
-            Array.unsafe_set r a (ld32 st.mem ad);
-            k st
-      | U_str8 ->
-          fun st ->
-            let r = st.regs in
-            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-            Bytes.unsafe_set st.mem ad
-              (Char.unsafe_chr (Array.unsafe_get r a land 0xff));
-            k st
-      | U_strr8 ->
-          fun st ->
-            let r = st.regs in
-            let ad =
-              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-            in
-            if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
-            Bytes.unsafe_set st.mem ad
-              (Char.unsafe_chr (Array.unsafe_get r a land 0xff));
-            k st
-      | U_str16 ->
-          fun st ->
-            let r = st.regs in
-            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-            st16 st.mem ad (Array.unsafe_get r a);
-            k st
-      | U_strr16 ->
-          fun st ->
-            let r = st.regs in
-            let ad =
-              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-            in
-            if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
-            st16 st.mem ad (Array.unsafe_get r a);
-            k st
-      | U_str32 ->
-          fun st ->
-            let r = st.regs in
-            let ad = (Array.unsafe_get r b + c) land 0xffffffff in
-            if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
-            st32 st.mem ad (Array.unsafe_get r a);
-            k st
-      | U_strr32 ->
-          fun st ->
-            let r = st.regs in
-            let ad =
-              (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
-            in
-            if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
-            st32 st.mem ad (Array.unsafe_get r a);
-            k st
-      | U_push ->
-          let rs =
-            match code.(pc) with I.Push rs -> rs | _ -> assert false
-          in
-          let nr = a in
+      | I.Ldr (w, a, b, off) -> (
+          let c = Int32.to_int off in
+          match w with
+          | I.W8 ->
+              fun st ->
+                let r = st.regs in
+                let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+                if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+                Array.unsafe_set r a (Char.code (Bytes.unsafe_get st.mem ad));
+                k st
+          | I.S8 ->
+              fun st ->
+                let r = st.regs in
+                let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+                if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+                Array.unsafe_set r a
+                  ((Char.code (Bytes.unsafe_get st.mem ad) lxor 0x80) - 0x80);
+                k st
+          | I.W16 ->
+              fun st ->
+                let r = st.regs in
+                let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+                if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+                Array.unsafe_set r a (ld16 st.mem ad);
+                k st
+          | I.S16 ->
+              fun st ->
+                let r = st.regs in
+                let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+                if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+                Array.unsafe_set r a ((ld16 st.mem ad lxor 0x8000) - 0x8000);
+                k st
+          | I.W32 ->
+              fun st ->
+                let r = st.regs in
+                let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+                if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
+                Array.unsafe_set r a (ld32 st.mem ad);
+                k st)
+      | I.LdrR (w, a, b, c) -> (
+          match w with
+          | I.W8 ->
+              fun st ->
+                let r = st.regs in
+                let ad =
+                  (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+                in
+                if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+                Array.unsafe_set r a (Char.code (Bytes.unsafe_get st.mem ad));
+                k st
+          | I.S8 ->
+              fun st ->
+                let r = st.regs in
+                let ad =
+                  (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+                in
+                if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+                Array.unsafe_set r a
+                  ((Char.code (Bytes.unsafe_get st.mem ad) lxor 0x80) - 0x80);
+                k st
+          | I.W16 ->
+              fun st ->
+                let r = st.regs in
+                let ad =
+                  (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+                in
+                if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+                Array.unsafe_set r a (ld16 st.mem ad);
+                k st
+          | I.S16 ->
+              fun st ->
+                let r = st.regs in
+                let ad =
+                  (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+                in
+                if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+                Array.unsafe_set r a ((ld16 st.mem ad lxor 0x8000) - 0x8000);
+                k st
+          | I.W32 ->
+              fun st ->
+                let r = st.regs in
+                let ad =
+                  (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+                in
+                if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
+                Array.unsafe_set r a (ld32 st.mem ad);
+                k st)
+      (* a sign-extending width stores as its unsigned twin *)
+      | I.Str (w, a, b, off) -> (
+          let c = Int32.to_int off in
+          match w with
+          | I.W8 | I.S8 ->
+              fun st ->
+                let r = st.regs in
+                let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+                if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+                Bytes.unsafe_set st.mem ad
+                  (Char.unsafe_chr (Array.unsafe_get r a land 0xff));
+                k st
+          | I.W16 | I.S16 ->
+              fun st ->
+                let r = st.regs in
+                let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+                if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+                st16 st.mem ad (Array.unsafe_get r a);
+                k st
+          | I.W32 ->
+              fun st ->
+                let r = st.regs in
+                let ad = (Array.unsafe_get r b + c) land 0xffffffff in
+                if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
+                st32 st.mem ad (Array.unsafe_get r a);
+                k st)
+      | I.StrR (w, a, b, c) -> (
+          match w with
+          | I.W8 | I.S8 ->
+              fun st ->
+                let r = st.regs in
+                let ad =
+                  (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+                in
+                if ad < 0x40 || ad + 1 > msize then mfault st me fcy cn ad 1;
+                Bytes.unsafe_set st.mem ad
+                  (Char.unsafe_chr (Array.unsafe_get r a land 0xff));
+                k st
+          | I.W16 | I.S16 ->
+              fun st ->
+                let r = st.regs in
+                let ad =
+                  (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+                in
+                if ad < 0x40 || ad + 2 > msize then mfault st me fcy cn ad 2;
+                st16 st.mem ad (Array.unsafe_get r a);
+                k st
+          | I.W32 ->
+              fun st ->
+                let r = st.regs in
+                let ad =
+                  (Array.unsafe_get r b + Array.unsafe_get r c) land 0xffffffff
+                in
+                if ad < 0x40 || ad + 4 > msize then mfault st me fcy cn ad 4;
+                st32 st.mem ad (Array.unsafe_get r a);
+                k st)
+      | I.Push rs ->
+          let nr = List.length rs in
           fun st ->
             let r = st.regs in
             let sp = Array.unsafe_get r 13 - (4 * nr) in
@@ -2197,16 +2004,16 @@ let compile_blocks (st : state) : bcache =
               rs;
             Array.unsafe_set r 13 sp;
             k st
-      | U_cpsid ->
+      | I.Cpsid ->
           fun st ->
             st.primask <- true;
             k st
-      | U_cpsie ->
+      | I.Cpsie ->
           fun st ->
             st.primask <- false;
             k st
-      | U_b | U_bc | U_bl | U_bx_lr | U_ckpt | U_svc_print | U_svc_halt
-      | U_pseudo ->
+      | I.B _ | I.Bc _ | I.Bl _ | I.Bx_lr | I.Ckpt _ | I.Svc _ | I.FrameAddr _
+      | I.SpillLd _ | I.SpillSt _ ->
           (* terminators never appear in a block body *)
           assert false
     in
@@ -2217,7 +2024,12 @@ let compile_blocks (st : state) : bcache =
        write it publishes [st.pc], so a violation names this
        instruction. *)
     let shadow pc (k : state -> int) : state -> int =
-      let b = fb.(pc) and c = fc.(pc) in
+      let b, c =
+        match code.(pc) with
+        | I.Ldr (_, _, b, off) | I.Str (_, _, b, off) -> (b, Int32.to_int off)
+        | I.LdrR (_, _, b, c) | I.StrR (_, _, b, c) -> (b, c)
+        | _ -> (0, 0)
+      in
       let me = pc in
       let fcy, cn = fault_consts pc in
       let read sz =
@@ -2253,21 +2065,13 @@ let compile_blocks (st : state) : bcache =
           shadow_write st ad sz;
           k st
       in
-      match fop.(pc) with
-      | U_ldr8 | U_ldr8s -> read 1
-      | U_ldr16 | U_ldr16s -> read 2
-      | U_ldr32 -> read 4
-      | U_ldrr8 | U_ldrr8s -> read_r 1
-      | U_ldrr16 | U_ldrr16s -> read_r 2
-      | U_ldrr32 -> read_r 4
-      | U_str8 -> write 1
-      | U_str16 -> write 2
-      | U_str32 -> write 4
-      | U_strr8 -> write_r 1
-      | U_strr16 -> write_r 2
-      | U_strr32 -> write_r 4
-      | U_push ->
-          let nr = fa.(pc) in
+      match code.(pc) with
+      | I.Ldr (w, _, _, _) -> read (I.bytes_of_width w)
+      | I.LdrR (w, _, _, _) -> read_r (I.bytes_of_width w)
+      | I.Str (w, _, _, _) -> write (I.bytes_of_width w)
+      | I.StrR (w, _, _, _) -> write_r (I.bytes_of_width w)
+      | I.Push rs ->
+          let nr = List.length rs in
           fun st ->
             let sp = Array.unsafe_get st.regs 13 - (4 * nr) in
             if sp < 0x40 || sp + (4 * nr) > msize then
@@ -2284,21 +2088,9 @@ let compile_blocks (st : state) : bcache =
       exec := comp pc !exec;
       if verify then exec := shadow pc !exec
     done;
-    let maxcost =
-      bc_
-      +
-      match t with
-      | -1 -> 0
-      | t -> (
-          match fop.(t) with
-          | U_b | U_bx_lr -> 3
-          | U_bc -> 3
-          | U_bl -> 4
-          | U_svc_halt -> 1
-          | U_pseudo -> 0
-          | U_ckpt | U_svc_print -> cost.(t)
-          | _ -> assert false)
-    in
+    (* the worst exit: a [Bc]'s [cost] entry is its taken cost, the
+       larger *)
+    let maxcost = if t >= 0 then bc_ + cost.(t) else bc_ in
     let ninstr = bn + if t >= 0 then 1 else 0 in
     { b_pc = s; b_ninstr = ninstr; b_maxcost = maxcost; b_exec = !exec }
   in
@@ -2328,7 +2120,7 @@ let get_bcache st =
 let block_batch st n : step =
   let bc = get_bcache st in
   let blocks = bc.bc_blocks and bidx = bc.bc_index in
-  let ncode = Array.length st.fop in
+  let ncode = Array.length st.cost in
   (* direct-threaded dispatch: each terminator returns its successor's
      block index, so the chain never re-derives it from [st.pc]; [st.pc]
      is published whenever the chain breaks *)
@@ -2390,19 +2182,13 @@ let clone st =
     kinds = Bytes.copy st.kinds;
     touched = Array.copy st.touched;
     written = Bytes.copy st.written;
-    counts =
-      {
-        c_entry = st.counts.c_entry;
-        c_exit = st.counts.c_exit;
-        c_middle = st.counts.c_middle;
-        c_backend = st.counts.c_backend;
-      };
+    counts = Array.copy st.counts;
     fn_calls = Array.copy st.fn_calls;
     pc_counts = Option.map Array.copy st.pc_counts;
     recorder = None;
     follower = None;
     pagesets = None;
-    (* cost/eff_mask/push_n/call_fn/fn_names are immutable: shared *)
+    (* cost/eff_mask/call_fn/fn_names are immutable: shared *)
   }
 
 (* Fold the per-pc counts to per-block entry counts: the count of a block's
@@ -2457,10 +2243,10 @@ let result st : result =
     exit_code = st.exit_code;
     cycles = st.cycles;
     instrs = st.instrs;
-    checkpoints = st.counts;
-    checkpoints_total =
-      st.counts.c_entry + st.counts.c_exit + st.counts.c_middle
-      + st.counts.c_backend;
+    checkpoints =
+      (let c = st.counts in
+       { c_entry = c.(0); c_exit = c.(1); c_middle = c.(2); c_backend = c.(3) });
+    checkpoints_total = Array.fold_left ( + ) 0 st.counts;
     region_sizes =
       List.fold_left
         (fun acc x ->
@@ -2777,12 +2563,7 @@ let jump_to st f k m =
             i := !i + 2
       done;
       if j <= n then begin
-        (match (word l.l_meta j lsr 5) land 7 with
-        | 0 -> c.c_entry <- c.c_entry + 1
-        | 1 -> c.c_exit <- c.c_exit + 1
-        | 2 -> c.c_middle <- c.c_middle + 1
-        | 3 -> c.c_backend <- c.c_backend + 1
-        | _ -> ());
+        count_cause c ((word l.l_meta j lsr 5) land 7);
         if j >= last - 1 then write_buffer st l j regs
       end
     done
@@ -2809,11 +2590,7 @@ let jump_to st f k m =
           Bytes.unsafe_set st.written p '\001')
         b.b_pages
     done;
-    let d0 = b0.b_counts and d1 = b1.b_counts in
-    c.c_entry <- c.c_entry + d1.(0) - d0.(0);
-    c.c_exit <- c.c_exit + d1.(1) - d0.(1);
-    c.c_middle <- c.c_middle + d1.(2) - d0.(2);
-    c.c_backend <- c.c_backend + d1.(3) - d0.(3);
+    Array.iteri (fun i v -> c.(i) <- c.(i) + v - b0.b_counts.(i)) b1.b_counts;
     Array.iteri
       (fun i v -> st.fn_calls.(i) <- st.fn_calls.(i) + v - b0.b_calls.(i))
       b1.b_calls;

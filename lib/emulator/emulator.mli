@@ -28,6 +28,11 @@ val no_forward_progress_threshold : int
     tolerated before {!No_forward_progress} is raised. *)
 
 val boot_cycles : int
+(** Cycles of the boot sequence that starts every on-period. *)
+
+val irq_entry_cycles : int
+(** Cycles of one interrupt delivery: the hardware pushes its eight-word
+    frame at sp, runs an empty handler and returns. *)
 
 type violation = { v_pc : int; v_func : string; v_addr : int; v_instr : string }
 
@@ -83,6 +88,25 @@ val ckpt_cost : int -> int
 (** Cycles to checkpoint with a given live mask. *)
 
 val restore_cost : int -> int
+
+val instr_cycles : save_all:bool -> taken:bool -> Wario_machine.Isa.instr -> int
+(** The cycle model: the cycles one instruction of a linked image spends,
+    the only source of per-instruction costs for both engines.  Single-
+    cycle ALU, move, compare and [cpsid]/[cpsie]; 6 for a division; 2 for
+    [movw32], [adr], loads and stores; 1 + n for a push of n registers; 3
+    for a branch or return (the taken branch refills the three-stage
+    pipeline), a conditional branch 1 when not [taken]; 4 for a call;
+    {!ckpt_cost} of the saved mask for a checkpoint (the whole register
+    file r0-r14 when [save_all]); 2 plus the cost of an implicit
+    r0-r12/lr checkpoint for console output; 1 for the halt; 0 for a
+    pseudo instruction, which never executes.  Boot ({!boot_cycles}),
+    restore ({!restore_cost}) and interrupt entry ({!irq_entry_cycles})
+    are the only other cycles a run spends. *)
+
+val save_all_sampled : unit -> bool
+(** Whether the [WARIO_SAVE_ALL] environment variable is set to anything
+    but [""] or ["0"]: read each call, as {!create} reads it once per
+    instance. *)
 
 val ckpt_bytes : int -> int
 (** Bytes a commit writes into its buffer for a given live mask. *)

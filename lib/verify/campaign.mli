@@ -96,6 +96,10 @@ val default_budget : int
 (** 2_000 schedules per case — [iclang verify]'s default [-n]; a fleet-
     scale campaign passes [-n 100000]. *)
 
+val max_shrunk_per_case : int
+(** Distinct failures shrunk and recorded per case (5); further failing
+    schedules only count in [k_failures_total]. *)
+
 val default_config : config
 (** Every instrumented environment × every micro workload, the default
     budget, seed 1, one job, the block engine.  At most five distinct

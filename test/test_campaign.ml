@@ -400,6 +400,66 @@ let test_campaign_catches_dropped_register () =
           | Ok () -> Alcotest.failf "replay of %S did not reproduce" line
           | Error _ -> ()))
 
+(* The shrink, shrink-cap and dedup paths of [Campaign.run_case], on
+   [Drop_saved_reg] builds, whose failures come from schedules (a
+   [Drop_ckpt] build already fails its golden run, with no cuts).  Every
+   recorded failure is 1-minimal: it still fails, and dropping any one of
+   its cuts makes the schedule pass.  No two are alike, and the report is
+   the same at jobs 1 and 3.  The pinned pair, byte_ops with n = 1, has
+   two distinct failures among more failing schedules, so the rest were
+   deduplicated; rmw_loop with n = 1 has more distinct failures than the
+   cap, so the cap binds. *)
+let test_dropped_register_shrink_cap_dedup () =
+  let cap = V.Campaign.max_shrunk_per_case in
+  List.iter
+    (fun (name, capped) ->
+      let m = M.find name in
+      let opts =
+        { P.default_options with P.sabotage = Some (P.Drop_saved_reg 1) }
+      in
+      let c = P.compile ~opts P.Wario m.M.source in
+      let g = V.Oracle.golden c in
+      let case jobs =
+        V.Campaign.run_case
+          { (campaign_config 40 jobs) with V.Campaign.opts }
+          ~workload:(m.M.name, m.M.source) ~env:P.Wario
+      in
+      let r = case 1 in
+      let fs = r.V.Campaign.k_failures in
+      let recorded = List.length fs in
+      Alcotest.(check bool) (name ^ ": failures found") true (fs <> []);
+      Alcotest.(check bool) (name ^ ": more failing schedules than recorded")
+        true
+        (r.V.Campaign.k_failures_total > recorded);
+      if capped then Alcotest.(check int) (name ^ ": cap binds") cap recorded
+      else
+        Alcotest.(check bool) (name ^ ": under the cap, so deduplicated") true
+          (recorded < cap);
+      let shrunk = List.map (fun f -> Array.to_list f.V.Campaign.k_shrunk) fs in
+      Alcotest.(check int) (name ^ ": no two recorded failures alike")
+        recorded
+        (List.length (List.sort_uniq compare shrunk));
+      List.iter
+        (fun cuts ->
+          let show =
+            name ^ " [" ^ String.concat " " (List.map string_of_int cuts) ^ "]"
+          in
+          Alcotest.(check bool) (show ^ " fails") true
+            (Result.is_error (V.Oracle.check_schedule g c (Array.of_list cuts)));
+          List.iteri
+            (fun i _ ->
+              let fewer = List.filteri (fun j _ -> j <> i) cuts in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s without cut %d passes" show i)
+                true
+                (Result.is_ok
+                   (V.Oracle.check_schedule g c (Array.of_list fewer))))
+            cuts)
+        shrunk;
+      Alcotest.(check bool) (name ^ ": identical report for jobs 1 vs 3") true
+        (r = case 3))
+    [ ("byte_ops", false); ("rmw_loop", true) ]
+
 (* ------------------------------------------------------------------ *)
 (* Regression corpus                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -514,6 +574,8 @@ let suite =
       test_campaign_coverage_and_determinism;
     Alcotest.test_case "campaign: catches a dropped saved register" `Quick
       test_campaign_catches_dropped_register;
+    Alcotest.test_case "campaign: dropped register shrinks 1-minimal, capped, deduplicated"
+      `Quick test_dropped_register_shrink_cap_dedup;
     Alcotest.test_case "campaign: catches sabotage" `Quick
       test_campaign_catches_sabotage;
     Alcotest.test_case "corpus: entry round-trip and rejects" `Quick

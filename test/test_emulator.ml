@@ -921,35 +921,149 @@ let suite =
 
 (* --- cycle model ----------------------------------------------------- *)
 
-let cycles_of code =
-  (run_code (code @ [ I.Svc 1 ])).E.Emulator.cycles - 400 (* minus boot *)
-
-let test_cycle_model () =
-  (* documented costs: alu 1, mov 1, movw32 2, ldr/str 2, div 6,
-     taken branch 3 (pipeline refill), untaken conditional 1, bl 4, svc-halt 1 *)
-  let base = cycles_of [] in
-  Alcotest.(check int) "halt only" 1 base;
-  Alcotest.(check int) "alu" (base + 1) (cycles_of [ I.Alu (I.ADD, 0, 0, I.I 1l) ]);
-  Alcotest.(check int) "movw32" (base + 2) (cycles_of [ I.Movw32 (0, 0x12345l) ]);
-  Alcotest.(check int) "sdiv" (base + 6) (cycles_of [ I.Alu (I.SDIV, 0, 0, I.I 1l) ]);
-  Alcotest.(check int) "ldr" (base + 2 + 2)
-    (cycles_of [ I.Movw32 (1, 0x1000l); I.Ldr (I.W32, 0, 1, 0l) ]);
-  (* untaken conditional branch: 1 cycle *)
-  Alcotest.(check int) "bc untaken" (base + 1 + 1)
-    (cycles_of [ I.Cmp (0, I.I 1l); I.Bc (I.EQ, "main") ]);
-  (* taken unconditional branch: 3 cycles; branch to a final halt block *)
+(* Run the functions [blocks] — (name, labelled blocks) pairs, main
+   first — on [engine]: the result, and its active cycles minus the boot
+   sequence. *)
+let prog_cycles ?(irq_period = 0) ?(data = []) engine blocks =
   let prog =
     { I.mfuncs =
-        [ { I.mname = "main"; frame_words = 0; mframe = None;
-            mblocks =
-              [ { I.mlabel = "main"; mcode = [ I.B "done_" ] };
-                { I.mlabel = "skip"; mcode = [ I.Alu (I.ADD, 0, 0, I.I 1l) ] };
-                { I.mlabel = "done_"; mcode = [ I.Svc 1 ] } ] } ];
-      mdata = [] }
+        List.map
+          (fun (f, blocks) ->
+            { I.mname = f; frame_words = 0; mframe = None;
+              mblocks =
+                List.map (fun (l, code) -> { I.mlabel = l; mcode = code }) blocks })
+          blocks;
+      mdata = data }
   in
-  let r = E.Emulator.run (E.Image.link prog) in
-  Alcotest.(check int) "b taken skips and refills" (400 + 3 + 1)
-    r.E.Emulator.cycles
+  let r = E.Emulator.run ~engine ~irq_period (E.Image.link prog) in
+  (r, r.E.Emulator.cycles - E.Emulator.boot_cycles)
+
+(* The same for a main of [code] followed by a halting [Svc 1]. *)
+let cycles_of ?(engine = E.Emulator.Block) code =
+  snd (prog_cycles engine [ ("main", [ ("main", code @ [ I.Svc 1 ]) ]) ])
+
+(* Every instruction class at its documented cost, on both engines:
+   alu 1, div 6, mov/movc/cmp 1, movw32/adr/ldr/str 2, push 1 + n,
+   taken branch 3 (pipeline refill), untaken conditional 1, bl 4,
+   return 3, cpsid/cpsie 1, checkpoint [ckpt_cost] of its mask (of the
+   full register file under WARIO_SAVE_ALL), console svc 2 + the cost of
+   its implicit checkpoint, halting svc 1, interrupt entry 24.  Each
+   measured cost is also the one [instr_cycles] states. *)
+let test_cycle_model () =
+  List.iter
+    (fun engine ->
+      let name s =
+        Printf.sprintf "%s (%s)" s
+          (match engine with E.Emulator.Reference -> "reference" | _ -> "block")
+      in
+      let cycles_of = cycles_of ~engine
+      and prog_cycles ?irq_period ?data blocks =
+        prog_cycles ?irq_period ?data engine blocks
+      in
+      let stated ?(save_all = false) ?(taken = true) code =
+        List.fold_left
+          (fun acc i -> acc + E.Emulator.instr_cycles ~save_all ~taken i)
+          0 code
+      in
+      let base = cycles_of [] in
+      Alcotest.(check int) (name "halt only") 1 base;
+      Alcotest.(check int) (name "halt: instr_cycles") 1 (stated [ I.Svc 1 ]);
+      let one ?taken what cost code =
+        Alcotest.(check int) (name what) (base + cost) (cycles_of code);
+        Alcotest.(check int) (name (what ^ ": instr_cycles")) cost
+          (stated ?taken code)
+      in
+      one "alu" 1 [ I.Alu (I.ADD, 0, 0, I.I 1l) ];
+      one "movw32" 2 [ I.Movw32 (0, 0x12345l) ];
+      one "sdiv" 6 [ I.Alu (I.SDIV, 0, 0, I.I 1l) ];
+      one "udiv" 6 [ I.Alu (I.UDIV, 0, 0, I.R 0) ];
+      one "mov + movc + cmp" 3
+        [ I.Mov (0, I.I 1l); I.Cmp (0, I.I 1l); I.Movc (I.EQ, 1, I.R 0) ];
+      one "ldr" (2 + 2) [ I.Movw32 (1, 0x1000l); I.Ldr (I.W32, 0, 1, 0l) ];
+      one "str + strr + ldrr" (2 + 2 + 2 + 2)
+        [ I.Movw32 (1, 0x1000l); I.Str (I.W8, 0, 1, 0l);
+          I.StrR (I.W16, 0, 1, 1); I.LdrR (I.W32, 0, 1, 1) ];
+      List.iter
+        (fun rs ->
+          one (Printf.sprintf "push %d" (List.length rs)) (1 + List.length rs)
+            [ I.Push rs ])
+        [ [ 0 ]; [ 0; 1; 2 ]; [ 4; 5; 6; 7; I.lr ] ];
+      one "cpsid + cpsie" 2 [ I.Cpsid; I.Cpsie ];
+      one ~taken:false "bc untaken" (1 + 1)
+        [ I.Cmp (0, I.I 1l); I.Bc (I.EQ, "main") ];
+      List.iter
+        (fun mask ->
+          one (Printf.sprintf "ckpt 0x%x" mask) (E.Emulator.ckpt_cost mask)
+            [ I.Ckpt (I.Middle_end_war, mask) ])
+        [ 0; 0x3; 1 lsl I.lr; 0x5fff ];
+      one "console svc" (2 + E.Emulator.ckpt_cost 0x5fff) [ I.Svc 0 ];
+      (* WARIO_SAVE_ALL is sampled when the run creates its instance *)
+      Unix.putenv "WARIO_SAVE_ALL" "1";
+      let save_all =
+        Fun.protect
+          ~finally:(fun () -> Unix.putenv "WARIO_SAVE_ALL" "")
+          (fun () ->
+            ( cycles_of [ I.Ckpt (I.Function_entry, 0x3) ],
+              cycles_of [ I.Svc 0 ] ))
+      in
+      Alcotest.(check (pair int int)) (name "save-all ckpt, console svc")
+        (base + E.Emulator.ckpt_cost 0x7fff,
+         base + 2 + E.Emulator.ckpt_cost 0x5fff)
+        save_all;
+      Alcotest.(check (pair int int)) (name "save-all: instr_cycles")
+        (E.Emulator.ckpt_cost 0x7fff, 2 + E.Emulator.ckpt_cost 0x5fff)
+        ( stated ~save_all:true [ I.Ckpt (I.Function_entry, 0x3) ],
+          stated ~save_all:true [ I.Svc 0 ] );
+      let adr =
+        prog_cycles
+          ~data:[ { I.dname = "tab"; dsize = 4; dalign = 4; dinit = [] } ]
+          [ ("main", [ ("main", [ I.AdrData (0, "tab", 0l); I.Svc 1 ]) ]) ]
+      in
+      Alcotest.(check int) (name "adr") (base + 2) (snd adr);
+      Alcotest.(check int) (name "adr: instr_cycles") 2
+        (stated [ I.AdrData (0, "tab", 0l) ]);
+      (* taken branches refill the pipeline: 3 cycles *)
+      let skip taken_branch =
+        snd
+          (prog_cycles
+             [ ("main",
+                [ ("main", taken_branch);
+                  ("skip", [ I.Alu (I.ADD, 0, 0, I.I 1l) ]);
+                  ("done_", [ I.Svc 1 ]) ]) ])
+      in
+      Alcotest.(check int) (name "b taken skips and refills") (3 + 1)
+        (skip [ I.B "done_" ]);
+      Alcotest.(check int) (name "bc taken") (1 + 3 + 1)
+        (skip [ I.Cmp (0, I.I 0l); I.Bc (I.EQ, "done_") ]);
+      Alcotest.(check (pair int int)) (name "b, bc taken: instr_cycles") (3, 3)
+        (stated [ I.B "done_" ], stated [ I.Bc (I.EQ, "done_") ]);
+      (* a call costs 4, its return 3 *)
+      let call callee =
+        snd
+          (prog_cycles
+             [ ("main", [ ("main", [ I.Bl "f"; I.Svc 1 ]) ]);
+               ("f", [ ("f", callee) ]) ])
+      in
+      Alcotest.(check int) (name "bl") (4 + 1) (call [ I.Svc 1 ]);
+      Alcotest.(check int) (name "bl + return") (4 + 3 + 1) (call [ I.Bx_lr ]);
+      Alcotest.(check (pair int int)) (name "bl, return: instr_cycles") (4, 3)
+        (stated [ I.Bl "f" ], stated [ I.Bx_lr ]);
+      (* 40 single-cycle instructions under a 10-cycle interrupt period:
+         every delivery costs the exception entry's 24 cycles *)
+      let r, c =
+        prog_cycles ~irq_period:10
+          [ ("main",
+             [ ("main",
+                List.init 40 (fun _ -> I.Alu (I.ADD, 0, 0, I.I 1l))
+                @ [ I.Svc 1 ]) ]) ]
+      in
+      Alcotest.(check bool) (name "interrupts taken") true
+        (r.E.Emulator.irqs_taken > 0);
+      Alcotest.(check int) (name "interrupt entry")
+        (40 + 1 + (24 * r.E.Emulator.irqs_taken)) c;
+      Alcotest.(check int) (name "irq_entry_cycles") 24
+        E.Emulator.irq_entry_cycles)
+    [ E.Emulator.Reference; E.Emulator.Block ]
 
 let test_ckpt_cost_formula () =
   Alcotest.(check int) "empty mask" (12 + (2 * 3)) (E.Emulator.ckpt_cost 0);
