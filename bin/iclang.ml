@@ -99,19 +99,33 @@ let sabotage_arg ~ckpt_doc =
   in
   Term.(ret (const pick $ drop_ckpt $ drop_reg))
 
+(* an option value [Pipeline.check_options] rejects is a usage error *)
+let range_checked arg set =
+  let check v =
+    match P.check_options (set P.default_options v) with
+    | Ok () -> `Ok v
+    | Error e -> `Error (true, e)
+  in
+  Term.(ret (const check $ arg))
+
 let unroll_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "unroll"; "N" ] ~docv:"N"
-        ~doc:"Loop Write Clusterer unroll factor (paper default 8).")
+  range_checked
+    Arg.(
+      value & opt int 8
+      & info [ "unroll"; "N" ] ~docv:"N"
+          ~doc:"Loop Write Clusterer unroll factor (paper default 8).")
+    (fun o n -> { o with P.unroll_factor = n })
 
 let max_region_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-region" ] ~docv:"CYCLES"
-        ~doc:
-          "Bound idempotent regions to roughly CYCLES estimated cycles            (location-specific checkpoints, an extension of the paper's §6).")
+  range_checked
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "max-region" ] ~docv:"CYCLES"
+          ~doc:
+            "Bound idempotent regions to roughly CYCLES estimated cycles \
+             (location-specific checkpoints, an extension of the paper's §6).")
+    (fun o m -> { o with P.max_region = m })
 
 let profile_guided_arg =
   Arg.(
@@ -1246,8 +1260,9 @@ let pgo_cmd =
 (* The batch front end: JSONL (program, options) jobs in, JSONL results
    out.  Jobs are canonicalized to pipeline image keys and deduplicated;
    only distinct keys compile, fanned over an Exec pool, and every job —
-   including the deduplicated aliases and the lines that failed to parse
-   — gets exactly one result line, in input order.  Protocol lives in
+   including the deduplicated aliases, the lines that failed to parse and
+   the jobs whose compile failed — gets exactly one result line, in input
+   order.  Protocol lives in
    Wario.Serve; see README "Compile service". *)
 let do_serve input output jobs cache_dir no_cache stats_only span_out
     span_jsonl =
@@ -1297,21 +1312,14 @@ let do_serve input output jobs cache_dir no_cache stats_only span_out
         (* compile each distinct job once *)
         let compiled =
           X.map ~jobs ~spans ~label:"serve.map"
-            (fun idx ->
-              let job = oks.(idx) in
-              let t0 = Unix.gettimeofday () in
-              let c, report =
-                P.compile_with_report ~opts:job.Sv.j_opts
-                  ~keys:plan.Sv.p_stage_keys.(idx) ~cache job.Sv.j_env
-                  job.Sv.j_source
-              in
-              (idx, c, report, (Unix.gettimeofday () -. t0) *. 1000.))
+            (fun idx -> (idx, Sv.compile ~cache plan oks idx))
             plan.Sv.p_distinct
         in
         let by_idx = Hashtbl.create 64 in
-        List.iter
-          (fun (idx, c, report, ms) -> Hashtbl.replace by_idx idx (c, report, ms))
-          compiled;
+        List.iter (fun (idx, r) -> Hashtbl.replace by_idx idx r) compiled;
+        let lines, errors =
+          Sv.result_lines ~stats_only parsed plan (Hashtbl.find by_idx)
+        in
         let emit =
           match output with
           | None | Some "-" -> fun line -> print_endline line
@@ -1322,39 +1330,19 @@ let do_serve input output jobs cache_dir no_cache stats_only span_out
                 output_string oc line;
                 output_char oc '\n'
         in
-        let ok_pos = ref 0 in
-        List.iteri
-          (fun i r ->
-            match r with
-            | Error msg ->
-                emit (Sv.error_line ~id:(Printf.sprintf "job-%d" i) msg)
-            | Ok (job : Sv.job) ->
-                let p = !ok_pos in
-                incr ok_pos;
-                let canon = plan.Sv.p_canonical.(p) in
-                let c, report, ms = Hashtbl.find by_idx canon in
-                let dedup_of =
-                  if canon = p then None else Some oks.(canon).Sv.j_id
-                in
-                emit
-                  (Sv.result_line ~stats_only ~job ~key:plan.Sv.p_keys.(p)
-                     ~dedup_of ~stages:report ~wall_ms:ms c))
-          parsed;
+        List.iter emit lines;
         let ctr = Wario.Cache.counters cache in
         Printf.eprintf
           "serve: %d job(s), %d distinct, %d error line(s); cache: %d hit(s), \
            %d miss(es), %d eviction(s)\n"
           (List.length parsed)
           (List.length plan.Sv.p_distinct)
-          (List.length parsed - Array.length oks)
+          errors
           ctr.Wario.Cache.hits ctr.Wario.Cache.misses
           ctr.Wario.Cache.evictions;
         flush_spans ~process_name:"iclang serve" spans span_out span_jsonl;
         `Ok ()
-      with
-      | Sys_error e -> `Error (false, e)
-      | Wario_minic.Minic.Error e -> `Error (false, e)
-      | Wario_backend.Isel.Isel_error e -> `Error (false, e))
+      with Sys_error e -> `Error (false, e))
 
 let serve_cmd =
   let input =

@@ -100,6 +100,15 @@ let default_options =
     motion = false;
   }
 
+let check_options opts =
+  let min_region = T.Region_bounder.min_bound in
+  if opts.unroll_factor < 1 then Error "unroll must be >= 1"
+  else
+    match opts.max_region with
+    | Some n when n < min_region ->
+        Error (Printf.sprintf "max_region must be >= %d" min_region)
+    | _ -> Ok ()
+
 (** What became of [options.block_profile] during placement. *)
 type profile_status =
   | No_profile  (** none supplied: static cost model *)
@@ -252,8 +261,8 @@ let middle_pre ~opts ~spans (env : environment) (prog : Ir.program) :
         let st =
           S.with_span spans "middle.loop_write_clusterer" (fun () ->
               let st =
-                T.Loop_write_clusterer.run ~unroll_factor:opts.unroll_factor
-                  prog
+                T.Loop_write_clusterer.run ~spans
+                  ~unroll_factor:opts.unroll_factor prog
               in
               let module L = T.Loop_write_clusterer in
               S.add_counter ~by:st.L.loops_unrolled spans "loops_unrolled";
@@ -362,8 +371,8 @@ let middle_place ~opts ~spans (env : environment) (prog : Ir.program)
         let st =
           S.with_span spans "middle.checkpoint_inserter" (fun () ->
               let st =
-                T.Checkpoint_inserter.run ~mode ~placement:opts.placement
-                  ?profile ?global prog
+                T.Checkpoint_inserter.run ~spans ~mode
+                  ~placement:opts.placement ?profile ?global prog
               in
               S.add_counter ~by:st.T.Checkpoint_inserter.wars spans "wars";
               S.add_counter ~by:st.T.Checkpoint_inserter.checkpoints spans
@@ -851,8 +860,7 @@ let dropped_reg opts name =
     the cached machine program.  The exception is [Interprocedural]
     expansion, whose audition loop compiles and *runs* full trial
     programs before the middle end: there the "wir" key conservatively
-    absorbs every option the trial compiles consume (including the
-    sampled WARIO_SAVE_ALL emulator flag). *)
+    absorbs every option the trial compiles consume. *)
 let stage_keys ?(opts = default_options) (env : environment) (source : string)
     : (string * Cache.Key.t) list =
   let k_front = Cache.Key.of_parts [ ("stage", "front"); ("source", source) ] in
@@ -860,18 +868,14 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
     opts.placement = T.Checkpoint_inserter.Interprocedural
     && env <> Plain && opts.expander_size_limit > 0
   in
-  (* The emulator's own sampling of WARIO_SAVE_ALL, per call (tests flip
-     it).  It only matters to trial compiles, but it enters every
-     post-frontend key: the cache must never have to reason about which
-     configurations could have observed it. *)
-  let save_all = canon_bool (Wario_emulator.Emulator.save_all_sampled ()) in
   let k_wir =
     Cache.Key.of_parts
       ([
          ("stage", "wir");
          ("parent", k_front);
          ("env", environment_name env);
-         ("save_all", save_all);
+         (* a retired emulator setting: "0" keeps every key bit-identical *)
+         ("save_all", "0");
          ("optimize", canon_bool opts.optimize);
          ("unroll_factor", string_of_int opts.unroll_factor);
          ("expander_size_limit", string_of_int opts.expander_size_limit);
@@ -885,7 +889,7 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
           ("trial_drop_middle_ckpt", canon_opt_int (dropped_ckpt opts));
           ("trial_elide", canon_bool opts.elide);
           ("trial_motion", canon_bool opts.motion);
-          ("trial_save_all", save_all);
+          ("trial_save_all", "0");
         ]
         @ dropped_reg opts "trial_drop_saved_reg"
       else [])

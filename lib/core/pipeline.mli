@@ -79,6 +79,12 @@ type options = {
 
 val default_options : options
 
+val check_options : options -> (unit, string) result
+(** The range check every entry point applies before compiling:
+    [unroll_factor >= 1] and [max_region], when set, at least
+    {!Wario_transforms.Region_bounder.min_bound}.  The error names the
+    offending field. *)
+
 (** What became of [options.block_profile] during placement. *)
 type profile_status =
   | No_profile  (** none supplied: static cost model *)
@@ -138,8 +144,8 @@ val stage_keys :
     [motion] changes only ["image"] (the cached machine program is
     re-linked).  Under [Interprocedural] with a non-[Plain] environment,
     trial expansion compiles and runs whole programs before placement,
-    so the ["wir"] key conservatively absorbs every option (and the
-    sampled [WARIO_SAVE_ALL] flag) those trials consume. *)
+    so the ["wir"] key conservatively absorbs every option those trials
+    consume. *)
 
 val image_key : ?opts:options -> environment -> string -> Cache.Key.t
 (** [stage_keys]' final ("image") key: a canonical fingerprint of the

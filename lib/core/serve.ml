@@ -1,11 +1,11 @@
 (* The `iclang serve` batch protocol: (program, options) compile jobs in,
    per-job results out, both as JSONL.
 
-   This module is the pure half of the server — parsing job lines,
-   canonicalizing them to pipeline stage keys, deduplicating a batch, and
-   formatting result lines.  The orchestration half (reading streams,
-   fanning distinct jobs over an Exec pool, threading the cache) lives in
-   bin/iclang.ml, because lib/core does not depend on wario_exec or the
+   This module is the protocol half of the server — parsing job lines,
+   canonicalizing them to pipeline stage keys, deduplicating a batch,
+   compiling one job and assembling the result lines.  The orchestration
+   half (reading streams, fanning distinct jobs over an Exec pool) lives
+   in bin/iclang.ml, because lib/core does not depend on wario_exec or the
    workload corpus: the benchmark table reaches [job_of_line] as an
    injected [lookup] function.
 
@@ -122,10 +122,9 @@ let job_of_json ~(lookup : string -> string option) ~(index : int) (j : J.t)
                       ~default:d.Pipeline.expander_size_limit;
                 }
               in
-              match opts.Pipeline.unroll_factor with
-              | n when n < 1 -> Error "unroll must be >= 1"
-              | _ -> Ok { j_id = id; j_program = program; j_source = source;
-                          j_env = env; j_opts = opts })))
+              let* () = Pipeline.check_options opts in
+              Ok { j_id = id; j_program = program; j_source = source;
+                   j_env = env; j_opts = opts })))
 
 let job_of_line ~lookup ~index (line : string) : (job, string) result =
   match J.parse (String.trim line) with
@@ -239,3 +238,49 @@ let result_line ?(stats_only = false) ~(job : job) ~(key : Cache.Key.t)
   end;
   add "}";
   Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+(* Batches                                                              *)
+(* ------------------------------------------------------------------ *)
+
+type outcome = (Pipeline.compiled * (string * bool) list * float, string) result
+
+let compile ~cache (plan : plan) (jobs : job array) (idx : int) : outcome =
+  let job = jobs.(idx) in
+  let t0 = Wario_obs.Span.now_ms () in
+  match
+    Pipeline.compile_with_report ~opts:job.j_opts ~keys:plan.p_stage_keys.(idx)
+      ~cache job.j_env job.j_source
+  with
+  | c, report -> Ok (c, report, Wario_obs.Span.now_ms () -. t0)
+  | exception (Wario_minic.Minic.Error e | Wario_backend.Isel.Isel_error e) ->
+      Error e
+
+let result_lines ?stats_only (parsed : (job, string) result list)
+    (plan : plan) (outcome : int -> outcome) : string list * int =
+  let oks = Array.of_list (List.filter_map Result.to_option parsed) in
+  let ok_pos = ref 0 and errors = ref 0 in
+  let error_line ~id msg =
+    incr errors;
+    error_line ~id msg
+  in
+  let lines =
+    List.mapi
+      (fun i r ->
+        match r with
+        | Error msg -> error_line ~id:(Printf.sprintf "job-%d" i) msg
+        | Ok job -> (
+            let p = !ok_pos in
+            incr ok_pos;
+            let canon = plan.p_canonical.(p) in
+            match outcome canon with
+            | Error msg -> error_line ~id:job.j_id msg
+            | Ok (c, stages, wall_ms) ->
+                let dedup_of =
+                  if canon = p then None else Some oks.(canon).j_id
+                in
+                result_line ?stats_only ~job ~key:plan.p_keys.(p) ~dedup_of
+                  ~stages ~wall_ms c))
+      parsed
+  in
+  (lines, !errors)

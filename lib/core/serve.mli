@@ -13,10 +13,10 @@
     [max_region], [expander_size_limit] — all defaulting to
     {!Pipeline.default_options}.  Unknown fields are errors.
 
-    This module is the pure protocol half — parsing, canonicalization to
-    {!Pipeline.stage_keys} image keys, batch deduplication, result
-    formatting.  Stream handling and the {!Wario_exec} fan-out live in
-    the driver. *)
+    This module is the protocol half — parsing, canonicalization to
+    {!Pipeline.stage_keys} image keys, batch deduplication, compiling one
+    job, result formatting.  Stream handling and the {!Wario_exec}
+    fan-out live in [iclang serve]. *)
 
 type job = {
   j_id : string;  (** echoed in the result line *)
@@ -60,7 +60,8 @@ val plan : job list -> plan
     every other job aliases its [p_canonical] entry's result. *)
 
 val error_line : id:string -> string -> string
-(** [{"id":...,"ok":false,"error":...}] for a line that did not parse. *)
+(** [{"id":...,"ok":false,"error":...}] for a line that did not parse or
+    a job whose compile failed. *)
 
 val result_line :
   ?stats_only:bool ->
@@ -77,3 +78,27 @@ val result_line :
     model cost), per-stage cache outcomes and wall time.  [stats_only]
     drops the run-varying fields (stages, wall time) so two serve runs
     over the same batch — cached or not — are byte-identical. *)
+
+(** {1 Batches} *)
+
+type outcome = (Pipeline.compiled * (string * bool) list * float, string) result
+(** A distinct job's compile: the compiled program, its per-stage cache
+    outcomes and its wall time in ms — or the compile error. *)
+
+val compile : cache:Cache.t -> plan -> job array -> int -> outcome
+(** [compile ~cache plan jobs i] compiles [jobs.(i)] ([plan] is
+    [plan (Array.to_list jobs)]) under its stage keys.  A source the
+    front end or instruction selection rejects is an [Error], not an
+    exception. *)
+
+val result_lines :
+  ?stats_only:bool ->
+  (job, string) result list ->
+  plan ->
+  (int -> outcome) ->
+  string list * int
+(** [result_lines parsed plan outcome]: one line per parsed job line, in
+    input order, and how many of them are error lines.  [plan] covers the
+    [Ok] jobs of [parsed]; [outcome i] is the compile of the [i]-th
+    distinct one, which its deduplicated aliases share: a failed compile
+    is an error line for each of them. *)

@@ -135,7 +135,6 @@ type pageset = {
    - [fn lsl 2 lor 3], count: calls of function slot [fn]. *)
 type log = {
   l_img : Image.t;
-  l_save_all : bool;
   l_commits : int;
   l_cyc : Bytes.t array;
   l_ins : Bytes.t array;
@@ -283,12 +282,8 @@ type state = {
   (* per-pc tables precomputed by [create] — every per-instruction cost
      that is static (which is all of them except a not-taken [Bc]) is
      paid for once here instead of per step: *)
-  save_all : bool;  (** WARIO_SAVE_ALL, read once at [create] *)
-  debug_boots : bool;  (** WARIO_DEBUG_EMU, read once at [create] *)
   cost : int array;
       (** [instr_cycles] per pc ([Bc]: the taken cost, the larger) *)
-  eff_mask : int array;
-      (** effective checkpoint mask per pc ([Ckpt]/[Svc 0]); -1 elsewhere *)
   call_fn : int array;  (** callee's [fn_names] slot per pc ([Bl]); -1 *)
   (* profiling: per-pc execution counts for the PGO pilot run ([None] =
      off).  Counting forces the reference path ([fast_eligible] checks it):
@@ -569,18 +564,17 @@ let popcount mask =
 let ckpt_cost mask = 12 + (2 * (popcount mask + 3)) (* + sp, pc, flags *)
 let restore_cost mask = 8 + (2 * (popcount mask + 3))
 
-(* The registers a commit saves: a checkpoint's live mask (r0-r14 under
-   WARIO_SAVE_ALL), r0-r12 and lr for console output; -1 for any other
-   instruction. *)
-let saved_mask ~save_all : I.instr -> int = function
-  | I.Ckpt (_, mask) -> if save_all then 0x7fff else mask
+(* The registers a commit saves: a checkpoint's live mask, r0-r12 and lr
+   for console output; -1 for any other instruction. *)
+let saved_mask : I.instr -> int = function
+  | I.Ckpt (_, mask) -> mask
   | I.Svc 0 -> 0x5fff
   | _ -> -1
 
 (* The cycle model: the cycles one instruction spends, [taken] telling
    whether a conditional branch branches (a taken branch refills the
    three-stage pipeline).  Pseudo instructions never execute. *)
-let instr_cycles ~save_all ~taken (ins : I.instr) =
+let instr_cycles ~taken (ins : I.instr) =
   match ins with
   | I.Alu ((I.SDIV | I.UDIV), _, _, _) -> 6
   | I.Alu _ | I.Mov _ | I.Movc _ | I.Cmp _ | I.Cpsid | I.Cpsie -> 1
@@ -589,8 +583,8 @@ let instr_cycles ~save_all ~taken (ins : I.instr) =
   | I.B _ | I.Bx_lr -> 3
   | I.Bc _ -> if taken then 3 else 1
   | I.Bl _ -> 4
-  | I.Ckpt _ -> ckpt_cost (saved_mask ~save_all ins)
-  | I.Svc 0 -> 2 + ckpt_cost (saved_mask ~save_all ins)
+  | I.Ckpt _ -> ckpt_cost (saved_mask ins)
+  | I.Svc 0 -> 2 + ckpt_cost (saved_mask ins)
   | I.Svc _ -> 1
   | I.FrameAddr _ | I.SpillLd _ | I.SpillSt _ -> 0
 
@@ -883,9 +877,6 @@ let power_on st =
         cold_start st;
         None
   in
-  if st.debug_boots && (st.boots < 50 || st.boots mod 10000 = 0) then
-    Printf.eprintf "boot %d: pc=%d (%s) cycles=%d\n%!" st.boots st.pc
-      st.img.Image.func_of_pc.(st.pc) st.cycles;
   if st.trace_on then begin
     let func = st.img.Image.func_of_pc.(st.pc) in
     Tr.emit st.tracer st.cycles
@@ -982,7 +973,7 @@ let exec_instr st (ins : I.instr) =
   | I.FrameAddr _ | I.SpillLd _ | I.SpillSt _ ->
       raise (Emu_error ("pseudo instruction in linked code: " ^ I.string_of_instr ins))
   | I.Bc (c, _) when not (cond_holds st c) ->
-      spend st (instr_cycles ~save_all:st.save_all ~taken:false ins);
+      spend st (instr_cycles ~taken:false ins);
       st.pc <- next
   | _ -> (
       spend st st.cost.(pc);
@@ -1042,8 +1033,8 @@ let exec_instr st (ins : I.instr) =
               Tr.emit st.tracer st.cycles (Tr.Halt { exit_code = st.exit_code })
           end
           else st.pc <- st.regs.(I.lr)
-      | I.Ckpt (cause, _) ->
-          commit_checkpoint st ~cause:(obs_cause cause) st.eff_mask.(pc) next;
+      | I.Ckpt (cause, mask) ->
+          commit_checkpoint st ~cause:(obs_cause cause) mask next;
           st.pc <- next
       | I.Cpsid ->
           st.primask <- true;
@@ -1056,7 +1047,7 @@ let exec_instr st (ins : I.instr) =
              standard treatment of peripheral output; not counted in the
              cause statistics) *)
           st.out_rev <- Int32.of_int st.regs.(0) :: st.out_rev;
-          commit_checkpoint st ~cause:Tr.Console st.eff_mask.(pc) next;
+          commit_checkpoint st ~cause:Tr.Console (saved_mask ins) next;
           st.pc <- next
       | I.Svc _ ->
           st.halted <- true;
@@ -1104,24 +1095,12 @@ let fresh_buffers () =
 
 type t = state
 
-(* "" and "0" mean off, so tests (and shells) can clear a flag without
-   [unsetenv] *)
-let env_flag name =
-  match Sys.getenv_opt name with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-let save_all_sampled () = env_flag "WARIO_SAVE_ALL"
-
-(* Per-pc cost/mask/callee tables, computed once per instance.  They fold
-   every static per-instruction decision — [instr_cycles], checkpoint mask
-   (incl. the WARIO_SAVE_ALL override) and callee identity — out of the
-   interpreter loop. *)
-let build_tables ~save_all (img : Image.t) =
+(* Per-pc cost/callee tables, computed once per instance.  They fold
+   every static per-instruction decision — [instr_cycles] and callee
+   identity — out of the interpreter loop. *)
+let build_tables (img : Image.t) =
   let n = Array.length img.Image.code in
-  let cost = Array.make n 0
-  and eff_mask = Array.make n (-1)
-  and call_fn = Array.make n (-1) in
+  let cost = Array.make n 0 and call_fn = Array.make n (-1) in
   (* dense function indexing, in func_of_pc order (deterministic) *)
   let index = Hashtbl.create 16 in
   let names_rev = ref [] in
@@ -1137,40 +1116,28 @@ let build_tables ~save_all (img : Image.t) =
   Array.iter (fun f -> ignore (fn_index f)) img.Image.func_of_pc;
   for pc = 0 to n - 1 do
     let ins = img.Image.code.(pc) in
-    cost.(pc) <- instr_cycles ~save_all ~taken:true ins;
-    eff_mask.(pc) <- saved_mask ~save_all ins;
+    cost.(pc) <- instr_cycles ~taken:true ins;
     match ins with
     | I.Bl _ ->
         call_fn.(pc) <- fn_index img.Image.func_of_pc.(img.Image.target.(pc))
     | _ -> ()
   done;
-  (cost, eff_mask, call_fn, Array.of_list (List.rev !names_rev))
-
-(* [build_tables], or the tables of [reuse] when it runs the same image
-   under the same save-all setting. *)
-let tables_for ?reuse ~save_all img =
-  match reuse with
-  | Some o when o.img == img && o.save_all = save_all ->
-      (o.cost, o.eff_mask, o.call_fn, o.fn_names)
-  | _ -> build_tables ~save_all img
-
-(* The compiled blocks of [reuse] when it runs the same image under the
-   same save-all and verify flags (see [get_bcache]). *)
-let bcache_for ?reuse ~save_all ~verify img =
-  match reuse with
-  | Some o when o.img == img && o.save_all = save_all && o.verify = verify ->
-      o.bcache
-  | _ -> None
+  (cost, call_fn, Array.of_list (List.rev !names_rev))
 
 let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
     ?(irq_period = 0) ?(verify = true) ?(tracer = Tr.null)
     ?(count_pcs = false) ?reuse (img : Image.t) : t =
-  (* environment flags are sampled exactly once, here *)
-  let save_all = save_all_sampled () in
   let reuse =
     match reuse with Some old when verify && old.verify -> Some old | _ -> None
   in
-  let cost, eff_mask, call_fn, fn_names = tables_for ?reuse ~save_all img in
+  (* a verify-mode instance of the same image lends its per-pc tables and
+     compiled blocks (see [get_bcache]) *)
+  let same = match reuse with Some o when o.img == img -> reuse | _ -> None in
+  let cost, call_fn, fn_names =
+    match same with
+    | Some o -> (o.cost, o.call_fn, o.fn_names)
+    | None -> build_tables img
+  in
   let mem, kinds, touched =
     match reuse with
     | Some o -> recycled_buffers o
@@ -1223,10 +1190,7 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       out_rev = [];
       fn_names;
       fn_calls = Array.make (Array.length fn_names) 0;
-      save_all;
-      debug_boots = env_flag "WARIO_DEBUG_EMU";
       cost;
-      eff_mask;
       call_fn;
       pc_counts =
         (if count_pcs then Some (Array.make (Array.length img.Image.code) 0)
@@ -1241,7 +1205,7 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       commits = 0;
       fail_sites_rev = [];
       period_live = false;
-      bcache = bcache_for ?reuse ~save_all ~verify img;
+      bcache = Option.bind same (fun o -> o.bcache);
       n_dispatch = 0;
       n_fallback = 0;
     }
@@ -1385,9 +1349,7 @@ let compile_blocks (st : state) : bcache =
   let code = img.Image.code and target = img.Image.target in
   let n = Array.length code in
   let cost = st.cost
-  and eff_mask = st.eff_mask
   and call_fn = st.call_fn
-  and save_all = st.save_all
   and verify = st.verify in
   let msize = Image.mem_size in
   (* ---- pass 1: leaders ---- *)
@@ -1534,7 +1496,7 @@ let compile_blocks (st : state) : bcache =
           | I.Ckpt _ | I.Svc 0 ->
               (* its own single-instruction block (commit sites are
                  leaders), so every counter is exact at the commit *)
-              let cst = cost.(t) and mask = eff_mask.(t) in
+              let cst = cost.(t) and mask = saved_mask code.(t) in
               let cause =
                 match code.(t) with
                 | I.Ckpt (c, _) -> obs_cause c
@@ -1570,7 +1532,7 @@ let compile_blocks (st : state) : bcache =
                 -1
           | I.Bc (cnd, _) ->
               let tcT = bc_ + cost.(t)
-              and tcN = bc_ + instr_cycles ~save_all ~taken:false code.(t)
+              and tcN = bc_ + instr_cycles ~taken:false code.(t)
               and tn = bn + 1 in
               let tgt = bidx.(target.(t)) in
               let nbn = if t + 1 < n then bidx.(t + 1) else -1 in
@@ -2097,16 +2059,14 @@ let compile_blocks (st : state) : bcache =
   let blocks = Array.init nbk compile_one in
   { bc_blocks = blocks; bc_index = bidx; bc_compile_ms = 0. }
 
-(* The compiled cache depends only on the image, the save-all toggle and
-   the verify flag (closures capture operand constants, checkpoint
-   costs/masks — which [WARIO_SAVE_ALL] inflates — the image's code array
-   and, in verify mode, the WAR-shadow twins; never other instance state).
-   It belongs to the instances that share it: {!clone}, and a [create]
-   whose [reuse] runs the same image under the same toggle and flag,
-   hand it on ([bcache_for]); a log leaves it out.  So a
-   campaign probing 10^5 schedules compiles about once per domain, and
-   the cache is dropped with the last instance of its image, never
-   later. *)
+(* The compiled cache depends only on the image and the verify flag
+   (closures capture operand constants, checkpoint costs/masks, the
+   image's code array and, in verify mode, the WAR-shadow twins; never
+   other instance state).  It belongs to the instances that share it:
+   {!clone}, and a [create] whose [reuse] runs the same image under the
+   same flag, hand it on; a log leaves it out.  So a campaign probing
+   10^5 schedules compiles about once per domain, and the cache is
+   dropped with the last instance of its image, never later. *)
 let get_bcache st =
   match st.bcache with
   | Some c -> c
@@ -2188,7 +2148,7 @@ let clone st =
     recorder = None;
     follower = None;
     pagesets = None;
-    (* cost/eff_mask/call_fn/fn_names are immutable: shared *)
+    (* cost/call_fn/fn_names are immutable: shared *)
   }
 
 (* Fold the per-pc counts to per-block entry counts: the count of a block's
@@ -2379,7 +2339,6 @@ let finish_log ~(continuous : result) st =
         Some
           {
             l_img = st.img;
-            l_save_all = st.save_all;
             l_commits = st.commits;
             l_cyc = words_chunks r.r_cyc;
             l_ins = words_chunks r.r_ins;
@@ -2500,7 +2459,7 @@ let matches st f k =
 let write_buffer st l j regs =
   let meta = word l.l_meta j in
   let pc = meta lsr 8 in
-  let mask = st.eff_mask.(pc - 1) in
+  let mask = saved_mask st.img.Image.code.(pc - 1) in
   let base = buf_addr ((j - 1) land 1) in
   raw_store32 st (base + 4) mask;
   raw_store32 st (base + 8) pc;
@@ -2659,8 +2618,7 @@ let follow ?engine st l =
   if
     not
       (st.verify && st.irq_period = 0 && (not st.trace_on)
-      && st.pc_counts = None && l.l_img == st.img
-      && l.l_save_all = st.save_all)
+      && st.pc_counts = None && l.l_img == st.img)
   then
     invalid_arg
       "Emulator.follow: needs a verify-mode instance of the log's image, \

@@ -89,24 +89,18 @@ val ckpt_cost : int -> int
 
 val restore_cost : int -> int
 
-val instr_cycles : save_all:bool -> taken:bool -> Wario_machine.Isa.instr -> int
+val instr_cycles : taken:bool -> Wario_machine.Isa.instr -> int
 (** The cycle model: the cycles one instruction of a linked image spends,
     the only source of per-instruction costs for both engines.  Single-
     cycle ALU, move, compare and [cpsid]/[cpsie]; 6 for a division; 2 for
     [movw32], [adr], loads and stores; 1 + n for a push of n registers; 3
     for a branch or return (the taken branch refills the three-stage
     pipeline), a conditional branch 1 when not [taken]; 4 for a call;
-    {!ckpt_cost} of the saved mask for a checkpoint (the whole register
-    file r0-r14 when [save_all]); 2 plus the cost of an implicit
+    {!ckpt_cost} of the live mask for a checkpoint; 2 plus the cost of an implicit
     r0-r12/lr checkpoint for console output; 1 for the halt; 0 for a
     pseudo instruction, which never executes.  Boot ({!boot_cycles}),
     restore ({!restore_cost}) and interrupt entry ({!irq_entry_cycles})
     are the only other cycles a run spends. *)
-
-val save_all_sampled : unit -> bool
-(** Whether the [WARIO_SAVE_ALL] environment variable is set to anything
-    but [""] or ["0"]: read each call, as {!create} reads it once per
-    instance. *)
 
 val ckpt_bytes : int -> int
 (** Bytes a commit writes into its buffer for a given live mask. *)
@@ -152,12 +146,8 @@ val run :
     timestamps.
     @param engine interpreter/translator selection (default [Block]).
 
-    The runtime's save-all escape hatch is sampled {e once}, at instance
-    creation: setting the [WARIO_SAVE_ALL] environment variable (to
-    anything other than [""] or ["0"]) makes every checkpoint save the
-    full register file regardless of its live mask (changing the variable
-    mid-run has no effect).  [WARIO_DEBUG_EMU] (boot logging on stderr) is
-    sampled the same way.
+    A checkpoint saves exactly the live mask the back end computed: a run
+    is fixed by its image, its options and its supply schedule.
 
     With [verify] on, an instance carries a WAR shadow of one byte per
     address plus the list of bytes touched in the current region, and a
@@ -197,8 +187,7 @@ val create :
     lends a verify-mode instance its memory and WAR-shadow buffers (and
     the page copies of a {!follow}): only the pages it wrote and its
     image's initial data are cleared, instead of allocating and clearing
-    2 MiB.  Of the same image (and
-    [WARIO_SAVE_ALL] setting), it lends its per-pc tables and compiled
+    2 MiB.  Of the same image, it lends its per-pc tables and compiled
     blocks too.  Results already taken from it are unaffected. *)
 
 type step =
@@ -321,8 +310,8 @@ type jumps = {
 }
 
 val follow : ?engine:engine -> t -> log -> jumps
-(** [follow st log], where [st] was created from [log]'s image (same
-    [WARIO_SAVE_ALL] setting) with verify on and no interrupts, tracer or
+(** [follow st log], where [st] was created from [log]'s image with
+    verify on and no interrupts, tracer or
     per-pc counts, and has executed nothing yet, runs [st] to its halt
     on [engine], like stepping, but takes jumps.  At a stop — right after
     boot, or right after a commit [k] the run made itself — it finds the

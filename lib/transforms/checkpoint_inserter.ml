@@ -108,25 +108,21 @@ let insert_checkpoints f (points : point list) (cause : ckpt_cause) =
 
 let run_func ~(mode : Analysis.Alias.mode) ~(placement : placement)
     ~(profile : Analysis.Costmodel.profile option)
-    ~(global : (string -> label -> float) option) ~escapes (f : func) :
+    ~(global : (string -> label -> float) option) ~escapes ~timed
+    ~(phase_ms : float array) (f : func) :
     int * int * Analysis.Hitting_set.optimality option * int
     * placement_info list =
-  let dbg = Sys.getenv_opt "WARIO_DEBUG_CPI" <> None in
-  let now () = if dbg then Unix.gettimeofday () else 0. in
+  let now () = if timed then Wario_obs.Span.now_ms () else 0. in
+  let lap i t0 t1 = phase_ms.(i) <- phase_ms.(i) +. (t1 -. t0) in
   let t0 = now () in
   let cfg = Analysis.Cfg.build f in
   let dom = Analysis.Dominance.build cfg in
   let loops = Analysis.Loops.build cfg dom in
-  let t1 = now () in
   let alias = Analysis.Alias.build ~mode ~escapes f in
-  let t2 = now () in
   let pdg = Analysis.Pdg.build alias cfg f in
   let wars = Analysis.Pdg.wars pdg in
   let t3 = now () in
-  if dbg && t3 -. t0 > 0.2 then
-    Printf.eprintf "cpi %-14s cfg=%.1f alias=%.1f wars=%.1f (#wars=%d)
-%!"
-      f.fname (t1 -. t0) (t2 -. t1) (t3 -. t2) (List.length wars);
+  lap 0 t0 t3;
   if wars = [] then (0, 0, None, 0, [])
   else begin
     (* Subsumption: for a fixed store and load block, the pair with the
@@ -234,47 +230,61 @@ let run_func ~(mode : Analysis.Alias.mode) ~(placement : placement)
         (Wario_support.Util.dedup_stable chosen)
     in
     insert_checkpoints f chosen Middle_end_war;
-    if dbg && t5 -. t3 > 0.2 then
-      Printf.eprintf "cpi %-14s cand=%.1f hs=%.1f insert=%.1f chosen=%d
-%!"
-        f.fname (t4 -. t3) (t5 -. t4)
-        (now () -. t5)
-        (List.length chosen);
+    lap 1 t3 t4;
+    lap 2 t4 t5;
+    lap 3 t5 (now ());
     (List.length wars, List.length chosen, opt, nodes, infos)
   end
 
+(* The span counters of [run_func]'s [phase_ms] slots *)
+let phase_counters =
+  [| "analysis_us"; "candidates_us"; "solve_us"; "insert_us" |]
+
 (** Insert middle-end checkpoints for the whole program; returns statistics. *)
-let run ?(mode = Analysis.Alias.Precise) ?(placement = Cost_guided) ?profile
-    ?global (p : program) : stats =
+let run ?(spans = Wario_obs.Span.disabled) ?(mode = Analysis.Alias.Precise)
+    ?(placement = Cost_guided) ?profile ?global (p : program) : stats =
   let escapes = Analysis.Alias.escapes_of_program p in
-  List.fold_left
-    (fun acc f ->
-      let wars, cps, opt, nodes, infos =
-        run_func ~mode ~placement ~profile ~global ~escapes f
-      in
+  let timed = Wario_obs.Span.is_enabled spans in
+  let phase_ms = Array.make (Array.length phase_counters) 0. in
+  let stats =
+    List.fold_left
+      (fun acc f ->
+        let wars, cps, opt, nodes, infos =
+          run_func ~mode ~placement ~profile ~global ~escapes ~timed
+            ~phase_ms f
+        in
+        {
+          functions = acc.functions + 1;
+          wars = acc.wars + wars;
+          checkpoints = acc.checkpoints + cps;
+          exact =
+            (acc.exact
+            + match opt with Some Analysis.Hitting_set.Exact -> 1 | _ -> 0);
+          fallback =
+            (acc.fallback
+            +
+            match opt with
+            | Some Analysis.Hitting_set.Greedy_fallback -> 1
+            | _ -> 0);
+          hs_nodes = acc.hs_nodes + nodes;
+          placements = acc.placements @ infos;
+        })
       {
-        functions = acc.functions + 1;
-        wars = acc.wars + wars;
-        checkpoints = acc.checkpoints + cps;
-        exact =
-          (acc.exact
-          + match opt with Some Analysis.Hitting_set.Exact -> 1 | _ -> 0);
-        fallback =
-          (acc.fallback
-          +
-          match opt with
-          | Some Analysis.Hitting_set.Greedy_fallback -> 1
-          | _ -> 0);
-        hs_nodes = acc.hs_nodes + nodes;
-        placements = acc.placements @ infos;
-      })
-    {
-      functions = 0;
-      wars = 0;
-      checkpoints = 0;
-      exact = 0;
-      fallback = 0;
-      hs_nodes = 0;
-      placements = [];
-    }
-    p.funcs
+        functions = 0;
+        wars = 0;
+        checkpoints = 0;
+        exact = 0;
+        fallback = 0;
+        hs_nodes = 0;
+        placements = [];
+      }
+      p.funcs
+  in
+  (* truncated, so the phases never sum past the enclosing span *)
+  Array.iteri
+    (fun i name ->
+      Wario_obs.Span.add_counter
+        ~by:(int_of_float (phase_ms.(i) *. 1000.))
+        spans name)
+    phase_counters;
+  stats

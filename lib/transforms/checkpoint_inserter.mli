@@ -42,6 +42,7 @@ type stats = {
 }
 
 val run :
+  ?spans:Wario_obs.Span.t ->
   ?mode:Wario_analysis.Alias.mode ->
   ?placement:placement ->
   ?profile:Wario_analysis.Costmodel.profile ->
@@ -54,4 +55,10 @@ val run :
     the caller) is consulted under [Cost_guided] and [Interprocedural].
     [global] supplies interprocedural block weights (typically
     {!Wario_analysis.Callgraph.t.block_weight}) and is only consulted under
-    [Interprocedural]; when absent that policy degrades to [Cost_guided]. *)
+    [Interprocedural]; when absent that policy degrades to [Cost_guided].
+    A live [spans] (default {!Wario_obs.Span.disabled}) receives, on its
+    innermost open span, the microseconds spent in each phase summed over
+    functions: [analysis_us] (CFG, alias analysis, PDG and WARs),
+    [candidates_us] (subsumption and candidate sets), [solve_us] (the
+    hitting set) and [insert_us] (rationale records and insertion).  The
+    clock is read only when [spans] is live. *)

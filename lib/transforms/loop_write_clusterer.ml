@@ -206,8 +206,8 @@ let widen_to_canonical f (w : width) (data : reg) : reg * instr list =
       let a = fresh_reg f and d = fresh_reg f in
       (d, [ Bin (a, Shl, Reg data, Imm 16l); Bin (d, Ashr, Reg a, Imm 16l) ])
 
-let transform_loop ~escapes (f : func) (loop : Analysis.Loops.loop) (n : int)
-    (stats : stats ref) : bool =
+let transform_loop ~escapes ~cancelled (f : func) (loop : Analysis.Loops.loop)
+    (n : int) (stats : stats ref) : bool =
   (* --- unroll --- *)
   let body, final_latch = unroll f loop n in
   stats := { !stats with loops_unrolled = !stats.loops_unrolled + 1 };
@@ -342,10 +342,9 @@ let transform_loop ~escapes (f : func) (loop : Analysis.Loops.loop) (n : int)
              every traversal, so a store that does not dominate the latch
              (a conditional store) would be written speculatively *)
           let bad_latch = not (point_dominates dom s.mo_point final_latch) in
-          if Sys.getenv_opt "WARIO_DEBUG_LWC" <> None then
-            Printf.eprintf "lwc: store (%s,%d) waw=%b read=%b exit=%b latch=%b\n%!"
-              (fst s.mo_point) (snd s.mo_point) waw_blocked bad_read bad_exit
-              bad_latch;
+          List.iteri
+            (fun i b -> if b then cancelled.(i) <- cancelled.(i) + 1)
+            [ waw_blocked; bad_read; bad_exit; bad_latch ];
           if not (waw_blocked || bad_read || bad_exit || bad_latch) then
             accepted := s :: !accepted
         end)
@@ -658,8 +657,8 @@ let transform_loop ~escapes (f : func) (loop : Analysis.Loops.loop) (n : int)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_func ~escapes ~(unroll_factor : int) (f : func) (stats : stats ref) :
-    unit =
+let run_func ~escapes ~cancelled ~(unroll_factor : int) (f : func)
+    (stats : stats ref) : unit =
   let cfg = Analysis.Cfg.build f in
   let dom = Analysis.Dominance.build cfg in
   let pdom = Analysis.Dominance.build_post cfg in
@@ -686,13 +685,26 @@ let run_func ~escapes ~(unroll_factor : int) (f : func) (stats : stats ref) :
   (* Transform candidates one at a time, re-deriving analyses in between
      (transform_loop rebuilds its own). *)
   List.iter
-    (fun l -> ignore (transform_loop ~escapes f l unroll_factor stats))
+    (fun l ->
+      ignore (transform_loop ~escapes ~cancelled f l unroll_factor stats))
     candidates
+
+(* The span counters of [cancelled]'s slots: candidate stores rejected
+   by each check, per selection round (a store can fail several). *)
+let cancel_counters =
+  [| "cancelled_waw"; "cancelled_read"; "cancelled_exit"; "cancelled_latch" |]
 
 (** Apply the Loop Write Clusterer to every function.
     @param unroll_factor the paper's N (default 8, see §5.2.4) *)
-let run ?(unroll_factor = 8) (p : program) : stats =
+let run ?(spans = Wario_obs.Span.disabled) ?(unroll_factor = 8) (p : program)
+    : stats =
   let escapes = Analysis.Alias.escapes_of_program p in
   let stats = ref empty_stats in
-  List.iter (fun f -> run_func ~escapes ~unroll_factor f stats) p.funcs;
+  let cancelled = Array.make (Array.length cancel_counters) 0 in
+  List.iter
+    (fun f -> run_func ~escapes ~cancelled ~unroll_factor f stats)
+    p.funcs;
+  Array.iteri
+    (fun i name -> Wario_obs.Span.add_counter ~by:cancelled.(i) spans name)
+    cancel_counters;
   !stats

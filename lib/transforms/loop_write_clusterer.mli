@@ -17,5 +17,13 @@ type stats = {
   exit_writebacks : int;
 }
 
-val run : ?unroll_factor:int -> Wario_ir.Ir.program -> stats
-(** @param unroll_factor the paper's N; default 8 (§5.2.4) *)
+val run :
+  ?spans:Wario_obs.Span.t -> ?unroll_factor:int -> Wario_ir.Ir.program -> stats
+(** @param spans (default {!Wario_obs.Span.disabled}) receives, on its
+    innermost open span, the candidate stores each check rejected:
+    [cancelled_waw] (an aliasing stationary store follows),
+    [cancelled_read] (an aliasing load of another width),
+    [cancelled_exit] (the store reaches an exit it does not dominate) and
+    [cancelled_latch] (the store does not dominate the latch), counted
+    per selection round.
+    @param unroll_factor the paper's N; default 8 (§5.2.4) *)

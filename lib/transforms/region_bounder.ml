@@ -99,7 +99,9 @@ let run_func ~(max_instrs : int) (f : func) : int =
 
 (** Bound every idempotent region of the program to roughly [max_instrs]
     executed instructions; returns insertion statistics. *)
+let min_bound = 4
+
 let run ~(max_instrs : int) (p : program) : stats =
-  if max_instrs < 4 then invalid_arg "Region_bounder.run: bound too small";
+  if max_instrs < min_bound then invalid_arg "Region_bounder.run: bound too small";
   let extra = List.fold_left (fun n f -> n + run_func ~max_instrs f) 0 p.funcs in
   { bounded_functions = List.length p.funcs; extra_checkpoints = extra }

@@ -8,5 +8,8 @@
 
 type stats = { bounded_functions : int; extra_checkpoints : int }
 
+val min_bound : int
+(** The smallest usable [max_instrs] (4). *)
+
 val run : max_instrs:int -> Wario_ir.Ir.program -> stats
-(** @raise Invalid_argument when the bound is unusably small (< 4) *)
+(** @raise Invalid_argument when the bound is below {!min_bound} *)

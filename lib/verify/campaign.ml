@@ -239,10 +239,7 @@ let case_gen config ~workload ~env =
           (Hashtbl.hash ("campaign", workload, P.environment_name env))))
 
 let repro_of config ~workload ~env cuts =
-  Repro.make ~unroll:config.opts.P.unroll_factor
-    ?max_region:config.opts.P.max_region
-    ?sabotage:config.opts.P.sabotage ~seed:config.seed ~workload ~env
-    cuts
+  Repro.make ~opts:config.opts ~seed:config.seed ~workload ~env cuts
 
 (* ------------------------------------------------------------------ *)
 (* Plan generation                                                      *)
@@ -685,7 +682,7 @@ let corpus_entries (reports : case_report list) : Corpus.entry list =
       List.map
         (fun f ->
           let expect =
-            if f.k_repro.Repro.sabotage <> None then Corpus.Must_fail
+            if f.k_repro.Repro.opts.P.sabotage <> None then Corpus.Must_fail
             else Corpus.Must_pass
           in
           let supply =

@@ -6,33 +6,27 @@
    Every field needed to replay deterministically is carried: the workload
    name (a micro program or a paper benchmark), the software environment,
    the pipeline options that shape the checkpoint schedule (unroll factor,
-   optional region bound, optional test-only sabotage) and the cut
-   schedule itself.  [seed] is bookkeeping: the campaign seed that found the
-   failure. *)
+   optional region bound, placement policy, elision and motion, optional
+   test-only sabotage) and the cut schedule itself.  Options at their
+   defaults are left out of the line, the unroll factor excepted.  [seed]
+   is bookkeeping: the campaign seed that found the failure. *)
 
 module P = Wario.Pipeline
 
 type t = {
   workload : string;
   env : P.environment;
-  unroll : int;
-  max_region : int option;
-  sabotage : P.sabotage option;  (** test-only sabotage replay (see Pipeline) *)
+  opts : P.options;
   cuts : int array;
   seed : int64 option;  (** campaign seed that found the failure *)
 }
 
-let make ?(unroll = P.default_options.P.unroll_factor) ?max_region ?sabotage
-    ?seed ~workload ~env cuts =
-  { workload; env; unroll; max_region; sabotage; cuts; seed }
+let defaults = P.default_options
 
-let options_of (r : t) : P.options =
-  {
-    P.default_options with
-    P.unroll_factor = r.unroll;
-    max_region = r.max_region;
-    sabotage = r.sabotage;
-  }
+let make ?(opts = defaults) ?seed ~workload ~env cuts =
+  { workload; env; opts; cuts; seed }
+
+let options_of (r : t) : P.options = r.opts
 
 let source_of_workload (name : string) : (string, string) result =
   match
@@ -54,28 +48,24 @@ let source_of_workload (name : string) : (string, string) result =
 (* ------------------------------------------------------------------ *)
 
 let to_string (r : t) : string =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "(repro";
-  Buffer.add_string buf (Printf.sprintf " (workload %s)" r.workload);
-  Buffer.add_string buf
-    (Printf.sprintf " (env %s)" (P.environment_name r.env));
-  Buffer.add_string buf (Printf.sprintf " (unroll %d)" r.unroll);
-  (match r.max_region with
+  let buf = Buffer.create 128 and o = r.opts in
+  let add fmt = Printf.bprintf buf fmt in
+  add "(repro (workload %s) (env %s) (unroll %d)" r.workload
+    (P.environment_name r.env) o.P.unroll_factor;
+  Option.iter (add " (max-region %d)") o.P.max_region;
+  if o.P.placement <> defaults.P.placement then
+    add " (placement %s)" (P.placement_name o.P.placement);
+  if o.P.elide <> defaults.P.elide then add " (elide %b)" o.P.elide;
+  if o.P.motion <> defaults.P.motion then add " (motion %b)" o.P.motion;
+  (match o.P.sabotage with
   | None -> ()
-  | Some m -> Buffer.add_string buf (Printf.sprintf " (max-region %d)" m));
-  (match r.sabotage with
-  | None -> ()
-  | Some (P.Drop_ckpt n) ->
-      Buffer.add_string buf (Printf.sprintf " (drop-ckpt %d)" n)
-  | Some (P.Drop_saved_reg n) ->
-      Buffer.add_string buf (Printf.sprintf " (drop-reg %d)" n));
-  Buffer.add_string buf " (cuts";
-  Array.iter (fun c -> Buffer.add_string buf (Printf.sprintf " %d" c)) r.cuts;
-  Buffer.add_string buf ")";
-  (match r.seed with
-  | None -> ()
-  | Some s -> Buffer.add_string buf (Printf.sprintf " (seed %Ld)" s));
-  Buffer.add_string buf ")";
+  | Some (P.Drop_ckpt n) -> add " (drop-ckpt %d)" n
+  | Some (P.Drop_saved_reg n) -> add " (drop-reg %d)" n);
+  add " (cuts";
+  Array.iter (add " %d") r.cuts;
+  add ")";
+  Option.iter (add " (seed %Ld)") r.seed;
+  add ")";
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -133,6 +123,13 @@ let int_of_atom ctx = function
       | None -> raise (Parse_error (ctx ^ ": not an integer: " ^ a)))
   | List _ -> raise (Parse_error (ctx ^ ": expected an integer"))
 
+let bool_of_atom ctx = function
+  | Atom a -> (
+      match bool_of_string_opt a with
+      | Some b -> b
+      | None -> raise (Parse_error (ctx ^ ": not a boolean: " ^ a)))
+  | List _ -> raise (Parse_error (ctx ^ ": expected a boolean"))
+
 let parse (s : string) : (sexp, string) result =
   match parse_sexp s with
   | sx -> Ok sx
@@ -146,10 +143,9 @@ let of_sexp (sx : sexp) : (t, string) result =
   try
     match sx with
     | List (Atom "repro" :: fields) ->
-        let workload = ref None and env = ref None in
-        let unroll = ref P.default_options.P.unroll_factor in
-        let max_region = ref None and sabotage = ref None in
+        let workload = ref None and env = ref None and opts = ref defaults in
         let cuts = ref [||] and seed = ref None in
+        let set f = opts := f !opts in
         List.iter
           (function
             | List [ Atom "workload"; Atom w ] -> workload := Some w
@@ -157,13 +153,25 @@ let of_sexp (sx : sexp) : (t, string) result =
                 match P.environment_of_name e with
                 | Some v -> env := Some v
                 | None -> raise (Parse_error ("unknown environment " ^ e)))
-            | List [ Atom "unroll"; v ] -> unroll := int_of_atom "unroll" v
+            | List [ Atom "unroll"; v ] ->
+                set (fun o -> { o with unroll_factor = int_of_atom "unroll" v })
             | List [ Atom "max-region"; v ] ->
-                max_region := Some (int_of_atom "max-region" v)
+                let m = int_of_atom "max-region" v in
+                set (fun o -> { o with max_region = Some m })
+            | List [ Atom "placement"; Atom p ] -> (
+                match P.placement_of_name p with
+                | Some v -> set (fun o -> { o with placement = v })
+                | None -> raise (Parse_error ("unknown placement " ^ p)))
+            | List [ Atom "elide"; v ] ->
+                set (fun o -> { o with elide = bool_of_atom "elide" v })
+            | List [ Atom "motion"; v ] ->
+                set (fun o -> { o with motion = bool_of_atom "motion" v })
             | List [ Atom "drop-ckpt"; v ] ->
-                sabotage := Some (P.Drop_ckpt (int_of_atom "drop-ckpt" v))
+                let n = int_of_atom "drop-ckpt" v in
+                set (fun o -> { o with sabotage = Some (P.Drop_ckpt n) })
             | List [ Atom "drop-reg"; v ] ->
-                sabotage := Some (P.Drop_saved_reg (int_of_atom "drop-reg" v))
+                let n = int_of_atom "drop-reg" v in
+                set (fun o -> { o with sabotage = Some (P.Drop_saved_reg n) })
             | List (Atom "cuts" :: vs) ->
                 cuts :=
                   Array.of_list (List.map (int_of_atom "cuts") vs)
@@ -178,16 +186,16 @@ let of_sexp (sx : sexp) : (t, string) result =
           | Some v -> v
           | None -> raise (Parse_error ("missing field " ^ name))
         in
-        Ok
-          {
-            workload = require "workload" !workload;
-            env = require "env" !env;
-            unroll = !unroll;
-            max_region = !max_region;
-            sabotage = !sabotage;
-            cuts = !cuts;
-            seed = !seed;
-          }
+        Result.map
+          (fun () ->
+            {
+              workload = require "workload" !workload;
+              env = require "env" !env;
+              opts = !opts;
+              cuts = !cuts;
+              seed = !seed;
+            })
+          (P.check_options !opts)
     | _ -> Error "expected (repro ...)"
   with Parse_error msg -> Error msg
 

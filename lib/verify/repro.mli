@@ -5,19 +5,17 @@
 type t = {
   workload : string;  (** micro-program or benchmark name *)
   env : Wario.Pipeline.environment;
-  unroll : int;
-  max_region : int option;
-  sabotage : Wario.Pipeline.sabotage option;
-      (** replays the test-only sabotage hook (see {!Wario.Pipeline.options}):
-          [(drop-ckpt N)] or [(drop-reg N)] *)
+  opts : Wario.Pipeline.options;
+      (** the build's options.  The line carries [(unroll N)] and, where
+          they differ from the defaults, [(max-region N)],
+          [(placement NAME)], [(elide B)], [(motion B)] and the test-only
+          sabotage [(drop-ckpt N)] or [(drop-reg N)]; no other field *)
   cuts : int array;  (** the injection schedule *)
   seed : int64 option;  (** campaign seed that found the failure (bookkeeping) *)
 }
 
 val make :
-  ?unroll:int ->
-  ?max_region:int ->
-  ?sabotage:Wario.Pipeline.sabotage ->
+  ?opts:Wario.Pipeline.options ->
   ?seed:int64 ->
   workload:string ->
   env:Wario.Pipeline.environment ->
@@ -48,4 +46,5 @@ val parse : string -> (sexp, string) result
 val sexp_to_string : sexp -> string
 
 val of_sexp : sexp -> (t, string) result
-(** Parse an already-read [(repro ...)] expression. *)
+(** Parse an already-read [(repro ...)] expression; options that
+    {!Wario.Pipeline.check_options} rejects are an error. *)

@@ -3,8 +3,8 @@
    shared-prefix property.
 
    The load-bearing claims:
-   - every [Pipeline.options] field (and the environment, the source,
-     and the sampled WARIO_SAVE_ALL flag) reaches the image-stage key —
+   - every [Pipeline.options] field (and the environment and the source)
+     reaches the image-stage key —
      no configuration can alias another's cached artifacts;
    - a warm-cache compile is byte-identical (Marshal) to a fresh
      uncached compile, for every environment;
@@ -243,21 +243,6 @@ let test_every_option_field_flips_the_key () =
   (* environment and source participate too *)
   Alcotest.(check bool) "env flips key" true (key P.Ratchet src <> base);
   Alcotest.(check bool) "source flips key" true (key P.Wario src2 <> base)
-
-let test_save_all_flips_the_key () =
-  (* mirrors the emulator's sampling: "" and "0" are off, anything else on *)
-  let with_env v f =
-    Unix.putenv "WARIO_SAVE_ALL" v;
-    Fun.protect ~finally:(fun () -> Unix.putenv "WARIO_SAVE_ALL" "") f
-  in
-  Unix.putenv "WARIO_SAVE_ALL" "";
-  let off = key P.Wario src in
-  Alcotest.(check string)
-    "\"0\" is also off" off
-    (with_env "0" (fun () -> key P.Wario src));
-  Alcotest.(check bool)
-    "\"1\" flips the key" true
-    (with_env "1" (fun () -> key P.Wario src) <> off)
 
 (* Incremental recompilation falls out of the key chaining. *)
 let test_key_chaining_structure () =
@@ -602,7 +587,36 @@ let test_serve_job_parsing () =
   ignore (err {|{"benchmark":"tiny","typo_field":1}|});
   ignore (err {|{"benchmark":"tiny","source":"int main(){return 0;}"}|});
   ignore (err {|{}|});
-  ignore (err {|not json|})
+  ignore (err {|not json|});
+  Alcotest.(check string) "unroll range" "unroll must be >= 1"
+    (err {|{"benchmark":"tiny","unroll":0}|});
+  Alcotest.(check string) "max_region range" "max_region must be >= 4"
+    (err {|{"benchmark":"tiny","max_region":2}|})
+
+(* A job whose compile fails is its own error line: the other lines of
+   the batch are byte-identical to those of the batch without it. *)
+let test_serve_failed_compile_is_one_line () =
+  let batch lines =
+    let parsed =
+      List.mapi (fun i l -> Wario.Serve.job_of_line ~lookup ~index:i l) lines
+    in
+    let oks = Array.of_list (List.filter_map Result.to_option parsed) in
+    let plan = Wario.Serve.plan (Array.to_list oks) in
+    Wario.Serve.result_lines ~stats_only:true parsed plan
+      (Wario.Serve.compile ~cache:C.disabled plan oks)
+  in
+  let good1 = {|{"id":"a","benchmark":"tiny"}|}
+  and bad = {|{"id":"bad","source":"int main() { return 1 +; }"}|}
+  and good2 = {|{"id":"c","benchmark":"tiny","env":"ratchet"}|} in
+  let lines, errors = batch [ good1; bad; good2 ] in
+  let clean, clean_errors = batch [ good1; good2 ] in
+  Alcotest.(check int) "one line per job" 3 (List.length lines);
+  Alcotest.(check (pair int int)) "error lines" (1, 0) (errors, clean_errors);
+  Alcotest.(check bool) "the bad job's line is its error" true
+    (String.starts_with ~prefix:{|{"id":"bad","ok":false,|}
+       (List.nth lines 1));
+  Alcotest.(check (list string)) "good lines unchanged" clean
+    [ List.nth lines 0; List.nth lines 2 ]
 
 let test_serve_plan_dedupes_by_key () =
   let j line i = Result.get_ok (Wario.Serve.job_of_line ~lookup ~index:i line) in
@@ -685,8 +699,6 @@ let suite =
     Alcotest.test_case "keys: pinned derivation" `Quick test_key_pinned;
     Alcotest.test_case "keys: every option field flips the image key" `Quick
       test_every_option_field_flips_the_key;
-    Alcotest.test_case "keys: WARIO_SAVE_ALL is sampled into the key" `Quick
-      test_save_all_flips_the_key;
     Alcotest.test_case "keys: chaining gives incremental recompilation" `Quick
       test_key_chaining_structure;
     to_alcotest qcheck_distinct_options_distinct_keys;
@@ -707,6 +719,8 @@ let suite =
     Alcotest.test_case "serve: job parsing" `Quick test_serve_job_parsing;
     Alcotest.test_case "serve: plan dedupes by key" `Quick
       test_serve_plan_dedupes_by_key;
+    Alcotest.test_case "serve: a failed compile is that job's error line"
+      `Quick test_serve_failed_compile_is_one_line;
     Alcotest.test_case "corpus: legacy and stage-key fingerprints" `Quick
       test_corpus_hash_formats;
   ]

@@ -366,7 +366,7 @@ let test_campaign_catches_sabotage () =
   | [] -> Alcotest.fail "no shrunk failure recorded"
   | f :: _ ->
       Alcotest.(check bool) "repro carries the sabotage hook" true
-        (f.V.Campaign.k_repro.V.Repro.sabotage = Some (P.Drop_ckpt 1))
+        (f.V.Campaign.k_repro.V.Repro.opts.P.sabotage = Some (P.Drop_ckpt 1))
 
 (* The pinned [Drop_saved_reg] pair: byte_ops with the save mask of its
    second checkpoint that saves one of r0-r12 missing that register.  The
@@ -395,10 +395,45 @@ let test_campaign_catches_dropped_register () =
       | Error e -> Alcotest.failf "reproducer %S does not parse: %s" line e
       | Ok r -> (
           Alcotest.(check bool) "repro carries (drop-reg 1)" true
-            (r.V.Repro.sabotage = Some (P.Drop_saved_reg 1));
+            (r.V.Repro.opts.P.sabotage = Some (P.Drop_saved_reg 1));
           match V.Corpus.replay_repro r with
           | Ok () -> Alcotest.failf "replay of %S did not reproduce" line
           | Error _ -> ()))
+
+(* A reproducer names the build its failure came from: under greedy
+   placement every failure's options are the campaign's, its printed line
+   parses back to them, and its fingerprint is the failing build's image
+   key, not the cost-guided build's. *)
+let test_repro_carries_placement () =
+  let m = M.find "byte_ops" in
+  let opts =
+    {
+      P.default_options with
+      P.placement = Wario_transforms.Checkpoint_inserter.Greedy;
+      sabotage = Some (P.Drop_saved_reg 1);
+    }
+  in
+  let r =
+    V.Campaign.run_case
+      { (campaign_config 40 1) with V.Campaign.opts }
+      ~workload:(m.M.name, m.M.source) ~env:P.Wario
+  in
+  let key opts = P.image_key ~opts P.Wario m.M.source in
+  Alcotest.(check bool) "failures found" true (r.V.Campaign.k_failures <> []);
+  Alcotest.(check bool) "greedy and cost-guided builds differ" true
+    (key opts <> key { opts with P.placement = P.default_options.P.placement });
+  List.iter
+    (fun f ->
+      let repro = f.V.Campaign.k_repro in
+      let line = V.Repro.to_string repro in
+      Alcotest.(check bool) "options are the campaign's" true
+        (V.Repro.options_of repro = opts);
+      Alcotest.(check bool) "the line parses back to them" true
+        (Result.map V.Repro.options_of (V.Repro.of_string line) = Ok opts);
+      Alcotest.(check (option string)) "fingerprint is the build's key"
+        (Some (Wario.Cache.Key.to_hex (key opts)))
+        (V.Corpus.program_hash repro))
+    r.V.Campaign.k_failures
 
 (* The shrink, shrink-cap and dedup paths of [Campaign.run_case], on
    [Drop_saved_reg] builds, whose failures come from schedules (a
@@ -466,8 +501,9 @@ let test_dropped_register_shrink_cap_dedup () =
 
 let sample_entry () =
   let r =
-    V.Repro.make ~unroll:8 ~sabotage:(P.Drop_ckpt 1) ~seed:21L ~workload:"byte_ops"
-      ~env:P.Wario [| 413 |]
+    V.Repro.make
+      ~opts:{ P.default_options with P.sabotage = Some (P.Drop_ckpt 1) }
+      ~seed:21L ~workload:"byte_ops" ~env:P.Wario [| 413 |]
   in
   V.Corpus.make ~supply:"markov:40" ~found_by:"campaign"
     ~expect:V.Corpus.Must_fail r
@@ -576,6 +612,8 @@ let suite =
       test_campaign_catches_dropped_register;
     Alcotest.test_case "campaign: dropped register shrinks 1-minimal, capped, deduplicated"
       `Quick test_dropped_register_shrink_cap_dedup;
+    Alcotest.test_case "campaign: reproducers carry the placement" `Quick
+      test_repro_carries_placement;
     Alcotest.test_case "campaign: catches sabotage" `Quick
       test_campaign_catches_sabotage;
     Alcotest.test_case "corpus: entry round-trip and rejects" `Quick

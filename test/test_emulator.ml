@@ -643,35 +643,6 @@ let test_block_violation_site () =
     (List.map site want) (List.map site got);
   Alcotest.(check bool) "block = reference: whole records" true (got = want)
 
-(* WARIO_SAVE_ALL is sampled exactly once, at [create]: an instance created
-   while the flag is clear must behave as save-all-off even if the flag is
-   set before it runs; and the flag genuinely changes behaviour (save-all
-   checkpoints cost more cycles).  ""/"0" mean off, so the test can clear
-   the variable without unsetenv. *)
-let test_save_all_sampled_at_create () =
-  let m = Wario_workloads.Micro.find "rmw_loop" in
-  let c = P.compile P.Wario m.Wario_workloads.Micro.source in
-  Unix.putenv "WARIO_SAVE_ALL" "";
-  let off = E.Emulator.run ~verify:false c.P.image in
-  let inst = E.Emulator.create ~verify:false c.P.image in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "WARIO_SAVE_ALL" "")
-    (fun () ->
-      Unix.putenv "WARIO_SAVE_ALL" "1";
-      let on = E.Emulator.run ~verify:false c.P.image in
-      let inst_r = drive_step inst in
-      Alcotest.(check bool)
-        "instance created before the flip stays save-all-off" true
-        (inst_r = off);
-      Alcotest.(check (list int32))
-        "save-all does not change output" off.E.Emulator.output
-        on.E.Emulator.output;
-      Alcotest.(check bool) "save-all checkpoints cost more cycles" true
-        (on.E.Emulator.cycles > off.E.Emulator.cycles);
-      Unix.putenv "WARIO_SAVE_ALL" "0";
-      let zero = E.Emulator.run ~verify:false c.P.image in
-      Alcotest.(check bool) "\"0\" means off" true (zero = off))
-
 (* --- WAR tracker: directed cases on the reference engine ------------- *)
 
 let link_blocks blocks =
@@ -905,8 +876,6 @@ let suite =
       test_block_violation_site;
     Alcotest.test_case "run_batch rejects n < 1" `Quick
       test_run_batch_rejects_nonpositive;
-    Alcotest.test_case "WARIO_SAVE_ALL sampled at create" `Quick
-      test_save_all_sampled_at_create;
     Alcotest.test_case "WAR tracker: read set grows" `Quick test_war_many_reads;
     Alcotest.test_case "WAR tracker: once per region" `Quick
       test_war_once_per_region;
@@ -945,9 +914,8 @@ let cycles_of ?(engine = E.Emulator.Block) code =
 (* Every instruction class at its documented cost, on both engines:
    alu 1, div 6, mov/movc/cmp 1, movw32/adr/ldr/str 2, push 1 + n,
    taken branch 3 (pipeline refill), untaken conditional 1, bl 4,
-   return 3, cpsid/cpsie 1, checkpoint [ckpt_cost] of its mask (of the
-   full register file under WARIO_SAVE_ALL), console svc 2 + the cost of
-   its implicit checkpoint, halting svc 1, interrupt entry 24.  Each
+   return 3, cpsid/cpsie 1, checkpoint [ckpt_cost] of its mask, console
+   svc 2 + the cost of its implicit checkpoint, halting svc 1, interrupt entry 24.  Each
    measured cost is also the one [instr_cycles] states. *)
 let test_cycle_model () =
   List.iter
@@ -960,9 +928,9 @@ let test_cycle_model () =
       and prog_cycles ?irq_period ?data blocks =
         prog_cycles ?irq_period ?data engine blocks
       in
-      let stated ?(save_all = false) ?(taken = true) code =
+      let stated ?(taken = true) code =
         List.fold_left
-          (fun acc i -> acc + E.Emulator.instr_cycles ~save_all ~taken i)
+          (fun acc i -> acc + E.Emulator.instr_cycles ~taken i)
           0 code
       in
       let base = cycles_of [] in
@@ -997,23 +965,6 @@ let test_cycle_model () =
             [ I.Ckpt (I.Middle_end_war, mask) ])
         [ 0; 0x3; 1 lsl I.lr; 0x5fff ];
       one "console svc" (2 + E.Emulator.ckpt_cost 0x5fff) [ I.Svc 0 ];
-      (* WARIO_SAVE_ALL is sampled when the run creates its instance *)
-      Unix.putenv "WARIO_SAVE_ALL" "1";
-      let save_all =
-        Fun.protect
-          ~finally:(fun () -> Unix.putenv "WARIO_SAVE_ALL" "")
-          (fun () ->
-            ( cycles_of [ I.Ckpt (I.Function_entry, 0x3) ],
-              cycles_of [ I.Svc 0 ] ))
-      in
-      Alcotest.(check (pair int int)) (name "save-all ckpt, console svc")
-        (base + E.Emulator.ckpt_cost 0x7fff,
-         base + 2 + E.Emulator.ckpt_cost 0x5fff)
-        save_all;
-      Alcotest.(check (pair int int)) (name "save-all: instr_cycles")
-        (E.Emulator.ckpt_cost 0x7fff, 2 + E.Emulator.ckpt_cost 0x5fff)
-        ( stated ~save_all:true [ I.Ckpt (I.Function_entry, 0x3) ],
-          stated ~save_all:true [ I.Svc 0 ] );
       let adr =
         prog_cycles
           ~data:[ { I.dname = "tab"; dsize = 4; dalign = 4; dinit = [] } ]

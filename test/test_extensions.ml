@@ -52,6 +52,39 @@ let test_region_bounder_rejects_tiny_bound () =
     (Invalid_argument "Region_bounder.run: bound too small") (fun () ->
       ignore (T.Region_bounder.run ~max_instrs:2 prog))
 
+(* The one range check every entry point applies, and the CLI's usage
+   error for the values it rejects. *)
+let test_check_options () =
+  let d = P.default_options and min = T.Region_bounder.min_bound in
+  let check what want opts =
+    Alcotest.(check (result unit string)) what want (P.check_options opts)
+  in
+  check "defaults" (Ok ()) d;
+  check "unroll 1, max-region at the minimum" (Ok ())
+    { d with P.unroll_factor = 1; max_region = Some min };
+  check "unroll 0" (Error "unroll must be >= 1") { d with P.unroll_factor = 0 };
+  check "max-region below the minimum"
+    (Error (Printf.sprintf "max_region must be >= %d" min))
+    { d with P.max_region = Some (min - 1) };
+  let exe = Filename.concat (Filename.concat ".." "bin") "iclang.exe" in
+  List.iter
+    (fun (flag, value, msg) ->
+      let err = Filename.temp_file "iclang" ".err" in
+      let code =
+        Sys.command
+          (Filename.quote_command exe ~stdout:Filename.null ~stderr:err
+             [ "compile"; "-b"; "sha"; flag; value ])
+      in
+      let text = In_channel.with_open_bin err In_channel.input_all in
+      Sys.remove err;
+      Alcotest.(check int) (flag ^ ": usage error") 124 code;
+      Alcotest.(check bool) (flag ^ ": says why") true
+        (List.mem ("iclang: " ^ msg) (String.split_on_char '\n' text)))
+    [
+      ("--unroll", "0", "unroll must be >= 1");
+      ("--max-region", "2", "max_region must be >= 4");
+    ]
+
 let test_region_bounder_loop_without_barrier () =
   (* a long checkpoint-free loop must get a barrier inside the cycle *)
   let src =
@@ -135,6 +168,8 @@ let suite =
       test_region_bounder_enables_tiny_power;
     Alcotest.test_case "region bounder: rejects tiny bound" `Quick
       test_region_bounder_rejects_tiny_bound;
+    Alcotest.test_case "options: one range check, CLI usage errors" `Quick
+      test_check_options;
     Alcotest.test_case "region bounder: barrier in every cycle" `Quick
       test_region_bounder_loop_without_barrier;
     Alcotest.test_case "expander: profile-guided" `Slow test_profile_guided_expander;

@@ -630,10 +630,13 @@ let test_pipeline_metrics () =
           | _ -> Alcotest.fail ("bad metrics line: " ^ l))
       (String.split_on_char '\n' (S.to_metrics_jsonl (S.roots spans)))
   in
-  let count name expected =
+  let value name =
     match List.assoc_opt name metrics with
-    | Some v -> Alcotest.(check int) name expected (int_of_float v)
+    | Some v -> v
     | None -> Alcotest.fail ("missing metric " ^ name)
+  in
+  let count name expected =
+    Alcotest.(check int) name expected (int_of_float (value name))
   in
   Alcotest.(check bool) "frontend timed" true
     (List.mem_assoc "frontend.ms" metrics);
@@ -649,7 +652,21 @@ let test_pipeline_metrics () =
   count "middle.loop_write_clusterer.loops_unrolled"
     lwc.Wario_transforms.Loop_write_clusterer.loops_unrolled;
   count "backend.spill_ckpts" c.P.backend.Wario_backend.Backend.spill_ckpts;
-  count "backend.elide.elided" (Option.get c.P.elision).Wario.Elide.elided
+  count "backend.elide.elided" (Option.get c.P.elision).Wario.Elide.elided;
+  (* the clusterer's rejected stores and the inserter's phase clocks are
+     counters too, and the phases fit inside their span (whose duration
+     the projection renders to the microsecond) *)
+  List.iter
+    (fun c -> ignore (value ("middle.loop_write_clusterer.cancelled_" ^ c)))
+    [ "waw"; "read"; "exit"; "latch" ];
+  let phases =
+    List.fold_left
+      (fun acc c -> acc +. value ("middle.checkpoint_inserter." ^ c ^ "_us"))
+      0. [ "analysis"; "candidates"; "solve"; "insert" ]
+  in
+  Alcotest.(check bool) "crc has WARs" true (c.P.middle.P.wars_found > 0);
+  Alcotest.(check bool) "inserter phases fit in their span" true
+    (phases <= (value "middle.checkpoint_inserter.ms" +. 0.0005) *. 1000.)
 
 let suite =
   [

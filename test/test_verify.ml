@@ -214,8 +214,14 @@ let test_repro_roundtrip () =
   List.iter
     (fun sabotage ->
       let r =
-        V.Repro.make ~unroll:8 ~max_region:512 ~sabotage ~seed:77L
-          ~workload:"byte_ops" ~env:P.Wario [| 413; 879 |]
+        V.Repro.make
+          ~opts:
+            {
+              P.default_options with
+              P.max_region = Some 512;
+              sabotage = Some sabotage;
+            }
+          ~seed:77L ~workload:"byte_ops" ~env:P.Wario [| 413; 879 |]
       in
       let s = V.Repro.to_string r in
       Alcotest.(check bool) "one line" false (String.contains s '\n');
@@ -223,6 +229,21 @@ let test_repro_roundtrip () =
       | Error e -> Alcotest.failf "failed to parse own output %S: %s" s e
       | Ok r' -> Alcotest.(check bool) "round-trips" true (r = r'))
     [ P.Drop_ckpt 1; P.Drop_saved_reg 2 ];
+  (* every placement x elide x motion, defaults left out of the line *)
+  List.iter
+    (fun placement ->
+      List.iter
+        (fun (elide, motion) ->
+          let opts = { P.default_options with P.placement; elide; motion } in
+          let r = V.Repro.make ~opts ~workload:"arith" ~env:P.Wario [| 7 |] in
+          let s = V.Repro.to_string r in
+          Alcotest.(check bool) (s ^ " round-trips") true
+            (V.Repro.of_string s = Ok r);
+          Alcotest.(check bool) (s ^ ": only defaults omitted")
+            (opts = P.default_options)
+            (s = "(repro (workload arith) (env wario) (unroll 8) (cuts 7))"))
+        [ (false, false); (true, false); (false, true); (true, true) ])
+    Wario_transforms.Checkpoint_inserter.[ Greedy; Cost_guided; Interprocedural ];
   (* minimal form: only mandatory fields *)
   let r = V.Repro.make ~workload:"arith" ~env:P.Ratchet [||] in
   (match V.Repro.of_string (V.Repro.to_string r) with
@@ -241,6 +262,10 @@ let test_repro_roundtrip () =
       "(repro (workload arith) (env mario) (cuts 1))" (* bad env *);
       "(repro (workload arith) (env wario) (cuts one))" (* bad cut *);
       "(repro (workload arith) (env wario) (cuts 1)" (* unbalanced *);
+      "(repro (workload arith) (env wario) (unroll 0) (cuts 1))";
+      "(repro (workload arith) (env wario) (max-region 2) (cuts 1))";
+      "(repro (workload arith) (env wario) (placement best) (cuts 1))";
+      "(repro (workload arith) (env wario) (elide yes) (cuts 1))";
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -289,7 +314,7 @@ let test_sabotaged_build_caught () =
       | Error e -> Alcotest.failf "reproducer %S does not parse: %s" line e
       | Ok r -> (
           Alcotest.(check bool) "repro carries the sabotage hook" true
-            (r.V.Repro.sabotage = Some (P.Drop_ckpt 1));
+            (r.V.Repro.opts.P.sabotage = Some (P.Drop_ckpt 1));
           match V.Corpus.replay_repro r with
           | Ok () -> Alcotest.failf "replay of %S did not reproduce" line
           | Error _ -> ())));
