@@ -11,8 +11,7 @@
      iclang pgo -b dijkstra -e wario --stats
      iclang list-benchmarks
      iclang verify                          # fault-injection campaign
-     iclang verify --repro '(repro (workload rmw_loop) (env wario) ...)'
-     iclang dump-ir prog.mc -e wario *)
+     iclang verify --repro '(repro (workload rmw_loop) (env wario) ...)' *)
 
 module P = Wario.Pipeline
 module E = Wario_emulator
@@ -401,15 +400,20 @@ let do_compile file benchmark env unroll max_region no_opt placement explain
         let opts =
           apply_placement placement (opts_of ?max_region ~no_opt unroll)
         in
-        let cache = cache_of ~cache_dir ~no_cache in
-        let c = P.compile ~opts ~cache env src in
-        if dump_ir then
-          print_string (Wario_ir.Ir_printer.program_to_string c.P.ir);
-        if dump_asm then
-          List.iter
-            (fun f ->
-              Format.printf "%a@." Wario_machine.Isa.pp_mfunc f)
-            c.P.mprog.Wario_machine.Isa.mfuncs;
+        (* the cache keeps no IR or machine code: a dump compiles uncached *)
+        let c =
+          if dump_ir || dump_asm then begin
+            let ir, mprog, c = P.lower ~opts env src in
+            if dump_ir then
+              print_string (Wario_ir.Ir_printer.program_to_string ir);
+            if dump_asm then
+              List.iter
+                (fun f -> Format.printf "%a@." Wario_machine.Isa.pp_mfunc f)
+                mprog.Wario_machine.Isa.mfuncs;
+            c
+          end
+          else P.compile ~opts ~cache:(cache_of ~cache_dir ~no_cache) env src
+        in
         Printf.printf
           "compiled [%s]: %d bytes of text, %d data, %d middle-end WARs, %d \
            middle-end checkpoints, %d spill WARs, %d spill checkpoints\n"
@@ -447,10 +451,14 @@ let do_compile file benchmark env unroll max_region no_opt placement explain
 
 let compile_cmd =
   let dump_ir =
-    Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the final WIR.")
+    Arg.(
+      value & flag
+      & info [ "dump-ir" ] ~doc:"Print the final WIR (compiles uncached).")
   in
   let dump_asm =
-    Arg.(value & flag & info [ "dump-asm" ] ~doc:"Print the TM2 assembly.")
+    Arg.(
+      value & flag
+      & info [ "dump-asm" ] ~doc:"Print the TM2 assembly (compiles uncached).")
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile MiniC through a software environment")
     Term.(
@@ -1318,7 +1326,8 @@ let do_serve input output jobs cache_dir no_cache stats_only span_out
         let by_idx = Hashtbl.create 64 in
         List.iter (fun (idx, r) -> Hashtbl.replace by_idx idx r) compiled;
         let lines, errors =
-          Sv.result_lines ~stats_only parsed plan (Hashtbl.find by_idx)
+          Sv.result_lines ~stats_only ~inputs:lines parsed plan
+            (Hashtbl.find by_idx)
         in
         let emit =
           match output with

@@ -23,6 +23,7 @@
 
 module U = Wario_support.Util
 module Store = Wario_support.Store
+module S = Wario_obs.Span
 
 (* Bump on any change to key derivation: every key moves with it.  A
    change to a stage's payload type instead bumps [Store.magic], which
@@ -102,22 +103,38 @@ let counters t =
    [get] additionally guards the unmarshal — a truncated or
    foreign-format payload surfaces as a miss, and the offending entry
    has already been deleted by the store's self-check or will simply be
-   overwritten by the fresh put. *)
+   overwritten by the fresh put.  The store's amounts become counters on
+   the innermost open span of a live recorder; with a disabled one
+   nothing is counted or timed. *)
 
-let get (t : t) (key : Key.t) : 'a option =
+let counter spans =
+  if S.is_enabled spans then Some (fun name by -> S.add_counter ~by spans name)
+  else None
+
+let get ?(spans = S.disabled) (t : t) (key : Key.t) : 'a option =
   match t.store with
   | None -> None
   | Some s -> (
-      match Store.find s key with
+      let count = counter spans in
+      match Store.find ?count s key with
       | None -> None
       | Some payload -> (
-          try Some (Marshal.from_string payload 0)
+          try
+            Some
+              (U.timed_us count "unmarshal_us" (fun () ->
+                   Marshal.from_string payload 0))
           with Failure _ | Invalid_argument _ -> None))
 
-let put (t : t) ?(stage = "") (key : Key.t) (v : 'a) : unit =
+let put ?(spans = S.disabled) (t : t) ?(stage = "") (key : Key.t) (v : 'a) :
+    unit =
   match t.store with
   | None -> ()
-  | Some s -> Store.put s ~meta:stage key (Marshal.to_string v [])
+  | Some s ->
+      let count = counter spans in
+      let payload =
+        U.timed_us count "marshal_us" (fun () -> Marshal.to_string v [])
+      in
+      Store.put ?count s ~meta:stage key payload
 
 let mem (t : t) (key : Key.t) : bool =
   match t.store with None -> false | Some s -> Store.mem s key

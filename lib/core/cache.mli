@@ -52,16 +52,22 @@ type counters = Wario_support.Store.counters = {
 
 val counters : t -> counters
 
-val get : t -> Key.t -> 'a option
+val get : ?spans:Wario_obs.Span.t -> t -> Key.t -> 'a option
 (** Unmarshal the payload stored under a key.  [None] on any miss,
     corruption or unmarshal failure — never raises.  The ['a] is trusted
     from the key: stage names and the format version participate in
-    every key, so distinct payload types cannot share one. *)
+    every key, so distinct payload types cannot share one.  A live
+    [spans] recorder gets counters on its innermost open span:
+    [store_read_us], [store_bytes_read], [store_digest_us] (see
+    {!Wario_support.Store.find}) and [unmarshal_us].  With a disabled
+    one (the default) no clock is read. *)
 
-val put : t -> ?stage:string -> Key.t -> 'a -> unit
+val put : ?spans:Wario_obs.Span.t -> t -> ?stage:string -> Key.t -> 'a -> unit
 (** Marshal and store a payload (atomic rename-on-write; see
     {!Wario_support.Store.put}).  [stage] tags the advisory index.
-    Never raises. *)
+    Never raises.  A live [spans] recorder gets [marshal_us],
+    [store_write_us] and [store_bytes_written] on its innermost open
+    span. *)
 
 val mem : t -> Key.t -> bool
 (** Existence probe without reading, counting or LRU-touching. *)

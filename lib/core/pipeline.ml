@@ -136,8 +136,6 @@ type middle_stats = {
 
 type compiled = {
   env : environment;
-  ir : Ir.program;  (** IR after all middle-end transformations *)
-  mprog : Wario_machine.Isa.mprog;
   image : Wario_emulator.Image.t;
   middle : middle_stats;
   backend : B.Backend.stats;
@@ -590,11 +588,17 @@ let run_motion ~(opts : options) ~spans env ~block_weights
    "image", which is reported after the stages its build resolved
    ("place", "mach"): the last stage built is the last one reported.
 
+   The record holds only what a compile's callers read.  The final IR
+   and machine program exist only while the "image" stage builds, so
+   they come back beside the record on that path alone ([None] on an
+   image hit).
+
    With a disabled cache every stage simply builds: [keys] is never
    forced, nothing is marshalled, and no outcome is recorded or
    counted — that is the uncached compile, and the only one. *)
 let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
-    compiled * (string * bool) list =
+    compiled * (Ir.program * Wario_machine.Isa.mprog) option
+    * (string * bool) list =
   let cached = Cache.enabled cache in
   S.with_span spans
     ~attrs:
@@ -613,7 +617,7 @@ let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
     if not cached then build ()
     else
       let key = List.assoc name (Lazy.force keys) in
-      match Cache.get cache key with
+      match Cache.get ~spans cache key with
       | Some v ->
           note name true;
           v
@@ -621,13 +625,14 @@ let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
           if not note_after then note name false;
           let v = build () in
           if note_after then note name false;
-          Cache.put cache ~stage:name key v;
+          Cache.put ~spans cache ~stage:name key v;
           v
   in
+  let built = ref None in
   let compiled =
     stage ~note_after:true "image" @@ fun () ->
     (* place artifact: the program after the whole middle end (what
-       [compiled.ir] exposes) plus its stats *)
+       [lower] returns) plus its stats *)
     let prog, middle =
       stage "place" @@ fun () ->
       let prog, pre =
@@ -679,10 +684,9 @@ let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
       Option.map (fun weights -> image_ckpt_cost ~weights prog image)
         block_weights
     in
+    built := Some (prog, mprog);
     {
       env;
-      ir = prog;
-      mprog;
       image;
       middle;
       backend;
@@ -692,16 +696,18 @@ let rec drive ~opts ~spans ~cache ~keys ~front (env : environment) :
       text_bytes = image.Wario_emulator.Image.text_bytes;
     }
   in
-  (compiled, List.rev !report)
+  (compiled, !built, List.rev !report)
 
 (* An already-lowered program enters the driver uncached: there is no
    source text to key it by. *)
 and compile_ir ?(opts = default_options) ?(spans = S.disabled)
     (env : environment) (prog : Ir.program) : compiled =
-  fst
-    (drive ~opts ~spans ~cache:Cache.disabled ~keys:(lazy [])
-       ~front:(fun () -> prog)
-       env)
+  let compiled, _, _ =
+    drive ~opts ~spans ~cache:Cache.disabled ~keys:(lazy [])
+      ~front:(fun () -> prog)
+      env
+  in
+  compiled
 
 (* Cost-coupled expansion (Interprocedural only) happens before the
    middle end, because each candidate inline is auditioned by a full
@@ -927,11 +933,7 @@ let stage_keys ?(opts = default_options) (env : environment) (source : string)
 let image_key ?opts (env : environment) (source : string) : Cache.Key.t =
   List.assoc "image" (stage_keys ?opts env source)
 
-(** Cache-aware compile of MiniC source text, additionally reporting the
-    per-stage cache outcomes. *)
-let compile_with_report ?(opts = default_options) ?(spans = S.disabled) ?keys
-    ~(cache : Cache.t) (env : environment) (source : string) :
-    compiled * (string * bool) list =
+let drive_source ~opts ~spans ?keys ~cache env source =
   drive ~opts ~spans ~cache
     ~keys:
       (match keys with
@@ -940,6 +942,22 @@ let compile_with_report ?(opts = default_options) ?(spans = S.disabled) ?keys
     ~front:(fun () ->
       S.with_span spans "frontend" (fun () -> Wario_minic.Minic.compile source))
     env
+
+(** Cache-aware compile of MiniC source text, additionally reporting the
+    per-stage cache outcomes. *)
+let compile_with_report ?(opts = default_options) ?(spans = S.disabled) ?keys
+    ~(cache : Cache.t) (env : environment) (source : string) :
+    compiled * (string * bool) list =
+  let compiled, _, report = drive_source ~opts ~spans ?keys ~cache env source in
+  (compiled, report)
+
+(** The uncached compile, with the final IR and machine program beside
+    the record: a disabled cache always builds the image stage. *)
+let lower ?(opts = default_options) (env : environment) (source : string) :
+    Ir.program * Wario_machine.Isa.mprog * compiled =
+  match drive_source ~opts ~spans:S.disabled ~cache:Cache.disabled env source with
+  | compiled, Some (ir, mprog), _ -> (ir, mprog, compiled)
+  | _, None, _ -> assert false
 
 (** Compile MiniC source text under a software environment, through the
     stage ladder with [cache] (explicit, or ambient via [WARIO_CACHE_DIR]

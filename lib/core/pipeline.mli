@@ -110,10 +110,11 @@ type middle_stats = {
       (** call-graph invocation frequencies (only under [Interprocedural]) *)
 }
 
+(** What a compile returns, and all the ["image"] cache entry holds: the
+    linked image and its statistics.  The final IR and machine program
+    are not kept; {!lower} returns them beside the record. *)
 type compiled = {
   env : environment;
-  ir : Wario_ir.Ir.program;  (** IR after all middle-end transformations *)
-  mprog : Wario_machine.Isa.mprog;
   image : Wario_emulator.Image.t;
   middle : middle_stats;
   backend : Wario_backend.Backend.stats;
@@ -200,15 +201,27 @@ val compile_with_report :
     toggle reports [[place hit; mach hit; image miss]].  Stages that
     never needed probing are absent.  A live [spans] recorder also
     counts the outcomes on the ["pipeline.compile"] span as
-    [cache_<stage>_hit] / [cache_<stage>_miss] and marks that span
-    [cached=on].  With a disabled [cache] nothing is keyed, marshalled,
-    reported or counted: the report is empty.
+    [cache_<stage>_hit] / [cache_<stage>_miss], adds the store's
+    counters to it (see {!Cache.get} and {!Cache.put}) and marks that
+    span [cached=on].  With a disabled [cache] nothing is keyed,
+    marshalled, reported or counted: the report is empty.
     [keys], when the caller already derived them, must be
     [stage_keys ~opts env source]; they are then not derived again.
     The resulting [compiled] is byte-identical (up to [Marshal]) to an
     uncached compile of the same inputs — enforced by the test suite and
     re-asserted in-process by the cache bench before any number is
     written. *)
+
+val lower :
+  ?opts:options ->
+  environment ->
+  string ->
+  Wario_ir.Ir.program * Wario_machine.Isa.mprog * compiled
+(** [compile] with {!Cache.disabled}, also returning the IR after the
+    whole middle end and the final machine program (after elision and
+    motion), which the record does not keep.  [iclang compile
+    --dump-ir/--dump-asm] print them.
+    @raise Wario_minic.Minic.Error on front-end errors *)
 
 val compile_ir :
   ?opts:options ->

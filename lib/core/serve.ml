@@ -42,6 +42,14 @@ let known_fields =
     "expander_size_limit";
   ]
 
+let default_id index = Printf.sprintf "job-%d" index
+
+(* A job's id: its ["id"] string field, or the default. *)
+let id_of_json ~(index : int) (j : J.t) : string =
+  match Option.bind (J.member "id" j) J.to_string with
+  | Some s -> s
+  | None -> default_id index
+
 let job_of_json ~(lookup : string -> string option) ~(index : int) (j : J.t)
     : (job, string) result =
   match J.obj_fields j with
@@ -63,11 +71,7 @@ let job_of_json ~(lookup : string -> string option) ~(index : int) (j : J.t)
                 | Some b -> Ok b
                 | None -> Error (Printf.sprintf "field %S must be a boolean" k))
           in
-          let id =
-            match str "id" with
-            | Some s -> s
-            | None -> Printf.sprintf "job-%d" index
-          in
+          let id = id_of_json ~index j in
           let source =
             match (str "benchmark", str "source") with
             | Some b, None -> (
@@ -130,6 +134,13 @@ let job_of_line ~lookup ~index (line : string) : (job, string) result =
   match J.parse (String.trim line) with
   | Error e -> Error ("bad JSON: " ^ e)
   | Ok j -> job_of_json ~lookup ~index j
+
+(* The id a job line names, for its error line when [job_of_line]
+   rejected it: the ["id"] field of a JSON line, else the default. *)
+let line_id ~index (line : string) : string =
+  match J.parse (String.trim line) with
+  | Ok j -> id_of_json ~index j
+  | Error _ -> default_id index
 
 let key_of_job (job : job) : Cache.Key.t =
   Pipeline.image_key ~opts:job.j_opts job.j_env job.j_source
@@ -256,8 +267,10 @@ let compile ~cache (plan : plan) (jobs : job array) (idx : int) : outcome =
   | exception (Wario_minic.Minic.Error e | Wario_backend.Isel.Isel_error e) ->
       Error e
 
-let result_lines ?stats_only (parsed : (job, string) result list)
-    (plan : plan) (outcome : int -> outcome) : string list * int =
+let result_lines ?stats_only ~(inputs : string list)
+    (parsed : (job, string) result list) (plan : plan)
+    (outcome : int -> outcome) : string list * int =
+  let inputs = Array.of_list inputs in
   let oks = Array.of_list (List.filter_map Result.to_option parsed) in
   let ok_pos = ref 0 and errors = ref 0 in
   let error_line ~id msg =
@@ -268,7 +281,7 @@ let result_lines ?stats_only (parsed : (job, string) result list)
     List.mapi
       (fun i r ->
         match r with
-        | Error msg -> error_line ~id:(Printf.sprintf "job-%d" i) msg
+        | Error msg -> error_line ~id:(line_id ~index:i inputs.(i)) msg
         | Ok job -> (
             let p = !ok_pos in
             incr ok_pos;

@@ -93,12 +93,16 @@ val compile : cache:Cache.t -> plan -> job array -> int -> outcome
 
 val result_lines :
   ?stats_only:bool ->
+  inputs:string list ->
   (job, string) result list ->
   plan ->
   (int -> outcome) ->
   string list * int
-(** [result_lines parsed plan outcome]: one line per parsed job line, in
-    input order, and how many of them are error lines.  [plan] covers the
+(** [result_lines ~inputs parsed plan outcome]: one line per parsed job
+    line, in input order, and how many of them are error lines.
+    [parsed] is {!job_of_line} of each of [inputs].  A line it rejected
+    keeps its ["id"] on its error line when it is JSON with one, else
+    it is [job-<n>].  [plan] covers the
     [Ok] jobs of [parsed]; [outcome i] is the compile of the [i]-th
     distinct one, which its deduplicated aliases share: a failed compile
     is an error line for each of them. *)

@@ -38,7 +38,7 @@
 
 (* Bump on any change to the entry layout or to the type of a payload
    stored under an unchanged key: old entries then miss. *)
-let magic = "wario-store-3\n"
+let magic = "wario-store-4\n"
 
 type t = {
   dir : string;
@@ -190,7 +190,12 @@ let evict_lru t =
       Atomic.set t.approx_bytes !total;
       index_rewrite t (List.rev !live)
 
-let find (t : t) (key : string) : string option =
+(* [count name n] receives the named amounts [find] and [put] report:
+   microseconds spent per phase and bytes moved.  Without it no clock is
+   read. *)
+let count_bytes count name n = Option.iter (fun add -> add name n) count
+
+let find ?count (t : t) (key : string) : string option =
   let miss () =
     Atomic.incr t.misses;
     None
@@ -198,14 +203,16 @@ let find (t : t) (key : string) : string option =
   if not (valid_key key) then miss ()
   else
     let path = entry_path t key in
-    match read_file path with
+    match Util.timed_us count "store_read_us" (fun () -> read_file path) with
     | exception (Sys_error _ | End_of_file) -> miss ()
     | body ->
+        count_bytes count "store_bytes_read" (String.length body);
         let mlen = String.length magic and klen = String.length key in
         let dpos = mlen + klen + 1 in
         let header_len = dpos + 33 in
         let plen = String.length body - header_len in
-        if
+        let valid =
+          Util.timed_us count "store_digest_us" @@ fun () ->
           plen > 0
           && String.sub body 0 mlen = magic
           && String.sub body mlen klen = key
@@ -215,7 +222,8 @@ let find (t : t) (key : string) : string option =
              one copy that hands it out *)
           && String.sub body dpos 32
              = Digest.to_hex (Digest.substring body header_len plen)
-        then begin
+        in
+        if valid then begin
           (* LRU touch: both timestamps to "now" *)
           (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
           Atomic.incr t.hits;
@@ -230,22 +238,27 @@ let find (t : t) (key : string) : string option =
 let mem (t : t) (key : string) : bool =
   valid_key key && Sys.file_exists (entry_path t key)
 
-let put (t : t) ?(meta = "") (key : string) (payload : string) : unit =
+let put ?count (t : t) ?(meta = "") (key : string) (payload : string) : unit =
   if valid_key key then begin
     try
       let body =
-        String.concat ""
-          [ magic; key; "\n"; Digest.to_hex (Digest.string payload); "\n"; payload ]
+        Util.timed_us count "store_write_us" @@ fun () ->
+        let body =
+          String.concat ""
+            [ magic; key; "\n"; Digest.to_hex (Digest.string payload); "\n"; payload ]
+        in
+        let tmp =
+          Filename.concat (tmp_dir t)
+            (Printf.sprintf "%s.%d.%d" key (Unix.getpid ())
+               (Domain.self () :> int))
+        in
+        let oc = open_out_bin tmp in
+        output_string oc body;
+        close_out oc;
+        Sys.rename tmp (entry_path t key);
+        body
       in
-      let tmp =
-        Filename.concat (tmp_dir t)
-          (Printf.sprintf "%s.%d.%d" key (Unix.getpid ())
-             (Domain.self () :> int))
-      in
-      let oc = open_out_bin tmp in
-      output_string oc body;
-      close_out oc;
-      Sys.rename tmp (entry_path t key);
+      count_bytes count "store_bytes_written" (String.length body);
       Atomic.incr t.puts;
       index_append t ~key ~meta ~bytes:(String.length body);
       let b = ref (Atomic.get t.approx_bytes) in

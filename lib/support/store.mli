@@ -36,19 +36,25 @@ val open_store : ?max_bytes:int -> string -> t
     domain-safe: counters are atomics and all entry state lives on
     disk. *)
 
-val find : t -> string -> string option
+val find : ?count:(string -> int -> unit) -> t -> string -> string option
 (** Payload stored under a key, or [None] (counted as a miss) when
     absent, torn, corrupt or unreadable.  The payload's digest is checked
     before it is returned; an entry that fails any check is deleted.  A
-    hit refreshes the entry's LRU position. *)
+    hit refreshes the entry's LRU position.  [count], when given,
+    receives [store_read_us] and [store_bytes_read] for the entry file
+    read, and [store_digest_us] for its header and digest check;
+    without it no clock is read. *)
 
 val mem : t -> string -> bool
 (** Existence probe without reading, counting or LRU-touching. *)
 
-val put : t -> ?meta:string -> string -> string -> unit
+val put :
+  ?count:(string -> int -> unit) -> t -> ?meta:string -> string -> string -> unit
 (** [put t ~meta key payload] writes an entry atomically
     (write-to-tmp + rename), logs it to the index with the advisory
     [meta] tag, and runs the LRU sweep if the byte budget is exceeded.
+    [count], when given, receives [store_write_us] (digest, write and
+    rename) and [store_bytes_written] for an entry that landed.
     Keys must be non-empty and drawn from [a-z A-F 0-9 - .] (they are
     used as file names verbatim); anything else is ignored. *)
 

@@ -75,6 +75,18 @@ let mean xs =
   | [] -> invalid_arg "Util.mean: empty"
   | _ -> List.fold_left ( +. ) 0. (List.map float_of_int xs) /. float_of_int (List.length xs)
 
+(** [timed_us count name f] runs [f].  When [count] is given, it also
+    receives [name] and [f]'s wall time in microseconds; without it no
+    clock is read. *)
+let timed_us (count : (string -> int -> unit) option) name f =
+  match count with
+  | None -> f ()
+  | Some add ->
+      let t0 = Unix.gettimeofday () in
+      let v = f () in
+      add name (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
+      v
+
 (** FNV-1a 64-bit digest of a string.  Deterministic across runs and OCaml
     versions (unlike [Hashtbl.hash] on structured data), so it is safe to
     persist — the regression corpus uses it both to content-address entry

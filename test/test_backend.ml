@@ -387,8 +387,8 @@ let check_webs_of_program what (prog : Wario_ir.Ir.program) =
 
 let test_webs_du_chains_benchmarks () =
   List.iter
-    (fun (what, c, _) -> check_webs_of_program what c.P.ir)
-    (Lazy.force Test_certify.benchmark_builds)
+    (fun (what, ir, _) -> check_webs_of_program what ir)
+    (Lazy.force Test_certify.benchmark_lowered)
 
 let prop_webs_du_chains =
   QCheck.Test.make ~name:"random programs: webs = du-chain reference"
@@ -403,7 +403,7 @@ let prop_webs_du_chains =
               | Ok () -> true
               | Error m -> QCheck.Test.fail_reportf "%s" m)
             prog.Wario_ir.Ir.funcs)
-        [ Minic.compile src; (compile_env P.Wario src).P.ir ])
+        [ Minic.compile src; (let ir, _, _ = P.lower P.Wario src in ir) ])
 
 (* ------------------------------------------------------------------ *)
 (* Register allocation                                                  *)
@@ -412,7 +412,7 @@ let prop_webs_du_chains =
 let test_regalloc_physical_only () =
   List.iter
     (fun (m : Wario_workloads.Micro.t) ->
-      let c = compile_env P.Wario m.source in
+      let _, mprog, _ = P.lower P.Wario m.source in
       List.iter
         (fun (mf : I.mfunc) ->
           List.iter
@@ -428,7 +428,7 @@ let test_regalloc_physical_only () =
                     @ match I.writes ins with Some d -> [ d ] | None -> []))
                 b.I.mcode)
             mf.I.mblocks)
-        c.P.mprog.I.mfuncs)
+        mprog.I.mfuncs)
     Wario_workloads.Micro.all
 
 let test_regalloc_spills_under_pressure () =
@@ -477,14 +477,14 @@ let frame_src =
     int main(void){ print_int(helper(3) + helper(9)); return 0; }|}
 
 let test_epilog_styles () =
-  let naive = compile_env P.R_pdg frame_src in
-  let opt = compile_env P.Epilog_opt frame_src in
+  let _, naive_m, naive = P.lower P.R_pdg frame_src in
+  let _, opt_m, opt = P.lower P.Epilog_opt frame_src in
   let exits p = count_ckpts_in p (fun c -> c = I.Function_exit) in
   Alcotest.(check bool)
     (Printf.sprintf "optimized epilogs have fewer exit checkpoints (%d < %d)"
-       (exits opt.P.mprog) (exits naive.P.mprog))
+       (exits opt_m) (exits naive_m))
     true
-    (exits opt.P.mprog < exits naive.P.mprog);
+    (exits opt_m < exits naive_m);
   (* the optimizer brackets the epilog in cpsid/cpsie *)
   let has_cpsid =
     List.exists
@@ -492,7 +492,7 @@ let test_epilog_styles () =
         List.exists
           (fun b -> List.exists (function I.Cpsid -> true | _ -> false) b.I.mcode)
           f.I.mblocks)
-      opt.P.mprog.I.mfuncs
+      opt_m.I.mfuncs
   in
   Alcotest.(check bool) "interrupts disabled across epilog" true has_cpsid;
   (* both run correctly *)
@@ -501,9 +501,9 @@ let test_epilog_styles () =
   Alcotest.(check (list int32)) "optimized" reference (emu_output opt).E.Emulator.output
 
 let test_plain_backend_no_ckpts () =
-  let c = compile_env P.Plain frame_src in
+  let _, mprog, _ = P.lower P.Plain frame_src in
   Alcotest.(check int) "no checkpoints at all" 0
-    (count_ckpts_in c.P.mprog (fun _ -> true))
+    (count_ckpts_in mprog (fun _ -> true))
 
 let test_leaf_no_stack_no_ckpts () =
   (* a function with no stack writes needs no boundary checkpoints *)
@@ -511,8 +511,8 @@ let test_leaf_no_stack_no_ckpts () =
     {|int tiny(int a) { return a + 1; }
       int main(void){ return tiny(41); }|}
   in
-  let c = compile_env P.R_pdg src in
-  let tiny = List.find (fun f -> f.I.mname = "tiny") c.P.mprog.I.mfuncs in
+  let _, mprog, _ = P.lower P.R_pdg src in
+  let tiny = List.find (fun f -> f.I.mname = "tiny") mprog.I.mfuncs in
   let count p =
     List.fold_left
       (fun acc b -> acc + List.length (List.filter p b.I.mcode))
@@ -566,7 +566,7 @@ let test_spill_ckpt_strategies () =
 let test_ckpt_masks_nonempty () =
   (* checkpoint masks must include the live registers: running with masks
      is already covered; here we check they are not saving everything *)
-  let c = compile_env P.Wario frame_src in
+  let _, mprog, _ = P.lower P.Wario frame_src in
   let masks = ref [] in
   List.iter
     (fun (f : I.mfunc) ->
@@ -576,7 +576,7 @@ let test_ckpt_masks_nonempty () =
             (function I.Ckpt (_, m) -> masks := m :: !masks | _ -> ())
             b.I.mcode)
         f.I.mblocks)
-    c.P.mprog.I.mfuncs;
+    mprog.I.mfuncs;
   Alcotest.(check bool) "has checkpoints" true (!masks <> []);
   Alcotest.(check bool) "not all registers live everywhere" true
     (List.exists (fun m -> m <> 0x7fff) !masks)

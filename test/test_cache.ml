@@ -372,17 +372,32 @@ let test_warm_equals_fresh_every_environment () =
 
 (* A warm compile is one store read: the "image" entry is the whole
    compiled record, so nothing else is probed, and what comes back
-   equals a fresh compile in everything a caller reads. *)
+   equals a fresh uncached compile in every field the record keeps.
+   Over a slice of the e2e serve grid, [lower] gives the same record
+   plus the IR the "place" entry holds and the machine program the
+   image was linked from, which the record no longer keeps. *)
 let test_warm_compile_reads_one_entry () =
+  let source name =
+    (List.find
+       (fun (b : Wario_workloads.Programs.benchmark) -> b.name = name)
+       Wario_workloads.Programs.all)
+      .source
+  in
   with_cache (fun cache ->
       List.iter
-        (fun env ->
-          let name = P.environment_name env in
-          let _ = P.compile_with_report ~cache env src2 in
+        (fun (program, env, placement, elide) ->
+          let src = source program in
+          let opts = { P.default_options with P.placement; elide } in
+          let name =
+            Printf.sprintf "%s/%s/%s/elide=%b" program (P.environment_name env)
+              (P.placement_name placement) elide
+          in
+          let _ = P.compile_with_report ~opts ~cache env src in
           let before = C.counters cache in
-          let warm, report = P.compile_with_report ~cache env src2 in
+          let warm, report = P.compile_with_report ~opts ~cache env src in
           let after = C.counters cache in
-          let fresh = P.compile ~cache:C.disabled env src2 in
+          let fresh = P.compile ~opts ~cache:C.disabled env src in
+          let check what eq = Alcotest.(check bool) (name ^ ": " ^ what) true eq in
           Alcotest.(check (list (pair string bool)))
             (name ^ ": only the image entry is read")
             [ ("image", true) ]
@@ -393,34 +408,59 @@ let test_warm_compile_reads_one_entry () =
             (name ^ ": no miss") before.C.misses after.C.misses;
           Alcotest.(check string)
             (name ^ ": image bytes") (image_bytes fresh) (image_bytes warm);
-          Alcotest.(check string)
-            (name ^ ": printed IR")
-            (Wario_ir.Ir_printer.program_to_string fresh.P.ir)
-            (Wario_ir.Ir_printer.program_to_string warm.P.ir);
+          check "middle" (fresh.P.middle = warm.P.middle);
+          check "backend" (fresh.P.backend = warm.P.backend);
+          check "elision" (fresh.P.elision = warm.P.elision);
+          check "motion" (fresh.P.motion = warm.P.motion);
+          check "model cost" (fresh.P.model_cost = warm.P.model_cost);
           Alcotest.(check int)
-            (name ^ ": machine functions")
-            (List.length fresh.P.mprog.Wario_machine.Isa.mfuncs)
-            (List.length warm.P.mprog.Wario_machine.Isa.mfuncs);
+            (name ^ ": text bytes") fresh.P.text_bytes warm.P.text_bytes;
           let job =
             {
-              Wario.Serve.j_id = "j";
-              j_program = "<inline>";
-              j_source = src2;
+              Wario.Serve.j_id = name;
+              j_program = program;
+              j_source = src;
               j_env = env;
-              j_opts = P.default_options;
+              j_opts = opts;
             }
           in
           let line c =
-            Wario.Serve.result_line ~job ~key:(Wario.Serve.key_of_job job)
-              ~dedup_of:None ~stages:[] ~wall_ms:0. c
+            Wario.Serve.result_line ~stats_only:true ~job
+              ~key:(Wario.Serve.key_of_job job) ~dedup_of:None ~stages:[]
+              ~wall_ms:0. c
+          in
+          Alcotest.(check string) (name ^ ": result line") (line fresh) (line warm);
+          let ir, mprog, lowered = P.lower ~opts env src in
+          check "lower's record" (lowered = fresh);
+          let (place_ir : Wario_ir.Ir.program), (_ : P.middle_stats) =
+            Option.get
+              (C.get cache (List.assoc "place" (P.stage_keys ~opts env src)))
           in
           Alcotest.(check string)
-            (name ^ ": result line") (line fresh) (line warm))
-        P.all_environments)
+            (name ^ ": printed IR")
+            (Wario_ir.Ir_printer.program_to_string place_ir)
+            (Wario_ir.Ir_printer.program_to_string ir);
+          Alcotest.(check string)
+            (name ^ ": machine functions link to the image")
+            (image_bytes fresh)
+            (Marshal.to_string (Wario_emulator.Image.link mprog) []))
+        (List.concat_map
+           (fun program ->
+             List.concat_map
+               (fun env ->
+                 List.concat_map
+                   (fun placement ->
+                     List.map
+                       (fun elide -> (program, env, placement, elide))
+                       [ false; true ])
+                   T.Checkpoint_inserter.[ Greedy; Cost_guided ])
+               P.[ Ratchet; R_pdg; Wario; Wario_expander ])
+           [ "crc"; "sha" ]))
 
-(* The image payload changed type when it became the compiled record.
-   An entry under the previous store magic at a live image key must read
-   as a miss, never unmarshal as the new record, and be replaced. *)
+(* The image payload changed type when the compiled record dropped its
+   IR and machine program.  An entry of the previous layout (the record
+   with both) under the previous store magic, at a live image key, must
+   read as a miss, never unmarshal as the new record, and be replaced. *)
 let test_old_store_magic_is_a_miss () =
   let dir = tmp_dir "wario-test-cache" in
   Fun.protect
@@ -428,12 +468,18 @@ let test_old_store_magic_is_a_miss () =
     (fun () ->
       let cache = C.create dir in
       let cold, _ = P.compile_with_report ~cache P.Wario src2 in
-      (* the previous layout's image payload, under the previous magic *)
+      (* the previous layout's image payload, under the previous magic: a
+         tuple marshals exactly as a record with the same fields *)
       let key = P.image_key P.Wario src2 in
+      let ir, mprog, _ = P.lower P.Wario src2 in
       let payload =
         Marshal.to_string
-          ( cold.P.mprog,
+          ( cold.P.env,
+            ir,
+            mprog,
             cold.P.image,
+            cold.P.middle,
+            cold.P.backend,
             cold.P.elision,
             cold.P.motion,
             cold.P.model_cost,
@@ -444,7 +490,7 @@ let test_old_store_magic_is_a_miss () =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc
             (String.concat ""
-               [ "wario-store-2\n"; key; "\n";
+               [ "wario-store-3\n"; key; "\n";
                  Digest.to_hex (Digest.string payload); "\n"; payload ]));
       let again, report = P.compile_with_report ~cache P.Wario src2 in
       Alcotest.(check (list (pair string bool)))
@@ -453,13 +499,46 @@ let test_old_store_magic_is_a_miss () =
         report;
       Alcotest.(check string)
         "rebuilt identically" (image_bytes cold) (image_bytes again);
-      Alcotest.(check string)
-        "same IR"
-        (Wario_ir.Ir_printer.program_to_string cold.P.ir)
-        (Wario_ir.Ir_printer.program_to_string again.P.ir);
+      Alcotest.(check bool) "same record" true (cold = again);
       let _, report = P.compile_with_report ~cache P.Wario src2 in
       Alcotest.(check (list (pair string bool)))
         "the rebuilt entry replaced it" [ ("image", true) ] report)
+
+(* A traced compile carries the store's counters on its pipeline.compile
+   span: the cold one what it wrote, the warm hit what it read, which is
+   the image entry's file. *)
+let test_store_counters_on_compile_span () =
+  let dir = tmp_dir "wario-test-cache" in
+  Fun.protect
+    ~finally:(fun () -> remove_tree dir)
+    (fun () ->
+      let cache = C.create dir in
+      let counters () =
+        let spans = Wario_obs.Span.create () in
+        let _ = P.compile_with_report ~spans ~cache P.Wario src2 in
+        match Wario_obs.Span.roots spans with
+        | [ root ] -> root.Wario_obs.Span.sp_counters
+        | _ -> Alcotest.fail "one pipeline.compile root"
+      in
+      let cold = counters () and warm = counters () in
+      let has ctrs name =
+        Alcotest.(check bool) (name ^ " present") true (List.mem_assoc name ctrs)
+      in
+      List.iter (has cold)
+        [ "marshal_us"; "store_write_us"; "store_bytes_written" ];
+      List.iter (has warm)
+        [ "store_read_us"; "store_digest_us"; "unmarshal_us"; "store_bytes_read" ];
+      Alcotest.(check bool) "a hit writes nothing" false
+        (List.mem_assoc "store_bytes_written" warm);
+      let entry =
+        Filename.concat (Filename.concat dir "objects") (P.image_key P.Wario src2)
+      in
+      Alcotest.(check int)
+        "bytes read = the image entry" (Unix.stat entry).Unix.st_size
+        (List.assoc "store_bytes_read" warm);
+      let _, report = P.compile_with_report ~cache P.Wario src2 in
+      Alcotest.(check (list (pair string bool)))
+        "untraced hit" [ ("image", true) ] report)
 
 let test_incremental_recompilation_paths () =
   with_cache (fun cache ->
@@ -593,6 +672,42 @@ let test_serve_job_parsing () =
   Alcotest.(check string) "max_region range" "max_region must be >= 4"
     (err {|{"benchmark":"tiny","max_region":2}|})
 
+(* A line that parses as JSON keeps its id on its error line, whatever
+   rejected it; a line that is not JSON, or has no id, is [job-<n>]. *)
+let test_serve_rejected_line_keeps_id () =
+  let rejected =
+    [
+      ("bench", {|{"id":"bench","benchmark":"nope"}|});
+      ("env", {|{"id":"env","benchmark":"tiny","env":"nope"}|});
+      ("place", {|{"id":"place","benchmark":"tiny","placement":"nope"}|});
+      ("unroll", {|{"id":"unroll","benchmark":"tiny","unroll":0}|});
+      ("region", {|{"id":"region","benchmark":"tiny","max_region":2}|});
+      ("bool", {|{"id":"bool","benchmark":"tiny","elide":1}|});
+      ("field", {|{"id":"field","benchmark":"tiny","typo":1}|});
+      ("job-7", {|not json|});
+      ("job-8", {|{"benchmark":"nope"}|});
+    ]
+  in
+  let lines = List.map snd rejected in
+  let parsed =
+    List.mapi (fun i l -> Wario.Serve.job_of_line ~lookup ~index:i l) lines
+  in
+  let plan = Wario.Serve.plan [] in
+  let out, errors =
+    Wario.Serve.result_lines ~stats_only:true ~inputs:lines parsed plan
+      (fun _ -> Alcotest.fail "nothing compiles")
+  in
+  Alcotest.(check int) "every line is an error" (List.length rejected) errors;
+  List.iter2
+    (fun (id, input) line ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s keeps id %S: %s" input id line)
+        true
+        (String.starts_with
+           ~prefix:(Printf.sprintf {|{"id":"%s","ok":false,|} id)
+           line))
+    rejected out
+
 (* A job whose compile fails is its own error line: the other lines of
    the batch are byte-identical to those of the batch without it. *)
 let test_serve_failed_compile_is_one_line () =
@@ -602,7 +717,7 @@ let test_serve_failed_compile_is_one_line () =
     in
     let oks = Array.of_list (List.filter_map Result.to_option parsed) in
     let plan = Wario.Serve.plan (Array.to_list oks) in
-    Wario.Serve.result_lines ~stats_only:true parsed plan
+    Wario.Serve.result_lines ~stats_only:true ~inputs:lines parsed plan
       (Wario.Serve.compile ~cache:C.disabled plan oks)
   in
   let good1 = {|{"id":"a","benchmark":"tiny"}|}
@@ -708,6 +823,8 @@ let suite =
       test_warm_compile_reads_one_entry;
     Alcotest.test_case "compile: an old-magic image entry is a miss" `Quick
       test_old_store_magic_is_a_miss;
+    Alcotest.test_case "compile: store counters on the compile span" `Quick
+      test_store_counters_on_compile_span;
     Alcotest.test_case "compile: elide re-links, placement reuses WIR" `Quick
       test_incremental_recompilation_paths;
     Alcotest.test_case "compile: corrupt cache degrades to recompile" `Quick
@@ -721,6 +838,8 @@ let suite =
       test_serve_plan_dedupes_by_key;
     Alcotest.test_case "serve: a failed compile is that job's error line"
       `Quick test_serve_failed_compile_is_one_line;
+    Alcotest.test_case "serve: a rejected line keeps its id" `Quick
+      test_serve_rejected_line_keeps_id;
     Alcotest.test_case "corpus: legacy and stage-key fingerprints" `Quick
       test_corpus_hash_formats;
   ]

@@ -12,21 +12,28 @@ module W = Wario_workloads
 
 let envs = P.instrumented_environments
 
-(* Every benchmark × instrumented environment, compiled and certified
-   once, shared by the tests below that judge them. *)
-let benchmark_builds =
+(* Every benchmark × instrumented environment, lowered once, with its
+   final IR; then certified once.  Shared by the tests below that judge
+   them. *)
+let benchmark_lowered =
   lazy
     (List.concat_map
        (fun (b : W.Programs.benchmark) ->
          List.map
            (fun env ->
-             let c = P.compile env b.W.Programs.source in
+             let ir, _, c = P.lower env b.W.Programs.source in
              ( Printf.sprintf "%s × %s" b.W.Programs.name
                  (P.environment_name env),
-               c,
-               P.certify c ))
+               ir,
+               c ))
            envs)
        W.Programs.all)
+
+let benchmark_builds =
+  lazy
+    (List.map
+       (fun (what, _, c) -> (what, c, P.certify c))
+       (Lazy.force benchmark_lowered))
 
 (* crc, sha and dijkstra under interprocedural placement with elision
    and motion, as [iclang pgo]'s cost-guided variant builds them. *)

@@ -31,7 +31,7 @@ let test_mangle_agrees_with_isel () =
     (A.Costmodel.mangle "f" "entry");
   (* the pilot's per-block counts are keyed by the back end's mangled
      labels; if the schemes diverged, validation would report staleness *)
-  let c = P.compile P.Wario (micro "rmw_loop") in
+  let _, mprog, c = P.lower P.Wario (micro "rmw_loop") in
   let pilot = Wario.Pgo.collect c.P.image in
   let expected =
     List.concat_map
@@ -39,7 +39,7 @@ let test_mangle_agrees_with_isel () =
         List.map
           (fun (b : Wario_machine.Isa.mblock) -> b.Wario_machine.Isa.mlabel)
           mf.Wario_machine.Isa.mblocks)
-      c.P.mprog.Wario_machine.Isa.mfuncs
+      mprog.Wario_machine.Isa.mfuncs
   in
   match
     A.Costmodel.validate_profile pilot.Wario.Pgo.profile
@@ -249,11 +249,11 @@ let test_motion_stands_down_on_rejected () =
   (* the same weights do propose moves on the healthy build, so the
      sabotaged run below reaches anchor planting rather than an empty
      proposal list *)
-  let healthy = P.compile P.Wario (bench "crc") in
+  let _, healthy, _ = P.lower P.Wario (bench "crc") in
   Alcotest.(check bool) "healthy build gets proposals" true
-    ((Wario.Motion.run ~weights healthy.P.mprog).Wario.Motion.proposed > 0);
-  let c =
-    P.compile
+    ((Wario.Motion.run ~weights healthy).Wario.Motion.proposed > 0);
+  let _, mprog, c =
+    P.lower
       ~opts:{ P.default_options with P.sabotage = Some (P.Drop_ckpt 0) }
       P.Wario (bench "crc")
   in
@@ -268,10 +268,10 @@ let test_motion_stands_down_on_rejected () =
           (fun (b : Wario_machine.Isa.mblock) ->
             (b.Wario_machine.Isa.mlabel, b.Wario_machine.Isa.mcode))
           mf.Wario_machine.Isa.mblocks)
-      c.P.mprog.Wario_machine.Isa.mfuncs
+      mprog.Wario_machine.Isa.mfuncs
   in
   let before = snapshot () in
-  let s = Wario.Motion.run ~weights c.P.mprog in
+  let s = Wario.Motion.run ~weights mprog in
   Alcotest.(check bool) "result is Motion.zero" true (s = Wario.Motion.zero);
   Alcotest.(check bool) "every block's mcode unchanged" true
     (snapshot () = before)
