@@ -73,11 +73,10 @@ struct
     in
     (sets, Array.of_list (List.rev !elems))
 
-  let solve_nonempty ~(cost : Elt.t -> float) (sets : Elt.t list list) :
-      Elt.t list =
-    let sets, elems = intern_sets sets in
-    let ne = Array.length elems in
-    let costs = Array.map cost elems in
+  (* The greedy over an interned family: chosen element ids in pick
+     order. *)
+  let greedy_ids (costs : float array) (sets : int array array) : int list =
+    let ne = Array.length costs in
     (* element -> indices of sets containing it *)
     let containing = Array.make ne [] in
     Array.iteri
@@ -90,8 +89,10 @@ struct
     let chosen = ref [] in
     (* Greedy selection with a lazy max-heap: scores only decrease as sets
        get covered, so a stale heap entry is simply re-pushed with its
-       current score; ties break toward lower cost then element order by
-       perturbing the score deterministically at push time. *)
+       current score.  Ties are not broken by cost or element order: among
+       equal scores the heap pops whichever its layout puts first, which
+       depends on the push order (ascending element id, then the
+       re-pushes). *)
     let score e = float_of_int count.(e) /. max costs.(e) 1e-9 in
     let heap = Wario_support.Util.Fheap.create () in
     for e = 0 to ne - 1 do
@@ -105,7 +106,7 @@ struct
         (* stale: revalidate *)
         Wario_support.Util.Fheap.push heap current e
       else begin
-        chosen := elems.(e) :: !chosen;
+        chosen := e :: !chosen;
         List.iter
           (fun si ->
             if not covered.(si) then begin
@@ -117,6 +118,11 @@ struct
       end
     done;
     List.rev !chosen
+
+  let solve_nonempty ~(cost : Elt.t -> float) (sets : Elt.t list list) :
+      Elt.t list =
+    let sets, elems = intern_sets sets in
+    List.map (fun e -> elems.(e)) (greedy_ids (Array.map cost elems) sets)
 
   (** [solve ~cost sets] returns [Ok chosen] such that every input set
       contains a chosen element, or [Error (Empty_set i)] when set [i] is
@@ -140,27 +146,18 @@ struct
      superfluous once later choices cover all its sets, so try dropping the
      chosen elements in decreasing cost order (most expensive first) and
      keep the cover property.  Never increases total cost; the result is a
-     *minimal* (though not necessarily minimum) cover. *)
-  let prune_cover ~(cost : Elt.t -> float) (sets : Elt.t list list)
-      (chosen : Elt.t list) : Elt.t list =
-    let isets, elems = intern_sets sets in
-    let ne = Array.length elems in
-    let id_of = Hashtbl.create (2 * ne) in
-    Array.iteri (fun i e -> Hashtbl.replace id_of e i) elems;
+     *minimal* (though not necessarily minimum) cover, as ascending ids. *)
+  let prune_ids (costs : float array) (isets : int array array)
+      (chosen : int list) : int list =
+    let ne = Array.length costs in
     let kept = Array.make ne false in
-    List.iter
-      (fun e ->
-        match Hashtbl.find_opt id_of e with
-        | Some i -> kept.(i) <- true
-        | None -> () (* not a set member: vacuously redundant, dropped *))
-      chosen;
+    List.iter (fun i -> kept.(i) <- true) chosen;
     (* per set, how many kept elements hit it *)
     let hits = Array.map (fun s -> Array.fold_left (fun a e -> a + if kept.(e) then 1 else 0) 0 s) isets in
     let containing = Array.make ne [] in
     Array.iteri
       (fun si s -> Array.iter (fun e -> containing.(e) <- si :: containing.(e)) s)
       isets;
-    let costs = Array.map cost elems in
     let order =
       List.init ne (fun i -> i)
       |> List.filter (fun i -> kept.(i))
@@ -177,9 +174,7 @@ struct
           List.iter (fun si -> hits.(si) <- hits.(si) - 1) containing.(e)
         end)
       order;
-    List.init ne (fun i -> i)
-    |> List.filter (fun i -> kept.(i))
-    |> List.map (fun i -> elems.(i))
+    List.init ne (fun i -> i) |> List.filter (fun i -> kept.(i))
 
   (* ---------------- weighted exact solver ---------------- *)
 
@@ -271,30 +266,38 @@ struct
      afterwards — larger ones are greedy-fallback territory anyway. *)
   let max_minimality_sets = 2 * max_exact_sets
 
+  (* sorted int arrays, hashed over every element ([Hashtbl.hash] reads
+     only a prefix, and dominator-sandwich sets share long ones) *)
+  module Sorted = Hashtbl.Make (struct
+    type t = int array
+
+    let equal (a : t) b = a = b
+    let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 17 a land max_int
+  end)
+
   let reduce_family (sets : int array array) : int array array =
-    let keyed =
-      Array.map (fun s -> (Array.to_list (Array.copy s) |> List.sort compare, s)) sets
-    in
-    let seen = Hashtbl.create 64 in
+    let seen = Sorted.create 64 in
     let uniq =
-      Array.to_list keyed
-      |> List.filter (fun (k, _) ->
-             if Hashtbl.mem seen k then false
+      Array.to_list sets
+      |> List.filter_map (fun s ->
+             let k = Array.copy s in
+             Array.sort compare k;
+             if Sorted.mem seen k then None
              else begin
-               Hashtbl.replace seen k ();
-               true
+               Sorted.replace seen k ();
+               Some (k, s)
              end)
     in
     let subset a b =
-      (* a ⊆ b over sorted lists *)
-      let rec go a b =
-        match (a, b) with
-        | [], _ -> true
-        | _, [] -> false
-        | x :: a', y :: b' ->
-            if x = y then go a' b' else if x > y then go a b' else false
+      (* a ⊆ b over sorted arrays *)
+      let na = Array.length a and nb = Array.length b in
+      let rec go i j =
+        i = na
+        || (j < nb
+           && (if a.(i) = b.(j) then go (i + 1) (j + 1)
+               else a.(i) > b.(j) && go i (j + 1)))
       in
-      go a b
+      go 0 0
     in
     let minimal =
       if List.length uniq > max_minimality_sets then uniq
@@ -303,8 +306,9 @@ struct
           (fun (k, _) ->
             not
               (List.exists
-                 (fun (k', _) -> k' != k && List.length k' <= List.length k
-                                 && k' <> k && subset k' k)
+                 (fun (k', _) ->
+                   (* distinct keys: an equal-length subset would be equal *)
+                   k' != k && Array.length k' < Array.length k && subset k' k)
                  uniq))
           uniq
     in
@@ -332,9 +336,10 @@ struct
     | None ->
         let isets, elems = intern_sets sets in
         let costs = Array.map cost elems in
-        let greedy = prune_cover ~cost sets (solve_nonempty ~cost sets) in
+        let greedy_ids = prune_ids costs isets (greedy_ids costs isets) in
+        let greedy = List.map (fun i -> elems.(i)) greedy_ids in
         let greedy_cost =
-          List.fold_left (fun a e -> a +. cost e) 0. greedy
+          List.fold_left (fun a i -> a +. costs.(i)) 0. greedy_ids
         in
         let nodes = ref 0 in
         let finish optimality chosen total_cost =
@@ -357,16 +362,6 @@ struct
         then finish Greedy_fallback greedy greedy_cost
         else begin
           (* seed the search with the greedy cover as the incumbent *)
-          let greedy_ids =
-            let id_of = Hashtbl.create 64 in
-            Array.iteri (fun i e -> Hashtbl.replace id_of e i) elems;
-            List.map
-              (fun e ->
-                match Hashtbl.find_opt id_of e with
-                | Some i -> i
-                | None -> assert false (* greedy only picks set members *))
-              greedy
-          in
           match
             branch_and_bound ~budget:node_budget ~nodes reduced costs
               greedy_ids greedy_cost

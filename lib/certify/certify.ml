@@ -94,18 +94,15 @@ type fctx = {
 
 let build_fctxs (img : Img.t) : fctx list * (int -> fctx) =
   let n = Img.instr_count img in
+  (* one range per run of consecutive blocks of one function *)
   let ranges = ref [] in
-  let cur = ref None in
-  for pc = 0 to n - 1 do
-    let f = img.func_of_pc.(pc) in
-    match !cur with
-    | Some (g, lo) when g = f -> ignore lo
-    | Some (g, lo) ->
-        ranges := (g, lo, pc - 1) :: !ranges;
-        cur := Some (f, pc)
-    | None -> cur := Some (f, pc)
-  done;
-  (match !cur with Some (g, lo) -> ranges := (g, lo, n - 1) :: !ranges | None -> ());
+  Img.iter_blocks
+    (fun b stop ->
+      match !ranges with
+      | (g, lo, _) :: rest when g = b.Img.func ->
+          ranges := (g, lo, stop - 1) :: rest
+      | _ -> ranges := (b.Img.func, b.Img.first, stop - 1) :: !ranges)
+    img;
   let ctxs =
     List.rev_map
       (fun (f, lo, hi) ->
@@ -1161,7 +1158,7 @@ end
 
 let pp_pc (img : Img.t) pc =
   Printf.sprintf "%4d  %-12s %s" pc
-    img.Img.func_of_pc.(pc)
+    (Img.func_at img pc)
     (I.string_of_instr img.Img.code.(pc))
 
 let pp_witness (img : Img.t) (w : pair_witness) : string =

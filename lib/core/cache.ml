@@ -100,10 +100,9 @@ let counters t =
   | Some s -> Store.counters s
 
 (* [get]/[put] never raise: a failing cache degrades to recompilation.
-   [get] additionally guards the unmarshal — a truncated or
-   foreign-format payload surfaces as a miss, and the offending entry
-   has already been deleted by the store's self-check or will simply be
-   overwritten by the fresh put.  The store's amounts become counters on
+   [get] additionally guards the unmarshal: a payload that is not exactly
+   one marshalled value ([Marshal.total_size] against its length) is a
+   miss, and the store deletes it.  The store's amounts become counters on
    the innermost open span of a live recorder; with a disabled one
    nothing is counted or timed. *)
 
@@ -116,14 +115,15 @@ let get ?(spans = S.disabled) (t : t) (key : Key.t) : 'a option =
   | None -> None
   | Some s -> (
       let count = counter spans in
-      match Store.find ?count s key with
-      | None -> None
-      | Some payload -> (
-          try
-            Some
-              (U.timed_us count "unmarshal_us" (fun () ->
-                   Marshal.from_string payload 0))
-          with Failure _ | Invalid_argument _ -> None))
+      Store.find ?count s key @@ fun buf off len ->
+      (* in place: the payload must be exactly one marshalled value *)
+      try
+        if len >= Marshal.header_size && Marshal.total_size buf off = len
+        then
+          Some
+            (U.timed_us count "unmarshal_us" (fun () -> Marshal.from_bytes buf off))
+        else None
+      with Failure _ | Invalid_argument _ -> None)
 
 let put ?(spans = S.disabled) (t : t) ?(stage = "") (key : Key.t) (v : 'a) :
     unit =

@@ -155,13 +155,19 @@ let run ~(weights : string -> float) ?(spans = S.disabled) (p : I.mprog) :
     let cur = try Hashtbl.find tbl k with Not_found -> [] in
     if not (List.mem v cur) then Hashtbl.replace tbl k (v :: cur)
   in
+  let label_of_pc = Array.make n0 "" in
+  E.Image.iter_blocks
+    (fun b stop ->
+      Array.fill label_of_pc b.E.Image.first (stop - b.E.Image.first)
+        b.E.Image.label)
+    img0;
   Array.iteri
     (fun pc _ ->
-      let l = img0.E.Image.label_of_pc.(pc) in
+      let l = label_of_pc.(pc) in
       List.iter
         (fun q ->
           if q >= 0 && q < n0 then begin
-            let l' = img0.E.Image.label_of_pc.(q) in
+            let l' = label_of_pc.(q) in
             let entering =
               match Hashtbl.find_opt extent l' with
               | Some (s', _) -> l' <> l || q = s'

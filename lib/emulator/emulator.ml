@@ -23,6 +23,7 @@
 
 module I = Wario_machine.Isa
 module Tr = Wario_obs.Trace
+module Util = Wario_support.Util
 
 exception Emu_error of string
 exception No_forward_progress of string
@@ -285,6 +286,7 @@ type state = {
   cost : int array;
       (** [instr_cycles] per pc ([Bc]: the taken cost, the larger) *)
   call_fn : int array;  (** callee's [fn_names] slot per pc ([Bl]); -1 *)
+  fn_of_pc : int array;  (** enclosing function's [fn_names] slot per pc *)
   (* profiling: per-pc execution counts for the PGO pilot run ([None] =
      off).  Counting forces the reference path ([fast_eligible] checks it):
      compiled blocks never touch per-pc state. *)
@@ -333,6 +335,7 @@ and bcache = {
    (it will re-execute), which is the wasted-cycle accounting behind
    [result.waste]. *)
 let work_total st = st.cycles - st.acc_boot - st.acc_restore
+let func_of st pc = st.fn_names.(st.fn_of_pc.(pc))
 
 (* ------------------------------------------------------------------ *)
 (* Memory with WAR tracking                                             *)
@@ -444,7 +447,7 @@ let shadow_write st a n =
         st.violations <-
           {
             v_pc = st.pc;
-            v_func = st.img.Image.func_of_pc.(st.pc);
+            v_func = func_of st st.pc;
             v_addr = i;
             v_instr = I.string_of_instr st.img.Image.code.(st.pc);
           }
@@ -792,7 +795,7 @@ let commit_checkpoint st ~(cause : Tr.cause) mask resume_pc =
          {
            cause;
            pc = st.pc;
-           func = st.img.Image.func_of_pc.(st.pc);
+           func = func_of st st.pc;
            mask;
            bytes = ckpt_bytes mask;
            cost = ckpt_cost mask;
@@ -878,7 +881,7 @@ let power_on st =
         None
   in
   if st.trace_on then begin
-    let func = st.img.Image.func_of_pc.(st.pc) in
+    let func = func_of st st.pc in
     Tr.emit st.tracer st.cycles
       (Tr.Boot
          {
@@ -946,7 +949,7 @@ let take_irq st =
   st.irqs_taken <- st.irqs_taken + 1;
   if st.trace_on then
     Tr.emit st.tracer st.cycles
-      (Tr.Irq { pc = st.pc; func = st.img.Image.func_of_pc.(st.pc) })
+      (Tr.Irq { pc = st.pc; func = func_of st st.pc })
 
 let maybe_irq st =
   if st.irq_period > 0 && st.cycles >= st.next_irq_at then begin
@@ -1101,28 +1104,33 @@ type t = state
 let build_tables (img : Image.t) =
   let n = Array.length img.Image.code in
   let cost = Array.make n 0 and call_fn = Array.make n (-1) in
-  (* dense function indexing, in func_of_pc order (deterministic) *)
+  let fn_of_pc = Array.make n 0 in
+  (* dense function indexing, in layout order (deterministic); the
+     image's block ranges expand to one slot per pc *)
   let index = Hashtbl.create 16 in
   let names_rev = ref [] in
-  let fn_index name =
-    match Hashtbl.find_opt index name with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length index in
-        Hashtbl.add index name i;
-        names_rev := name :: !names_rev;
-        i
-  in
-  Array.iter (fun f -> ignore (fn_index f)) img.Image.func_of_pc;
+  Image.iter_blocks
+    (fun b stop ->
+      let f = b.Image.func in
+      let i =
+        match Hashtbl.find_opt index f with
+        | Some i -> i
+        | None ->
+            let i = Hashtbl.length index in
+            Hashtbl.add index f i;
+            names_rev := f :: !names_rev;
+            i
+      in
+      Array.fill fn_of_pc b.Image.first (stop - b.Image.first) i)
+    img;
   for pc = 0 to n - 1 do
     let ins = img.Image.code.(pc) in
     cost.(pc) <- instr_cycles ~taken:true ins;
     match ins with
-    | I.Bl _ ->
-        call_fn.(pc) <- fn_index img.Image.func_of_pc.(img.Image.target.(pc))
+    | I.Bl _ -> call_fn.(pc) <- fn_of_pc.(img.Image.target.(pc))
     | _ -> ()
   done;
-  (cost, call_fn, Array.of_list (List.rev !names_rev))
+  (cost, call_fn, fn_of_pc, Array.of_list (List.rev !names_rev))
 
 let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
     ?(irq_period = 0) ?(verify = true) ?(tracer = Tr.null)
@@ -1133,9 +1141,9 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
   (* a verify-mode instance of the same image lends its per-pc tables and
      compiled blocks (see [get_bcache]) *)
   let same = match reuse with Some o when o.img == img -> reuse | _ -> None in
-  let cost, call_fn, fn_names =
+  let cost, call_fn, fn_of_pc, fn_names =
     match same with
-    | Some o -> (o.cost, o.call_fn, o.fn_names)
+    | Some o -> (o.cost, o.call_fn, o.fn_of_pc, o.fn_names)
     | None -> build_tables img
   in
   let mem, kinds, touched =
@@ -1192,6 +1200,7 @@ let create ?(fuel = 2_000_000_000) ?(supply = Power.Continuous)
       fn_calls = Array.make (Array.length fn_names) 0;
       cost;
       call_fn;
+      fn_of_pc;
       pc_counts =
         (if count_pcs then Some (Array.make (Array.length img.Image.code) 0)
          else None);
@@ -1242,7 +1251,7 @@ let step st : step =
       if st.halted then Halted
       else begin
         if st.trace_on then begin
-          let f = st.img.Image.func_of_pc.(st.pc) in
+          let f = func_of st st.pc in
           if f != st.trace_func && f <> st.trace_func then begin
             Tr.emit st.tracer st.cycles
               (Tr.Func_transition { from_func = st.trace_func; to_func = f });
@@ -2148,7 +2157,7 @@ let clone st =
     recorder = None;
     follower = None;
     pagesets = None;
-    (* cost/call_fn/fn_names are immutable: shared *)
+    (* cost/call_fn/fn_of_pc/fn_names are immutable: shared *)
   }
 
 (* Fold the per-pc counts to per-block entry counts: the count of a block's
@@ -2166,7 +2175,7 @@ let block_counts st : (string * int) list option =
 let halted st = st.halted
 let cycles st = st.cycles
 let pc st = st.pc
-let current_function st = st.img.Image.func_of_pc.(st.pc)
+let current_function st = func_of st st.pc
 let boots st = st.boots
 let memory st = Bytes.copy st.mem
 
@@ -2175,27 +2184,13 @@ let memory st = Bytes.copy st.mem
    are excluded because their sequence numbers and saved register images
    legitimately depend on how often power failed.
 
-   Word-wise: each 8-byte little-endian word is folded in by an FNV-style
-   xor-multiply (odd multiplier) and an xor-shift.  Both steps are
-   bijections of the running hash, so two memories differing in exactly one
-   word always digest differently.  One inline loop over a local [ref]:
-   ocamlopt keeps the [int64] unboxed there, where a closure capturing it
-   would box on every word. *)
+   Word-wise ([Util.fold_words], the fold the cache store checks its
+   payloads with): two memories differing in exactly one word always
+   digest differently. *)
 let nv_digest st =
   let mem = st.mem in
-  let n = Bytes.length mem in
-  let h = ref 0xcbf29ce484222325L in
-  let i = ref 0 in
-  while !i < n do
-    if !i = Image.ckpt_base then i := ckpt_end
-    else begin
-      let w = Bytes.get_int64_le mem !i in
-      let x = Int64.mul (Int64.logxor !h w) 0x100000001b3L in
-      h := Int64.logxor x (Int64.shift_right_logical x 29);
-      i := !i + 8
-    end
-  done;
-  !h
+  let h = Util.fold_words 0xcbf29ce484222325L mem 0 Image.ckpt_base in
+  Util.fold_words h mem ckpt_end (Bytes.length mem - ckpt_end)
 
 let result st : result =
   {

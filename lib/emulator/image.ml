@@ -10,7 +10,12 @@
        mem_size - 8         initial stack pointer (descending)
 
    Branch targets and data symbols are resolved at link time into side
-   arrays indexed by pc, so the emulator never does string lookups. *)
+   arrays indexed by pc, so the emulator never does string lookups.
+   Function and block names are kept per block, not per pc: [blocks]
+   holds each non-empty machine block's function, label and first pc in
+   layout order, and a block owns the pcs up to the next one's first.
+   Readers that need a name per pc expand the ranges once
+   ({!iter_blocks}). *)
 
 module I = Wario_machine.Isa
 module Util = Wario_support.Util
@@ -22,14 +27,17 @@ let ckpt_base = 0x40
 let globals_base = 0x200
 let stack_top = mem_size - 8
 
+type block = { func : string; label : string; first : int }
+
 type t = {
   code : I.instr array;
   target : int array;  (** resolved branch/call target per pc; -1 if none *)
   adr : int32 array;  (** resolved AdrData value per pc; 0 if none *)
   entry : int;  (** pc of [main] *)
   symbols : (string * int) list;  (** data symbol -> address *)
-  func_of_pc : string array;  (** enclosing function name per pc *)
-  label_of_pc : string array;  (** enclosing machine block label per pc *)
+  blocks : block array;
+      (** non-empty machine blocks in layout order; read through
+          {!iter_blocks} *)
   init_image : (int * int * int32) list;  (** (addr, bytes, value) *)
   text_bytes : int;
   data_bytes : int;
@@ -60,7 +68,7 @@ let link (p : I.mprog) : t =
       p.mdata
   in
   (* flatten code *)
-  let instrs = ref [] and labels = Hashtbl.create 256 in
+  let instrs = ref [] and blocks = ref [] and labels = Hashtbl.create 256 in
   let counter = ref 0 in
   List.iter
     (fun (f : I.mfunc) ->
@@ -69,17 +77,18 @@ let link (p : I.mprog) : t =
           if Hashtbl.mem labels b.I.mlabel then
             raise (Link_error ("duplicate label " ^ b.I.mlabel));
           Hashtbl.replace labels b.I.mlabel !counter;
+          if b.I.mcode <> [] then
+            blocks :=
+              { func = f.I.mname; label = b.I.mlabel; first = !counter }
+              :: !blocks;
           List.iter
             (fun ins ->
-              instrs := (ins, f.I.mname, b.I.mlabel) :: !instrs;
+              instrs := ins :: !instrs;
               incr counter)
             b.I.mcode)
         f.I.mblocks)
     p.mfuncs;
-  let triples = Array.of_list (List.rev !instrs) in
-  let code = Array.map (fun (i, _, _) -> i) triples in
-  let func_of_pc = Array.map (fun (_, f, _) -> f) triples in
-  let label_of_pc = Array.map (fun (_, _, l) -> l) triples in
+  let code = Array.of_list (List.rev !instrs) in
   let resolve l =
     match Hashtbl.find_opt labels l with
     | Some i -> i
@@ -113,8 +122,7 @@ let link (p : I.mprog) : t =
     adr;
     entry;
     symbols;
-    func_of_pc;
-    label_of_pc;
+    blocks = Array.of_list (List.rev !blocks);
     init_image;
     text_bytes =
       Array.fold_left (fun a i -> a + Wario_machine.Encode.size_bytes i) 0 code;
@@ -155,30 +163,58 @@ let succs t pc : int list =
   | I.Svc _ -> []
   | _ -> next
 
+(** [iter_blocks f t] calls [f b stop] on every non-empty machine block in
+    layout order; [b] owns the pcs [b.first, stop). *)
+let iter_blocks f t =
+  let nb = Array.length t.blocks in
+  Array.iteri
+    (fun i b ->
+      f b (if i + 1 < nb then t.blocks.(i + 1).first else Array.length t.code))
+    t.blocks
+
+(* The pcs [lo, stop) of [fname]: its blocks are laid out contiguously *)
+let function_range t fname =
+  let lo = ref (-1) and stop = ref (-1) in
+  iter_blocks
+    (fun b s ->
+      if b.func = fname then begin
+        if !lo < 0 then lo := b.first;
+        stop := s
+      end)
+    t;
+  if !lo < 0 then raise (Link_error ("no function " ^ fname));
+  (!lo, !stop)
+
 (** The pc of the first instruction of [fname]. *)
-let function_entry t fname : int =
-  let rec go i =
-    if i >= Array.length t.func_of_pc then
-      raise (Link_error ("no function " ^ fname))
-    else if t.func_of_pc.(i) = fname then i
-    else go (i + 1)
-  in
-  go 0
+let function_entry t fname : int = fst (function_range t fname)
 
 (** Return continuations of [fname]: the pc after every [Bl] that targets
     it.  [main] has none (its return halts the machine). *)
 let return_sites t fname : int list =
+  let lo, stop = function_range t fname in
   let acc = ref [] in
   Array.iteri
     (fun pc ins ->
       match ins with
       | I.Bl _
-        when t.func_of_pc.(t.target.(pc)) = fname
+        when t.target.(pc) >= lo && t.target.(pc) < stop
              && pc + 1 < Array.length t.code ->
           acc := (pc + 1) :: !acc
       | _ -> ())
     t.code;
   List.rev !acc
+
+(** The function owning [pc], by binary search over the blocks: for
+    rendering single pcs, not for walks over every pc. *)
+let func_at t pc : string =
+  let rec go lo hi =
+    (* the last block with first <= pc lies in [lo, hi) *)
+    if hi - lo <= 1 then t.blocks.(lo).func
+    else
+      let mid = (lo + hi) / 2 in
+      if t.blocks.(mid).first <= pc then go mid hi else go lo mid
+  in
+  go 0 (Array.length t.blocks)
 
 let frame_meta_of t fname : I.frame_meta option =
   List.assoc_opt fname t.frame_meta
@@ -188,9 +224,4 @@ let frame_meta_of t fname : I.frame_meta option =
     profiles the cost model consumes: a pilot run's per-pc execution counts
     fold to per-block entry counts by sampling each start pc. *)
 let block_starts t : (string * int) list =
-  let acc = ref [] in
-  Array.iteri
-    (fun pc l ->
-      if pc = 0 || t.label_of_pc.(pc - 1) <> l then acc := (l, pc) :: !acc)
-    t.label_of_pc;
-  List.rev !acc
+  Array.fold_right (fun b acc -> (b.label, b.first) :: acc) t.blocks []

@@ -12,14 +12,22 @@ val ckpt_base : int
 val globals_base : int
 val stack_top : int
 
+type block = {
+  func : string;  (** enclosing function *)
+  label : string;  (** machine block label *)
+  first : int;  (** the block's first pc *)
+}
+
 type t = {
   code : Wario_machine.Isa.instr array;
   target : int array;  (** resolved branch/call target per pc; -1 if none *)
   adr : int32 array;  (** resolved AdrData value per pc *)
   entry : int;  (** pc of [main] *)
   symbols : (string * int) list;
-  func_of_pc : string array;
-  label_of_pc : string array;  (** enclosing machine block label per pc *)
+  blocks : block array;
+      (** the non-empty machine blocks in layout order: a block owns the
+          pcs from its [first] up to the next block's.  Names are kept
+          per block, not per pc; read them through {!iter_blocks}. *)
   init_image : (int * int * int32) list;  (** (addr, bytes, value) *)
   text_bytes : int;
   data_bytes : int;
@@ -45,6 +53,15 @@ val succs : t -> int -> int list
 (** Intra-procedural control successors of a pc: fall-through and resolved
     branch targets.  [Bl] falls through to its return continuation (the
     call edge is [target.(pc)]); [Bx_lr] and halting [Svc]s have none. *)
+
+val iter_blocks : (block -> int -> unit) -> t -> unit
+(** [iter_blocks f t] calls [f b stop] on every non-empty machine block in
+    layout order; [b] owns the pcs [\[b.first, stop)].  A reader that needs
+    a name per pc expands these ranges once. *)
+
+val func_at : t -> int -> string
+(** The function owning a pc, by binary search over the blocks: for
+    rendering single pcs, not for walks over every pc. *)
 
 val function_entry : t -> string -> int
 (** Pc of the first instruction of a function. *)

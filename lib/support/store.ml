@@ -6,8 +6,9 @@
 
      objects/<key>    one file per entry: a fixed magic line, the key
                       (self-describing — a corrupt or misplaced file can
-                      be detected without the index), the hex MD5 digest
-                      of the payload, then the payload
+                      be detected without the index), a check line (the
+                      16 hex digits of [Util.word_hash] over the
+                      payload), then the payload
      tmp/             write staging; entries land via [Sys.rename]
      index.jsonl      advisory append-only log of puts ({key, meta,
                       bytes}); informational only — the objects
@@ -32,13 +33,19 @@
    Failure policy: a cache must never break its caller.  Every
    filesystem error degrades to a miss ([find] -> None) or a no-op
    ([put]); corrupt entries are deleted on discovery.  [find] checks the
-   payload digest before handing the bytes out, so a bit-flipped or
-   truncated payload never reaches the caller's [Marshal.from_string]
-   (which is not memory-safe on malformed input). *)
+   payload's word hash before handing the bytes out, so a bit-flipped or
+   truncated payload never reaches the caller's [Marshal.from_bytes]
+   (which is not memory-safe on malformed input).
+
+   Reads: [find] reads an entry with [Unix.read] into a per-domain buffer
+   that grows to the largest entry read and is then reused, checks the
+   magic, key, framing and word hash in place, and hands the caller's
+   decoder the payload's offset and length in that buffer.  A hit
+   allocates no copy of the entry. *)
 
 (* Bump on any change to the entry layout or to the type of a payload
    stored under an unchanged key: old entries then miss. *)
-let magic = "wario-store-4\n"
+let magic = "wario-store-5\n"
 
 type t = {
   dir : string;
@@ -114,11 +121,43 @@ let counters (t : t) : counters =
 
 let entry_path t key = Filename.concat (objects_dir t) key
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* Each domain's read buffer; [read_entry] grows it to the largest entry
+   read so far.  Only the domain's own [find] uses it, and a decoder hands
+   back a value built from it, never the buffer itself. *)
+let read_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 65536))
+
+(* The whole file at [path] in the domain's buffer: the buffer and the
+   file's length.  A file that shrinks under the read is short, and fails
+   the framing check. *)
+let read_entry path : bytes * int =
+  let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let size = (Unix.fstat fd).Unix.st_size in
+  let cell = Domain.DLS.get read_buf in
+  if Bytes.length !cell < size then cell := Bytes.create size;
+  let buf = !cell in
+  let rec go len =
+    if len = size then len
+    else match Unix.read fd buf len (size - len) with 0 -> len | k -> go (len + k)
+  in
+  (buf, go 0)
+
+(* [s] sits in [buf] at [off] *)
+let bytes_at buf off s =
+  let n = String.length s in
+  let rec go i =
+    i = n || (Bytes.unsafe_get buf (off + i) = String.unsafe_get s i && go (i + 1))
+  in
+  go 0
+
+(* the check line's 16 hex digits spell [h] *)
+let hex_at buf off (h : int64) =
+  let rec go i =
+    i = 16
+    || (let nib = Int64.to_int (Int64.shift_right_logical h (60 - (4 * i))) land 15 in
+        Bytes.unsafe_get buf (off + i) = "0123456789abcdef".[nib] && go (i + 1))
+  in
+  go 0
 
 (* Advisory index line.  O_APPEND keeps concurrent one-line writes from
    interleaving on a local filesystem; the index is never read back for
@@ -195,7 +234,8 @@ let evict_lru t =
    read. *)
 let count_bytes count name n = Option.iter (fun add -> add name n) count
 
-let find ?count (t : t) (key : string) : string option =
+let find ?count (t : t) (key : string)
+    (decode : bytes -> int -> int -> 'a option) : 'a option =
   let miss () =
     Atomic.incr t.misses;
     None
@@ -203,37 +243,33 @@ let find ?count (t : t) (key : string) : string option =
   if not (valid_key key) then miss ()
   else
     let path = entry_path t key in
-    match Util.timed_us count "store_read_us" (fun () -> read_file path) with
-    | exception (Sys_error _ | End_of_file) -> miss ()
-    | body ->
-        count_bytes count "store_bytes_read" (String.length body);
+    match Util.timed_us count "store_read_us" (fun () -> read_entry path) with
+    | exception (Unix.Unix_error _ | Sys_error _) -> miss ()
+    | buf, len -> (
+        count_bytes count "store_bytes_read" len;
         let mlen = String.length magic and klen = String.length key in
-        let dpos = mlen + klen + 1 in
-        let header_len = dpos + 33 in
-        let plen = String.length body - header_len in
+        let cpos = mlen + klen + 1 in
+        let header_len = cpos + 17 in
+        let plen = len - header_len in
         let valid =
           Util.timed_us count "store_digest_us" @@ fun () ->
           plen > 0
-          && String.sub body 0 mlen = magic
-          && String.sub body mlen klen = key
-          && body.[mlen + klen] = '\n'
-          && body.[header_len - 1] = '\n'
-          (* the digest is checked over the payload in place, before the
-             one copy that hands it out *)
-          && String.sub body dpos 32
-             = Digest.to_hex (Digest.substring body header_len plen)
+          && bytes_at buf 0 magic
+          && bytes_at buf mlen key
+          && Bytes.get buf (cpos - 1) = '\n'
+          && Bytes.get buf (header_len - 1) = '\n'
+          && hex_at buf cpos (Util.word_hash buf header_len plen)
         in
-        if valid then begin
-          (* LRU touch: both timestamps to "now" *)
-          (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
-          Atomic.incr t.hits;
-          Some (String.sub body header_len plen)
-        end
-        else begin
-          (* corrupt or mislabelled entry: delete on discovery *)
-          (try Sys.remove path with Sys_error _ -> ());
-          miss ()
-        end
+        match if valid then decode buf header_len plen else None with
+        | Some _ as hit ->
+            (* LRU touch: both timestamps to "now" *)
+            (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
+            Atomic.incr t.hits;
+            hit
+        | None ->
+            (* corrupt, mislabelled or undecodable: delete on discovery *)
+            (try Sys.remove path with Sys_error _ -> ());
+            miss ())
 
 let mem (t : t) (key : string) : bool =
   valid_key key && Sys.file_exists (entry_path t key)
@@ -241,11 +277,12 @@ let mem (t : t) (key : string) : bool =
 let put ?count (t : t) ?(meta = "") (key : string) (payload : string) : unit =
   if valid_key key then begin
     try
-      let body =
+      let bytes =
         Util.timed_us count "store_write_us" @@ fun () ->
-        let body =
-          String.concat ""
-            [ magic; key; "\n"; Digest.to_hex (Digest.string payload); "\n"; payload ]
+        let check =
+          Printf.sprintf "%016Lx"
+            (Util.word_hash (Bytes.unsafe_of_string payload) 0
+               (String.length payload))
         in
         let tmp =
           Filename.concat (tmp_dir t)
@@ -253,18 +290,18 @@ let put ?count (t : t) ?(meta = "") (key : string) (payload : string) : unit =
                (Domain.self () :> int))
         in
         let oc = open_out_bin tmp in
-        output_string oc body;
+        List.iter (output_string oc) [ magic; key; "\n"; check; "\n"; payload ];
         close_out oc;
         Sys.rename tmp (entry_path t key);
-        body
+        String.length magic + String.length key + 18 + String.length payload
       in
-      count_bytes count "store_bytes_written" (String.length body);
+      count_bytes count "store_bytes_written" bytes;
       Atomic.incr t.puts;
-      index_append t ~key ~meta ~bytes:(String.length body);
+      index_append t ~key ~meta ~bytes;
       let b = ref (Atomic.get t.approx_bytes) in
       let continue = ref true in
       while !continue do
-        if Atomic.compare_and_set t.approx_bytes !b (!b + String.length body)
+        if Atomic.compare_and_set t.approx_bytes !b (!b + bytes)
         then continue := false
         else b := Atomic.get t.approx_bytes
       done;

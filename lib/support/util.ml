@@ -110,6 +110,38 @@ let fnv1a64_from (h : int64) (s : string) : int64 =
 
 let fnv1a64 (s : string) : int64 = fnv1a64_from 0xcbf29ce484222325L s
 
+(** The word fold: [h] xor one 64-bit word, times an odd multiplier, then
+    an xor-shift.  Both steps are bijections of the running hash, so two
+    inputs that differ in exactly one word always fold differently. *)
+let[@inline] fold_word (h : int64) (w : int64) : int64 =
+  let x = Int64.mul (Int64.logxor h w) 0x100000001b3L in
+  Int64.logxor x (Int64.shift_right_logical x 29)
+
+(** [fold_words h b off n] folds the [n / 8] little-endian 8-byte words of
+    [b] from [off] into [h] ([n] a multiple of 8).  One inline loop over a
+    local [ref]: ocamlopt keeps the [int64] unboxed there, so the fold
+    allocates nothing per word. *)
+let fold_words (h : int64) (b : bytes) (off : int) (n : int) : int64 =
+  let h = ref h in
+  let i = ref off in
+  let stop = off + n in
+  while !i < stop do
+    h := fold_word !h (Bytes.get_int64_le b !i);
+    i := !i + 8
+  done;
+  !h
+
+(** [word_hash b off n] checks [n] bytes of [b] from [off]: their whole
+    8-byte words, then each tail byte as one word, then [n] itself, so
+    every single-word change and every truncation changes the result. *)
+let word_hash (b : bytes) (off : int) (n : int) : int64 =
+  let whole = n land lnot 7 in
+  let h = ref (fold_words 0xcbf29ce484222325L b off whole) in
+  for i = off + whole to off + n - 1 do
+    h := fold_word !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)))
+  done;
+  fold_word !h (Int64.of_int n)
+
 (** A deterministic 32-bit linear congruential generator, used wherever the
     library needs reproducible pseudo-randomness (workload inputs, synthetic
     harvester traces).  Numerical Recipes constants. *)

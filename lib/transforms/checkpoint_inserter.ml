@@ -214,6 +214,22 @@ let run_func ~(mode : Analysis.Alias.mode) ~(placement : placement)
               (naive_placement (), None, 0, cost))
     in
     let t5 = now () in
+    let chosen_u = Wario_support.Util.dedup_stable chosen in
+    (* per chosen point, the number of sets holding it (a set that lists
+       it twice counts once), in one pass over the sets *)
+    let wars_of = Hashtbl.create 16 in
+    List.iter (fun pt -> Hashtbl.replace wars_of pt (ref 0, ref (-1))) chosen_u;
+    List.iteri
+      (fun si set ->
+        List.iter
+          (fun q ->
+            match Hashtbl.find_opt wars_of q with
+            | Some (n, last) when !last <> si ->
+                incr n;
+                last := si
+            | _ -> ())
+          set)
+      sets;
     let infos =
       List.map
         (fun ((lbl, i) as pt) ->
@@ -222,12 +238,9 @@ let run_func ~(mode : Analysis.Alias.mode) ~(placement : placement)
             pi_block = lbl;
             pi_index = i;
             pi_weight = cost pt;
-            pi_wars =
-              List.length
-                (List.filter (List.exists (fun q -> compare_point q pt = 0))
-                   sets);
+            pi_wars = !(fst (Hashtbl.find wars_of pt));
           })
-        (Wario_support.Util.dedup_stable chosen)
+        chosen_u
     in
     insert_checkpoints f chosen Middle_end_war;
     lap 1 t3 t4;

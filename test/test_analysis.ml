@@ -397,6 +397,36 @@ let test_hitting_set_covers () =
       Alcotest.(check bool) "covered" true (List.exists (fun e -> List.mem e r) s))
     sets
 
+(* Ties: a ring of pairs (every element in two sets) and the rows and
+   columns of a 4x4 grid (every element in two sets).  Equal scores pop in
+   the heap's layout order, not by cost or element order; these are the
+   picks that order gives, pinned so that a rewrite of the solver (over
+   membership classes, say) has to reproduce them. *)
+let test_hitting_set_ties_pinned () =
+  let ring = List.init 12 (fun i -> [ i; (i + 1) mod 12 ]) in
+  let grid =
+    List.concat
+      (List.init 4 (fun r ->
+           [ List.init 4 (fun c -> 20 + (4 * r) + c);
+             List.init 4 (fun c -> 20 + r + (4 * c)) ]))
+  in
+  let family = ring @ grid in
+  Alcotest.(check (list int))
+    "unit costs, in pick order"
+    [ 0; 35; 3; 7; 30; 24; 9; 5; 21; 10; 1 ]
+    (solve_ok ~cost:(fun _ -> 1.) family);
+  Alcotest.(check (list int))
+    "multiples of 3 cost double, in pick order"
+    [ 1; 4; 34; 31; 7; 10; 25; 20; 8; 5; 11; 2 ]
+    (solve_ok ~cost:(fun e -> if e mod 3 = 0 then 2. else 1.) family);
+  match Hs.solve_weighted ~node_budget:0 ~cost:(fun _ -> 1.) family with
+  | Ok s ->
+      Alcotest.(check (list int))
+        "greedy fallback, pruned and sorted"
+        [ 0; 1; 3; 5; 7; 9; 10; 21; 24; 30; 35 ]
+        s.Hs.chosen
+  | Error _ -> Alcotest.fail "no empty set here"
+
 (* -- random-CFG properties (qcheck) --------------------------------- *)
 
 (* Same pinned-seed idiom as test_props.ml: qcheck-alcotest otherwise
@@ -690,6 +720,8 @@ let suite =
     Alcotest.test_case "hitting set: cost aware" `Quick test_hitting_set_cost;
     Alcotest.test_case "hitting set: empty set" `Quick test_hitting_set_empty_set;
     Alcotest.test_case "hitting set: cover property" `Quick test_hitting_set_covers;
+    Alcotest.test_case "hitting set: greedy picks on ties" `Quick
+      test_hitting_set_ties_pinned;
     to_alcotest prop_dominance_bruteforce;
     to_alcotest prop_loops_well_formed;
     Alcotest.test_case "loops: irreducible cycle has no natural loop" `Quick

@@ -61,17 +61,21 @@ let image_bytes (c : P.compiled) = Marshal.to_string c.P.image []
 (* Store                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* the payload under [key], copied out of the store's read buffer *)
+let find_string s key =
+  Store.find s key (fun buf off len -> Some (Bytes.sub_string buf off len))
+
 let test_store_roundtrip () =
   with_store (fun _dir s ->
-      Alcotest.(check (option string)) "miss on empty" None (Store.find s "aa");
+      Alcotest.(check (option string)) "miss on empty" None (find_string s "aa");
       Store.put s ~meta:"t" "aa" "payload-1";
       Alcotest.(check (option string))
-        "hit after put" (Some "payload-1") (Store.find s "aa");
+        "hit after put" (Some "payload-1") (find_string s "aa");
       Alcotest.(check bool) "mem" true (Store.mem s "aa");
       Alcotest.(check bool) "not mem" false (Store.mem s "bb");
       Store.put s "aa" "payload-2";
       Alcotest.(check (option string))
-        "overwrite" (Some "payload-2") (Store.find s "aa");
+        "overwrite" (Some "payload-2") (find_string s "aa");
       let c = Store.counters s in
       Alcotest.(check int) "hits" 2 c.Store.hits;
       Alcotest.(check int) "misses" 1 c.Store.misses;
@@ -85,7 +89,7 @@ let test_store_rejects_bad_keys () =
       Store.put s "a/b" "x";
       let c = Store.counters s in
       Alcotest.(check int) "no puts recorded" 0 c.Store.puts;
-      Alcotest.(check (option string)) "no entry" None (Store.find s "aa"))
+      Alcotest.(check (option string)) "no entry" None (find_string s "aa"))
 
 let test_store_corrupt_entry_is_miss () =
   with_store (fun dir s ->
@@ -95,13 +99,13 @@ let test_store_corrupt_entry_is_miss () =
       output_string oc "garbage without a header";
       close_out oc;
       Alcotest.(check (option string))
-        "corrupt entry reads as miss" None (Store.find s "cc");
+        "corrupt entry reads as miss" None (find_string s "cc");
       Alcotest.(check bool)
         "corrupt entry deleted on discovery" false (Sys.file_exists path);
       (* and the slot is reusable *)
       Store.put s "cc" "fresh";
       Alcotest.(check (option string))
-        "overwritten cleanly" (Some "fresh") (Store.find s "cc"))
+        "overwritten cleanly" (Some "fresh") (find_string s "cc"))
 
 (* Every single-bit flip and every truncation of a small cache entry
    reads back as a miss or as the original value — never as a
@@ -148,6 +152,74 @@ let test_cache_entry_bit_flips_and_truncations () =
       check "intact" good;
       Alcotest.(check bool) "intact entry hits" true (C.get cache key = Some v))
 
+(* The read path: one reused buffer per domain. *)
+
+let big_value i = (i, String.init (300_000 + i) (fun k -> Char.chr ((k + i) land 255)))
+
+(* An entry larger than the buffer's first size reads whole; a small entry
+   read right after it returns only its own bytes, whatever the larger
+   entry left in the buffer past it. *)
+let test_cache_reads_reuse_the_buffer () =
+  with_cache (fun cache ->
+      let kb = C.Key.of_parts [ ("stage", "big") ]
+      and ks = C.Key.of_parts [ ("stage", "small") ] in
+      let big = big_value 1 and small = (2, "s") in
+      C.put cache kb big;
+      C.put cache ks small;
+      for _ = 1 to 2 do
+        Alcotest.(check bool) "the large entry reads whole" true
+          ((C.get cache kb : (int * string) option) = Some big);
+        Alcotest.(check bool) "the small entry after it is itself" true
+          ((C.get cache ks : (int * string) option) = Some small)
+      done)
+
+(* Warm gets from two domains over different entries each come back with
+   their own value: each domain reads into its own buffer. *)
+let test_cache_gets_from_two_domains () =
+  with_cache (fun cache ->
+      let entries =
+        List.init 12 (fun i ->
+            let v = if i mod 3 = 0 then big_value i else (i, String.make (1 + (997 * i)) 'x') in
+            (C.Key.of_parts [ ("stage", "domains"); ("i", string_of_int i) ], v))
+      in
+      List.iter (fun (k, v) -> C.put cache k v) entries;
+      let jobs = List.concat (List.init 4 (fun _ -> entries)) in
+      let got =
+        Wario_exec.Exec.map ~jobs:2
+          (fun (k, _) -> (C.get cache k : (int * string) option))
+          jobs
+      in
+      List.iter2
+        (fun (_, v) g -> Alcotest.(check bool) "own value" true (g = Some v))
+        jobs got;
+      Alcotest.(check int) "every get hit" (List.length jobs) (C.counters cache).C.hits)
+
+(* A payload that is not exactly one marshalled value (trailing bytes, or
+   one byte short) passes the store's check but is a miss, and is deleted. *)
+let test_cache_marshal_size_mismatch_is_miss () =
+  let dir = tmp_dir "wario-test-cache" in
+  Fun.protect
+    ~finally:(fun () -> remove_tree dir)
+    (fun () ->
+      let cache = C.create dir and store = Store.open_store dir in
+      let key = C.Key.of_parts [ ("stage", "size-test") ] in
+      let good = Marshal.to_string (7, "seven") [] in
+      List.iter
+        (fun (what, payload) ->
+          Store.put store (C.Key.to_hex key) payload;
+          Alcotest.(check bool) what true
+            ((C.get cache key : (int * string) option) = None);
+          Alcotest.(check bool) (what ^ ": deleted") false
+            (Store.mem store (C.Key.to_hex key)))
+        [
+          ("trailing bytes", good ^ "extra");
+          ("one byte short", String.sub good 0 (String.length good - 1));
+          ("shorter than a header", "x");
+        ];
+      Store.put store (C.Key.to_hex key) good;
+      Alcotest.(check bool) "the exact payload hits" true
+        ((C.get cache key : (int * string) option) = Some (7, "seven")))
+
 let test_store_lru_eviction () =
   (* budget of ~3 small entries; oldest (least-recently-touched) goes *)
   let payload = String.make 200 'x' in
@@ -156,7 +228,7 @@ let test_store_lru_eviction () =
       Store.put s "k2" payload;
       Store.put s "k3" payload;
       (* refresh k1's LRU position so k2 is the eviction victim *)
-      ignore (Store.find s "k1");
+      ignore (find_string s "k1");
       Unix.sleepf 0.01;
       Store.put s "k4" payload;
       let c = Store.counters s in
@@ -502,7 +574,21 @@ let test_old_store_magic_is_a_miss () =
       Alcotest.(check bool) "same record" true (cold = again);
       let _, report = P.compile_with_report ~cache P.Wario src2 in
       Alcotest.(check (list (pair string bool)))
-        "the rebuilt entry replaced it" [ ("image", true) ] report)
+        "the rebuilt entry replaced it" [ ("image", true) ] report;
+      (* the last magic, wario-store-4: today's record under that layout's
+         MD5 check line *)
+      let payload = Marshal.to_string cold [] in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            (String.concat ""
+               [ "wario-store-4\n"; key; "\n";
+                 Digest.to_hex (Digest.string payload); "\n"; payload ]));
+      let again, report = P.compile_with_report ~cache P.Wario src2 in
+      Alcotest.(check (list (pair string bool)))
+        "wario-store-4 image entry misses"
+        [ ("place", true); ("mach", true); ("image", false) ]
+        report;
+      Alcotest.(check bool) "rebuilt the same record" true (cold = again))
 
 (* A traced compile carries the store's counters on its pipeline.compile
    span: the cold one what it wrote, the warm hit what it read, which is
@@ -808,6 +894,12 @@ let suite =
       test_store_corrupt_entry_is_miss;
     Alcotest.test_case "cache: every bit flip and truncation is a miss" `Quick
       test_cache_entry_bit_flips_and_truncations;
+    Alcotest.test_case "cache: a reused read buffer returns each entry" `Quick
+      test_cache_reads_reuse_the_buffer;
+    Alcotest.test_case "cache: gets from two domains" `Quick
+      test_cache_gets_from_two_domains;
+    Alcotest.test_case "cache: a marshal size mismatch is a miss" `Quick
+      test_cache_marshal_size_mismatch_is_miss;
     Alcotest.test_case "store: LRU eviction under a byte budget" `Quick
       test_store_lru_eviction;
     Alcotest.test_case "keys: shape and determinism" `Quick test_key_shape;

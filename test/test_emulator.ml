@@ -759,10 +759,20 @@ let test_war_clone_independent () =
 
 (* --- fixed per-instance cost ----------------------------------------- *)
 
+(* Not [Gc.allocated_bytes]: on OCaml 5.1 its [Gc.counters] source counts
+   the words allocated in the minor heap since the last minor collection
+   at 1/8 of their number, so a minor collection inside the window (the
+   1 MiB memory's major allocation can trigger one) adds 7/8 of the minor
+   heap's pre-window contents to the difference.  [Gc.minor_words] counts
+   them exactly. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 let allocated_bytes f =
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_words () in
   ignore (Sys.opaque_identity (f ()));
-  Gc.allocated_bytes () -. a0
+  (allocated_words () -. a0) *. float_of_int (Sys.word_size / 8)
 
 (* The WAR shadow is one byte per address plus the touched list: a verify
    instance is the 1 MiB memory and the 1 MiB shadow, no more; an
@@ -785,6 +795,28 @@ let test_instance_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "nv_digest allocates %.0f B < 1 KiB" d)
     true (d < 1024.)
+
+(* [nv_digest] folds through [Util.fold_words], which the cache store
+   shares.  The digests of these halted micros are the values the
+   emulator's own inline loop gave before the fold moved; a change to the
+   fold that moves any of them is a change to every golden digest. *)
+let test_nv_digest_values () =
+  let digest_of name =
+    let m = Wario_workloads.Micro.find name in
+    let c = P.compile P.Wario m.Wario_workloads.Micro.source in
+    let st = E.Emulator.create ~verify:false c.P.image in
+    let fresh = E.Emulator.nv_digest st in
+    ignore (drive_engine E.Emulator.Reference st);
+    (fresh, E.Emulator.nv_digest st)
+  in
+  List.iter
+    (fun (name, fresh, halted) ->
+      Alcotest.(check (pair int64 int64)) name (fresh, halted) (digest_of name))
+    [
+      ("arith", 1020830666810537873L, 1020830666810537873L);
+      ("rmw_loop", 1020830666810537873L, 1087730512682104929L);
+      ("byte_ops", 1020830666810537873L, -7620875047645105154L);
+    ]
 
 let in_ckpt_area i = i >= E.Image.ckpt_base && i < E.Image.ckpt_base + 0x100
 
@@ -886,6 +918,8 @@ let suite =
     Alcotest.test_case "instance allocation" `Quick test_instance_allocation;
     Alcotest.test_case "nv digest: equality and one-word sensitivity" `Quick
       test_nv_digest_pins;
+    Alcotest.test_case "nv digest: the shared word fold keeps its values"
+      `Quick test_nv_digest_values;
   ]
 
 (* --- cycle model ----------------------------------------------------- *)
