@@ -204,17 +204,10 @@ let return_sites t fname : int list =
     t.code;
   List.rev !acc
 
-(** The function owning [pc], by binary search over the blocks: for
-    rendering single pcs, not for walks over every pc. *)
+(** The function owning [pc], by a scan of the blocks: for rendering
+    single pcs, not for walks over every pc. *)
 let func_at t pc : string =
-  let rec go lo hi =
-    (* the last block with first <= pc lies in [lo, hi) *)
-    if hi - lo <= 1 then t.blocks.(lo).func
-    else
-      let mid = (lo + hi) / 2 in
-      if t.blocks.(mid).first <= pc then go mid hi else go lo mid
-  in
-  go 0 (Array.length t.blocks)
+  Array.fold_left (fun f b -> if b.first <= pc then b.func else f) "" t.blocks
 
 let frame_meta_of t fname : I.frame_meta option =
   List.assoc_opt fname t.frame_meta

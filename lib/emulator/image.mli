@@ -60,8 +60,8 @@ val iter_blocks : (block -> int -> unit) -> t -> unit
     a name per pc expands these ranges once. *)
 
 val func_at : t -> int -> string
-(** The function owning a pc, by binary search over the blocks: for
-    rendering single pcs, not for walks over every pc. *)
+(** The function owning a pc, by a scan of the blocks: for rendering
+    single pcs, not for walks over every pc. *)
 
 val function_entry : t -> string -> int
 (** Pc of the first instruction of a function. *)

@@ -131,7 +131,8 @@ let read_buf = Domain.DLS.new_key (fun () -> ref (Bytes.create 65536))
    the framing check. *)
 let read_entry path : bytes * int =
   let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
   let size = (Unix.fstat fd).Unix.st_size in
   let cell = Domain.DLS.get read_buf in
   if Bytes.length !cell < size then cell := Bytes.create size;

@@ -797,9 +797,8 @@ let test_instance_allocation () =
     true (d < 1024.)
 
 (* [nv_digest] folds through [Util.fold_words], which the cache store
-   shares.  The digests of these halted micros are the values the
-   emulator's own inline loop gave before the fold moved; a change to the
-   fold that moves any of them is a change to every golden digest. *)
+   shares.  These digests are pinned: a change to the shared fold that
+   moves any of them moves every golden digest too. *)
 let test_nv_digest_values () =
   let digest_of name =
     let m = Wario_workloads.Micro.find name in
